@@ -19,7 +19,7 @@ from fractions import Fraction
 from .linalg import BACKENDS, LinalgError, norm_sq
 from .quadratic import QuadraticProblem, evaluate
 from .engine import DirectionScaling, run_cg
-from .oracle import SpanBasis, minimize_on_affine_span
+from .oracle import trace_oracle
 from .verify import DEFAULT_TOLERANCES, report_to_dict, run_full_suite
 from .problems import ProblemSpec, generate_problem
 from .mmio import (
@@ -190,10 +190,7 @@ def cmd_oracle(args) -> int:
     trace = run_cg(problem, **_run_options(args))
     backend = problem.backend
     solutions = []
-    gradients = [rec.g_k for rec in trace.records]
-    for k in range(1, trace.r + 1):
-        basis = SpanBasis(x0=trace.records[0].x_k, spanning_vectors=tuple(gradients[:k]))
-        sol = minimize_on_affine_span(problem, basis)
+    for k, sol in enumerate(trace_oracle(problem, trace), start=1):
         drift = trace.records[k].x_k - sol.point
         deviation = math.sqrt(float(norm_sq(drift)))
         solutions.append(

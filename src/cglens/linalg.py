@@ -16,7 +16,6 @@ functions; nothing here mutates its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -188,13 +187,7 @@ def norm(v: np.ndarray) -> float:
 
 def max_abs(v: np.ndarray) -> Scalar:
     """Largest entry magnitude; exact under the rational backend."""
-    flat = v.ravel()
-    out = abs(flat[0])
-    for x in flat[1:]:
-        ax = abs(x)
-        if ax > out:
-            out = ax
-    return out
+    return np.abs(v).max()
 
 
 def scalar_token(x) -> str:
@@ -225,62 +218,175 @@ def residual_magnitude(v: np.ndarray) -> Scalar:
     return float(np.linalg.norm(v))
 
 
-@dataclass(frozen=True)
-class SpdCheck:
-    """Outcome of the pivot test for symmetric positive definiteness.
+class PivotedLDLT:
+    """L D L^T factorization with symmetric diagonal pivoting.
 
-    Carries the square-root-free factorization M = L D L^T with unit
-    lower-triangular ``unit_lower`` and diagonal ``pivots``, computed up
-    to and including the first failing pivot.  ``factor`` is the
-    conventional Cholesky factor L sqrt(D); it needs square roots and is
-    therefore only available on the float backend.
+    The package's one elimination kernel.  Each step pivots on the
+    largest remaining diagonal entry (Higham, 1990), so the pivots of a
+    positive *semi*definite matrix stop being positive exactly where its
+    numerical rank ends, and consistent singular systems are solved with
+    the free coordinates set to zero.  Exact under the rational backend
+    (rank decisions compare against literal zero).
+
+    Under float64 the matrix is first rescaled symmetrically to unit
+    diagonal (Jacobi scaling), which keeps systems whose columns differ
+    by many orders of magnitude (as CG gradient histories do) solvable;
+    ``solve`` and ``nullspace`` map their results back through the scale.
     """
 
-    is_spd: bool
-    pivots: tuple
-    unit_lower: np.ndarray
-    failed_pivot: int | None = None  # 0-based index of first bad pivot
-    backend: Backend = field(default=F64, repr=False)
+    def __init__(self, A: np.ndarray, pivot_floor: Scalar | None = None):
+        self._eliminate(A, pivot_floor, rescale=not backend_of(A).exact)
+        if self.rank < self.n and self.pivots[-1] < -1000 * abs(self.pivot_floor):
+            # PSD input can only stop on a (numerically) zero trailing
+            # block; a solidly negative diagonal means the matrix was not
+            # PSD at all.
+            raise LinalgError(
+                f"matrix is not positive semidefinite (diagonal {self.pivots[-1]})"
+            )
+
+    def _eliminate(self, A: np.ndarray, pivot_floor: Scalar | None, rescale: bool) -> None:
+        backend = backend_of(A)
+        n = A.shape[0]
+        if A.shape != (n, n):
+            raise DimensionMismatch("PivotedLDLT requires a square matrix")
+        self._scale = None
+        if rescale:
+            self._scale = np.array(
+                [1.0 / math.sqrt(A[j, j]) if A[j, j] > 0 else 1.0 for j in range(n)]
+            )
+            A = A * np.outer(self._scale, self._scale)
+        if pivot_floor is None:
+            if backend.exact:
+                pivot_floor = Fraction(0)
+            elif n == 0:
+                pivot_floor = 0.0
+            else:
+                pivot_floor = n * np.finfo(np.float64).eps * float(max_abs(A))
+        W = np.array(A, dtype=object if backend.exact else np.float64)
+        perm = list(range(n))
+        pivots = []
+        rank = n
+        for t in range(n):
+            j = t + int(np.argmax(W.diagonal()[t:]))
+            if j != t:
+                # Rows carry the multipliers of earlier steps; above row t
+                # the swapped columns are never read again.
+                W[[t, j], :] = W[[j, t], :]
+                W[t:, [t, j]] = W[t:, [j, t]]
+                perm[t], perm[j] = perm[j], perm[t]
+            piv = W[t, t]
+            pivots.append(piv)
+            if not piv > pivot_floor:
+                rank = t
+                break
+            if t + 1 < n:
+                col = W[t + 1 :, t] / piv
+                W[t + 1 :, t] = col
+                W[t + 1 :, t + 1 :] -= np.outer(col, col) * piv
+        self.backend = backend
+        self.n = n
+        self.rank = rank
+        self.perm = perm
+        self.pivots = tuple(pivots)
+        self.pivot_floor = pivot_floor
+        self._W = W  # multipliers below the diagonal, pivots on it
+
+    def _unscaled(self, v: list) -> np.ndarray:
+        out = _array_from(v, self.backend)
+        if self._scale is not None:
+            out = self._scale * out
+        return _freeze(out)
+
+    def solve(self, b: np.ndarray, consistency_tol: float = 1e-8):
+        """Return ``(x, consistent)`` with free coordinates of x zeroed.
+
+        ``consistent`` reports whether b lies in the range of A: exactly
+        under the rational backend, against ``consistency_tol`` relative
+        to max(1, |b|_inf) under float64 (b as rescaled).
+        """
+        n, r, W = self.n, self.rank, self._W
+        if b.shape[0] != n:
+            raise DimensionMismatch(f"solve of order {n} against {b.shape}")
+        if self._scale is not None:
+            b = b * self._scale
+        y = _array_from([b[self.perm[t]] for t in range(n)], self.backend)
+        for t in range(r):
+            y[t + 1 :] -= W[t + 1 :, t] * y[t]
+        if self.backend.exact:
+            consistent = all(y[i] == 0 for i in range(r, n))
+        else:
+            bscale = max(1.0, float(max_abs(b))) if n else 1.0
+            consistent = all(abs(y[i]) <= consistency_tol * bscale for i in range(r, n))
+        for t in range(r):
+            y[t] = y[t] / W[t, t]
+        y[r:] = self.backend.zero
+        for t in range(r - 1, -1, -1):
+            y[t] -= np.dot(W[t + 1 : r, t], y[t + 1 : r])
+        x = [self.backend.zero] * n
+        for t in range(r):
+            x[self.perm[t]] = y[t]
+        return self._unscaled(x), consistent
+
+    def nullspace(self) -> list[np.ndarray]:
+        """A basis of the kernel, one vector per pivot-free column."""
+        n, r, W = self.n, self.rank, self._W
+        basis = []
+        for f in range(r, n):
+            top = [-W[f, t] for t in range(r)]
+            for t in range(r - 1, -1, -1):  # L11^T x = -L21[f, :]
+                xt = top[t]
+                for i in range(t + 1, r):
+                    xt = xt - W[i, t] * top[i]
+                top[t] = xt
+            v = [self.backend.zero] * n
+            for t in range(r):
+                v[self.perm[t]] = top[t]
+            v[self.perm[f]] = self.backend.one
+            basis.append(self._unscaled(v))
+        return basis
+
+
+class SpdCheck(PivotedLDLT):
+    """The pivoted kernel read as a test of positive definiteness.
+
+    M is positive definite exactly when all n pivots exceed the pivot
+    floor, which defaults to 0 on the rational backend and to
+    n * eps * max|M_ij| on the float backend (so exactly singular
+    integer matrices are reliably rejected).  M is not rescaled, so the
+    floor is relative to M as given.  Non-SPD input is a result, not an
+    error: ``pivots`` run up to and including the first failing one.
+    """
+
+    def __init__(self, M: np.ndarray, pivot_floor: Scalar | None = None):
+        self._eliminate(M, pivot_floor, rescale=False)
+
+    @property
+    def is_spd(self) -> bool:
+        return self.rank == self.n
+
+    @property
+    def failed_pivot(self) -> int | None:
+        """0-based elimination step of the first non-positive pivot."""
+        return None if self.is_spd else self.rank
 
     @property
     def factor(self) -> np.ndarray | None:
+        """F with F F^T = M: the Cholesky factor L sqrt(D), rows unpermuted.
+
+        Needs square roots, so it exists only on the float backend.
+        """
         if not self.is_spd or self.backend.exact:
             return None
-        L = np.array(self.unit_lower, dtype=np.float64)
-        for j in range(L.shape[0]):
-            L[:, j] *= math.sqrt(self.pivots[j])
-        return _freeze(L)
+        L = np.tril(np.array(self._W, dtype=np.float64), -1) + np.eye(self.n)
+        L *= np.sqrt(np.array(self.pivots, dtype=np.float64))
+        F = np.empty_like(L)
+        F[self.perm] = L
+        return _freeze(F)
 
 
 def cholesky_spd_check(M: np.ndarray, pivot_floor: Scalar | None = None) -> SpdCheck:
-    """Test positive definiteness by the pivots of the L D L^T factorization.
-
-    A pivot counts as positive when it exceeds ``pivot_floor``, which
-    defaults to 0 on the rational backend and to n * eps * max|M_ij| on
-    the float backend (so exactly singular integer matrices are
-    reliably rejected).  Non-SPD input is a result, not an error.
-    """
-    backend = backend_of(M)
-    n = M.shape[0]
-    if pivot_floor is None:
-        if backend.exact:
-            pivot_floor = Fraction(0)
-        else:
-            pivot_floor = n * np.finfo(np.float64).eps * float(max_abs(M))
-    W = np.array(M, dtype=object if backend.exact else np.float64)
-    L = backend.empty((n, n))
-    pivots = []
-    for t in range(n):
-        L[t, t] = backend.one
-        piv = W[t, t]
-        pivots.append(piv)
-        if not piv > pivot_floor:
-            return SpdCheck(False, tuple(pivots), _freeze(L), t, backend)
-        if t + 1 < n:
-            col = W[t + 1 :, t] / piv
-            L[t + 1 :, t] = col
-            W[t + 1 :, t + 1 :] -= np.outer(col, col) * piv
-    return SpdCheck(True, tuple(pivots), _freeze(L), None, backend)
+    """Test positive definiteness by the pivots of the L D L^T factorization."""
+    return SpdCheck(M, pivot_floor)
 
 
 def solve_spd(M: np.ndarray, b: np.ndarray, check: SpdCheck | None = None) -> np.ndarray:
@@ -300,113 +406,4 @@ def solve_spd(M: np.ndarray, b: np.ndarray, check: SpdCheck | None = None) -> np
             f"is {check.pivots[check.failed_pivot]}",
             pivot_index=check.failed_pivot + 1,
         )
-    L, d = check.unit_lower, check.pivots
-    n = M.shape[0]
-    y = np.array(b, dtype=object if check.backend.exact else np.float64)
-    for t in range(n):  # L y = b
-        y[t + 1 :] -= L[t + 1 :, t] * y[t]
-    for t in range(n):  # D z = y
-        y[t] = y[t] / d[t]
-    for t in range(n - 1, -1, -1):  # L^T x = z
-        y[t] -= np.dot(L[t + 1 :, t], y[t + 1 :])
-    return _freeze(y)
-
-
-class PivotedLDLT:
-    """L D L^T factorization with symmetric diagonal pivoting.
-
-    Serves positive *semi*definite systems: pivots are chosen as the
-    largest remaining diagonal entry, the numerical rank is where they
-    stop being positive, and consistent singular systems are solved with
-    the free coordinates set to zero.  Exact under the rational backend
-    (rank decisions compare against literal zero).
-    """
-
-    def __init__(self, A: np.ndarray, pivot_floor: Scalar | None = None):
-        backend = backend_of(A)
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise DimensionMismatch("PivotedLDLT requires a square matrix")
-        if pivot_floor is None:
-            if backend.exact:
-                pivot_floor = Fraction(0)
-            elif n == 0:
-                pivot_floor = 0.0
-            else:
-                pivot_floor = n * np.finfo(np.float64).eps * float(max_abs(A))
-        W = np.array(A, dtype=object if backend.exact else np.float64)
-        perm = list(range(n))
-        rank = n
-        for t in range(n):
-            j = t
-            for i in range(t + 1, n):
-                if W[i, i] > W[j, j]:
-                    j = i
-            if j != t:
-                W[[t, j], :] = W[[j, t], :]
-                W[:, [t, j]] = W[:, [j, t]]
-                perm[t], perm[j] = perm[j], perm[t]
-            piv = W[t, t]
-            if not piv > pivot_floor:
-                # PSD input can only reach here with a (numerically) zero
-                # trailing block; a solidly negative diagonal means the
-                # matrix was not PSD at all.
-                if piv < -1000 * abs(pivot_floor):
-                    raise LinalgError(f"matrix is not positive semidefinite (diagonal {piv})")
-                rank = t
-                break
-            if t + 1 < n:
-                col = W[t + 1 :, t] / piv
-                W[t + 1 :, t] = col
-                W[t + 1 :, t + 1 :] -= np.outer(col, col) * piv
-        self.backend = backend
-        self.n = n
-        self.rank = rank
-        self.perm = perm
-        self._W = W  # multipliers below the diagonal, pivots on it
-
-    def solve(self, b: np.ndarray, consistency_tol: float = 1e-8):
-        """Return ``(x, consistent)`` with free coordinates of x zeroed.
-
-        ``consistent`` reports whether b lies in the range of A: exactly
-        under the rational backend, against ``consistency_tol`` relative
-        to max(1, |b|_inf) under float64.
-        """
-        n, r, W = self.n, self.rank, self._W
-        if b.shape[0] != n:
-            raise DimensionMismatch(f"solve of order {n} against {b.shape}")
-        y = _array_from([b[self.perm[t]] for t in range(n)], self.backend)
-        for t in range(r):
-            y[t + 1 :] -= W[t + 1 :, t] * y[t]
-        if self.backend.exact:
-            consistent = all(y[i] == 0 for i in range(r, n))
-        else:
-            bscale = max(1.0, float(max_abs(b))) if n else 1.0
-            consistent = all(abs(y[i]) <= consistency_tol * bscale for i in range(r, n))
-        for t in range(r):
-            y[t] = y[t] / W[t, t]
-        y[r:] = self.backend.zero
-        for t in range(r - 1, -1, -1):
-            y[t] -= np.dot(W[t + 1 : r, t], y[t + 1 : r])
-        x = [self.backend.zero] * n
-        for t in range(r):
-            x[self.perm[t]] = y[t]
-        return _freeze(_array_from(x, self.backend)), consistent
-
-    def nullspace(self) -> list[np.ndarray]:
-        """A basis of the kernel, one vector per pivot-free column."""
-        n, r, W = self.n, self.rank, self._W
-        basis = []
-        for f in range(r, n):
-            top = [-W[f, t] for t in range(r)]
-            for t in range(r - 1, -1, -1):  # L11^T x = -L21[f, :]
-                xt = top[t]
-                for i in range(t + 1, r):
-                    xt = xt - W[i, t] * top[i]
-                top[t] = xt
-            v = [self.backend.zero] * n
-            for t in range(r):
-                v[self.perm[t]] = top[t]
-            v[self.perm[f]] = self.backend.one
-            basis.append(_freeze(_array_from(v, self.backend)))
-        return basis
+    return check.solve(b)[0]

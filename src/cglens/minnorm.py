@@ -26,6 +26,8 @@ from .linalg import (
     LinalgError,
     PivotedLDLT,
     Scalar,
+    _array_from,
+    _freeze,
     backend_of,
     dot,
     norm_sq,
@@ -75,6 +77,13 @@ def _combine(vectors: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hull_point(gradients: Sequence[np.ndarray], alpha: list) -> MinNormResult:
+    """The point sum alpha_i g_i of the affine hull, with its weights and norm."""
+    weights = AffineCombination(_freeze(_array_from(alpha, backend_of(gradients[0]))))
+    ghat = _combine(gradients, weights.weights)
+    return MinNormResult(ghat=ghat, weights=weights, norm_sq=norm_sq(ghat))
+
+
 def _check_nonzero(gradients: Sequence[np.ndarray]) -> None:
     if len(gradients) == 0:
         raise LinalgError("gradient history is empty")
@@ -104,11 +113,14 @@ def min_norm_closed_form(
     The formula silently produces a non-minimal point if the inputs are
     not orthogonal, so non-orthogonal histories are rejected: exactly
     under the rational backend, beyond ``orthogonality_tol`` (relative)
-    under float64.
+    under float64.  ``orthogonality_tol=math.inf`` skips the gate on
+    both backends, for callers that measure the consequences themselves.
     """
     _check_nonzero(gradients)
     backend = backend_of(gradients[0])
-    if backend.exact:
+    if orthogonality_tol == math.inf:
+        bad = False
+    elif backend.exact:
         bad = any(
             dot(gradients[i], gradients[j]) != 0
             for j in range(len(gradients))
@@ -123,20 +135,7 @@ def min_norm_closed_form(
         )
     inv = [1 / norm_sq(g) for g in gradients]
     total = sum(inv)
-    alpha = [w / total for w in inv]
-    weights = AffineCombination(_vector_like(alpha, backend))
-    ghat = _combine(gradients, weights.weights)
-    return MinNormResult(ghat=ghat, weights=weights, norm_sq=norm_sq(ghat))
-
-
-def _vector_like(values, backend) -> np.ndarray:
-    if backend.exact:
-        out = np.empty(len(values), dtype=object)
-        out[:] = list(values)
-    else:
-        out = np.array([float(v) for v in values], dtype=np.float64)
-    out.flags.writeable = False
-    return out
+    return _hull_point(gradients, [w / total for w in inv])
 
 
 def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
@@ -148,9 +147,6 @@ def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
     with the pivoted semidefinite kernel; when 1 is not in the range of
     G^T G the least-norm point is the origin, reached through a kernel
     vector of G (only possible for non-orthogonal input).
-
-    Under float64 the Gram matrix is rescaled to unit diagonal first, so
-    histories whose norms span many orders of magnitude stay solvable.
     """
     if len(gradients) == 0:
         raise LinalgError("gradient history is empty")
@@ -163,31 +159,18 @@ def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
             # point is the origin itself.
             alpha = [backend.zero] * m
             alpha[i] = backend.one
-            weights = AffineCombination(_vector_like(alpha, backend))
+            weights = AffineCombination(_freeze(_array_from(alpha, backend)))
             zero = backend.empty(gradients[0].shape)
             zero.flags.writeable = False
             return MinNormResult(ghat=zero, weights=weights, norm_sq=backend.zero)
 
     G = np.column_stack(gradients)
-    M = np.dot(G.T, G)
-    ones = _vector_like([backend.one] * m, backend)
-
-    if backend.exact:
-        fact = PivotedLDLT(M)
-        y, consistent = fact.solve(ones)
-    else:
-        d = np.array([1.0 / math.sqrt(M[j, j]) for j in range(m)])
-        fact = PivotedLDLT(M * np.outer(d, d))
-        u, consistent = fact.solve(np.asarray(ones) * d)
-        y = d * u
-
+    fact = PivotedLDLT(np.dot(G.T, G))
+    y, consistent = fact.solve(_array_from([backend.one] * m, backend))
     if consistent:
         total = sum(y)
         if total > 0:
-            alpha = [yi / total for yi in y]
-            weights = AffineCombination(_vector_like(alpha, backend))
-            ghat = _combine(gradients, weights.weights)
-            return MinNormResult(ghat=ghat, weights=weights, norm_sq=norm_sq(ghat))
+            return _hull_point(gradients, [yi / total for yi in y])
 
     # 1 outside the range of the Gram matrix: the hull passes through
     # the origin.  Any Gram-kernel vector z with 1^T z != 0 certifies it.
@@ -200,10 +183,7 @@ def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
     if best is None or best_mag == 0:
         raise LinalgError("projection failed to localize the least-norm point")
     total = sum(best)
-    alpha = [zi / total for zi in best]
-    weights = AffineCombination(_vector_like(alpha, backend))
-    ghat = _combine(gradients, weights.weights)
-    return MinNormResult(ghat=ghat, weights=weights, norm_sq=norm_sq(ghat))
+    return _hull_point(gradients, [zi / total for zi in best])
 
 
 def characterization_residuals(

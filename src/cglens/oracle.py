@@ -15,7 +15,6 @@ the pivoted solver returns one coordinate vector and the resulting
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +75,7 @@ def minimize_on_affine_span(P: QuadraticProblem, B: SpanBasis) -> SubspaceSoluti
     """Minimize q over x0 + span{s_j} by a direct reduced solve.
 
     The gradient of q at the result is orthogonal to every spanning
-    vector — exactly so under the rational backend.  Under float64 the
-    reduced matrix is symmetrically rescaled to unit diagonal before
-    factorization, which keeps the solve well-behaved when spanning
-    vectors differ by many orders of magnitude (as CG gradient
-    histories do).
+    vector — exactly so under the rational backend.
     """
     backend = P.backend
     if B.x0.shape != (P.n,):
@@ -100,29 +95,22 @@ def minimize_on_affine_span(P: QuadraticProblem, B: SpanBasis) -> SubspaceSoluti
     A = np.dot(S.T, np.dot(P.H, S))
     rhs = -np.dot(S.T, g0)
 
-    if backend.exact:
-        v, consistent = PivotedLDLT(A).solve(rhs)
-    else:
-        # Jacobi rescaling: A_jj = s_j^T H s_j > 0 unless s_j = 0.
-        d = np.array([1.0 / math.sqrt(A[j, j]) if A[j, j] > 0 else 1.0 for j in range(k)])
-        u, consistent = PivotedLDLT(A * np.outer(d, d)).solve(rhs * d)
-        v = d * u
+    v, consistent = PivotedLDLT(A).solve(rhs)
     if not consistent:
         # Unreachable for A = S^T H S with SPD H; defensive only.
         raise LinalgError("reduced system is inconsistent; H may not be SPD")
 
     point = B.x0 + np.dot(S, v)
     point.flags.writeable = False
-    v.flags.writeable = False
     return SubspaceSolution(coordinates=v, point=point, objective_value=evaluate(P, point))
 
 
-def verify_against_trace(P: QuadraticProblem, trace: CGTrace) -> list:
-    """Deviations ||x_k - oracle_k|| for k = 1..r, oracle over span{g_0..g_{k-1}}.
+def trace_oracle(P: QuadraticProblem, trace: CGTrace) -> list[SubspaceSolution]:
+    """The minimizers over x_0 + span{g_0..g_{k-1}} for k = 1..r of a trace.
 
-    Each trace iterate is recomputed independently as the minimizer over
-    the expanding affine span of its gradient history; under the
-    rational backend every deviation is exactly zero.
+    Each trace iterate is recomputed independently from its gradient
+    history.  The trace must come from P: its backend must match, and
+    its first and last recorded gradients must match H x + c.
     """
     if trace.scalar_backend != P.backend.name:
         raise LinalgError(
@@ -142,10 +130,22 @@ def verify_against_trace(P: QuadraticProblem, trace: CGTrace) -> list:
         if mismatch > limit:
             raise LinalgError("trace gradients do not come from this problem")
 
-    deviations = []
     gradients = [rec.g_k for rec in records]
-    for k in range(1, trace.r + 1):
-        basis = SpanBasis(x0=records[0].x_k, spanning_vectors=tuple(gradients[:k]))
-        sol = minimize_on_affine_span(P, basis)
-        deviations.append(residual_magnitude(records[k].x_k - sol.point))
-    return deviations
+    return [
+        minimize_on_affine_span(
+            P, SpanBasis(x0=records[0].x_k, spanning_vectors=tuple(gradients[:k]))
+        )
+        for k in range(1, trace.r + 1)
+    ]
+
+
+def verify_against_trace(P: QuadraticProblem, trace: CGTrace) -> list:
+    """Deviations ||x_k - oracle_k|| for k = 1..r, oracle over span{g_0..g_{k-1}}.
+
+    Under the rational backend every deviation is exactly zero.
+    """
+    solutions = trace_oracle(P, trace)
+    return [
+        residual_magnitude(rec.x_k - sol.point)
+        for rec, sol in zip(trace.records[1:], solutions)
+    ]

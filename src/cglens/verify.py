@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import (
     BACKENDS,
     Backend,
+    LinalgError,
     Scalar,
     dot,
     mat_vec,
@@ -33,11 +34,7 @@ from .linalg import (
 from .quadratic import QuadraticProblem
 from .engine import CGTrace, DirectionScaling, run_cg
 from .oracle import verify_against_trace
-from .minnorm import (
-    min_norm_closed_form,
-    projection_oracle,
-    scaling_relation,
-)
+from .minnorm import min_norm_closed_form, projection_oracle
 
 CHECK_NAMES = (
     "gradient_orthogonality",
@@ -76,7 +73,7 @@ CHECK_STATEMENTS = {
     "exact_linesearch": "p_k^T g_{k+1} = 0",
     "gradient_update_identity": "g_{k+1} = g_k + theta_k H p_k",
     "subspace_optimality": "x_k minimizes q over x_0 + span{g_0, ..., g_{k-1}}",
-    "min_norm_relation": "p_k = -(g_k^T g_k / ghat_k^T ghat_k) ghat_k, ghat by two methods",
+    "min_norm_relation": "p_k = (c_k / ghat_k^T ghat_k) ghat_k, ghat by two methods",
     "conjugacy": "p_i^T H p_j = 0 for all i != j",
     "termination_bound": "g_r = 0 with r <= n (exact); r <= n + 5 (float64)",
 }
@@ -151,10 +148,13 @@ def _result(name: str, measured: Scalar, tolerance: Scalar) -> CheckResult:
 
 
 def _worst(backend: Backend, contributions) -> Scalar:
-    """Fold residual contributions into a worst-case scalar (0 if none)."""
+    """Fold residual contributions into a worst-case scalar (0 if none).
+
+    A ``None`` contribution (a float64 residual with no scale) is skipped.
+    """
     worst = backend.zero
     for value in contributions:
-        if value > worst:
+        if value is not None and value > worst:
             worst = value
     return worst
 
@@ -169,15 +169,28 @@ def _pre_terminal_gradients(trace: CGTrace):
     return [rec.g_k for rec in trace.records[:-1]]
 
 
-def _relative_dot(backend: Backend, a: np.ndarray, b: np.ndarray) -> Scalar | None:
-    """|a^T b| normalized by ||a|| ||b|| (float); raw |a^T b| (exact)."""
-    raw = abs(dot(a, b))
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(float(norm_sq(v)))
+
+
+def _measure(backend: Backend, raw: Scalar, scale) -> Scalar | None:
+    """One residual as the checks report it.
+
+    Exact: the raw value.  Float64: raw / scale(), or None (no
+    contribution) when that scale is zero.  ``scale`` is called only
+    under float64, so exact runs compute no norms.
+    """
     if backend.exact:
         return raw
-    denom = math.sqrt(float(norm_sq(a))) * math.sqrt(float(norm_sq(b)))
+    denom = scale()
     if denom == 0:
         return None
     return float(raw) / denom
+
+
+def _relative_dot(backend: Backend, a: np.ndarray, b: np.ndarray) -> Scalar | None:
+    """|a^T b|, normalized by ||a|| ||b|| under float64."""
+    return _measure(backend, abs(dot(a, b)), lambda: _norm(a) * _norm(b))
 
 
 def check_gradient_orthogonality(trace: CGTrace, tolerance=None) -> CheckResult:
@@ -187,12 +200,9 @@ def check_gradient_orthogonality(trace: CGTrace, tolerance=None) -> CheckResult:
     gs = _pre_terminal_gradients(trace)
     if backend.exact:
         gs = [rec.g_k for rec in trace.records]  # terminal zero rides along
-    contributions = []
-    for k in range(len(gs)):
-        for i in range(k):
-            value = _relative_dot(backend, gs[k], gs[i])
-            if value is not None:
-                contributions.append(value)
+    contributions = [
+        _relative_dot(backend, gs[k], gs[i]) for k in range(len(gs)) for i in range(k)
+    ]
     return _result("gradient_orthogonality", _worst(backend, contributions), tol)
 
 
@@ -215,13 +225,11 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None) -> list[CheckRe
     # gradient is numerically zero noise whose *direction* is
     # meaningless, so only pre-terminal gradients are measured there.
     last = len(records) - 1 if backend.exact else len(records) - 2
-    contributions = []
-    for kp1 in range(1, last + 1):
-        g_new = records[kp1].g_k
-        for ip1 in range(1, kp1 + 1):
-            value = _relative_dot(backend, g_new, records[ip1].x_k - x0)
-            if value is not None:
-                contributions.append(value)
+    contributions = [
+        _relative_dot(backend, records[kp1].g_k, records[ip1].x_k - x0)
+        for kp1 in range(1, last + 1)
+        for ip1 in range(1, kp1 + 1)
+    ]
     span = _result(
         "iterate_span_orthogonality",
         _worst(backend, contributions),
@@ -229,12 +237,11 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None) -> list[CheckRe
     )
 
     # (b) p_k^T (g_{i+1} - g_0) = 0 for i < k.
-    contributions = []
-    for k, rec in enumerate(steps):
-        for ip1 in range(1, k + 1):
-            value = _relative_dot(backend, rec.p_k, records[ip1].g_k - records[0].g_k)
-            if value is not None:
-                contributions.append(value)
+    contributions = [
+        _relative_dot(backend, rec.p_k, records[ip1].g_k - records[0].g_k)
+        for k, rec in enumerate(steps)
+        for ip1 in range(1, k + 1)
+    ]
     diff = _result(
         "direction_gradient_difference",
         _worst(backend, contributions),
@@ -242,18 +249,15 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None) -> list[CheckRe
     )
 
     # (c) p_k^T g_i = c_k for i <= k, with c_k as recorded by the run.
-    contributions = []
-    for k, rec in enumerate(steps):
-        for i in range(k + 1):
-            raw = abs(dot(rec.p_k, records[i].g_k) - rec.c_k)
-            if backend.exact:
-                contributions.append(raw)
-            else:
-                denom = math.sqrt(float(norm_sq(rec.p_k))) * math.sqrt(
-                    float(norm_sq(records[i].g_k))
-                )
-                if denom > 0:
-                    contributions.append(float(raw) / denom)
+    contributions = [
+        _measure(
+            backend,
+            abs(dot(rec.p_k, records[i].g_k) - rec.c_k),
+            lambda: _norm(rec.p_k) * _norm(records[i].g_k),
+        )
+        for k, rec in enumerate(steps)
+        for i in range(k + 1)
+    ]
     constancy = _result(
         "direction_gradient_constancy",
         _worst(backend, contributions),
@@ -271,15 +275,14 @@ def check_exact_linesearch(trace: CGTrace, tolerance=None) -> CheckResult:
     backend = _backend(trace)
     tol = _tolerance("exact_linesearch", backend, tolerance)
     records = trace.records
-    contributions = []
-    for k, rec in enumerate(_step_records(trace)):
-        raw = abs(dot(rec.p_k, records[k + 1].g_k))
-        if backend.exact:
-            contributions.append(raw)
-        else:
-            denom = math.sqrt(float(norm_sq(rec.p_k))) * math.sqrt(float(norm_sq(rec.g_k)))
-            if denom > 0:
-                contributions.append(float(raw) / denom)
+    contributions = [
+        _measure(
+            backend,
+            abs(dot(rec.p_k, records[k + 1].g_k)),
+            lambda: _norm(rec.p_k) * _norm(rec.g_k),
+        )
+        for k, rec in enumerate(_step_records(trace))
+    ]
     return _result("exact_linesearch", _worst(backend, contributions), tol)
 
 
@@ -294,16 +297,16 @@ def check_gradient_update_identity(
     backend = _backend(trace)
     tol = _tolerance("gradient_update_identity", backend, tolerance)
     records = trace.records
-    contributions = []
-    for k, rec in enumerate(_step_records(trace)):
-        drift = records[k + 1].g_k - rec.g_k - rec.theta_k * mat_vec(P.H, rec.p_k)
-        raw = residual_magnitude(drift)
-        if backend.exact:
-            contributions.append(raw)
-        else:
-            denom = math.sqrt(float(norm_sq(rec.g_k)))
-            if denom > 0:
-                contributions.append(float(raw) / denom)
+    contributions = [
+        _measure(
+            backend,
+            residual_magnitude(
+                records[k + 1].g_k - rec.g_k - rec.theta_k * mat_vec(P.H, rec.p_k)
+            ),
+            lambda: _norm(rec.g_k),
+        )
+        for k, rec in enumerate(_step_records(trace))
+    ]
     return _result("gradient_update_identity", _worst(backend, contributions), tol)
 
 
@@ -313,14 +316,10 @@ def check_subspace_optimality(
     """Each iterate equals the independent minimizer over its gradient span."""
     backend = _backend(trace)
     tol = _tolerance("subspace_optimality", backend, tolerance)
-    deviations = verify_against_trace(P, trace)
-    contributions = []
-    for k, dev in enumerate(deviations, start=1):
-        if backend.exact:
-            contributions.append(dev)
-        else:
-            scale = max(1.0, math.sqrt(float(norm_sq(trace.records[k].x_k))))
-            contributions.append(float(dev) / scale)
+    contributions = [
+        _measure(backend, dev, lambda: max(1.0, _norm(rec.x_k)))
+        for rec, dev in zip(trace.records[1:], verify_against_trace(P, trace))
+    ]
     return _result("subspace_optimality", _worst(backend, contributions), tol)
 
 
@@ -330,10 +329,12 @@ def check_min_norm_relation(
     """p_k against the min-norm point of its gradient history, both methods.
 
     For every k < r: ghat_k is computed by the closed form (with its
-    orthogonality gate disabled — a degraded float64 history should
-    *fail* here, not error out) and by the projection oracle; the check
-    measures their mutual deviation and the deviation of p_k from
-    -(g_k^T g_k / ||ghat||^2) ghat, normalized by ||p_k|| under float64.
+    orthogonality gate disabled — a degraded history should *fail* here,
+    not error out) and by the projection oracle; the check measures their
+    mutual deviation and the deviation of p_k from
+    (c_k / ghat^T ghat) ghat with the recorded scale c_k, which is
+    -(g_k^T g_k / ghat^T ghat) ghat under the standard scaling.  Float64
+    residuals are normalized by ||ghat|| and ||p_k||.
     """
     backend = _backend(trace)
     tol = _tolerance("min_norm_relation", backend, tolerance)
@@ -343,15 +344,14 @@ def check_min_norm_relation(
         history = [records[i].g_k for i in range(k + 1)]
         closed = min_norm_closed_form(history, orthogonality_tol=math.inf)
         projected = projection_oracle(history)
+        if closed.norm_sq == 0:
+            raise LinalgError("ghat is zero; inputs are not from a live CG iteration")
         agreement = residual_magnitude(closed.ghat - projected.ghat)
-        deviation = scaling_relation(rec.p_k, rec.g_k, closed)
-        if backend.exact:
-            contributions.extend([agreement, deviation])
-        else:
-            ghat_scale = max(math.sqrt(float(closed.norm_sq)), 1e-300)
-            p_scale = max(math.sqrt(float(norm_sq(rec.p_k))), 1e-300)
-            contributions.append(float(agreement) / ghat_scale)
-            contributions.append(float(deviation) / p_scale)
+        deviation = residual_magnitude(rec.p_k - (rec.c_k / closed.norm_sq) * closed.ghat)
+        contributions.append(
+            _measure(backend, agreement, lambda: max(math.sqrt(float(closed.norm_sq)), 1e-300))
+        )
+        contributions.append(_measure(backend, deviation, lambda: max(_norm(rec.p_k), 1e-300)))
     return _result("min_norm_relation", _worst(backend, contributions), tol)
 
 
@@ -361,18 +361,15 @@ def check_conjugacy(P: QuadraticProblem, trace: CGTrace, tolerance=None) -> Chec
     tol = _tolerance("conjugacy", backend, tolerance)
     ps = [rec.p_k for rec in _step_records(trace)]
     hps = [mat_vec(P.H, p) for p in ps]
-    contributions = []
-    for j in range(len(ps)):
-        for i in range(j):
-            raw = abs(dot(ps[i], hps[j]))
-            if backend.exact:
-                contributions.append(raw)
-            else:
-                denom = math.sqrt(float(dot(ps[i], hps[i]))) * math.sqrt(
-                    float(dot(ps[j], hps[j]))
-                )
-                if denom > 0:
-                    contributions.append(float(raw) / denom)
+    contributions = [
+        _measure(
+            backend,
+            abs(dot(ps[i], hps[j])),
+            lambda: math.sqrt(float(dot(ps[i], hps[i]))) * math.sqrt(float(dot(ps[j], hps[j]))),
+        )
+        for j in range(len(ps))
+        for i in range(j)
+    ]
     return _result("conjugacy", _worst(backend, contributions), tol)
 
 

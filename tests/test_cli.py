@@ -79,7 +79,9 @@ class TestSolve:
         assert run_main([
             "solve", "--kind", "laplacian1d", "--n", "8", "--tol", "1e-8",
         ]) == 0
-        assert "tolerance_met" in capsys.readouterr().out or True
+        # the start gradient is mirror-symmetric, so CG needs n/2 steps,
+        # and this float64 run ends on an exactly zero gradient
+        assert "r         4 (gradient_zero)" in capsys.readouterr().out
 
 
 class TestVerify:

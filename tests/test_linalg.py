@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -253,3 +254,80 @@ class TestProperties:
         x_pivoted, consistent = PivotedLDLT(M).solve(b)
         assert consistent
         assert list(x_pivoted) == list(x_direct)
+
+
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+@st.composite
+def gram_system(draw):
+    """(B^T B, b) for a random rational B with at most n rows, so often singular.
+
+    b is drawn in the range of B^T B half the time and freely otherwise.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=n))
+    B = [[draw(small_rationals) for _ in range(n)] for _ in range(m)]
+    A = [[sum((B[t][i] * B[t][j] for t in range(m)), Fraction(0)) for j in range(n)]
+         for i in range(n)]
+    if draw(st.booleans()):
+        y = [draw(small_rationals) for _ in range(n)]
+        b = [sum((A[i][j] * y[j] for j in range(n)), Fraction(0)) for i in range(n)]
+    else:
+        b = [draw(small_rationals) for _ in range(n)]
+    return A, b
+
+
+class TestKernelAgainstSympy:
+    """The one LDL^T kernel against an independent exact reference."""
+
+    @given(gram_system())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_nullspace_and_consistency_exact(self, system):
+        rows, rhs = system
+        A, b = sym_matrix(rows, RATIONAL), vector(rhs, RATIONAL)
+        ref = _sympy_matrix(rows)
+        fact = PivotedLDLT(A)
+        assert fact.rank == ref.rank()
+        basis = fact.nullspace()
+        assert len(basis) == A.shape[0] - fact.rank
+        for v in basis:
+            assert all(entry == 0 for entry in mat_vec(A, v))
+        x, consistent = fact.solve(b)
+        in_range = ref.row_join(_sympy_matrix([[e] for e in rhs])).rank() == ref.rank()
+        assert consistent == in_range
+        if consistent:
+            assert list(mat_vec(A, x)) == list(b)
+        assert cholesky_spd_check(A).is_spd == bool(ref.is_positive_definite)
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.lists(small_rationals, min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    @settings(max_examples=60, deadline=None)
+    def test_spd_verdict_on_indefinite_matrices(self, upper):
+        n = len(upper)
+        rows = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        check = cholesky_spd_check(sym_matrix(rows, RATIONAL))
+        assert check.is_spd == bool(_sympy_matrix(rows).is_positive_definite)
+
+    @given(gram_system(), st.lists(st.sampled_from([-6, -2, 2, 6]), min_size=5, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_float_columns_scaled_over_twelve_decades(self, system, exponents):
+        # A = D (B^T B) D with D = diag(10^e_j): the float64 kernel must
+        # undo D itself and map kernel vectors and solutions back to the
+        # unscaled coordinates.  (Its rank is a numerical rank: a pivot
+        # within a few eps of the floor can fall on either side of it.)
+        rows, _ = system
+        n = len(rows)
+        d = [Fraction(10) ** e for e in exponents[:n]]
+        A = np.array([[float(d[i] * rows[i][j] * d[j]) for j in range(n)] for i in range(n)])
+        fact = PivotedLDLT(A)
+        size = np.abs(A)
+        for v in fact.nullspace():
+            assert np.all(np.abs(A @ v) <= 1e-9 * (size @ np.abs(v)))
+        y = np.array([float(e) for e in d]) ** -1
+        b = A @ y
+        x, consistent = fact.solve(b)
+        assert consistent
+        assert np.all(np.abs(A @ x - b) <= 1e-9 * (size @ (np.abs(x) + np.abs(y))))

@@ -133,6 +133,18 @@ class TestProjectionOracle:
         assert result.norm_sq == 0
         assert list(result.weights.weights) == [Fraction(1, 2), Fraction(1, 2)]
 
+    @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
+    def test_hull_through_origin_unequal_norms(self, backend):
+        # 2/3 (1,0) + 1/3 (-2,0) = 0; the Gram matrix is singular and 1
+        # lies outside its range, so the answer comes from its kernel
+        result = projection_oracle([vector([1, 0], backend), vector([-2, 0], backend)])
+        assert all(entry == 0 for entry in result.ghat)
+        assert result.norm_sq == 0
+        expected = [Fraction(2, 3), Fraction(1, 3)]
+        assert list(result.weights.weights) == (
+            expected if backend.exact else pytest.approx(expected)
+        )
+
     def test_zero_vertex_shortcut(self):
         result = projection_oracle(
             [vector([3, 4], RATIONAL), vector([0, 0], RATIONAL)]

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from cglens import (
     DEFAULT_TOLERANCES,
     RATIONAL,
+    DirectionScaling,
     ProblemSpec,
     QuadraticProblem,
+    check_min_norm_relation,
     generate_problem,
     report_to_dict,
     run_cg,
@@ -76,6 +81,44 @@ class TestExactSuite:
         )
         assert report.overall
         assert report.r == 0
+
+
+def with_record(trace, k, **changes):
+    """The trace with fields of record k replaced."""
+    records = list(trace.records)
+    records[k] = replace(records[k], **changes)
+    return replace(trace, records=tuple(records))
+
+
+class TestMinNormRelation:
+    @pytest.mark.parametrize("direction", ["recursive", "gradient_sum", "shortest_residuals"])
+    @pytest.mark.parametrize("scaling", ["cg_standard", "unit"])
+    def test_exact_zero_for_every_direction_and_scaling(self, direction, scaling):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=8), RATIONAL)
+        report = run_full_suite(
+            P, direction_mode=direction, scaling=DirectionScaling(scaling)
+        )
+        assert {c.name: c.measured for c in report.checks} == {
+            name: 0 for name in EXPECTED_CHECKS
+        }
+
+    def test_doubled_direction_with_recorded_scale_fails(self):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=8), RATIONAL)
+        trace = run_cg(P)
+        doubled = with_record(trace, 1, p_k=2 * trace.records[1].p_k)
+        assert check_min_norm_relation(P, trace).passed
+        assert not check_min_norm_relation(P, doubled).passed
+
+    def test_non_orthogonal_history_fails_instead_of_raising(self):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=6), RATIONAL)
+        trace = run_cg(P)
+        g0, g1 = trace.records[0].g_k, trace.records[1].g_k
+        doctored = with_record(trace, 1, g_k=g1 + g0 / 2)
+        report = run_full_suite(P, trace=doctored)
+        by_name = {c.name: c for c in report.checks}
+        assert not by_name["gradient_orthogonality"].passed
+        assert not by_name["min_norm_relation"].passed
+        assert not report.overall
 
 
 class TestFloatSuite:
