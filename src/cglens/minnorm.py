@@ -11,13 +11,24 @@ a KKT projection that makes no orthogonality assumption — and exposes
 the identities connecting ghat to the CG direction (p_k is a positive
 multiple of -ghat_k) and to the iterates (affine combinations of
 gradients correspond to gradients at affine combinations of iterates).
+
+Checking a whole trace needs ghat_k for every prefix g_0..g_k of one
+history, and the sweeps serve all prefixes in O(r^3) rather than O(r^4).
+``closed_form_sweep`` reads each gradient's norm once.
+``projection_sweep`` grows one L D L^T factor of the Gram matrix G^T G a
+column at a time in history order, and solves each k against the
+k-by-k factor it holds at that moment.  The first column whose new
+pivot misses the append margin (a zero or dependent gradient, exactly
+or to float64 working accuracy) ends the factor: from that k on, every
+k takes the one-shot pivoted ``projection_oracle``, so a degraded
+history gets the answer it would get one prefix at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,7 +63,7 @@ class AffineCombination:
                 raise LinalgError(f"affine weights sum to {total}, not 1")
         else:
             eps = np.finfo(np.float64).eps
-            scale = max(1.0, float(max(abs(x) for x in w)))
+            scale = max(1.0, float(np.abs(w).max()))
             if abs(total - 1.0) > 64 * len(w) * eps * scale:
                 raise LinalgError(f"affine weights sum to {total!r}, not 1")
 
@@ -81,6 +92,13 @@ def _hull_point(gradients: Sequence[np.ndarray], alpha: list) -> MinNormResult:
     """The point sum alpha_i g_i of the affine hull, with its weights and norm."""
     weights = AffineCombination(_freeze(_array_from(alpha, backend_of(gradients[0]))))
     ghat = _combine(gradients, weights.weights)
+    return MinNormResult(ghat=ghat, weights=weights, norm_sq=norm_sq(ghat))
+
+
+def _prefix_point(G: np.ndarray, alpha: list) -> MinNormResult:
+    """``_hull_point`` of the first len(alpha) columns of G, as one product."""
+    weights = AffineCombination(_freeze(_array_from(alpha, backend_of(G))))
+    ghat = _freeze(np.dot(G[:, : len(alpha)], weights.weights))
     return MinNormResult(ghat=ghat, weights=weights, norm_sq=norm_sq(ghat))
 
 
@@ -133,9 +151,27 @@ def min_norm_closed_form(
             "gradient history is not orthogonal; the closed form does not "
             "apply — use projection_oracle"
         )
-    inv = [1 / norm_sq(g) for g in gradients]
+    return _hull_point(gradients, _harmonic_weights([1 / norm_sq(g) for g in gradients]))
+
+
+def _harmonic_weights(inv: Sequence[Scalar]) -> list:
+    """The closed form's weights from the inverse squared norms 1/(g_i^T g_i)."""
     total = sum(inv)
-    return _hull_point(gradients, [w / total for w in inv])
+    return [w / total for w in inv]
+
+
+def closed_form_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]:
+    """Yield ``min_norm_closed_form(gradients[:k], math.inf)`` for k = 1..m.
+
+    Each gradient's norm is read once for the whole sweep.
+    """
+    if len(gradients) == 0:
+        return
+    _check_nonzero(gradients)
+    G = np.column_stack(gradients)
+    inv = [1 / norm_sq(g) for g in gradients]
+    for k in range(1, len(inv) + 1):
+        yield _prefix_point(G, _harmonic_weights(inv[:k]))
 
 
 def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
@@ -184,6 +220,34 @@ def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
         raise LinalgError("projection failed to localize the least-norm point")
     total = sum(best)
     return _hull_point(gradients, [zi / total for zi in best])
+
+
+def projection_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]:
+    """Yield ``projection_oracle(gradients[:k])`` for k = 1..m, from one Gram factor.
+
+    The Gram matrices of the prefixes are the leading blocks of G^T G, and
+    their right-hand sides are the leading entries of the all-ones vector.
+    """
+    if len(gradients) == 0:
+        return
+    backend = backend_of(gradients[0])
+    m = len(gradients)
+    G = np.column_stack(gradients)
+    gram = np.dot(G.T, G)
+    ones = _array_from([backend.one] * m, backend)
+    fact = PivotedLDLT(backend.empty((0, 0)))
+    for k in range(1, m + 1):
+        if not fact.append(gram[:k, k - 1]):
+            break
+    served = 0
+    for y in fact.leading_solves(ones[: fact.n]):
+        total = sum(y)
+        if not total > 0:
+            break
+        served += 1
+        yield _prefix_point(G, [yi / total for yi in y])
+    for k in range(served + 1, m + 1):
+        yield projection_oracle(gradients[:k])
 
 
 def characterization_residuals(

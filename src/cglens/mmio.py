@@ -286,8 +286,22 @@ def save_trace(trace: CGTrace, path) -> None:
         fh.write("\n")
 
 
+def _holds_float(node) -> bool:
+    if isinstance(node, list):
+        return any(_holds_float(x) for x in node)
+    if isinstance(node, dict):
+        return any(_holds_float(x) for x in node.values())
+    return isinstance(node, float)
+
+
 def load_trace(path) -> CGTrace:
-    """Reconstruct a trace from its JSON file."""
+    """Reconstruct a trace from its JSON file.
+
+    The text is parsed once, with JSON decimals as floats: that is what a
+    float64 trace holds, and ``save_trace`` writes rational numbers as
+    "p/q" strings.  Only a rational trace that holds JSON decimals (one
+    written by hand) is parsed a second time, to read them exactly.
+    """
     with open(path) as fh:
         data = json.load(fh)
     try:
@@ -295,7 +309,7 @@ def load_trace(path) -> CGTrace:
         raw_records = data["records"]
     except KeyError as err:
         raise LinalgError(f"{path}: trace JSON must define backend and records") from err
-    if backend.exact:
+    if backend.exact and _holds_float(raw_records):
         with open(path) as fh:
             data = json.load(fh, parse_float=Fraction)
         raw_records = data["records"]

@@ -11,6 +11,16 @@ Spanning vectors may be dependent (the reduced matrix is then singular
 but always consistent, since it is S^T H S with H positive definite);
 the pivoted solver returns one coordinate vector and the resulting
 *point* is still unique.
+
+Along a trace the spans are nested, so every reduced system is a leading
+block of the one r-by-r matrix S^T (H S), and its right-hand side is a
+prefix of -S^T g(x0).  ``trace_oracle`` forms H S once, grows one L D L^T
+factor of S^T (H S) a column at a time in history order (``append``,
+O(k^2) per column), and solves each k against the k-by-k factor it
+holds at that moment: O(r^3) per trace instead of O(r^4).  The first
+column whose new pivot misses the append margin (it is dependent, or
+nearly so in float64) ends the sweep: from that k on, every k takes the
+one-shot pivoted solve of ``minimize_on_affine_span``.
 """
 
 from __future__ import annotations
@@ -109,8 +119,9 @@ def trace_oracle(P: QuadraticProblem, trace: CGTrace) -> list[SubspaceSolution]:
     """The minimizers over x_0 + span{g_0..g_{k-1}} for k = 1..r of a trace.
 
     Each trace iterate is recomputed independently from its gradient
-    history.  The trace must come from P: its backend must match, and
-    its first and last recorded gradients must match H x + c.
+    history, by the one-factor sweep of the module docstring.  The trace
+    must come from P: its backend must match, and its first and last
+    recorded gradients must match H x + c.
     """
     if trace.scalar_backend != P.backend.name:
         raise LinalgError(
@@ -130,13 +141,29 @@ def trace_oracle(P: QuadraticProblem, trace: CGTrace) -> list[SubspaceSolution]:
         if mismatch > limit:
             raise LinalgError("trace gradients do not come from this problem")
 
-    gradients = [rec.g_k for rec in records]
-    return [
-        minimize_on_affine_span(
-            P, SpanBasis(x0=records[0].x_k, spanning_vectors=tuple(gradients[:k]))
+    r, x0 = trace.r, records[0].x_k
+    if r == 0:
+        return []
+    gradients = [rec.g_k for rec in records[:r]]
+    S = np.column_stack(gradients)
+    A = np.dot(S.T, np.dot(P.H, S))
+    rhs = -np.dot(S.T, gradient(P, x0))
+    fact = PivotedLDLT(P.backend.empty((0, 0)))
+    for k in range(1, r + 1):
+        if not fact.append(A[:k, k - 1]):
+            break
+    solutions = []
+    for v in fact.leading_solves(rhs[: fact.n]):
+        point = x0 + np.dot(S[:, : v.shape[0]], v)
+        point.flags.writeable = False
+        solutions.append(
+            SubspaceSolution(coordinates=v, point=point, objective_value=evaluate(P, point))
         )
-        for k in range(1, trace.r + 1)
-    ]
+    for k in range(fact.n + 1, r + 1):
+        solutions.append(
+            minimize_on_affine_span(P, SpanBasis(x0=x0, spanning_vectors=gradients[:k]))
+        )
+    return solutions
 
 
 def verify_against_trace(P: QuadraticProblem, trace: CGTrace) -> list:

@@ -23,7 +23,6 @@ import numpy as np
 from .linalg import (
     BACKENDS,
     Backend,
-    LinalgError,
     Scalar,
     dot,
     mat_vec,
@@ -34,7 +33,9 @@ from .linalg import (
 from .quadratic import QuadraticProblem
 from .engine import CGTrace, DirectionScaling, run_cg
 from .oracle import verify_against_trace
-from .minnorm import min_norm_closed_form, projection_oracle
+from .minnorm import closed_form_sweep, projection_sweep
+# bench/tracer.py patches these one-shot names on this module.
+from .minnorm import min_norm_closed_form, projection_oracle  # noqa: F401
 
 CHECK_NAMES = (
     "gradient_orthogonality",
@@ -334,18 +335,20 @@ def check_min_norm_relation(
     mutual deviation and the deviation of p_k from
     (c_k / ghat^T ghat) ghat with the recorded scale c_k, which is
     -(g_k^T g_k / ghat^T ghat) ghat under the standard scaling.  Float64
-    residuals are normalized by ||ghat|| and ||p_k||.
+    residuals are normalized by ||ghat|| and ||p_k||.  A zero ghat (only a
+    non-orthogonal history has one) leaves c_k / ghat^T ghat unbounded and
+    is measured as an infinite residual.
     """
     backend = _backend(trace)
     tol = _tolerance("min_norm_relation", backend, tolerance)
-    records = trace.records
+    steps = _step_records(trace)
+    history = [rec.g_k for rec in trace.records[: len(steps)]]
     contributions = []
-    for k, rec in enumerate(_step_records(trace)):
-        history = [records[i].g_k for i in range(k + 1)]
-        closed = min_norm_closed_form(history, orthogonality_tol=math.inf)
-        projected = projection_oracle(history)
+    for rec, closed, projected in zip(steps, closed_form_sweep(history), projection_sweep(history)):
         if closed.norm_sq == 0:
-            raise LinalgError("ghat is zero; inputs are not from a live CG iteration")
+            # c_k / ghat^T ghat is unbounded: no multiple of ghat is p_k.
+            contributions.append(math.inf)
+            continue
         agreement = residual_magnitude(closed.ghat - projected.ghat)
         deviation = residual_magnitude(rec.p_k - (rec.c_k / closed.norm_sq) * closed.ghat)
         contributions.append(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cglens import (
@@ -267,8 +268,45 @@ class TestTraceJson:
             assert list(rec.x_k) == list(rec_back.x_k)
             assert list(rec.g_k) == list(rec_back.g_k)
 
+    @pytest.mark.parametrize("backend", [RATIONAL, F64])
+    def test_round_trip_is_bit_identical_from_one_parse(self, backend, tmp_path, monkeypatch):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=8, condition=20, seed=1), backend)
+        trace = run_cg(P, tol=1e-12)
+        path = tmp_path / "t.json"
+        save_trace(trace, path)
+        parses = []
+        real_loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **kw: parses.append(1) or real_loads(*a, **kw))
+        back = load_trace(path)
+        assert len(parses) == 1
+        assert len(back.records) == len(trace.records) > 3
+        for rec, rec_back in zip(trace.records, back.records):
+            for field in ("x_k", "g_k", "p_k", "grad_norm_sq", "theta_k", "beta_k", "c_k"):
+                a, b = getattr(rec, field), getattr(rec_back, field)
+                if a is None:
+                    assert b is None
+                elif backend.exact:
+                    assert list(np.atleast_1d(a)) == list(np.atleast_1d(b))
+                    assert all(type(x) is Fraction for x in np.atleast_1d(b))
+                else:
+                    assert np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b).tobytes()
+
+    def test_rational_trace_keeps_decimal_semantics(self, tmp_path):
+        P = generate_problem(ProblemSpec(kind="diag", n=2), RATIONAL)
+        data = trace_json(run_cg(P), tmp_path)
+        data["records"][0]["x"] = [0.1, "0"]
+        path = tmp_path / "hand.json"
+        path.write_text(json.dumps(data))
+        assert load_trace(path).records[0].x_k[0] == Fraction(1, 10)
+
     def test_malformed_trace_rejected(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"problem_id": "x"}))
         with pytest.raises(LinalgError, match="backend and records"):
             load_trace(path)
+
+
+def trace_json(trace, tmp_path):
+    path = tmp_path / "saved.json"
+    save_trace(trace, path)
+    return json.loads(path.read_text())

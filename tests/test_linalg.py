@@ -331,3 +331,90 @@ class TestKernelAgainstSympy:
         x, consistent = fact.solve(b)
         assert consistent
         assert np.all(np.abs(A @ x - b) <= 1e-9 * (size @ (np.abs(x) + np.abs(y))))
+
+
+class TestFloatRankFloor:
+    """The float64 semidefinite kernel against exact ranks of integer Gram matrices."""
+
+    def test_exactly_singular_gram_is_rank_deficient(self):
+        # Its last pivot, 9.3e-16, sat just above an unmargined floor of 8.9e-16.
+        B = np.array([[-2, -2, 1, -3], [1, -3, -2, 3], [-2, -1, 1, -3]], dtype=float)
+        assert sympy.Matrix((B.T @ B).astype(int).tolist()).rank() == 3
+        assert PivotedLDLT(B.T @ B).rank == 3
+
+    def test_seeded_sweep_of_rank_deficient_integer_grams(self):
+        # B^T B with B of m < n rows, n <= 6: exact rank below n.  An
+        # unmargined floor gets 1 of these 1000 wrong.
+        rng = np.random.default_rng(2)
+        wrong = []
+        for _ in range(1000):
+            n = int(rng.integers(2, 7))
+            B = rng.integers(-3, 4, size=(int(rng.integers(1, n)), n))
+            A = B.T @ B
+            if PivotedLDLT(A.astype(float)).rank != sympy.Matrix(A.tolist()).rank():
+                wrong.append(B.tolist())
+        assert wrong == []
+
+
+class TestAppend:
+    """Bordered growth of the kernel, one column at a time."""
+
+    @staticmethod
+    def grown(A):
+        fact = PivotedLDLT(backend_of(A).empty((0, 0)))
+        for k in range(1, A.shape[0] + 1):
+            if not fact.append(A[:k, k - 1]):
+                break
+        return fact
+
+    @given(spd_rational_matrix(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_leading_solves_are_the_block_solves_exactly(self, M, data):
+        n = M.shape[0]
+        b = vector([data.draw(small_rationals) for _ in range(n)], RATIONAL)
+        fact = self.grown(M)
+        assert fact.n == fact.rank == n
+        for k, x in enumerate(fact.leading_solves(b), start=1):
+            assert list(x) == list(solve_spd(M[:k, :k], b[:k]))
+
+    def test_float_leading_solves_over_twelve_decades(self):
+        rng = np.random.default_rng(0)
+        B = rng.integers(-3, 4, size=(9, 6)).astype(float)
+        d = 10.0 ** np.array([-6, 6, -2, 2, 0, 4])
+        A = d[:, None] * (B.T @ B + np.eye(6)) * d
+        y = np.arange(1.0, 7.0) / d
+        for k, x in enumerate(self.grown(A).leading_solves(A @ y), start=1):
+            direct = np.linalg.solve(A[:k, :k], (A @ y)[:k])
+            assert np.all(np.abs(x - direct) <= 1e-10 * np.abs(direct).max())
+
+    def test_append_to_a_pivoted_factor(self):
+        A = sym_matrix([[1, 2, 0, 1], [2, 9, 3, 0], [0, 3, 7, 2], [1, 0, 2, 6]], RATIONAL)
+        fact = PivotedLDLT(A[:3, :3])
+        assert fact.perm != [0, 1, 2]
+        assert fact.append(A[:, 3])
+        b = vector([1, -2, 3, 5], RATIONAL)
+        assert list(fact.solve(b)[0]) == list(solve_spd(A, b))
+
+    @pytest.mark.parametrize("backend", [RATIONAL, F64])
+    def test_dependent_column_is_refused_and_factor_kept(self, backend):
+        A = sym_matrix([[4, 2, 6], [2, 5, 3], [6, 3, 9]], backend)  # col 2 = 1.5 col 0
+        fact = self.grown(A)
+        assert (fact.n, fact.rank, len(fact.pivots)) == (2, 2, 2)
+        assert not fact.append(A[:, 2])
+        assert fact.n == 2
+        x, consistent = fact.solve(A[:2, :2] @ np.array([backend.one, backend.one]))
+        assert consistent and np.allclose(np.array(x, dtype=float), 1.0)
+
+    def test_float_margin_refuses_a_nearly_dependent_column(self):
+        g = np.array([1.0, 2.0, -1.0, 0.5])
+        h = np.array([0.0, 1.0, 1.0, 0.0])
+        G = np.column_stack([g, h, g + 1e-9 * h])
+        fact = PivotedLDLT(F64.empty((0, 0)))
+        gram = G.T @ G
+        assert fact.append(gram[:1, 0]) and fact.append(gram[:2, 1])
+        assert not fact.append(gram[:, 2])
+
+    def test_leading_solves_need_an_unpivoted_factor(self):
+        A = sym_matrix([[1, 2], [2, 9]], RATIONAL)
+        with pytest.raises(LinalgError, match="unpivoted"):
+            PivotedLDLT(A).leading_solves(vector([1, 1], RATIONAL))

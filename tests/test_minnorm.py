@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,14 @@ from cglens import (
     RATIONAL,
     AffineCombination,
     DimensionMismatch,
+    DirectionScaling,
     LinalgError,
+    ProblemSpec,
     QuadraticProblem,
     affine_point_of_gradient_combination,
     characterization_residuals,
     dot,
+    generate_problem,
     min_norm_closed_form,
     norm_sq,
     orthogonality_defect,
@@ -27,6 +31,7 @@ from cglens import (
     sym_matrix,
     vector,
 )
+from cglens.minnorm import closed_form_sweep, projection_sweep
 
 
 def make_p1():
@@ -225,3 +230,71 @@ class TestShortestResiduals:
         p = shortest_residuals_direction(history)
         values = {dot(p, g) for g in history}
         assert values == {-norm_sq(p)}
+
+
+def history_of(P, **options):
+    trace = run_cg(P, **options)
+    return [rec.g_k for rec in trace.records[: trace.r]]
+
+
+def same_result(a, b):
+    return (
+        np.array_equal(a.ghat, b.ghat)
+        and np.array_equal(a.weights.weights, b.weights.weights)
+        and a.norm_sq == b.norm_sq
+    )
+
+
+class TestSweeps:
+    """Every prefix of one history, served by one pass."""
+
+    @pytest.mark.parametrize("direction", ["recursive", "gradient_sum", "shortest_residuals"])
+    @pytest.mark.parametrize("scaling", ["cg_standard", "unit"])
+    def test_exact_sweeps_equal_one_shot(self, direction, scaling):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=20, seed=3), RATIONAL)
+        history = history_of(P, direction_mode=direction, scaling=DirectionScaling(scaling))
+        closed, projected = list(closed_form_sweep(history)), list(projection_sweep(history))
+        assert len(closed) == len(projected) == len(history) > 3
+        for k in range(1, len(history) + 1):
+            assert same_result(closed[k - 1], min_norm_closed_form(history[:k], math.inf))
+            assert same_result(projected[k - 1], projection_oracle(history[:k]))
+
+    def test_float_sweeps_agree_with_one_shot_on_laplacian180(self):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=180))
+        history = history_of(P, tol=1e-7)
+        closed, projected = list(closed_form_sweep(history)), list(projection_sweep(history))
+        for k in range(1, len(history) + 1):
+            for got, want in (
+                (closed[k - 1], min_norm_closed_form(history[:k], math.inf)),
+                (projected[k - 1], projection_oracle(history[:k])),
+            ):
+                scale = np.abs(want.ghat).max()
+                assert np.abs(got.ghat - want.ghat).max() <= 1e-10 * scale
+                assert np.abs(got.weights.weights - want.weights.weights).max() <= 1e-10
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9])
+    def test_float_dependent_gradient_falls_back_to_one_shot(self, offset):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=16))
+        history = history_of(P, tol=1e-8)
+        history[3] = history[2] + offset * history[1]
+        projected = list(projection_sweep(history))
+        for k in range(4, len(history) + 1):
+            assert same_result(projected[k - 1], projection_oracle(history[:k]))
+
+    def test_zero_gradient_falls_back_to_one_shot(self):
+        history = [vector([1, 2], F64), vector([0, 0], F64), vector([2, -1], F64)]
+        projected = list(projection_sweep(history))
+        for k in (2, 3):
+            assert same_result(projected[k - 1], projection_oracle(history[:k]))
+            assert projected[k - 1].norm_sq == 0
+
+    def test_exact_dependent_gradient_falls_back_to_one_shot(self):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=8), RATIONAL)
+        history = history_of(P)
+        history[3] = history[1] + history[2]
+        projected = list(projection_sweep(history))
+        for k in range(1, len(history) + 1):
+            assert same_result(projected[k - 1], projection_oracle(history[:k]))
+
+    def test_empty_history_has_no_prefixes(self):
+        assert list(closed_form_sweep([])) == list(projection_sweep([])) == []

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cglens import (
     F64,
     RATIONAL,
     DimensionMismatch,
+    DirectionScaling,
     LinalgError,
     ProblemSpec,
     QuadraticProblem,
@@ -22,6 +25,7 @@ from cglens import (
     vector,
     verify_against_trace,
 )
+from cglens.oracle import trace_oracle
 
 
 def make_p1():
@@ -144,3 +148,74 @@ class TestVerifyAgainstTrace:
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=16))
         trace = run_cg(P, tol=1e-8)
         assert all(float(d) < 1e-8 for d in verify_against_trace(P, trace))
+
+
+def one_shot(P, trace):
+    """The oracle one k at a time: a fresh pivoted reduced solve for every k."""
+    gradients = [rec.g_k for rec in trace.records[: trace.r]]
+    x0 = trace.records[0].x_k
+    return [
+        minimize_on_affine_span(P, SpanBasis(x0=x0, spanning_vectors=tuple(gradients[:k])))
+        for k in range(1, trace.r + 1)
+    ]
+
+
+def with_gradient(trace, k, g):
+    records = list(trace.records)
+    records[k] = replace(records[k], g_k=g)
+    return replace(trace, records=tuple(records))
+
+
+def relative_gap(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+class TestTraceOracleSweep:
+    """One growing factor per trace gives the one-shot answers."""
+
+    @pytest.mark.parametrize("direction", ["recursive", "gradient_sum", "shortest_residuals"])
+    @pytest.mark.parametrize("scaling", ["cg_standard", "unit"])
+    def test_exact_sweep_equals_one_shot(self, direction, scaling):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=20, seed=3), RATIONAL)
+        trace = run_cg(P, direction_mode=direction, scaling=DirectionScaling(scaling))
+        sweep, reference = trace_oracle(P, trace), one_shot(P, trace)
+        assert len(sweep) == len(reference) == trace.r > 3
+        for sol, ref in zip(sweep, reference):
+            assert list(sol.coordinates) == list(ref.coordinates)
+            assert list(sol.point) == list(ref.point)
+            assert sol.objective_value == ref.objective_value
+
+    def test_float_sweep_agrees_with_one_shot_on_laplacian180(self):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=180))
+        trace = run_cg(P, tol=1e-7)
+        sweep, reference = trace_oracle(P, trace), one_shot(P, trace)
+        assert len(sweep) == len(reference) == 90
+        for sol, ref in zip(sweep, reference):
+            assert relative_gap(sol.point, ref.point) <= 1e-10
+            assert relative_gap(sol.coordinates, ref.coordinates) <= 1e-10
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9])
+    def test_float_dependent_column_falls_back_to_one_shot(self, offset):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=16))
+        trace = run_cg(P, tol=1e-8)
+        g1, g2 = trace.records[1].g_k, trace.records[2].g_k
+        doctored = with_gradient(trace, 3, g2 + offset * g1)
+        sweep, reference = trace_oracle(P, doctored), one_shot(P, doctored)
+        # g_3 first enters the span at k = 4; from there on the answers
+        # are the one-shot ones, to the bit.
+        for sol, ref in zip(sweep[3:], reference[3:]):
+            assert np.array_equal(sol.coordinates, ref.coordinates)
+            assert np.array_equal(sol.point, ref.point)
+            assert sol.objective_value == ref.objective_value
+        for sol, ref in zip(sweep[:3], reference[:3]):
+            assert relative_gap(sol.point, ref.point) <= 1e-12
+
+    def test_exact_dependent_column_falls_back_to_one_shot(self):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=8), RATIONAL)
+        trace = run_cg(P)
+        g1, g2 = trace.records[1].g_k, trace.records[2].g_k
+        doctored = with_gradient(trace, 3, g1 + g2)
+        sweep, reference = trace_oracle(P, doctored), one_shot(P, doctored)
+        for sol, ref in zip(sweep, reference):
+            assert list(sol.coordinates) == list(ref.coordinates)
+            assert list(sol.point) == list(ref.point)

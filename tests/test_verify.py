@@ -121,6 +121,19 @@ class TestMinNormRelation:
         assert not report.overall
 
 
+    def test_zero_ghat_fails_instead_of_raising(self):
+        # g_1 = -g_0 puts the origin in the middle of the first hull:
+        # ghat_1 = 0, so c_1 / ghat^T ghat has no finite value.
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=6), RATIONAL)
+        trace = run_cg(P)
+        doctored = with_record(trace, 1, g_k=-trace.records[0].g_k)
+        report = run_full_suite(P, trace=doctored)
+        check = {c.name: c for c in report.checks}["min_norm_relation"]
+        assert not check.passed
+        assert check.measured > check.tolerance
+        assert not report.overall
+
+
 class TestFloatSuite:
     def test_structured_problem_passes_defaults(self):
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=32))
