@@ -317,11 +317,7 @@ def dimension_reduction_note(trace: CGTrace) -> np.ndarray:
     meaningless (the run was cut off).
     """
     gs = [rec.g_k for rec in trace.records if rec.p_k is not None or rec.theta_k is not None]
-    r = len(gs)
-    backend = BACKENDS[trace.scalar_backend]
-    G = backend.empty((r, r))
-    for a in range(r):
-        for b in range(r):
-            G[a, b] = dot(gs[a], gs[b])
-    G.flags.writeable = False
-    return G
+    G = np.stack(gs) if gs else BACKENDS[trace.scalar_backend].empty((0, 0))
+    gram = np.dot(G, G.T)
+    gram.flags.writeable = False
+    return gram

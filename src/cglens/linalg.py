@@ -62,24 +62,24 @@ class Backend:
 
         Strings may be decimal literals or exact "p/q" fractions.  Under
         the rational backend a float converts to its exact binary value;
-        pass a string to get decimal semantics ("0.1" -> 1/10).
+        pass a string to get decimal semantics ("0.1" -> 1/10).  Booleans
+        and values naming no rational ("nan", "inf" or "1/0" as strings, a
+        float NaN or infinity under rationals) raise ``LinalgError``.
         """
-        if self.exact:
+        try:
+            if isinstance(value, bool):
+                raise TypeError("a boolean is not a number")
+            if not self.exact:
+                return float(Fraction(value)) if isinstance(value, str) else float(value)
             if isinstance(value, Fraction):
                 return value
-            if isinstance(value, str):
-                return Fraction(value)
-            if isinstance(value, float):
-                return Fraction(value)
             if isinstance(value, (int, np.integer)):
                 return Fraction(int(value))
-            raise LinalgError(f"cannot convert {value!r} to a rational scalar")
-        try:
-            if isinstance(value, str):
-                return float(Fraction(value))
-            return float(value)
-        except (TypeError, ValueError) as err:
-            raise LinalgError(f"cannot convert {value!r} to a float scalar") from err
+            if isinstance(value, (str, float)):
+                return Fraction(value)
+            raise TypeError(f"{type(value).__name__} is not a number")
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as err:
+            raise LinalgError(f"cannot convert {value!r} to a {self.name} scalar") from err
 
     @property
     def zero(self) -> Scalar:
@@ -216,6 +216,43 @@ def residual_magnitude(v: np.ndarray) -> Scalar:
     if backend_of(v).exact:
         return max_abs(v)
     return float(np.linalg.norm(v))
+
+
+def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales) -> Scalar:
+    """Worst |a_k^T b_j - shift[k]| over the triangle j < k (j <= k if ``diagonal``).
+
+    The residual rule of every identity over index pairs: each is a
+    triangle of the inner-product table of two vector sequences.  Exact
+    vectors report the raw worst value.  Float vectors divide entry
+    (k, j) by row[k] * col[j], where ``(row, col) = scales()`` is called
+    only under float64 (exact runs compute no norms), and an entry whose
+    scale is zero contributes nothing.  ``shift`` is None or one value per
+    row.  Row k is one product of a_k with the b_j of its triangle, so
+    each pair's inner product is computed once and the other triangle
+    never is.
+    """
+    worst = backend.zero
+    if len(a) == 0 or len(b) == 0:
+        return worst
+    B = np.stack(b)
+    if not backend.exact:
+        row, col = (np.asarray(s, dtype=np.float64) for s in scales())
+    for k, a_k in enumerate(a):
+        m = k + diagonal
+        if m == 0:
+            continue
+        t = np.dot(B[:m], a_k)
+        if shift is not None:
+            t = t - shift[k]
+        t = np.abs(t)
+        if not backend.exact:
+            denom = row[k] * col[:m]
+            live = denom != 0
+            if not live.any():
+                continue
+            t = t[live] / denom[live]
+        worst = max(worst, t.max())
+    return worst if backend.exact else float(worst)
 
 
 # Float64 rank floor of the Jacobi-scaled semidefinite kernel, in units
@@ -473,20 +510,6 @@ class SpdCheck(PivotedLDLT):
     def failed_pivot(self) -> int | None:
         """0-based elimination step of the first non-positive pivot."""
         return None if self.is_spd else self.rank
-
-    @property
-    def factor(self) -> np.ndarray | None:
-        """F with F F^T = M: the Cholesky factor L sqrt(D), rows unpermuted.
-
-        Needs square roots, so it exists only on the float backend.
-        """
-        if not self.is_spd or self.backend.exact:
-            return None
-        L = np.tril(np.array(self._W, dtype=np.float64), -1) + np.eye(self.n)
-        L *= np.sqrt(np.array(self.pivots, dtype=np.float64))
-        F = np.empty_like(L)
-        F[self.perm] = L
-        return _freeze(F)
 
 
 def cholesky_spd_check(M: np.ndarray, pivot_floor: Scalar | None = None) -> SpdCheck:

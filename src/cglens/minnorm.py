@@ -33,6 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .linalg import (
+    F64,
     DimensionMismatch,
     LinalgError,
     PivotedLDLT,
@@ -41,7 +42,9 @@ from .linalg import (
     _freeze,
     backend_of,
     dot,
+    norm,
     norm_sq,
+    pairwise_residual,
     residual_magnitude,
 )
 from .quadratic import QuadraticProblem, gradient
@@ -110,17 +113,17 @@ def _check_nonzero(gradients: Sequence[np.ndarray]) -> None:
             raise LinalgError(f"gradient {i} in the history is zero")
 
 
-def orthogonality_defect(gradients: Sequence[np.ndarray]) -> float:
-    """max_{i<j} |g_i^T g_j| / (||g_i|| ||g_j||) over the history (0 if single)."""
-    worst = 0.0
-    norms = [math.sqrt(float(norm_sq(g))) for g in gradients]
-    for j in range(len(gradients)):
-        for i in range(j):
-            denom = norms[i] * norms[j]
-            if denom == 0:
-                continue
-            worst = max(worst, abs(float(dot(gradients[i], gradients[j]))) / denom)
-    return worst
+def orthogonality_defect(gradients: Sequence[np.ndarray]) -> Scalar:
+    """max_{i<j} |g_i^T g_j| over the history (0 if single).
+
+    Divided by ||g_i|| ||g_j|| under float64, raw under the rational
+    backend, by the one pairwise rule of ``linalg.pairwise_residual``.
+    """
+    backend = backend_of(gradients[0]) if len(gradients) else F64
+    return pairwise_residual(
+        backend, gradients, gradients, shift=None, diagonal=False,
+        scales=lambda: ([norm(g) for g in gradients],) * 2,
+    )
 
 
 def min_norm_closed_form(
@@ -136,17 +139,8 @@ def min_norm_closed_form(
     """
     _check_nonzero(gradients)
     backend = backend_of(gradients[0])
-    if orthogonality_tol == math.inf:
-        bad = False
-    elif backend.exact:
-        bad = any(
-            dot(gradients[i], gradients[j]) != 0
-            for j in range(len(gradients))
-            for i in range(j)
-        )
-    else:
-        bad = orthogonality_defect(gradients) > orthogonality_tol
-    if bad:
+    limit = backend.zero if backend.exact else orthogonality_tol
+    if orthogonality_tol != math.inf and orthogonality_defect(gradients) > limit:
         raise LinalgError(
             "gradient history is not orthogonal; the closed form does not "
             "apply — use projection_oracle"

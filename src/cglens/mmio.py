@@ -214,11 +214,13 @@ def load_problem(path, backend: Backend = F64) -> QuadraticProblem:
     with open(path) as fh:
         data = json.load(fh, parse_float=Fraction if backend.exact else float)
     try:
-        n = int(data["n"])
+        n = data["n"]
         H_spec = data["H"]
         c_raw, x0_raw = data["c"], data["x0"]
     except (KeyError, TypeError) as err:
         raise LinalgError(f"{path}: problem JSON must define n, H, c, x0") from err
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise LinalgError(f"{path}: n must be an integer, not {n!r}")
 
     if isinstance(H_spec, dict) and "dense" in H_spec:
         H = sym_matrix(H_spec["dense"], backend)

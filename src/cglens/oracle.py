@@ -17,10 +17,11 @@ block of the one r-by-r matrix S^T (H S), and its right-hand side is a
 prefix of -S^T g(x0).  ``trace_oracle`` forms H S once, grows one L D L^T
 factor of S^T (H S) a column at a time in history order (``append``,
 O(k^2) per column), and solves each k against the k-by-k factor it
-holds at that moment: O(r^3) per trace instead of O(r^4).  The first
-column whose new pivot misses the append margin (it is dependent, or
-nearly so in float64) ends the sweep: from that k on, every k takes the
-one-shot pivoted solve of ``minimize_on_affine_span``.
+holds at that moment, reading q at each point from the reduced system:
+O(r^3) per trace instead of O(r^4).  The first column whose new pivot
+misses the append margin (it is dependent, or nearly so in float64)
+ends the sweep: from that k on, every k takes the one-shot pivoted
+solve of ``minimize_on_affine_span``.
 """
 
 from __future__ import annotations
@@ -152,13 +153,17 @@ def trace_oracle(P: QuadraticProblem, trace: CGTrace) -> list[SubspaceSolution]:
     for k in range(1, r + 1):
         if not fact.append(A[:k, k - 1]):
             break
+    # q(x0 + S v) = q(x0) - rhs^T v + 1/2 v^T A v = q(x0) - 1/2 v^T rhs when
+    # A v = rhs: O(k) per point where evaluating q costs O(n^2).
+    q0, half = evaluate(P, x0), P.backend.scalar("1/2")
     solutions = []
     for v in fact.leading_solves(rhs[: fact.n]):
-        point = x0 + np.dot(S[:, : v.shape[0]], v)
+        k = v.shape[0]
+        point = x0 + np.dot(S[:, :k], v)
         point.flags.writeable = False
-        solutions.append(
-            SubspaceSolution(coordinates=v, point=point, objective_value=evaluate(P, point))
-        )
+        solutions.append(SubspaceSolution(
+            coordinates=v, point=point, objective_value=q0 - half * np.dot(v, rhs[:k])
+        ))
     for k in range(fact.n + 1, r + 1):
         solutions.append(
             minimize_on_affine_span(P, SpanBasis(x0=x0, spanning_vectors=gradients[:k]))

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .linalg import F64, Backend, LinalgError, sym_matrix, vector
 from .quadratic import QuadraticProblem
 
@@ -66,16 +64,10 @@ class ProblemSpec:
     n: int = 0
     condition: float | None = None
     seed: int | None = None
-    spectrum: tuple | None = None
-    paths: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("diag", "laplacian1d", "rand_spd", "file"):
+        if self.kind not in ("diag", "laplacian1d", "rand_spd"):
             raise LinalgError(f"unknown problem kind {self.kind!r}")
-        if self.kind == "file":
-            if not self.paths:
-                raise LinalgError("file problems require paths")
-            return
         if self.n < 1:
             raise LinalgError("generated problems require n >= 1")
         if self.kind == "rand_spd":
@@ -107,10 +99,6 @@ def _householder_rows(rows, v, backend: Backend):
 def _spectrum(spec: ProblemSpec, rng: SplitMix64, backend: Backend) -> list:
     """Eigenvalues spanning [1, condition]: endpoints pinned, rest log-uniform."""
     n, cond = spec.n, float(spec.condition)
-    if spec.spectrum is not None:
-        if len(spec.spectrum) != n:
-            raise LinalgError(f"spectrum of length {len(spec.spectrum)} for n = {n}")
-        return [backend.scalar(x) for x in spec.spectrum]
     if backend.exact:
         top = max(1, round(cond))
         values = [Fraction(1), Fraction(top)]
@@ -146,10 +134,6 @@ def generate_problem(spec: ProblemSpec, backend: Backend = F64) -> QuadraticProb
     All kinds share c = -H*1 and x0 = 0, so exact_minimizer is the
     all-ones vector by construction.
     """
-    if spec.kind == "file":
-        from .mmio import load_problem
-
-        return load_problem(spec.paths[0], backend)
     n = spec.n
     if spec.kind == "diag":
         rows = [[backend.scalar(i + 1) if i == j else backend.zero for j in range(n)]

@@ -10,6 +10,13 @@ Residual conventions, applied uniformly: float64 residuals are
 normalized (relative) Euclidean quantities; rational residuals are raw
 exact values (max-abs over entries for vector residuals), which vanish
 precisely when their float counterparts would.
+
+The identities over index pairs (gradient orthogonality, the derivation
+conditions and conjugacy) are triangles of one inner-product table, and
+all of them are measured by one rule, ``linalg.pairwise_residual``: the
+worst |a_k^T b_j - shift_k| over the triangle, raw under rationals and
+divided by the two vectors' norms under float64 (energy norms
+sqrt(p^T H p) for conjugacy), skipping a pair whose scale is zero.
 """
 
 from __future__ import annotations
@@ -18,15 +25,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .linalg import (
     BACKENDS,
     Backend,
     Scalar,
     dot,
     mat_vec,
-    norm_sq,
+    norm,
+    pairwise_residual,
     residual_magnitude,
     scalar_token,
 )
@@ -170,10 +176,6 @@ def _pre_terminal_gradients(trace: CGTrace):
     return [rec.g_k for rec in trace.records[:-1]]
 
 
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(float(norm_sq(v)))
-
-
 def _measure(backend: Backend, raw: Scalar, scale) -> Scalar | None:
     """One residual as the checks report it.
 
@@ -189,9 +191,8 @@ def _measure(backend: Backend, raw: Scalar, scale) -> Scalar | None:
     return float(raw) / denom
 
 
-def _relative_dot(backend: Backend, a: np.ndarray, b: np.ndarray) -> Scalar | None:
-    """|a^T b|, normalized by ||a|| ||b|| under float64."""
-    return _measure(backend, abs(dot(a, b)), lambda: _norm(a) * _norm(b))
+def _norms(vectors) -> list[float]:
+    return [norm(v) for v in vectors]
 
 
 def check_gradient_orthogonality(trace: CGTrace, tolerance=None) -> CheckResult:
@@ -201,10 +202,10 @@ def check_gradient_orthogonality(trace: CGTrace, tolerance=None) -> CheckResult:
     gs = _pre_terminal_gradients(trace)
     if backend.exact:
         gs = [rec.g_k for rec in trace.records]  # terminal zero rides along
-    contributions = [
-        _relative_dot(backend, gs[k], gs[i]) for k in range(len(gs)) for i in range(k)
-    ]
-    return _result("gradient_orthogonality", _worst(backend, contributions), tol)
+    measured = pairwise_residual(
+        backend, gs, gs, shift=None, diagonal=False, scales=lambda: (_norms(gs),) * 2
+    )
+    return _result("gradient_orthogonality", measured, tol)
 
 
 def check_derivation_conditions(trace: CGTrace, tolerances=None) -> list[CheckResult]:
@@ -220,51 +221,41 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None) -> list[CheckRe
     tolerances = tolerances or {}
     records = trace.records
     steps = _step_records(trace)
-    x0 = records[0].x_k
+    x0, g0 = records[0].x_k, records[0].g_k
+    ps = [rec.p_k for rec in steps]
 
-    # (a) g_{k+1}^T (x_{i+1} - x_0) = 0.  Under float64 the terminal
-    # gradient is numerically zero noise whose *direction* is
+    def result(name, measured):
+        return _result(name, measured, _tolerance(name, backend, tolerances.get(name)))
+
+    # (a) g_{k+1}^T (x_{i+1} - x_0) = 0 for i <= k.  Under float64 the
+    # terminal gradient is numerically zero noise whose *direction* is
     # meaningless, so only pre-terminal gradients are measured there.
     last = len(records) - 1 if backend.exact else len(records) - 2
-    contributions = [
-        _relative_dot(backend, records[kp1].g_k, records[ip1].x_k - x0)
-        for kp1 in range(1, last + 1)
-        for ip1 in range(1, kp1 + 1)
-    ]
-    span = _result(
-        "iterate_span_orthogonality",
-        _worst(backend, contributions),
-        _tolerance("iterate_span_orthogonality", backend, tolerances.get("iterate_span_orthogonality")),
+    gs = [rec.g_k for rec in records[1 : last + 1]]
+    moves = [rec.x_k - x0 for rec in records[1 : last + 1]]
+    span = pairwise_residual(
+        backend, gs, moves, shift=None, diagonal=True,
+        scales=lambda: (_norms(gs), _norms(moves)),
     )
 
     # (b) p_k^T (g_{i+1} - g_0) = 0 for i < k.
-    contributions = [
-        _relative_dot(backend, rec.p_k, records[ip1].g_k - records[0].g_k)
-        for k, rec in enumerate(steps)
-        for ip1 in range(1, k + 1)
-    ]
-    diff = _result(
-        "direction_gradient_difference",
-        _worst(backend, contributions),
-        _tolerance("direction_gradient_difference", backend, tolerances.get("direction_gradient_difference")),
+    diffs = [rec.g_k - g0 for rec in records[1 : len(steps)]]
+    diff = pairwise_residual(
+        backend, ps, diffs, shift=None, diagonal=False,
+        scales=lambda: (_norms(ps), _norms(diffs)),
     )
 
     # (c) p_k^T g_i = c_k for i <= k, with c_k as recorded by the run.
-    contributions = [
-        _measure(
-            backend,
-            abs(dot(rec.p_k, records[i].g_k) - rec.c_k),
-            lambda: _norm(rec.p_k) * _norm(records[i].g_k),
-        )
-        for k, rec in enumerate(steps)
-        for i in range(k + 1)
-    ]
-    constancy = _result(
-        "direction_gradient_constancy",
-        _worst(backend, contributions),
-        _tolerance("direction_gradient_constancy", backend, tolerances.get("direction_gradient_constancy")),
+    history = [rec.g_k for rec in records[: len(steps)]]
+    constancy = pairwise_residual(
+        backend, ps, history, shift=[rec.c_k for rec in steps], diagonal=True,
+        scales=lambda: (_norms(ps), _norms(history)),
     )
-    return [span, diff, constancy]
+    return [
+        result("iterate_span_orthogonality", span),
+        result("direction_gradient_difference", diff),
+        result("direction_gradient_constancy", constancy),
+    ]
 
 
 def check_exact_linesearch(trace: CGTrace, tolerance=None) -> CheckResult:
@@ -280,7 +271,7 @@ def check_exact_linesearch(trace: CGTrace, tolerance=None) -> CheckResult:
         _measure(
             backend,
             abs(dot(rec.p_k, records[k + 1].g_k)),
-            lambda: _norm(rec.p_k) * _norm(rec.g_k),
+            lambda: norm(rec.p_k) * norm(rec.g_k),
         )
         for k, rec in enumerate(_step_records(trace))
     ]
@@ -304,7 +295,7 @@ def check_gradient_update_identity(
             residual_magnitude(
                 records[k + 1].g_k - rec.g_k - rec.theta_k * mat_vec(P.H, rec.p_k)
             ),
-            lambda: _norm(rec.g_k),
+            lambda: norm(rec.g_k),
         )
         for k, rec in enumerate(_step_records(trace))
     ]
@@ -318,7 +309,7 @@ def check_subspace_optimality(
     backend = _backend(trace)
     tol = _tolerance("subspace_optimality", backend, tolerance)
     contributions = [
-        _measure(backend, dev, lambda: max(1.0, _norm(rec.x_k)))
+        _measure(backend, dev, lambda: max(1.0, norm(rec.x_k)))
         for rec, dev in zip(trace.records[1:], verify_against_trace(P, trace))
     ]
     return _result("subspace_optimality", _worst(backend, contributions), tol)
@@ -354,7 +345,7 @@ def check_min_norm_relation(
         contributions.append(
             _measure(backend, agreement, lambda: max(math.sqrt(float(closed.norm_sq)), 1e-300))
         )
-        contributions.append(_measure(backend, deviation, lambda: max(_norm(rec.p_k), 1e-300)))
+        contributions.append(_measure(backend, deviation, lambda: max(norm(rec.p_k), 1e-300)))
     return _result("min_norm_relation", _worst(backend, contributions), tol)
 
 
@@ -364,16 +355,15 @@ def check_conjugacy(P: QuadraticProblem, trace: CGTrace, tolerance=None) -> Chec
     tol = _tolerance("conjugacy", backend, tolerance)
     ps = [rec.p_k for rec in _step_records(trace)]
     hps = [mat_vec(P.H, p) for p in ps]
-    contributions = [
-        _measure(
-            backend,
-            abs(dot(ps[i], hps[j])),
-            lambda: math.sqrt(float(dot(ps[i], hps[i]))) * math.sqrt(float(dot(ps[j], hps[j]))),
-        )
-        for j in range(len(ps))
-        for i in range(j)
-    ]
-    return _result("conjugacy", _worst(backend, contributions), tol)
+
+    def energy_norms():
+        norms = [math.sqrt(float(dot(p, hp))) for p, hp in zip(ps, hps)]
+        return norms, norms
+
+    measured = pairwise_residual(
+        backend, hps, ps, shift=None, diagonal=False, scales=energy_norms
+    )
+    return _result("conjugacy", measured, tol)
 
 
 def check_termination_bound(

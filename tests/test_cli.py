@@ -166,6 +166,27 @@ class TestBadInput:
     def test_no_problem_at_all_rejected(self):
         assert run_main(["solve"]) == 2
 
+    @pytest.mark.parametrize("backend", ["f64", "rational"])
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"H": {"dense": [[2, 0], [0, "nan"]]}},
+            {"c": ["inf", 0]},
+            {"x0": [0, "nan"]},
+            {"H": {"dense": [[2, 0], [0, True]]}},
+            {"c": [-2, True]},
+            {"n": "two"},
+            {"n": True},
+        ],
+    )
+    def test_hostile_scalar_exits_two_with_one_line(self, tmp_path, capsys, backend, changes):
+        problem = {"n": 2, "H": {"dense": [[2, 0], [0, 2]]}, "c": [-2, -2], "x0": [0, 0]}
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({**problem, **changes}))
+        assert run_main(["verify", "--problem", str(path), "--backend", backend]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBreakdownExitCode:
     @staticmethod

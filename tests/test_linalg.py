@@ -142,14 +142,6 @@ class TestSpdCheck:
         assert not check.is_spd
         assert check.failed_pivot == 1
 
-    def test_factor_reproduces_matrix(self):
-        M = sym_matrix([[4, 2], [2, 3]], F64)
-        L = cholesky_spd_check(M).factor
-        assert np.allclose(L @ L.T, np.array(M, dtype=float))
-
-    def test_factor_unavailable_for_exact(self):
-        assert cholesky_spd_check(sym_matrix([[2, 0], [0, 2]], RATIONAL)).factor is None
-
     def test_solve_spd_exact(self):
         M = sym_matrix([[2, 1], [1, 2]], RATIONAL)
         b = vector([1, 0], RATIONAL)

@@ -193,6 +193,8 @@ class TestTraceOracleSweep:
         for sol, ref in zip(sweep, reference):
             assert relative_gap(sol.point, ref.point) <= 1e-10
             assert relative_gap(sol.coordinates, ref.coordinates) <= 1e-10
+            gap = abs(sol.objective_value - ref.objective_value)
+            assert gap <= 1e-12 * abs(ref.objective_value)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-9])
     def test_float_dependent_column_falls_back_to_one_shot(self, offset):

@@ -3,19 +3,28 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from cglens import (
+    BACKENDS,
     DEFAULT_TOLERANCES,
+    F64,
     RATIONAL,
     DirectionScaling,
     ProblemSpec,
     QuadraticProblem,
+    check_conjugacy,
+    check_derivation_conditions,
+    check_gradient_orthogonality,
     check_min_norm_relation,
+    dot,
     generate_problem,
+    mat_vec,
+    norm_sq,
     report_to_dict,
     run_cg,
     run_full_suite,
@@ -186,3 +195,150 @@ class TestReportSerialization:
         payload = report_to_dict(report)
         for check in payload["checks"]:
             assert Fraction(check["measured"]) == 0
+
+
+# The per-pair loops the pairwise checks ran before they shared
+# ``linalg.pairwise_residual``, kept as the reference for it.
+def _ref_measure(backend, raw, scale):
+    if backend.exact:
+        return raw
+    denom = scale()
+    if denom == 0:
+        return None
+    return float(raw) / denom
+
+
+def _ref_worst(backend, contributions):
+    worst = backend.zero
+    for value in contributions:
+        if value is not None and value > worst:
+            worst = value
+    return worst
+
+
+def _ref_norm(v):
+    return math.sqrt(float(norm_sq(v)))
+
+
+def _ref_relative_dot(backend, a, b):
+    return _ref_measure(backend, abs(dot(a, b)), lambda: _ref_norm(a) * _ref_norm(b))
+
+
+def reference_pairwise(P, trace):
+    """The five pairwise measurements, one pair at a time."""
+    backend = BACKENDS[trace.scalar_backend]
+    records = trace.records
+    steps = [rec for rec in records if rec.theta_k is not None]
+    x0 = records[0].x_k
+    gs = [rec.g_k for rec in (records if backend.exact else records[:-1])]
+    orth = [_ref_relative_dot(backend, gs[k], gs[i]) for k in range(len(gs)) for i in range(k)]
+    last = len(records) - 1 if backend.exact else len(records) - 2
+    span = [
+        _ref_relative_dot(backend, records[kp1].g_k, records[ip1].x_k - x0)
+        for kp1 in range(1, last + 1)
+        for ip1 in range(1, kp1 + 1)
+    ]
+    diff = [
+        _ref_relative_dot(backend, rec.p_k, records[ip1].g_k - records[0].g_k)
+        for k, rec in enumerate(steps)
+        for ip1 in range(1, k + 1)
+    ]
+    constancy = [
+        _ref_measure(
+            backend,
+            abs(dot(rec.p_k, records[i].g_k) - rec.c_k),
+            lambda: _ref_norm(rec.p_k) * _ref_norm(records[i].g_k),
+        )
+        for k, rec in enumerate(steps)
+        for i in range(k + 1)
+    ]
+    ps = [rec.p_k for rec in steps]
+    hps = [mat_vec(P.H, p) for p in ps]
+    conjugacy = [
+        _ref_measure(
+            backend,
+            abs(dot(ps[i], hps[j])),
+            lambda: math.sqrt(float(dot(ps[i], hps[i]))) * math.sqrt(float(dot(ps[j], hps[j]))),
+        )
+        for j in range(len(ps))
+        for i in range(j)
+    ]
+    return {
+        name: _ref_worst(backend, values)
+        for name, values in [
+            ("gradient_orthogonality", orth),
+            ("iterate_span_orthogonality", span),
+            ("direction_gradient_difference", diff),
+            ("direction_gradient_constancy", constancy),
+            ("conjugacy", conjugacy),
+        ]
+    }
+
+
+def pairwise_measured(P, trace):
+    checks = [check_gradient_orthogonality(trace), *check_derivation_conditions(trace)]
+    checks.append(check_conjugacy(P, trace))
+    return {c.name: c.measured for c in checks}
+
+
+def assert_close_to_reference(P, trace):
+    measured, reference = pairwise_measured(P, trace), reference_pairwise(P, trace)
+    assert measured.keys() == reference.keys()
+    for name, ref in reference.items():
+        value = measured[name]
+        assert type(value) is float
+        assert abs(value - ref) <= max(1e-3 * abs(ref), 1e-15), (name, value, ref)
+
+
+def diag_problem(entries, backend, x0=None):
+    n = len(entries)
+    H = sym_matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], backend)
+    c = vector([-e for e in entries], backend)
+    return QuadraticProblem(H=H, c=c, x0=x0 if x0 is not None else vector([0] * n, backend))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPairwiseRuleMatchesPerPairLoops:
+    @pytest.mark.parametrize("direction", ["recursive", "gradient_sum", "shortest_residuals"])
+    @pytest.mark.parametrize("scaling", ["cg_standard", "unit"])
+    def test_exact_values_identical(self, direction, scaling):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=20, seed=3), RATIONAL)
+        trace = run_cg(P, direction_mode=direction, scaling=DirectionScaling(scaling))
+        doctored = with_record(trace, 2, g_k=trace.records[2].g_k + trace.records[0].g_k / 3)
+        for t in (trace, doctored):
+            measured, reference = pairwise_measured(P, t), reference_pairwise(P, t)
+            assert measured == reference
+            assert all(type(v) is Fraction for v in measured.values())
+        assert any(v != 0 for v in pairwise_measured(P, doctored).values())
+
+    @pytest.mark.parametrize(
+        "spec, tol",
+        [
+            (ProblemSpec(kind="laplacian1d", n=180), 1e-7),
+            (ProblemSpec(kind="rand_spd", n=200, condition=1e4, seed=7), 1e-2),
+        ],
+    )
+    def test_float_values_agree(self, spec, tol):
+        P = generate_problem(spec)
+        assert_close_to_reference(P, run_cg(P, tol=tol))
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_r0_and_r1(self, backend):
+        P = diag_problem([2, 2], backend)
+        one_step = run_cg(P)
+        assert one_step.r == 1
+        at_minimizer = run_cg(diag_problem([2, 2], backend, x0=vector([1, 1], backend)))
+        assert at_minimizer.r == 0
+        for trace in (one_step, at_minimizer):
+            measured = pairwise_measured(P, trace)
+            assert measured == reference_pairwise(P, trace)
+            assert measured == dict.fromkeys(measured, backend.zero)
+
+    def test_zero_gradient_scale_is_skipped(self):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=12))
+        trace = run_cg(P, tol=1e-10)
+        doctored = with_record(trace, 2, g_k=0 * trace.records[2].g_k)
+        assert_close_to_reference(P, doctored)
+        measured = pairwise_measured(P, doctored)
+        assert measured["direction_gradient_difference"] > 1e-3  # the doctoring shows
+        assert all(math.isfinite(v) for v in measured.values())
