@@ -9,170 +9,48 @@ gradient affine hulls, and verify each identity the derivation rests on
 that theory says vanishes must be literally zero.
 """
 
-from .linalg import (
-    BACKENDS,
-    F64,
-    RATIONAL,
-    AsymmetricMatrixError,
-    Backend,
-    DimensionMismatch,
-    LinalgError,
-    NotSPDError,
-    PivotedLDLT,
-    SpdCheck,
-    backend_of,
-    cholesky_spd_check,
-    dot,
-    mat_vec,
-    max_abs,
-    norm,
-    norm_sq,
-    residual_magnitude,
-    scalar_token,
-    solve_spd,
-    sym_matrix,
-    vector,
-)
-from .quadratic import (
-    QuadraticProblem,
-    evaluate,
-    exact_minimizer,
-    gradient,
-    gradient_fd_check,
-    point_of_gradient,
-)
-from .engine import (
-    BreakdownError,
-    CGTrace,
-    DirectionScaling,
-    IterateRecord,
-    dimension_reduction_note,
-    direction_gradient_sum,
-    direction_recursive,
-    run_cg,
-    step_length,
-)
-from .oracle import (
-    SpanBasis,
-    SubspaceSolution,
-    minimize_on_affine_span,
-    verify_against_trace,
-)
+from .linalg import F64, RATIONAL, LinalgError, dot, norm, norm_sq, scalar_token, vector
+from .quadratic import exact_minimizer, gradient
+from .engine import DirectionScaling, dimension_reduction_note, run_cg
+from .oracle import verify_against_trace
 from .minnorm import (
-    AffineCombination,
-    AffinePoint,
-    MinNormResult,
     affine_point_of_gradient_combination,
     characterization_residuals,
     min_norm_closed_form,
-    orthogonality_defect,
     projection_oracle,
     scaling_relation,
     shortest_residuals_direction,
 )
-from .verify import (
-    DEFAULT_TOLERANCES,
-    CheckResult,
-    VerificationReport,
-    check_conjugacy,
-    check_derivation_conditions,
-    check_exact_linesearch,
-    check_gradient_orthogonality,
-    check_gradient_update_identity,
-    check_min_norm_relation,
-    check_subspace_optimality,
-    check_termination_bound,
-    report_to_dict,
-    run_full_suite,
-)
-from .problems import ProblemSpec, SplitMix64, generate_problem
-from .mmio import (
-    MMParseError,
-    exact_decimal,
-    load_problem,
-    load_trace,
-    read_matrix_market,
-    save_problem,
-    save_trace,
-    write_matrix_market,
-)
+from .verify import check_gradient_orthogonality, run_full_suite
+from .problems import ProblemSpec, generate_problem
+from .mmio import load_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineCombination",
-    "AffinePoint",
-    "AsymmetricMatrixError",
-    "BACKENDS",
-    "Backend",
-    "BreakdownError",
-    "CGTrace",
-    "CheckResult",
-    "DEFAULT_TOLERANCES",
-    "DimensionMismatch",
     "DirectionScaling",
     "F64",
-    "IterateRecord",
     "LinalgError",
-    "MMParseError",
-    "MinNormResult",
-    "NotSPDError",
-    "PivotedLDLT",
     "ProblemSpec",
-    "QuadraticProblem",
     "RATIONAL",
-    "SpanBasis",
-    "SpdCheck",
-    "SplitMix64",
-    "SubspaceSolution",
-    "VerificationReport",
     "affine_point_of_gradient_combination",
-    "backend_of",
     "characterization_residuals",
-    "check_conjugacy",
-    "check_derivation_conditions",
-    "check_exact_linesearch",
     "check_gradient_orthogonality",
-    "check_gradient_update_identity",
-    "check_min_norm_relation",
-    "check_subspace_optimality",
-    "check_termination_bound",
-    "cholesky_spd_check",
     "dimension_reduction_note",
-    "direction_gradient_sum",
-    "direction_recursive",
     "dot",
-    "evaluate",
-    "exact_decimal",
     "exact_minimizer",
     "generate_problem",
     "gradient",
-    "gradient_fd_check",
-    "load_problem",
     "load_trace",
-    "mat_vec",
-    "max_abs",
     "min_norm_closed_form",
-    "minimize_on_affine_span",
     "norm",
     "norm_sq",
-    "orthogonality_defect",
-    "point_of_gradient",
     "projection_oracle",
-    "read_matrix_market",
-    "report_to_dict",
-    "residual_magnitude",
     "run_cg",
     "run_full_suite",
-    "save_problem",
-    "save_trace",
     "scalar_token",
     "scaling_relation",
     "shortest_residuals_direction",
-    "solve_spd",
-    "step_length",
-    "sym_matrix",
     "vector",
     "verify_against_trace",
-    "write_matrix_market",
 ]

@@ -260,9 +260,12 @@ def run_cg(
         if direction_mode == "gradient_sum":
             p = direction_gradient_sum(grads, scaling)
         elif direction_mode == "shortest_residuals":
-            from .minnorm import shortest_residuals_direction
+            from .minnorm import min_norm_closed_form
 
-            p = shortest_residuals_direction(grads)
+            # Ungated: a history that drifts from orthogonality is the
+            # checks' to measure, not a reason to stop the run.
+            p = -min_norm_closed_form(grads, math.inf).ghat
+            p.flags.writeable = False
             # p = -ghat, and p^T g_i = -ghat^T ghat for every i, so the
             # direction's common inner-product value is -(p^T p).
             c_k = -norm_sq(p)

@@ -122,39 +122,45 @@ def _array_from(values, backend: Backend) -> np.ndarray:
     return np.array([float(v) for v in values], dtype=np.float64)
 
 
+def _finite(arr: np.ndarray, backend: Backend) -> np.ndarray:
+    """``arr`` frozen, after rejecting a float64 NaN or infinity in it."""
+    if not backend.exact and not np.isfinite(arr).all():
+        raise LinalgError("float64 entries must be finite (no NaN or infinity)")
+    return _freeze(arr)
+
+
 def vector(entries, backend: Backend = F64) -> np.ndarray:
     """Build a read-only 1-D vector on the given backend.
 
-    Entries may be numbers or strings ("p/q" or decimal).
+    Entries may be numbers or strings ("p/q" or decimal); a float64 NaN
+    or infinity is rejected.
     """
     data = [backend.scalar(e) for e in entries]
     if len(data) == 0:
         raise DimensionMismatch("vectors must have dimension >= 1")
-    return _freeze(_array_from(data, backend))
+    return _finite(_array_from(data, backend), backend)
 
 
 def sym_matrix(rows, backend: Backend = F64) -> np.ndarray:
     """Build a read-only dense symmetric matrix, validating symmetry.
 
-    Raises ``AsymmetricMatrixError`` if any entry differs from its
-    transpose partner (exact comparison in both backends).
+    Raises ``AsymmetricMatrixError`` naming the first entry, in row-major
+    order over the lower triangle, that differs from its transpose partner
+    (exact comparison in both backends).  A float64 NaN or infinity is
+    rejected.
     """
     data = [[backend.scalar(e) for e in row] for row in rows]
     n = len(data)
     if n == 0 or any(len(row) != n for row in data):
         raise DimensionMismatch("symmetric matrices must be square with n >= 1")
-    for i in range(n):
-        for j in range(i):
-            if data[i][j] != data[j][i]:
-                raise AsymmetricMatrixError(
-                    f"entry ({i}, {j}) = {data[i][j]} does not match "
-                    f"({j}, {i}) = {data[j][i]}"
-                )
-    out = backend.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = data[i][j]
-    return _freeze(out)
+    out = _finite(np.array(data, dtype=object if backend.exact else np.float64), backend)
+    bad = np.argwhere(np.tril(out != out.T, -1))
+    if len(bad):
+        i, j = bad[0]
+        raise AsymmetricMatrixError(
+            f"entry ({i}, {j}) = {data[i][j]} does not match ({j}, {i}) = {data[j][i]}"
+        )
+    return out
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> Scalar:
@@ -226,14 +232,15 @@ def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales) 
     vectors report the raw worst value.  Float vectors divide entry
     (k, j) by row[k] * col[j], where ``(row, col) = scales()`` is called
     only under float64 (exact runs compute no norms), and an entry whose
-    scale is zero contributes nothing.  ``shift`` is None or one value per
-    row.  Row k is one product of a_k with the b_j of its triangle, so
+    scale is zero contributes nothing; a NaN entry makes the result NaN,
+    which no tolerance passes.  ``shift`` is None or one value per row.
+    Row k is one product of a_k with the b_j of its triangle, so
     each pair's inner product is computed once and the other triangle
     never is.
     """
-    worst = backend.zero
+    rows = [backend.zero]
     if len(a) == 0 or len(b) == 0:
-        return worst
+        return rows[0]
     B = np.stack(b)
     if not backend.exact:
         row, col = (np.asarray(s, dtype=np.float64) for s in scales())
@@ -251,8 +258,8 @@ def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales) 
             if not live.any():
                 continue
             t = t[live] / denom[live]
-        worst = max(worst, t.max())
-    return worst if backend.exact else float(worst)
+        rows.append(t.max())
+    return max(rows) if backend.exact else float(np.max(rows))
 
 
 # Float64 rank floor of the Jacobi-scaled semidefinite kernel, in units
@@ -262,9 +269,9 @@ def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales) 
 # integer Gram matrices with n <= 6; from 2 up none of the 3000 did.
 RANK_FLOOR_MARGIN = 4
 
-# The smallest float64 pivot ``PivotedLDLT.append`` accepts on the
-# Jacobi-scaled (unit-diagonal) matrix, where a pivot is the squared sine
-# of the angle between the new column and the span of the earlier ones.
+# The smallest float64 pivot ``leading_solves`` accepts on the
+# Jacobi-scaled (unit-diagonal) matrix, where pivot k is the squared sine
+# of the angle between column k and the span of the earlier ones.
 # Unpivoted elimination has no rank floor it can trust: on exactly
 # rank-deficient integer Gram matrices with n <= 6 it left spurious
 # pivots up to 6.4e-13 at dependent columns, where the exact pivot is 0.
@@ -272,7 +279,54 @@ RANK_FLOOR_MARGIN = 4
 # smallest scaled pivot of S^T H S is 5e-3 for laplacian1d n = 400 and
 # 0.47 for rand_spd n = 250 at cond 1e4, and every Gram pivot is ~1.
 # Below sqrt(eps) a solve keeps fewer than half the digits.
-APPEND_MARGIN = math.sqrt(np.finfo(np.float64).eps)
+LEADING_PIVOT_MARGIN = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _jacobi_scale(A: np.ndarray) -> np.ndarray:
+    """1/sqrt(A_jj) for each j, or 1 where the diagonal entry is not positive."""
+    return np.array([1.0 / math.sqrt(d) if d > 0 else 1.0 for d in A.diagonal()])
+
+
+def leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """x_k with A[:k, :k] x_k = b[:k] for k = 1..m, from one L D L^T of A.
+
+    Elimination in natural order factors every leading block at once: the
+    leading k-by-k block of the factor of A is the factor of A[:k, :k].
+    It stops at the first pivot at or below the margin, which is
+    ``LEADING_PIVOT_MARGIN`` on the Jacobi-scaled matrix under float64
+    and literal zero under rationals, so m is the order of the largest
+    leading block that is (numerically) positive definite.  One forward
+    substitution then serves every prefix b[:k], and the m back
+    substitutions run at once (column k-1 of X holds x_k): O(r^3)
+    arithmetic in O(r) array steps.
+    """
+    backend = backend_of(A)
+    r = A.shape[0]
+    if A.shape != (r, r) or b.shape != (r,):
+        raise DimensionMismatch(f"leading solves of shapes {A.shape} and {b.shape}")
+    scale, margin = None, backend.zero
+    if not backend.exact:
+        scale, margin = _jacobi_scale(A), LEADING_PIVOT_MARGIN
+        A, b = A * np.outer(scale, scale), b * scale
+    W = np.array(A)
+    m = r
+    for t in range(r):
+        if not W[t, t] > margin:
+            m = t
+            break
+        col = W[t + 1 :, t] / W[t, t]
+        W[t + 1 :, t + 1 :] -= np.outer(col, W[t + 1 :, t])
+        W[t + 1 :, t] = col
+    y = _array_from(b[:m], backend)
+    for t in range(1, m):
+        y[t] -= np.dot(W[t, :t], y[:t])
+    y = y / W.diagonal()[:m]
+    X = backend.empty((m, m))
+    for t in range(m - 1, -1, -1):
+        X[t, t:] = y[t] - np.dot(W[t + 1 : m, t], X[t + 1 :, t:])
+    if scale is not None:
+        X *= scale[:m, None]
+    return [_freeze(X[:k, k - 1].copy()) for k in range(1, m + 1)]
 
 
 class PivotedLDLT:
@@ -291,9 +345,9 @@ class PivotedLDLT:
     ``solve`` and ``nullspace`` map their results back through the scale.
     The default rank floor there is ``RANK_FLOOR_MARGIN * n * eps``.
 
-    ``append`` grows a full-rank factor by one row and column in natural
-    order, so a factor grown from the empty matrix is the unpivoted
-    factor of every leading block at once.
+    Pivoting makes the factor serve A alone.  ``leading_solves`` is the
+    unpivoted, natural-order elimination whose factor serves every
+    leading block of A at once.
     """
 
     def __init__(self, A: np.ndarray, pivot_floor: Scalar | None = None):
@@ -313,9 +367,7 @@ class PivotedLDLT:
             raise DimensionMismatch("PivotedLDLT requires a square matrix")
         self._scale = None
         if rescale:
-            self._scale = np.array(
-                [1.0 / math.sqrt(A[j, j]) if A[j, j] > 0 else 1.0 for j in range(n)]
-            )
+            self._scale = _jacobi_scale(A)
             A = A * np.outer(self._scale, self._scale)
         if pivot_floor is None:
             if backend.exact:
@@ -353,85 +405,6 @@ class PivotedLDLT:
         self.pivots = tuple(pivots)
         self.pivot_floor = pivot_floor
         self._W = W  # multipliers below the diagonal, pivots on it
-        self._Linv = None  # L^{-1}, built by the first ``append``
-
-    def append(self, column: np.ndarray) -> bool:
-        """Border the factor with a new last row and column, in O(n^2).
-
-        ``column`` holds the new column of the matrix, its diagonal entry
-        last.  The factor grows only while it has full rank and the new
-        pivot of the Jacobi-scaled matrix exceeds ``APPEND_MARGIN`` (an
-        unscaled factor, as under the rational backend, needs a pivot
-        above literal zero); otherwise it is left as it was and False is
-        returned.
-        """
-        n, W = self.n, self._W
-        if column.shape != (n + 1,):
-            raise DimensionMismatch(f"append to order {n} of a column {column.shape}")
-        if self.rank < n:
-            return False
-        b = _array_from(column[self.perm + [n]], self.backend)
-        margin = self.backend.zero
-        if self._scale is not None:
-            s = 1.0 / math.sqrt(column[n]) if column[n] > 0 else 1.0
-            b *= np.append(self._scale[self.perm], s) * s
-            margin = APPEND_MARGIN
-        if self._Linv is None:
-            self._Linv = self.backend.empty((n, n))
-            for t in range(n):
-                self._Linv[t, :t] = -np.dot(W[t, :t], self._Linv[:t, :t])
-                self._Linv[t, t] = self.backend.one
-        # The new row of L is D^{-1} L^{-1} b, and the new row of L^{-1}
-        # is (-row L^{-1}, 1): two products, where substitution would
-        # take n dependent steps.
-        y = np.dot(self._Linv, b[:n])
-        row = y / W.diagonal()
-        pivot = b[n] - np.dot(row, y)
-        if not pivot > margin:
-            return False
-        self._W = self._bordered(W, row, pivot)
-        self._Linv = self._bordered(self._Linv, -np.dot(row, self._Linv), self.backend.one)
-        if self._scale is not None:
-            self._scale = np.append(self._scale, s)
-        self.perm.append(n)
-        self.pivots += (pivot,)
-        self.n = self.rank = n + 1
-        return True
-
-    def _bordered(self, M: np.ndarray, row: np.ndarray, corner: Scalar) -> np.ndarray:
-        n = M.shape[0]
-        grown = self.backend.empty((n + 1, n + 1))
-        grown[:n, :n] = M
-        grown[n, :n] = row
-        grown[n, n] = corner
-        return grown
-
-    def leading_solves(self, b: np.ndarray) -> list[np.ndarray]:
-        """x_k with A[:k, :k] x_k = b[:k], for k = 1..n, all from this factor.
-
-        The leading k-by-k block of an unpivoted factor is the factor of
-        A[:k, :k], so a full-rank factor grown by ``append`` from the
-        empty matrix serves every k: one forward substitution, then all n
-        back substitutions at once (column k-1 of X holds x_k), O(n^3)
-        arithmetic in O(n) array steps.
-        """
-        n, W = self.n, self._W
-        if b.shape[0] != n:
-            raise DimensionMismatch(f"solve of order {n} against {b.shape}")
-        if self.rank < n or self.perm != list(range(n)):
-            raise LinalgError("leading solves need an unpivoted full-rank factor")
-        if self._scale is not None:
-            b = b * self._scale
-        y = _array_from(b, self.backend)
-        for t in range(1, n):
-            y[t] -= np.dot(W[t, :t], y[:t])
-        y = y / W.diagonal()
-        X = self.backend.empty((n, n))
-        for t in range(n - 1, -1, -1):
-            X[t, t:] = y[t] - np.dot(W[t + 1 :, t], X[t + 1 :, t:])
-        if self._scale is not None:
-            X *= self._scale[:, None]
-        return [_freeze(X[:k, k - 1].copy()) for k in range(1, n + 1)]
 
     def _unscaled(self, v: list) -> np.ndarray:
         out = _array_from(v, self.backend)

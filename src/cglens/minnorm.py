@@ -15,13 +15,13 @@ gradients correspond to gradients at affine combinations of iterates).
 Checking a whole trace needs ghat_k for every prefix g_0..g_k of one
 history, and the sweeps serve all prefixes in O(r^3) rather than O(r^4).
 ``closed_form_sweep`` reads each gradient's norm once.
-``projection_sweep`` grows one L D L^T factor of the Gram matrix G^T G a
-column at a time in history order, and solves each k against the
-k-by-k factor it holds at that moment.  The first column whose new
-pivot misses the append margin (a zero or dependent gradient, exactly
-or to float64 working accuracy) ends the factor: from that k on, every
-k takes the one-shot pivoted ``projection_oracle``, so a degraded
-history gets the answer it would get one prefix at a time.
+``projection_sweep`` factors the Gram matrix G^T G once, in natural
+order (``linalg.leading_solves``), which factors the Gram matrix of
+every prefix at the same time.  The first pivot at or below the margin
+(a zero or dependent gradient, exactly or to float64 working accuracy)
+ends the sweep: from that k on, every k takes the one-shot pivoted
+``projection_oracle``, so a degraded history gets the answer it would
+get one prefix at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .linalg import (
     _freeze,
     backend_of,
     dot,
+    leading_solves,
     norm,
     norm_sq,
     pairwise_residual,
@@ -227,14 +228,9 @@ def projection_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]
     backend = backend_of(gradients[0])
     m = len(gradients)
     G = np.column_stack(gradients)
-    gram = np.dot(G.T, G)
     ones = _array_from([backend.one] * m, backend)
-    fact = PivotedLDLT(backend.empty((0, 0)))
-    for k in range(1, m + 1):
-        if not fact.append(gram[:k, k - 1]):
-            break
     served = 0
-    for y in fact.leading_solves(ones[: fact.n]):
+    for y in leading_solves(np.dot(G.T, G), ones):
         total = sum(y)
         if not total > 0:
             break

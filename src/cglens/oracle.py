@@ -14,14 +14,13 @@ the pivoted solver returns one coordinate vector and the resulting
 
 Along a trace the spans are nested, so every reduced system is a leading
 block of the one r-by-r matrix S^T (H S), and its right-hand side is a
-prefix of -S^T g(x0).  ``trace_oracle`` forms H S once, grows one L D L^T
-factor of S^T (H S) a column at a time in history order (``append``,
-O(k^2) per column), and solves each k against the k-by-k factor it
-holds at that moment, reading q at each point from the reduced system:
-O(r^3) per trace instead of O(r^4).  The first column whose new pivot
-misses the append margin (it is dependent, or nearly so in float64)
-ends the sweep: from that k on, every k takes the one-shot pivoted
-solve of ``minimize_on_affine_span``.
+prefix of -S^T g(x0).  ``trace_oracle`` forms that matrix once and
+factors it once, in natural order (``linalg.leading_solves``), which
+factors every leading block at the same time; it reads q at each point
+from the reduced system: O(r^3) per trace instead of O(r^4).  The first
+pivot at or below the margin (a dependent gradient, or nearly so in
+float64) ends the sweep: from that k on, every k takes the one-shot
+pivoted solve of ``minimize_on_affine_span``.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from .linalg import (
     PivotedLDLT,
     Scalar,
     backend_of,
+    leading_solves,
     residual_magnitude,
 )
 from .quadratic import QuadraticProblem, evaluate, gradient
@@ -149,22 +149,18 @@ def trace_oracle(P: QuadraticProblem, trace: CGTrace) -> list[SubspaceSolution]:
     S = np.column_stack(gradients)
     A = np.dot(S.T, np.dot(P.H, S))
     rhs = -np.dot(S.T, gradient(P, x0))
-    fact = PivotedLDLT(P.backend.empty((0, 0)))
-    for k in range(1, r + 1):
-        if not fact.append(A[:k, k - 1]):
-            break
     # q(x0 + S v) = q(x0) - rhs^T v + 1/2 v^T A v = q(x0) - 1/2 v^T rhs when
     # A v = rhs: O(k) per point where evaluating q costs O(n^2).
     q0, half = evaluate(P, x0), P.backend.scalar("1/2")
     solutions = []
-    for v in fact.leading_solves(rhs[: fact.n]):
+    for v in leading_solves(A, rhs):
         k = v.shape[0]
         point = x0 + np.dot(S[:, :k], v)
         point.flags.writeable = False
         solutions.append(SubspaceSolution(
             coordinates=v, point=point, objective_value=q0 - half * np.dot(v, rhs[:k])
         ))
-    for k in range(fact.n + 1, r + 1):
+    for k in range(len(solutions) + 1, r + 1):
         solutions.append(
             minimize_on_affine_span(P, SpanBasis(x0=x0, spanning_vectors=gradients[:k]))
         )

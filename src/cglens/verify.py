@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .linalg import (
     BACKENDS,
     Backend,
@@ -157,13 +159,11 @@ def _result(name: str, measured: Scalar, tolerance: Scalar) -> CheckResult:
 def _worst(backend: Backend, contributions) -> Scalar:
     """Fold residual contributions into a worst-case scalar (0 if none).
 
-    A ``None`` contribution (a float64 residual with no scale) is skipped.
+    A ``None`` contribution (a float64 residual with no scale) is skipped;
+    a NaN one makes the result NaN, which no tolerance passes.
     """
-    worst = backend.zero
-    for value in contributions:
-        if value is not None and value > worst:
-            worst = value
-    return worst
+    values = [backend.zero] + [v for v in contributions if v is not None]
+    return max(values) if backend.exact else float(np.max(values))
 
 
 def _step_records(trace: CGTrace):

@@ -13,16 +13,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from cglens import (
-    RATIONAL,
-    CGTrace,
-    ProblemSpec,
-    QuadraticProblem,
-    generate_problem,
-    run_cg,
-    sym_matrix,
-    vector,
-)
+from cglens import RATIONAL, ProblemSpec, generate_problem, run_cg, vector
+from cglens.linalg import sym_matrix
+from cglens.quadratic import QuadraticProblem
+from cglens.engine import CGTrace
 
 _SCOREBOARD: dict[int, tuple[str, bool]] = {}
 

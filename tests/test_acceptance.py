@@ -17,12 +17,9 @@ import numpy as np
 from cglens import (
     RATIONAL,
     DirectionScaling,
-    SpanBasis,
-    SplitMix64,
     characterization_residuals,
     dot,
     generate_problem,
-    load_problem,
     load_trace,
     min_norm_closed_form,
     norm_sq,
@@ -33,8 +30,10 @@ from cglens import (
     vector,
     verify_against_trace,
 )
+from cglens.oracle import SpanBasis
+from cglens.problems import ProblemSpec, SplitMix64
+from cglens.mmio import load_problem
 from cglens.cli import main
-from cglens.problems import ProblemSpec
 
 from conftest import batch_spec, criterion
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from cglens import CGTrace, IterateRecord, gradient, load_trace, norm_sq
+from cglens import gradient, load_trace, norm_sq
+from cglens.engine import CGTrace, IterateRecord
 from cglens import cli
 
 
@@ -102,6 +104,16 @@ class TestVerify:
             "verify", "--kind", "diag", "--n", "32", "--tol", "1e-10",
         ]) == 1
 
+    def test_rank_losing_shortest_residuals_run_reports_its_fails(self, capsys):
+        # The history loses orthogonality; the run must still reach the checks.
+        assert run_main([
+            "verify", "--kind", "rand_spd", "--n", "60", "--cond", "1e6", "--seed", "0",
+            "--tol", "1e-12", "--max-iter", "180", "--direction", "shortest-residuals",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "overall: FAIL" in captured.out
+
     def test_csv_rows_append_and_repeat_identically(self, diag2, tmp_path):
         csv_path = tmp_path / "runs.csv"
         for _ in range(2):
@@ -177,6 +189,10 @@ class TestBadInput:
             {"c": [-2, True]},
             {"n": "two"},
             {"n": True},
+            # JSON NaN, Infinity and -Infinity literals
+            *({"H": {"dense": [[2, 0], [0, v]]}} for v in (math.nan, math.inf, -math.inf)),
+            *({"c": [-2, v]} for v in (math.nan, math.inf, -math.inf)),
+            *({"x0": [0, v]} for v in (math.nan, math.inf, -math.inf)),
         ],
     )
     def test_hostile_scalar_exits_two_with_one_line(self, tmp_path, capsys, backend, changes):

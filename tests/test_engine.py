@@ -9,23 +9,24 @@ import pytest
 from cglens import (
     F64,
     RATIONAL,
-    BreakdownError,
-    CGTrace,
     DirectionScaling,
-    IterateRecord,
     LinalgError,
     ProblemSpec,
-    QuadraticProblem,
     dimension_reduction_note,
-    direction_gradient_sum,
-    direction_recursive,
-    evaluate,
     exact_minimizer,
     generate_problem,
     run_cg,
-    step_length,
-    sym_matrix,
     vector,
+)
+from cglens.linalg import sym_matrix
+from cglens.quadratic import QuadraticProblem, evaluate
+from cglens.engine import (
+    BreakdownError,
+    CGTrace,
+    IterateRecord,
+    direction_gradient_sum,
+    direction_recursive,
+    step_length,
 )
 
 

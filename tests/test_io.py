@@ -11,19 +11,20 @@ import pytest
 from cglens import (
     F64,
     RATIONAL,
-    AsymmetricMatrixError,
     LinalgError,
-    MMParseError,
     ProblemSpec,
-    exact_decimal,
     generate_problem,
-    load_problem,
     load_trace,
-    read_matrix_market,
     run_cg,
+)
+from cglens.linalg import AsymmetricMatrixError, sym_matrix
+from cglens.mmio import (
+    MMParseError,
+    exact_decimal,
+    load_problem,
+    read_matrix_market,
     save_problem,
     save_trace,
-    sym_matrix,
     write_matrix_market,
 )
 

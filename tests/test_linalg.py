@@ -11,27 +11,21 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cglens import (
+from cglens import F64, RATIONAL, LinalgError, dot, norm, norm_sq, scalar_token, vector
+from cglens.linalg import (
     BACKENDS,
-    F64,
-    RATIONAL,
     AsymmetricMatrixError,
     DimensionMismatch,
-    LinalgError,
     NotSPDError,
     PivotedLDLT,
     backend_of,
     cholesky_spd_check,
-    dot,
+    leading_solves,
     mat_vec,
     max_abs,
-    norm,
-    norm_sq,
     residual_magnitude,
-    scalar_token,
     solve_spd,
     sym_matrix,
-    vector,
 )
 
 
@@ -79,6 +73,20 @@ class TestConstructors:
     def test_sym_matrix_names_the_bad_entry(self):
         with pytest.raises(AsymmetricMatrixError, match=r"\(2, 0\)"):
             sym_matrix([[1, 0, 5], [0, 1, 0], [4, 0, 1]], F64)
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_sym_matrix_names_the_first_of_two_bad_entries(self, backend):
+        rows = [[1, 7, 5], [0, 1, 0], [4, 0, 1]]  # (1, 0) and (2, 0) both mismatch
+        first = r"^entry \(1, 0\) = 0(\.0)? does not match \(0, 1\)"
+        with pytest.raises(AsymmetricMatrixError, match=first):
+            sym_matrix(rows, backend)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_constructors_reject_non_finite_entries(self, value):
+        with pytest.raises(LinalgError, match="finite"):
+            vector([1.0, value], F64)
+        with pytest.raises(LinalgError, match="finite"):
+            sym_matrix([[1.0, 0.0], [0.0, value]], F64)
 
     def test_sym_matrix_rejects_ragged(self):
         with pytest.raises(DimensionMismatch):
@@ -349,24 +357,20 @@ class TestFloatRankFloor:
 
 
 class TestAppend:
-    """Bordered growth of the kernel, one column at a time."""
+    """Each leading block is the one before it with a column appended.
 
-    @staticmethod
-    def grown(A):
-        fact = PivotedLDLT(backend_of(A).empty((0, 0)))
-        for k in range(1, A.shape[0] + 1):
-            if not fact.append(A[:k, k - 1]):
-                break
-        return fact
+    ``leading_solves`` factors all of them in one natural-order pass and
+    stops at the first appended column whose pivot misses its margin.
+    """
 
     @given(spd_rational_matrix(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_leading_solves_are_the_block_solves_exactly(self, M, data):
         n = M.shape[0]
         b = vector([data.draw(small_rationals) for _ in range(n)], RATIONAL)
-        fact = self.grown(M)
-        assert fact.n == fact.rank == n
-        for k, x in enumerate(fact.leading_solves(b), start=1):
+        solves = leading_solves(M, b)
+        assert len(solves) == n
+        for k, x in enumerate(solves, start=1):
             assert list(x) == list(solve_spd(M[:k, :k], b[:k]))
 
     def test_float_leading_solves_over_twelve_decades(self):
@@ -375,38 +379,23 @@ class TestAppend:
         d = 10.0 ** np.array([-6, 6, -2, 2, 0, 4])
         A = d[:, None] * (B.T @ B + np.eye(6)) * d
         y = np.arange(1.0, 7.0) / d
-        for k, x in enumerate(self.grown(A).leading_solves(A @ y), start=1):
+        solves = leading_solves(A, A @ y)
+        assert len(solves) == 6
+        for k, x in enumerate(solves, start=1):
             direct = np.linalg.solve(A[:k, :k], (A @ y)[:k])
             assert np.all(np.abs(x - direct) <= 1e-10 * np.abs(direct).max())
-
-    def test_append_to_a_pivoted_factor(self):
-        A = sym_matrix([[1, 2, 0, 1], [2, 9, 3, 0], [0, 3, 7, 2], [1, 0, 2, 6]], RATIONAL)
-        fact = PivotedLDLT(A[:3, :3])
-        assert fact.perm != [0, 1, 2]
-        assert fact.append(A[:, 3])
-        b = vector([1, -2, 3, 5], RATIONAL)
-        assert list(fact.solve(b)[0]) == list(solve_spd(A, b))
 
     @pytest.mark.parametrize("backend", [RATIONAL, F64])
     def test_dependent_column_is_refused_and_factor_kept(self, backend):
         A = sym_matrix([[4, 2, 6], [2, 5, 3], [6, 3, 9]], backend)  # col 2 = 1.5 col 0
-        fact = self.grown(A)
-        assert (fact.n, fact.rank, len(fact.pivots)) == (2, 2, 2)
-        assert not fact.append(A[:, 2])
-        assert fact.n == 2
-        x, consistent = fact.solve(A[:2, :2] @ np.array([backend.one, backend.one]))
-        assert consistent and np.allclose(np.array(x, dtype=float), 1.0)
+        b = A @ np.array([backend.one] * 3)
+        solves = leading_solves(A, b)
+        assert len(solves) == 2
+        for k, x in enumerate(solves, start=1):
+            assert np.allclose(np.array(A[:k, :k] @ x, dtype=float), np.array(b[:k], dtype=float))
 
     def test_float_margin_refuses_a_nearly_dependent_column(self):
         g = np.array([1.0, 2.0, -1.0, 0.5])
         h = np.array([0.0, 1.0, 1.0, 0.0])
         G = np.column_stack([g, h, g + 1e-9 * h])
-        fact = PivotedLDLT(F64.empty((0, 0)))
-        gram = G.T @ G
-        assert fact.append(gram[:1, 0]) and fact.append(gram[:2, 1])
-        assert not fact.append(gram[:, 2])
-
-    def test_leading_solves_need_an_unpivoted_factor(self):
-        A = sym_matrix([[1, 2], [2, 9]], RATIONAL)
-        with pytest.raises(LinalgError, match="unpivoted"):
-            PivotedLDLT(A).leading_solves(vector([1, 1], RATIONAL))
+        assert len(leading_solves(G.T @ G, np.ones(3))) == 2

@@ -11,27 +11,29 @@ import pytest
 from cglens import (
     F64,
     RATIONAL,
-    AffineCombination,
-    DimensionMismatch,
     DirectionScaling,
     LinalgError,
     ProblemSpec,
-    QuadraticProblem,
     affine_point_of_gradient_combination,
     characterization_residuals,
     dot,
     generate_problem,
     min_norm_closed_form,
     norm_sq,
-    orthogonality_defect,
     projection_oracle,
     run_cg,
     scaling_relation,
     shortest_residuals_direction,
-    sym_matrix,
     vector,
 )
-from cglens.minnorm import closed_form_sweep, projection_sweep
+from cglens.linalg import DimensionMismatch, sym_matrix
+from cglens.quadratic import QuadraticProblem
+from cglens.minnorm import (
+    AffineCombination,
+    closed_form_sweep,
+    orthogonality_defect,
+    projection_sweep,
+)
 
 
 def make_p1():

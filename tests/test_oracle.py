@@ -11,21 +11,17 @@ import pytest
 from cglens import (
     F64,
     RATIONAL,
-    DimensionMismatch,
     DirectionScaling,
     LinalgError,
     ProblemSpec,
-    QuadraticProblem,
-    SpanBasis,
-    evaluate,
     generate_problem,
-    minimize_on_affine_span,
     run_cg,
-    sym_matrix,
     vector,
     verify_against_trace,
 )
-from cglens.oracle import trace_oracle
+from cglens.linalg import DimensionMismatch, sym_matrix
+from cglens.quadratic import QuadraticProblem, evaluate
+from cglens.oracle import SpanBasis, minimize_on_affine_span, trace_oracle
 
 
 def make_p1():

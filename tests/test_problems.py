@@ -10,10 +10,10 @@ from cglens import (
     RATIONAL,
     LinalgError,
     ProblemSpec,
-    SplitMix64,
     exact_minimizer,
     generate_problem,
 )
+from cglens.problems import SplitMix64
 
 
 class TestSplitMix64:

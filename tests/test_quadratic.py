@@ -6,19 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from cglens import (
-    F64,
-    RATIONAL,
-    DimensionMismatch,
-    LinalgError,
+from cglens import F64, RATIONAL, LinalgError, exact_minimizer, gradient, vector
+from cglens.linalg import DimensionMismatch, sym_matrix
+from cglens.quadratic import (
     QuadraticProblem,
     evaluate,
-    exact_minimizer,
-    gradient,
     gradient_fd_check,
     point_of_gradient,
-    sym_matrix,
-    vector,
 )
 
 

@@ -10,26 +10,27 @@ from fractions import Fraction
 import pytest
 
 from cglens import (
-    BACKENDS,
-    DEFAULT_TOLERANCES,
     F64,
     RATIONAL,
     DirectionScaling,
     ProblemSpec,
-    QuadraticProblem,
-    check_conjugacy,
-    check_derivation_conditions,
     check_gradient_orthogonality,
-    check_min_norm_relation,
     dot,
     generate_problem,
-    mat_vec,
     norm_sq,
-    report_to_dict,
     run_cg,
     run_full_suite,
-    sym_matrix,
     vector,
+)
+from cglens.linalg import BACKENDS, mat_vec, sym_matrix
+from cglens.quadratic import QuadraticProblem
+from cglens.verify import (
+    DEFAULT_TOLERANCES,
+    check_conjugacy,
+    check_derivation_conditions,
+    check_exact_linesearch,
+    check_min_norm_relation,
+    report_to_dict,
 )
 
 EXPECTED_CHECKS = [
@@ -342,3 +343,20 @@ class TestPairwiseRuleMatchesPerPairLoops:
         measured = pairwise_measured(P, doctored)
         assert measured["direction_gradient_difference"] > 1e-3  # the doctoring shows
         assert all(math.isfinite(v) for v in measured.values())
+
+
+class TestNaNNeverPasses:
+    def test_nan_gradient_entry_fails_the_checks_it_enters(self):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=12))
+        trace = run_cg(P, tol=1e-10)
+        g2 = trace.records[2].g_k.copy()
+        g2[5] = math.nan
+        doctored = with_record(trace, 2, g_k=g2)
+        checks = [
+            check_gradient_orthogonality(doctored),
+            *check_derivation_conditions(doctored),
+            check_exact_linesearch(doctored),
+        ]
+        assert len(checks) == 5
+        for check in checks:
+            assert math.isnan(check.measured) and not check.passed, check.name
