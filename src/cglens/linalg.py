@@ -16,6 +16,7 @@ functions; nothing here mutates its inputs.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -47,6 +48,14 @@ class NotSPDError(LinalgError):
         self.pivot_index = pivot_index
 
 
+# One grammar for numeric text on every backend and Python version: an
+# optional sign, then p/q or digits with an optional fraction and exponent,
+# with whitespace around.  |exponent| <= 4300, Python's int-string digit limit,
+# is checked before any integer is built: Fraction("1e999999999") builds 10**999999999.
+_TOKEN = re.compile(r"\s*[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?0*(\d+))?)\s*", re.ASCII)
+EXPONENT_CAP = 4300
+
+
 class Backend:
     """A scalar field implementation: float64 or exact rationals."""
 
@@ -60,22 +69,35 @@ class Backend:
     def scalar(self, value) -> Scalar:
         """Convert ``value`` to this backend's scalar type.
 
-        Strings may be decimal literals or exact "p/q" fractions.  Under
+        Strings must match ``_TOKEN``: decimal literals or exact "p/q"
+        fractions.  Under float64 a decimal token goes to ``float()``, with
+        the value of ``float(Fraction(token))`` bit for bit.  Under
         the rational backend a float converts to its exact binary value;
         pass a string to get decimal semantics ("0.1" -> 1/10).  Booleans
         and values naming no rational ("nan", "inf" or "1/0" as strings, a
         float NaN or infinity under rationals) raise ``LinalgError``.
         """
         try:
-            if isinstance(value, bool):
+            if isinstance(value, (bool, np.bool_)):
                 raise TypeError("a boolean is not a number")
+            if isinstance(value, str):
+                match = _TOKEN.fullmatch(value)
+                exponent = match and match[1]
+                if not match or exponent and (len(exponent) > 4 or int(exponent) > EXPONENT_CAP):
+                    raise ValueError("not a numeric token")
+                if self.exact:
+                    return Fraction(value)
+                # float() rounds as float(Fraction()) does, except for the sign of
+                # a zero ("-0" is +0.0) and overflow ("1e400" is an error).
+                x = 0.0 if "/" in value else float(value)
+                return x if x and math.isfinite(x) else float(Fraction(value))
             if not self.exact:
-                return float(Fraction(value)) if isinstance(value, str) else float(value)
+                return float(value)
             if isinstance(value, Fraction):
                 return value
             if isinstance(value, (int, np.integer)):
                 return Fraction(int(value))
-            if isinstance(value, (str, float)):
+            if isinstance(value, float):
                 return Fraction(value)
             raise TypeError(f"{type(value).__name__} is not a number")
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as err:
@@ -114,12 +136,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _array_from(values, backend: Backend) -> np.ndarray:
+def _array_from(entries, backend: Backend) -> np.ndarray:
+    """A new array of the backend's scalars, one per entry.
+
+    Under float64, ints and floats (or an int or float64 array) convert in
+    one call; anything else (a token, a Fraction, a boolean) goes entry by
+    entry through ``Backend.scalar``, as every entry does under rationals.
+    """
     if backend.exact:
-        out = np.empty(len(values), dtype=object)
-        out[:] = list(values)
+        out = np.empty(len(entries), dtype=object)
+        out[:] = [backend.scalar(e) for e in entries]
         return out
-    return np.array([float(v) for v in values], dtype=np.float64)
+    kinds = {entries.dtype.type} if isinstance(entries, np.ndarray) else set(map(type, entries))
+    if not kinds <= {float, int, np.float64, np.int64}:
+        entries = [backend.scalar(e) for e in entries]
+    try:
+        return np.array(entries, dtype=np.float64)
+    except OverflowError as err:
+        raise LinalgError("an integer entry lies outside the float64 range") from err
 
 
 def _finite(arr: np.ndarray, backend: Backend) -> np.ndarray:
@@ -132,33 +166,40 @@ def _finite(arr: np.ndarray, backend: Backend) -> np.ndarray:
 def vector(entries, backend: Backend = F64) -> np.ndarray:
     """Build a read-only 1-D vector on the given backend.
 
-    Entries may be numbers or strings ("p/q" or decimal); a float64 NaN
-    or infinity is rejected.
+    Entries may be numbers or numeric strings ("p/q" or decimal), or a
+    numeric array; a float64 NaN or infinity is rejected.
     """
-    data = [backend.scalar(e) for e in entries]
-    if len(data) == 0:
+    try:
+        out = _array_from(entries, backend)
+    except TypeError as err:
+        raise DimensionMismatch("a vector must be a sequence of entries") from err
+    if out.ndim != 1 or len(out) == 0:
         raise DimensionMismatch("vectors must have dimension >= 1")
-    return _finite(_array_from(data, backend), backend)
+    return _finite(out, backend)
 
 
 def sym_matrix(rows, backend: Backend = F64) -> np.ndarray:
     """Build a read-only dense symmetric matrix, validating symmetry.
 
-    Raises ``AsymmetricMatrixError`` naming the first entry, in row-major
-    order over the lower triangle, that differs from its transpose partner
+    ``rows`` is a sequence of rows or a square array.  Raises
+    ``AsymmetricMatrixError`` naming the first entry, in row-major order
+    over the lower triangle, that differs from its transpose partner
     (exact comparison in both backends).  A float64 NaN or infinity is
     rejected.
     """
-    data = [[backend.scalar(e) for e in row] for row in rows]
-    n = len(data)
-    if n == 0 or any(len(row) != n for row in data):
+    try:
+        flat = rows.ravel() if isinstance(rows, np.ndarray) else [e for row in rows for e in row]
+    except TypeError as err:
+        raise DimensionMismatch("matrix rows must be sequences of entries") from err
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
         raise DimensionMismatch("symmetric matrices must be square with n >= 1")
-    out = _finite(np.array(data, dtype=object if backend.exact else np.float64), backend)
+    out = _finite(_array_from(flat, backend).reshape(n, n), backend)
     bad = np.argwhere(np.tril(out != out.T, -1))
     if len(bad):
         i, j = bad[0]
         raise AsymmetricMatrixError(
-            f"entry ({i}, {j}) = {data[i][j]} does not match ({j}, {i}) = {data[j][i]}"
+            f"entry ({i}, {j}) = {out[i, j]} does not match ({j}, {i}) = {out[j, i]}"
         )
     return out
 
@@ -295,7 +336,8 @@ def leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
     It stops at the first pivot at or below the margin, which is
     ``LEADING_PIVOT_MARGIN`` on the Jacobi-scaled matrix under float64
     and literal zero under rationals, so m is the order of the largest
-    leading block that is (numerically) positive definite.  One forward
+    leading block that is (numerically) positive definite.  A NaN pivot
+    does not stop it, so NaN input yields NaN solutions.  One forward
     substitution then serves every prefix b[:k], and the m back
     substitutions run at once (column k-1 of X holds x_k): O(r^3)
     arithmetic in O(r) array steps.
@@ -311,7 +353,7 @@ def leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
     W = np.array(A)
     m = r
     for t in range(r):
-        if not W[t, t] > margin:
+        if W[t, t] <= margin:
             m = t
             break
         col = W[t + 1 :, t] / W[t, t]

@@ -110,7 +110,7 @@ def _check_nonzero(gradients: Sequence[np.ndarray]) -> None:
     if len(gradients) == 0:
         raise LinalgError("gradient history is empty")
     for i, g in enumerate(gradients):
-        if not norm_sq(g) > 0:
+        if norm_sq(g) == 0:
             raise LinalgError(f"gradient {i} in the history is zero")
 
 
@@ -232,7 +232,7 @@ def projection_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]
     served = 0
     for y in leading_solves(np.dot(G.T, G), ones):
         total = sum(y)
-        if not total > 0:
+        if total <= 0:  # a NaN total is yielded: its NaN ghat FAILs the check
             break
         served += 1
         yield _prefix_point(G, [yi / total for yi in y])

@@ -1,10 +1,13 @@
 """File formats: Matrix Market matrices, JSON problems, JSON traces.
 
-Numbers in JSON files may be plain numerics or strings of the form
-"p/q" (exact rationals).  Under the rational backend decimal literals
+Numbers in JSON files may be plain numerics or numeric strings: decimal
+literals or "p/q" exact rationals, in the one token grammar of
+``linalg.Backend.scalar``.  Under the rational backend decimal literals
 are parsed with decimal semantics ("0.1" becomes 1/10, not the nearest
 double), and everything written is written losslessly: rationals as
-"p/q" tokens, floats as shortest round-tripping decimals.
+"p/q" tokens, floats as JSON numbers with shortest round-tripping digits.
+Files keep the ``indent=1`` layout of ``json.dump`` except that each
+vector (a matrix row, c, x0, or a trace's x, g or p) is one line.
 
 Matrix Market support covers the coordinate and array formats with
 real or integer fields and general or symmetric symmetry — the
@@ -38,29 +41,12 @@ class MMParseError(LinalgError):
     """A Matrix Market file failed to parse; message cites the line."""
 
 
-def exact_decimal(token: str) -> Fraction:
-    """Parse a decimal literal exactly ("0.1" -> 1/10, "2/3" -> 2/3)."""
-    token = token.strip()
-    try:
-        return Fraction(token)
-    except ValueError:
-        pass
-    mantissa, _, exponent = token.lower().partition("e")
-    try:
-        frac = Fraction(mantissa)
-        return frac * Fraction(10) ** int(exponent)
-    except (ValueError, ZeroDivisionError) as err:
-        raise LinalgError(f"cannot parse {token!r} as an exact number") from err
-
-
 def _parse_value(token: str, field: str, backend: Backend, lineno: int):
     try:
-        if field == "integer":
-            return backend.scalar(int(token))
-        if backend.exact:
-            return exact_decimal(token)
-        return float(token)
-    except (ValueError, LinalgError) as err:
+        if field == "integer" and not token.lstrip("+-").isdigit():
+            raise LinalgError("not an integer")
+        return backend.scalar(token)
+    except LinalgError as err:
         raise MMParseError(f"line {lineno}: bad {field} value {token!r}") from err
 
 
@@ -200,7 +186,27 @@ def _entry_token(x, backend: Backend):
 
 def vector_tokens(v, backend: Backend) -> list:
     """Serialize a vector's entries losslessly for JSON embedding."""
-    return [_entry_token(x, backend) for x in v]
+    if backend.exact:
+        return [scalar_token(x) for x in v]
+    return np.asarray(v, dtype=np.float64).tolist()
+
+
+def _write_json(fh, node, depth: int = 0) -> None:
+    """Write ``node`` as ``json.dump(node, fh, indent=1)`` lays it out, except
+    that a list of scalars (a vector) is one line from ``json.dumps``.
+
+    Only one vector's text is in memory at a time.
+    """
+    keyed = isinstance(node, dict)
+    if not (node and (keyed or isinstance(node, list) and isinstance(node[0], (list, dict)))):
+        fh.write(json.dumps(node))
+        return
+    pad = "\n" + " " * (depth + 1)
+    fh.write("{" if keyed else "[")
+    for index, (key, value) in enumerate(node.items() if keyed else enumerate(node)):
+        fh.write(("," if index else "") + pad + (json.dumps(key) + ": " if keyed else ""))
+        _write_json(fh, value, depth + 1)
+    fh.write("\n" + " " * depth + ("}" if keyed else "]"))
 
 
 def load_problem(path, backend: Backend = F64) -> QuadraticProblem:
@@ -248,7 +254,7 @@ def save_problem(P: QuadraticProblem, path) -> None:
         "label": P.label,
     }
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
+        _write_json(fh, data)
         fh.write("\n")
 
 
@@ -284,7 +290,7 @@ def save_trace(trace: CGTrace, path) -> None:
         ],
     }
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
+        _write_json(fh, data)
         fh.write("\n")
 
 

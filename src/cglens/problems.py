@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .linalg import F64, Backend, LinalgError, sym_matrix, vector
 from .quadratic import QuadraticProblem
 
@@ -77,23 +79,32 @@ class ProblemSpec:
                 raise LinalgError("condition number must be >= 1")
 
 
-def _ones_problem(H_rows, backend: Backend, label: str) -> QuadraticProblem:
-    H = sym_matrix(H_rows, backend)
-    c = vector([-sum(row) for row in H_rows], backend)
-    x0 = vector([0] * len(H_rows), backend)
-    return QuadraticProblem(H=H, c=c, x0=x0, label=label)
+def _ones_problem(H: np.ndarray, backend: Backend, label: str) -> QuadraticProblem:
+    # c = -H 1, each row summed left to right (np.sum would sum pairwise).
+    total = 0
+    for j in range(H.shape[0]):
+        total = total + H[:, j]
+    c, x0 = vector(-total, backend), vector([0] * H.shape[0], backend)
+    return QuadraticProblem(H=sym_matrix(H, backend), c=c, x0=x0, label=label)
 
 
-def _householder_rows(rows, v, backend: Backend):
-    """Apply the reflection I - 2 v v^T / (v^T v) on both sides of a matrix."""
-    n = len(rows)
+def _reflect(M: np.ndarray, v: np.ndarray, backend: Backend) -> np.ndarray:
+    """Apply the reflection R = I - 2 v v^T / (v^T v) on both sides of a matrix.
+
+    v^T M and M v accumulate rows and columns left to right, so float64
+    rounds the same way on every machine, as no BLAS product promises.
+    """
     vv = sum(x * x for x in v)
     two = backend.scalar(2)
-    # M := R M R with R v-reflection; R M = M - (2/v^T v) v (v^T M)
-    vM = [sum(v[i] * rows[i][j] for i in range(n)) for j in range(n)]
-    rows = [[rows[i][j] - two * v[i] * vM[j] / vv for j in range(n)] for i in range(n)]
-    Mv = [sum(rows[i][j] * v[j] for j in range(n)) for i in range(n)]
-    return [[rows[i][j] - two * Mv[i] * v[j] / vv for j in range(n)] for i in range(n)]
+    # R M = M - (2/v^T v) v (v^T M); then (R M) R = R M - (2/v^T v) (R M v) v^T.
+    vM = 0
+    for i in range(len(v)):
+        vM = vM + v[i] * M[i]
+    M = M - np.outer(two * v, vM) / vv
+    Mv = 0
+    for j in range(len(v)):
+        Mv = Mv + M[:, j] * v[j]
+    return M - np.outer(two * Mv, v) / vv
 
 
 def _spectrum(spec: ProblemSpec, rng: SplitMix64, backend: Backend) -> list:
@@ -112,20 +123,20 @@ def _spectrum(spec: ProblemSpec, rng: SplitMix64, backend: Backend) -> list:
     return values[:n]
 
 
-def _rand_spd_rows(spec: ProblemSpec, backend: Backend):
+def _rand_spd_matrix(spec: ProblemSpec, backend: Backend) -> np.ndarray:
     rng = SplitMix64(spec.seed)
     n = spec.n
-    lam = _spectrum(spec, rng, backend)
-    rows = [[lam[i] if i == j else backend.zero for j in range(n)] for i in range(n)]
+    M = backend.empty((n, n))
+    np.fill_diagonal(M, _spectrum(spec, rng, backend))
     for _ in range(3):
         v = [backend.scalar(rng.int_between(-4, 4)) for _ in range(n)]
         if all(x == 0 for x in v):
             v[rng.int_between(0, n - 1)] = backend.one
-        rows = _householder_rows(rows, v, backend)
+        M = _reflect(M, vector(v, backend), backend)
     if not backend.exact:
         # Symmetrize bitwise; rounding makes the two triangles drift.
-        rows = [[(rows[i][j] + rows[j][i]) / 2.0 for j in range(n)] for i in range(n)]
-    return rows
+        M = (M + M.T) / 2.0
+    return M
 
 
 def generate_problem(spec: ProblemSpec, backend: Backend = F64) -> QuadraticProblem:
@@ -135,16 +146,16 @@ def generate_problem(spec: ProblemSpec, backend: Backend = F64) -> QuadraticProb
     all-ones vector by construction.
     """
     n = spec.n
-    if spec.kind == "diag":
-        rows = [[backend.scalar(i + 1) if i == j else backend.zero for j in range(n)]
-                for i in range(n)]
-        label = f"diag-n{n}-{backend.name}"
-    elif spec.kind == "laplacian1d":
-        rows = [[backend.scalar(2) if i == j
-                 else (backend.scalar(-1) if abs(i - j) == 1 else backend.zero)
-                 for j in range(n)] for i in range(n)]
-        label = f"laplacian1d-n{n}-{backend.name}"
+    if spec.kind == "rand_spd":
+        H = _rand_spd_matrix(spec, backend)
+        label = f"rand_spd-n{n}-cond{spec.condition:g}-seed{spec.seed}"
     else:
-        rows = _rand_spd_rows(spec, backend)
-        label = f"rand_spd-n{n}-cond{spec.condition:g}-seed{spec.seed}-{backend.name}"
-    return _ones_problem(rows, backend, label)
+        H = backend.empty((n, n))
+        label = f"{spec.kind}-n{n}"
+        if spec.kind == "diag":
+            np.fill_diagonal(H, [backend.scalar(i + 1) for i in range(n)])
+        else:
+            i = np.arange(n - 1)
+            np.fill_diagonal(H, backend.scalar(2))
+            H[i, i + 1] = H[i + 1, i] = backend.scalar(-1)
+    return _ones_problem(H, backend, f"{label}-{backend.name}")

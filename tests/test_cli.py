@@ -193,6 +193,11 @@ class TestBadInput:
             *({"H": {"dense": [[2, 0], [0, v]]}} for v in (math.nan, math.inf, -math.inf)),
             *({"c": [-2, v]} for v in (math.nan, math.inf, -math.inf)),
             *({"x0": [0, v]} for v in (math.nan, math.inf, -math.inf)),
+            # tokens outside the grammar, or past its exponent cap
+            *({"c": [t, 0]} for t in ("1e5000", "1e-5000", "1_000", "2 / 3")),
+            # a vector or a matrix that is not a sequence of sequences
+            {"c": 5},
+            {"H": {"dense": [2, 2]}},
         ],
     )
     def test_hostile_scalar_exits_two_with_one_line(self, tmp_path, capsys, backend, changes):

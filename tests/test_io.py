@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,9 @@ from cglens import (
     load_trace,
     run_cg,
 )
-from cglens.linalg import AsymmetricMatrixError, sym_matrix
+from cglens.linalg import AsymmetricMatrixError, scalar_token, sym_matrix
 from cglens.mmio import (
     MMParseError,
-    exact_decimal,
     load_problem,
     read_matrix_market,
     save_problem,
@@ -30,19 +30,20 @@ from cglens.mmio import (
 
 
 class TestExactDecimal:
+    # Decimal tokens parse exactly through the one grammar of Backend.scalar.
     def test_plain_and_fraction(self):
-        assert exact_decimal("1.5") == Fraction(3, 2)
-        assert exact_decimal("2/3") == Fraction(2, 3)
-        assert exact_decimal("-7") == -7
+        assert RATIONAL.scalar("1.5") == Fraction(3, 2)
+        assert RATIONAL.scalar("2/3") == Fraction(2, 3)
+        assert RATIONAL.scalar("-7") == -7
 
     def test_scientific_notation(self):
-        assert exact_decimal("1e-3") == Fraction(1, 1000)
-        assert exact_decimal("-2.25e+1") == Fraction(-45, 2)
-        assert exact_decimal("0.1") == Fraction(1, 10)
+        assert RATIONAL.scalar("1e-3") == Fraction(1, 1000)
+        assert RATIONAL.scalar("-2.25e+1") == Fraction(-45, 2)
+        assert RATIONAL.scalar("0.1") == Fraction(1, 10)
 
     def test_garbage_rejected(self):
         with pytest.raises(LinalgError):
-            exact_decimal("zero")
+            RATIONAL.scalar("zero")
 
 
 class TestMatrixMarketRead:
@@ -150,6 +151,20 @@ class TestMatrixMarketRead:
         with pytest.raises(MMParseError, match="bogus"):
             read_matrix_market(path)
 
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("field, token", [
+        ("real", "nan"), ("real", "1_0"), ("real", "1e5000"), ("integer", "1.5"), ("integer", "1_0"),
+    ])
+    def test_token_outside_the_grammar_cites_line(self, tmp_path, backend, field, token):
+        path = self.write(
+            tmp_path,
+            f"%%MatrixMarket matrix array {field} symmetric\n"
+            "2 2\n"
+            f"4\n{token}\n3\n",
+        )
+        with pytest.raises(MMParseError, match="line 4"):
+            read_matrix_market(path, backend)
+
 
 class TestMatrixMarketWrite:
     def test_integer_round_trip(self, tmp_path):
@@ -237,6 +252,41 @@ class TestProblemJson:
         assert P.H[0, 0] == Fraction(1, 2)
         assert P.c[0] == Fraction(-1, 3)
 
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_file_is_one_vector_per_line_and_parses_to_the_tokens(self, backend, tmp_path):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=6, condition=30, seed=2), backend)
+        path = tmp_path / "p.json"
+        save_problem(P, path)
+        text = path.read_text()
+        lines = text.splitlines()
+        assert len(lines) == P.n + 10  # the indent=1 skeleton around n rows
+        assert [json.loads(line.strip().rstrip(",")) for line in lines[4 : 4 + P.n]] == \
+            json.loads(text)["H"]["dense"]
+        token = scalar_token if backend.exact else float
+        expected = {
+            "n": P.n,
+            "H": {"dense": [[token(x) for x in row] for row in P.H]},
+            "c": [token(x) for x in P.c],
+            "x0": [token(x) for x in P.x0],
+            "label": P.label,
+        }
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(json.loads(text)) == repr(expected)
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_one_number_per_line_layout_still_loads_bit_identically(self, backend, tmp_path):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=5, condition=40, seed=8), backend)
+        save_problem(P, tmp_path / "p.json")
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(json.loads((tmp_path / "p.json").read_text()), indent=1) + "\n")
+        assert len(old.read_text().splitlines()) > P.n * P.n  # one number per line
+        back = load_problem(old, backend)
+        for a, b in ((P.H, back.H), (P.c, back.c), (P.x0, back.x0)):
+            if backend.exact:
+                assert list(a.ravel()) == list(b.ravel())
+            else:
+                assert a.tobytes() == b.tobytes()
+
 
 class TestTraceJson:
     def test_rational_round_trip_exact(self, tmp_path):
@@ -306,6 +356,37 @@ class TestTraceJson:
         with pytest.raises(LinalgError, match="backend and records"):
             load_trace(path)
 
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_one_number_per_line_layout_still_loads_bit_identically(self, backend, tmp_path):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=6, condition=20, seed=4), backend)
+        trace = run_cg(P, tol=1e-12)
+        data = trace_json(trace, tmp_path)
+        text = (tmp_path / "saved.json").read_text()
+        for rec in data["records"]:
+            assert json.dumps(rec["g"]) in text  # each vector on one line
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data, indent=1) + "\n")
+        back = load_trace(old)
+        assert len(back.records) == len(trace.records)
+        for rec, rec_back in zip(trace.records, back.records):
+            for field in ("x_k", "g_k", "p_k"):
+                a, b = getattr(rec, field), getattr(rec_back, field)
+                if a is None:
+                    assert b is None
+                elif backend.exact:
+                    assert list(a) == list(b)
+                else:
+                    assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("bad", [True, "nan", math.nan, math.inf, "1e5000"])
+    def test_bad_vector_entries_rejected(self, bad, tmp_path):
+        P = generate_problem(ProblemSpec(kind="diag", n=3))
+        data = trace_json(run_cg(P), tmp_path)
+        data["records"][1]["g"][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(LinalgError):
+            load_trace(path)
 
 def trace_json(trace, tmp_path):
     path = tmp_path / "saved.json"

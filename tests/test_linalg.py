@@ -15,6 +15,7 @@ from cglens import F64, RATIONAL, LinalgError, dot, norm, norm_sq, scalar_token,
 from cglens.linalg import (
     BACKENDS,
     AsymmetricMatrixError,
+    Backend,
     DimensionMismatch,
     NotSPDError,
     PivotedLDLT,
@@ -96,6 +97,61 @@ class TestConstructors:
         with pytest.raises(LinalgError):
             vector([[1], [2]], F64)
 
+
+    def test_float_conversion_takes_no_per_entry_path(self, monkeypatch):
+        def per_entry(self, value):
+            raise AssertionError(f"per-entry conversion of {value!r}")
+
+        monkeypatch.setattr(Backend, "scalar", per_entry)
+        assert list(vector([1, 2.5], F64)) == [1.0, 2.5]
+        assert sym_matrix([[2.0, 1], [1, 2.0]], F64).tolist() == [[2.0, 1.0], [1.0, 2.0]]
+        assert (sym_matrix(np.eye(3), F64) == np.eye(3)).all()
+
+    def test_integer_entry_outside_float_range_rejected(self):
+        with pytest.raises(LinalgError, match="float64 range"):
+            vector([2**1100, 0.5], F64)
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_non_sequences_rejected(self, backend):
+        for rows in (None, 5, [1, 2]):
+            with pytest.raises(DimensionMismatch):
+                sym_matrix(rows, backend)
+        with pytest.raises(DimensionMismatch):
+            vector(5, backend)
+
+
+class TestTokenGrammar:
+    ACCEPTED = ["7", "-7", "+7", "1.5", "-.5", "5.", "2/3", "-2/3", "+0/5", " 1.5 ", "1e-3",
+                "-2.25E+1", "0.1", "-0", "-0.0e9", "-1e-400", "4.9e-324", "1.7976931348623157e308",
+                "2.2250738585072011e-308", "1e0004300", "1e-4300"]
+    REJECTED = ["1_000", "2 / 3", "2/ 3", "1/-3", "1.5/2", "nan", "-inf", "Infinity", "0x10",
+                "1e", "e5", ".", "", " ", "--1", "1e5000", "1e-5000", "1e4301", "\u0663", "1/0"]
+
+    @pytest.mark.parametrize("token", ACCEPTED)
+    def test_float_value_is_the_rounded_rational_bit_for_bit(self, token):
+        exact = RATIONAL.scalar(token)
+        assert exact == Fraction(token)
+        try:
+            expected = np.float64(float(exact))
+        except OverflowError:
+            with pytest.raises(LinalgError):
+                F64.scalar(token)
+            return
+        assert np.float64(F64.scalar(token)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("token", REJECTED)
+    def test_rejected_on_every_backend(self, backend, token):
+        with pytest.raises(LinalgError):
+            backend.scalar(token)
+
+    def test_exponent_cap(self):
+        assert RATIONAL.scalar("1e4300") == 10**4300
+        assert RATIONAL.scalar("-1E-04300") == Fraction(-1, 10**4300)
+        assert F64.scalar("1e-4300") == 0.0
+        for token in ("1e4301", "1e-4301", "0e5000"):
+            with pytest.raises(LinalgError):
+                RATIONAL.scalar(token)
 
 class TestKernels:
     def test_dot_and_norms(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,24 @@ class TestGeneratedProblems:
     def test_labels_identify_instances(self):
         P = generate_problem(ProblemSpec(kind="rand_spd", n=8, condition=100, seed=3))
         assert P.label == "rand_spd-n8-cond100-seed3-f64"
+
+    @pytest.mark.parametrize(
+        "spec, backend, digest",
+        [
+            (ProblemSpec(kind="rand_spd", n=200, condition=1e4, seed=3), F64, "b680de8d244416be"),
+            (ProblemSpec(kind="rand_spd", n=17, condition=3.0, seed=0), F64, "0242c794f8b49757"),
+            (ProblemSpec(kind="laplacian1d", n=180), F64, "92b73ad3fdecb60d"),
+            (ProblemSpec(kind="diag", n=7), F64, "7fa5a54afb388382"),
+            (ProblemSpec(kind="rand_spd", n=14, condition=11, seed=5), RATIONAL,
+             "25deddd5afb7f755"),
+        ],
+    )
+    def test_generated_bits_are_pinned(self, spec, backend, digest):
+        # Digests of the problems as first published: any change to the
+        # generator's arithmetic or its order of operations shows here.
+        P = generate_problem(spec, backend)
+        if backend.exact:
+            data = "".join(",".join(map(str, a)) + ";" for a in (P.H.ravel(), P.c, P.x0)).encode()
+        else:
+            data = P.H.tobytes() + P.c.tobytes() + P.x0.tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest

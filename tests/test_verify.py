@@ -360,3 +360,15 @@ class TestNaNNeverPasses:
         assert len(checks) == 5
         for check in checks:
             assert math.isnan(check.measured) and not check.passed, check.name
+
+    def test_nan_gradient_entry_fails_the_oracle_checks_in_the_full_suite(self):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=12))
+        trace = run_cg(P, tol=1e-10)
+        g2 = trace.records[2].g_k.copy()
+        g2[5] = math.nan
+        report = run_full_suite(P, trace=with_record(trace, 2, g_k=g2))
+        checks = {check.name: check for check in report.checks}
+        for name in ("subspace_optimality", "min_norm_relation"):
+            measured = checks[name].measured
+            assert (math.isnan(measured) or math.isinf(measured)) and not checks[name].passed
+        assert not report.overall
