@@ -191,7 +191,7 @@ def vector_tokens(v, backend: Backend) -> list:
     return np.asarray(v, dtype=np.float64).tolist()
 
 
-def _write_json(fh, node, depth: int = 0) -> None:
+def _write_json(fh, node, depth: int) -> None:
     """Write ``node`` as ``json.dump(node, fh, indent=1)`` lays it out, except
     that a list of scalars (a vector) is one line from ``json.dumps``.
 
@@ -254,7 +254,7 @@ def save_problem(P: QuadraticProblem, path) -> None:
         "label": P.label,
     }
     with open(path, "w") as fh:
-        _write_json(fh, data)
+        _write_json(fh, data, 0)
         fh.write("\n")
 
 
@@ -290,7 +290,7 @@ def save_trace(trace: CGTrace, path) -> None:
         ],
     }
     with open(path, "w") as fh:
-        _write_json(fh, data)
+        _write_json(fh, data, 0)
         fh.write("\n")
 
 

@@ -79,32 +79,22 @@ class ProblemSpec:
                 raise LinalgError("condition number must be >= 1")
 
 
-def _ones_problem(H: np.ndarray, backend: Backend, label: str) -> QuadraticProblem:
-    # c = -H 1, each row summed left to right (np.sum would sum pairwise).
-    total = 0
-    for j in range(H.shape[0]):
-        total = total + H[:, j]
-    c, x0 = vector(-total, backend), vector([0] * H.shape[0], backend)
-    return QuadraticProblem(H=sym_matrix(H, backend), c=c, x0=x0, label=label)
-
-
-def _reflect(M: np.ndarray, v: np.ndarray, backend: Backend) -> np.ndarray:
+def _reflect(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the reflection R = I - 2 v v^T / (v^T v) on both sides of a matrix.
 
     v^T M and M v accumulate rows and columns left to right, so float64
     rounds the same way on every machine, as no BLAS product promises.
     """
     vv = sum(x * x for x in v)
-    two = backend.scalar(2)
     # R M = M - (2/v^T v) v (v^T M); then (R M) R = R M - (2/v^T v) (R M v) v^T.
     vM = 0
     for i in range(len(v)):
         vM = vM + v[i] * M[i]
-    M = M - np.outer(two * v, vM) / vv
+    M = M - np.outer(2 * v, vM) / vv
     Mv = 0
     for j in range(len(v)):
         Mv = Mv + M[:, j] * v[j]
-    return M - np.outer(two * Mv, v) / vv
+    return M - np.outer(2 * Mv, v) / vv
 
 
 def _spectrum(spec: ProblemSpec, rng: SplitMix64, backend: Backend) -> list:
@@ -132,7 +122,7 @@ def _rand_spd_matrix(spec: ProblemSpec, backend: Backend) -> np.ndarray:
         v = [backend.scalar(rng.int_between(-4, 4)) for _ in range(n)]
         if all(x == 0 for x in v):
             v[rng.int_between(0, n - 1)] = backend.one
-        M = _reflect(M, vector(v, backend), backend)
+        M = _reflect(M, vector(v, backend))
     if not backend.exact:
         # Symmetrize bitwise; rounding makes the two triangles drift.
         M = (M + M.T) / 2.0
@@ -158,4 +148,9 @@ def generate_problem(spec: ProblemSpec, backend: Backend = F64) -> QuadraticProb
             i = np.arange(n - 1)
             np.fill_diagonal(H, backend.scalar(2))
             H[i, i + 1] = H[i + 1, i] = backend.scalar(-1)
-    return _ones_problem(H, backend, f"{label}-{backend.name}")
+    # c = -H 1, each row summed left to right (np.sum would sum pairwise).
+    total = 0
+    for j in range(n):
+        total = total + H[:, j]
+    return QuadraticProblem(H=sym_matrix(H, backend), c=vector(-total, backend),
+                            x0=vector([0] * n, backend), label=f"{label}-{backend.name}")
