@@ -14,9 +14,8 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
-from .linalg import BACKENDS, LinalgError, norm_sq
+from .linalg import BACKENDS, F64, RATIONAL, LinalgError, norm_sq
 from .quadratic import QuadraticProblem, evaluate
 from .engine import DirectionScaling, run_cg
 from .oracle import trace_oracle
@@ -121,8 +120,19 @@ def _tolerance_overrides() -> dict:
         name, eq, value = pair.partition("=")
         if not eq or name not in DEFAULT_TOLERANCES["f64"]:
             raise LinalgError(f"bad CGLENS_TOL_OVERRIDES entry {pair!r}")
-        overrides[name] = Fraction(value) if "/" in value else float(value)
+        try:
+            overrides[name] = (RATIONAL if "/" in value else F64).scalar(value)
+        except LinalgError as err:
+            raise LinalgError(f"bad CGLENS_TOL_OVERRIDES entry {pair!r}: {err}") from err
     return overrides
+
+
+def _shown(x) -> float:
+    """x as a float for display; an exact value past the float range shows as +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def cmd_generate(args) -> int:
@@ -140,8 +150,8 @@ def cmd_solve(args) -> int:
     final = trace.records[-1]
     print(f"problem   {trace.problem_id}")
     print(f"r         {trace.r} ({trace.termination_reason})")
-    print(f"final |g| {math.sqrt(float(final.grad_norm_sq)):.3e}")
-    print(f"q(x_r)    {float(evaluate(problem, final.x_k)):.12g}")
+    print(f"final |g| {math.sqrt(_shown(final.grad_norm_sq)):.3e}")
+    print(f"q(x_r)    {_shown(evaluate(problem, final.x_k)):.12g}")
     if trace.termination_reason == "breakdown":
         return EXIT_BREAKDOWN
     return EXIT_OK
@@ -192,7 +202,7 @@ def cmd_oracle(args) -> int:
     solutions = []
     for k, sol in enumerate(trace_oracle(problem, trace), start=1):
         drift = trace.records[k].x_k - sol.point
-        deviation = math.sqrt(float(norm_sq(drift)))
+        deviation = math.sqrt(_shown(norm_sq(drift)))
         solutions.append(
             {
                 "k": k,
@@ -202,7 +212,7 @@ def cmd_oracle(args) -> int:
                 "deviation_from_trace": repr(deviation),
             }
         )
-        print(f"k = {k}: oracle objective {float(sol.objective_value):.12g}, "
+        print(f"k = {k}: oracle objective {_shown(sol.objective_value):.12g}, "
               f"|x_k - oracle| = {deviation:.3e}")
     if trace.r == 0:
         print("r = 0: the start point already minimizes q")

@@ -24,7 +24,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .linalg import BACKENDS, Backend, LinalgError, Scalar, backend_of, dot, mat_vec, norm_sq
+from .linalg import (
+    BACKENDS, Backend, LinalgError, Scalar, _product, backend_of, dot, mat_vec, norm_sq,
+)
 from .quadratic import QuadraticProblem, gradient
 
 DIRECTION_MODES = ("recursive", "gradient_sum", "shortest_residuals")
@@ -192,7 +194,7 @@ def step_length(P: QuadraticProblem, g_k: np.ndarray, p_k: np.ndarray) -> Scalar
     return -dot(g_k, p_k) / curvature
 
 
-def _stop_reason(backend: Backend, gns: Scalar, g0_norm: float, tol: float) -> str | None:
+def _stop_reason(backend: Backend, gns: Scalar, g0_norm: float | None, tol: float) -> str | None:
     if gns == 0:
         return "gradient_zero"
     if backend.exact:
@@ -236,7 +238,8 @@ def run_cg(
     x = P.x0
     g = gradient(P, x)
     gns = norm_sq(g)
-    g0_norm = math.sqrt(float(gns))
+    # Read under float64 only: an exact ||g_0||^2 may lie outside the float range.
+    g0_norm = None if backend.exact else math.sqrt(float(gns))
     p_prev: np.ndarray | None = None
     c_prev: Scalar | None = None
     gns_prev: Scalar | None = None
@@ -321,6 +324,6 @@ def dimension_reduction_note(trace: CGTrace) -> np.ndarray:
     """
     gs = [rec.g_k for rec in trace.records if rec.p_k is not None or rec.theta_k is not None]
     G = np.stack(gs) if gs else BACKENDS[trace.scalar_backend].empty((0, 0))
-    gram = np.dot(G, G.T)
+    gram = _product(G, G.T)
     gram.flags.writeable = False
     return gram

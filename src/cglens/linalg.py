@@ -11,6 +11,15 @@ Vectors and matrices are plain numpy arrays (``float64`` dtype for the
 float backend, ``object`` dtype holding ``Fraction`` for the rational
 one) marked read-only at construction.  All operations are pure
 functions; nothing here mutates its inputs.
+
+``Fraction`` arrays are the rational backend at every boundary, but not
+inside its hot kernels, because a sum of ``Fraction`` products pays a gcd
+per operation.  The products (``_product``), the elimination of
+``PivotedLDLT`` and the generator's reflections work instead on integer
+numerators over one common denominator (``_integerized``; in a product of
+two matrices, one per row and per column, ``_integer_rows``).  Integers
+sum with no gcd, and each result entry becomes a ``Fraction`` once
+(``_rationalized``).
 """
 
 from __future__ import annotations
@@ -167,9 +176,12 @@ def vector(entries, backend: Backend = F64) -> np.ndarray:
     """Build a read-only 1-D vector on the given backend.
 
     Entries may be numbers or numeric strings ("p/q" or decimal), or a
-    numeric array; a float64 NaN or infinity is rejected.
+    numeric array; a float64 NaN or infinity is rejected, and so is a
+    string in place of the sequence.
     """
     try:
+        if isinstance(entries, str):
+            raise TypeError("a string is not a sequence of entries")
         out = _array_from(entries, backend)
     except TypeError as err:
         raise DimensionMismatch("a vector must be a sequence of entries") from err
@@ -185,9 +197,11 @@ def sym_matrix(rows, backend: Backend = F64) -> np.ndarray:
     ``AsymmetricMatrixError`` naming the first entry, in row-major order
     over the lower triangle, that differs from its transpose partner
     (exact comparison in both backends).  A float64 NaN or infinity is
-    rejected.
+    rejected, and so is a string in place of the rows or of a row.
     """
     try:
+        if isinstance(rows, str) or any(isinstance(row, str) for row in rows):
+            raise TypeError("a string is not a sequence of entries")
         flat = rows.ravel() if isinstance(rows, np.ndarray) else [e for row in rows for e in row]
     except TypeError as err:
         raise DimensionMismatch("matrix rows must be sequences of entries") from err
@@ -204,13 +218,63 @@ def sym_matrix(rows, backend: Backend = F64) -> np.ndarray:
     return out
 
 
+def _integer_rows(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``(N, d)`` with rows[i] == N[i] / d[i]: each row's integer numerators
+    over the LCM of that row's denominators."""
+    N, d = [], []
+    for row in rows:
+        ratios = [x.as_integer_ratio() for x in row]
+        dens = {q for _, q in ratios}
+        d.append(math.lcm(*dens))
+        if len(dens) == 1:
+            N += [p for p, _ in ratios]
+        else:
+            scale = {q: d[-1] // q for q in dens}
+            N += [p * scale[q] for p, q in ratios]
+    return np.array(N, dtype=object).reshape(rows.shape), d
+
+
+def _integerized(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(N, d)`` with arr == N / d: integer numerators over the LCM d of the denominators."""
+    N, (d,) = _integer_rows(arr.reshape(1, -1))
+    return N.reshape(arr.shape), d
+
+
+# Fraction(p, q) entry by entry, one gcd each; a Fraction for scalar input.
+_rationalized = np.frompyfunc(Fraction, 2, 1)
+
+
+def _product(a: np.ndarray, b: np.ndarray):
+    """``np.dot(a, b)``, on integer numerators under the rational backend.
+
+    Under float64 this is one ``np.dot`` call.  Exact operands become
+    integer numerators, the sums of products run on Python ints with no
+    gcd, and each result entry is made a ``Fraction`` once.  Against a
+    vector, each operand has one denominator.  A product of two matrices
+    is a table of inner products between two stacks of vectors, such as a
+    CG history, whose denominators are unrelated and have a needlessly
+    large common multiple; there each row of ``a`` and each column of
+    ``b`` has its own.
+    """
+    if a.dtype != object:
+        return np.dot(a, b)
+    if b.ndim == 1:
+        Na, da = _integerized(a)
+        Nb, db = (Na, da) if b is a else _integerized(b)
+        return _rationalized(np.dot(Na, Nb), da * db)
+    Na, da = _integer_rows(a)
+    Nb, db = _integer_rows(b.T)
+    dens = np.multiply.outer(np.array(da, dtype=object), np.array(db, dtype=object))
+    return _rationalized(np.dot(Na, Nb.T), dens)
+
+
 def dot(a: np.ndarray, b: np.ndarray) -> Scalar:
     """Inner product sum_i a_i b_i; exact under the rational backend."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"dot of shapes {a.shape} and {b.shape}")
     if backend_of(a) is not backend_of(b):
         raise LinalgError("dot of vectors on different scalar backends")
-    return np.dot(a, b)
+    return _product(a, b)
 
 
 def mat_vec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -219,12 +283,12 @@ def mat_vec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"mat_vec of shapes {M.shape} and {v.shape}")
     if backend_of(M) is not backend_of(v):
         raise LinalgError("mat_vec of arrays on different scalar backends")
-    return _freeze(np.dot(M, v))
+    return _freeze(_product(M, v))
 
 
 def norm_sq(v: np.ndarray) -> Scalar:
     """Squared Euclidean norm, exact under the rational backend."""
-    return np.dot(v, v)
+    return _product(v, v)
 
 
 def norm(v: np.ndarray) -> float:
@@ -275,21 +339,24 @@ def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales) 
     only under float64 (exact runs compute no norms), and an entry whose
     scale is zero contributes nothing; a NaN entry makes the result NaN,
     which no tolerance passes.  ``shift`` is None or one value per row.
-    Row k is one product of a_k with the b_j of its triangle, so
-    each pair's inner product is computed once and the other triangle
-    never is.
+    Under float64, row k is one product of a_k with the b_j of its
+    triangle, so each pair's inner product is computed once and the other
+    triangle never is; exact vectors take the whole table as one integer
+    product.
     """
     rows = [backend.zero]
     if len(a) == 0 or len(b) == 0:
         return rows[0]
     B = np.stack(b)
-    if not backend.exact:
+    if backend.exact:
+        table = _product(np.stack(a), B.T)
+    else:
         row, col = (np.asarray(s, dtype=np.float64) for s in scales())
     for k, a_k in enumerate(a):
         m = k + diagonal
         if m == 0:
             continue
-        t = np.dot(B[:m], a_k)
+        t = table[k, :m] if backend.exact else np.dot(B[:m], a_k)
         if shift is not None:
             t = t - shift[k]
         t = np.abs(t)
@@ -381,6 +448,15 @@ class PivotedLDLT:
     the free coordinates set to zero.  Exact under the rational backend
     (rank decisions compare against literal zero).
 
+    The rational elimination is fraction-free (Bareiss, 1968): it runs on
+    the integer numerators of A over one denominator, dividing each update
+    exactly by the previous integer pivot, so no gcd is taken inside the
+    loop.  Each pivot and multiplier becomes a ``Fraction`` once, equal to
+    the one the Schur complements would give, so ``pivots``, ``solve`` and
+    ``nullspace`` read the same factor.  The pivot order is the same too:
+    the integer diagonal is the Schur diagonal times prev * den, which has
+    the sign of the previous pivot, positive whenever the floor is >= 0.
+
     Under float64 the matrix is first rescaled symmetrically to unit
     diagonal (Jacobi scaling), which keeps systems whose columns differ
     by many orders of magnitude (as CG gradient histories do) solvable;
@@ -419,24 +495,38 @@ class PivotedLDLT:
             else:
                 margin = RANK_FLOOR_MARGIN if rescale else 1
                 pivot_floor = margin * n * np.finfo(np.float64).eps * float(max_abs(A))
-        W = np.array(A, dtype=object if backend.exact else np.float64)
+        if backend.exact:
+            # Bareiss: A = W / den, and from step t on the trailing block of
+            # W is prev * den times the Schur complement, prev being the
+            # integer pivot of step t - 1 (1 at t = 0).
+            W, den = _integerized(A)
+        else:
+            W, den = np.array(A, dtype=np.float64), 1
+        prev = 1
         perm = list(range(n))
         pivots = []
         rank = n
         for t in range(n):
-            j = t + int(np.argmax(W.diagonal()[t:]))
+            diagonal = W.diagonal()[t:]
+            j = t + int(np.argmax(diagonal if prev > 0 else -diagonal))
             if j != t:
                 # Rows carry the multipliers of earlier steps; above row t
                 # the swapped columns are never read again.
                 W[[t, j], :] = W[[j, t], :]
                 W[t:, [t, j]] = W[t:, [j, t]]
                 perm[t], perm[j] = perm[j], perm[t]
-            piv = W[t, t]
+            piv = Fraction(W[t, t], prev * den) if backend.exact else W[t, t]
             pivots.append(piv)
             if not piv > pivot_floor:
                 rank = t
                 break
-            if t + 1 < n:
+            if backend.exact:
+                col = W[t + 1 :, t]
+                W[t + 1 :, t + 1 :] = (W[t, t] * W[t + 1 :, t + 1 :] - np.outer(col, col)) // prev
+                prev = W[t, t]
+                W[t + 1 :, t] = [Fraction(x, prev) for x in col]
+                W[t, t] = piv
+            elif t + 1 < n:
                 col = W[t + 1 :, t] / piv
                 W[t + 1 :, t] = col
                 W[t + 1 :, t + 1 :] -= np.outer(col, col) * piv

@@ -40,6 +40,7 @@ from .linalg import (
     Scalar,
     _array_from,
     _freeze,
+    _product,
     backend_of,
     dot,
     leading_solves,
@@ -102,7 +103,7 @@ def _hull_point(gradients: Sequence[np.ndarray], alpha: list) -> MinNormResult:
 def _prefix_point(G: np.ndarray, alpha: list) -> MinNormResult:
     """``_hull_point`` of the first len(alpha) columns of G, as one product."""
     weights = AffineCombination(_freeze(_array_from(alpha, backend_of(G))))
-    ghat = _freeze(np.dot(G[:, : len(alpha)], weights.weights))
+    ghat = _freeze(_product(G[:, : len(alpha)], weights.weights))
     return MinNormResult(ghat=ghat, weights=weights, norm_sq=norm_sq(ghat))
 
 
@@ -196,7 +197,7 @@ def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
             return MinNormResult(ghat=zero, weights=weights, norm_sq=backend.zero)
 
     G = np.column_stack(gradients)
-    fact = PivotedLDLT(np.dot(G.T, G))
+    fact = PivotedLDLT(_product(G.T, G))
     y, consistent = fact.solve(_array_from([backend.one] * m, backend))
     if consistent:
         total = sum(y)
@@ -208,7 +209,7 @@ def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
     kernel = fact.nullspace()
     best, best_mag = None, None
     for z in kernel:
-        mag = abs(float(sum(z)))
+        mag = abs(sum(z))
         if best is None or mag > best_mag:
             best, best_mag = z, mag
     if best is None or best_mag == 0:
@@ -230,7 +231,7 @@ def projection_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]
     G = np.column_stack(gradients)
     ones = _array_from([backend.one] * m, backend)
     served = 0
-    for y in leading_solves(np.dot(G.T, G), ones):
+    for y in leading_solves(_product(G.T, G), ones):
         total = sum(y)
         if total <= 0:  # a NaN total is yielded: its NaN ghat FAILs the check
             break

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 
 import numpy as np
 
@@ -209,6 +208,21 @@ def _write_json(fh, node, depth: int) -> None:
     fh.write("\n" + " " * depth + ("}" if keyed else "]"))
 
 
+def _read_json(path, backend: Backend):
+    """The parsed JSON file, with decimals as the backend's scalars.
+
+    Text that is not JSON, or holds an integer literal past Python's
+    digit limit, raises ``LinalgError``.  Under rationals decimals parse
+    through the token grammar, whose exponent cap keeps a literal like
+    1e999999999 from building its integer.
+    """
+    with open(path) as fh:
+        try:
+            return json.load(fh, parse_float=backend.scalar if backend.exact else float)
+        except ValueError as err:  # JSONDecodeError, or the int digit limit
+            raise LinalgError(f"{path}: not a readable JSON file ({err})") from err
+
+
 def load_problem(path, backend: Backend = F64) -> QuadraticProblem:
     """Load a problem from its JSON file (H inline or via Matrix Market).
 
@@ -217,8 +231,7 @@ def load_problem(path, backend: Backend = F64) -> QuadraticProblem:
     "p/q" strings, and a matrix_market path is taken relative to the
     JSON file.
     """
-    with open(path) as fh:
-        data = json.load(fh, parse_float=Fraction if backend.exact else float)
+    data = _read_json(path, backend)
     try:
         n = data["n"]
         H_spec = data["H"]
@@ -310,16 +323,14 @@ def load_trace(path) -> CGTrace:
     "p/q" strings.  Only a rational trace that holds JSON decimals (one
     written by hand) is parsed a second time, to read them exactly.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path, F64)
     try:
         backend = BACKENDS[data["backend"]]
         raw_records = data["records"]
     except KeyError as err:
         raise LinalgError(f"{path}: trace JSON must define backend and records") from err
     if backend.exact and _holds_float(raw_records):
-        with open(path) as fh:
-            data = json.load(fh, parse_float=Fraction)
+        data = _read_json(path, backend)
         raw_records = data["records"]
 
     def scal(x):

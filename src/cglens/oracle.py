@@ -34,6 +34,7 @@ from .linalg import (
     LinalgError,
     PivotedLDLT,
     Scalar,
+    _product,
     backend_of,
     leading_solves,
     residual_magnitude,
@@ -103,15 +104,15 @@ def minimize_on_affine_span(P: QuadraticProblem, B: SpanBasis) -> SubspaceSoluti
 
     S = np.column_stack(B.spanning_vectors)
     g0 = gradient(P, B.x0)
-    A = np.dot(S.T, np.dot(P.H, S))
-    rhs = -np.dot(S.T, g0)
+    A = _product(S.T, _product(P.H, S))
+    rhs = -_product(S.T, g0)
 
     v, consistent = PivotedLDLT(A).solve(rhs)
     if not consistent:
         # Unreachable for A = S^T H S with SPD H; defensive only.
         raise LinalgError("reduced system is inconsistent; H may not be SPD")
 
-    point = B.x0 + np.dot(S, v)
+    point = B.x0 + _product(S, v)
     point.flags.writeable = False
     return SubspaceSolution(coordinates=v, point=point, objective_value=evaluate(P, point))
 
@@ -147,18 +148,18 @@ def trace_oracle(P: QuadraticProblem, trace: CGTrace) -> list[SubspaceSolution]:
         return []
     gradients = [rec.g_k for rec in records[:r]]
     S = np.column_stack(gradients)
-    A = np.dot(S.T, np.dot(P.H, S))
-    rhs = -np.dot(S.T, gradient(P, x0))
+    A = _product(S.T, _product(P.H, S))
+    rhs = -_product(S.T, gradient(P, x0))
     # q(x0 + S v) = q(x0) - rhs^T v + 1/2 v^T A v = q(x0) - 1/2 v^T rhs when
     # A v = rhs: O(k) per point where evaluating q costs O(n^2).
     q0, half = evaluate(P, x0), P.backend.scalar("1/2")
     solutions = []
     for v in leading_solves(A, rhs):
         k = v.shape[0]
-        point = x0 + np.dot(S[:, :k], v)
+        point = x0 + _product(S[:, :k], v)
         point.flags.writeable = False
         solutions.append(SubspaceSolution(
-            coordinates=v, point=point, objective_value=q0 - half * np.dot(v, rhs[:k])
+            coordinates=v, point=point, objective_value=q0 - half * _product(v, rhs[:k])
         ))
     for k in range(len(solutions) + 1, r + 1):
         solutions.append(

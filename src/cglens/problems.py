@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import F64, Backend, LinalgError, sym_matrix, vector
+from .linalg import F64, Backend, LinalgError, _integerized, _rationalized, sym_matrix, vector
 from .quadratic import QuadraticProblem
 
 _MASK = (1 << 64) - 1
@@ -84,7 +84,17 @@ def _reflect(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     v^T M and M v accumulate rows and columns left to right, so float64
     rounds the same way on every machine, as no BLAS product promises.
+    Rationals run on the integer numerators N of M = N / den and of v (R
+    does not change when v is scaled): R M = (vv N - 2 v (v^T N)) / (vv den),
+    and likewise on the right, with one Fraction per entry at the end.
     """
+    if M.dtype == object:
+        N, den = _integerized(M)
+        v = _integerized(v)[0]
+        vv = np.dot(v, v)
+        N = vv * N - 2 * np.outer(v, np.dot(v, N))
+        N = vv * N - 2 * np.outer(np.dot(N, v), v)
+        return _rationalized(N, vv * vv * den)
     vv = sum(x * x for x in v)
     # R M = M - (2/v^T v) v (v^T M); then (R M) R = R M - (2/v^T v) (R M v) v^T.
     vM = 0

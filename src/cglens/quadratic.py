@@ -18,6 +18,7 @@ from .linalg import (
     DimensionMismatch,
     LinalgError,
     SpdCheck,
+    _product,
     backend_of,
     cholesky_spd_check,
     dot,
@@ -82,7 +83,7 @@ def evaluate(P: QuadraticProblem, x: np.ndarray):
 def gradient(P: QuadraticProblem, x: np.ndarray) -> np.ndarray:
     """The gradient H x + c."""
     _check_point(P, x)
-    out = np.dot(P.H, x) + P.c
+    out = _product(P.H, x) + P.c
     out.flags.writeable = False
     return out
 

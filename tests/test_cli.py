@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -137,6 +139,19 @@ class TestVerify:
         monkeypatch.setenv("CGLENS_TOL_OVERRIDES", "no_such_check=1e-6")
         assert run_main(["verify", "--kind", "diag", "--n", "4"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1_0", "1/0", "0x10", ""])
+    def test_override_outside_the_token_grammar_exits_two(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("CGLENS_TOL_OVERRIDES", f"conjugacy={value}")
+        assert run_main(["verify", "--kind", "diag", "--n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value, expected", [("1e-7", 1e-7), ("1/2", Fraction(1, 2))])
+    def test_override_values_parse_as_tokens(self, monkeypatch, value, expected):
+        monkeypatch.setenv("CGLENS_TOL_OVERRIDES", f"conjugacy={value}")
+        tolerance = cli._tolerance_overrides()["conjugacy"]
+        assert tolerance == expected and type(tolerance) is type(expected)
+
 
 class TestOracle:
     def test_writes_solutions_report(self, diag2, tmp_path, capsys):
@@ -198,6 +213,9 @@ class TestBadInput:
             # a vector or a matrix that is not a sequence of sequences
             {"c": 5},
             {"H": {"dense": [2, 2]}},
+            # a string where a sequence of entries belongs
+            {"c": "12"},
+            {"H": {"dense": ["20", "02"]}},
         ],
     )
     def test_hostile_scalar_exits_two_with_one_line(self, tmp_path, capsys, backend, changes):
@@ -207,6 +225,75 @@ class TestBadInput:
         assert run_main(["verify", "--problem", str(path), "--backend", backend]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("backend", ["f64", "rational"])
+    @pytest.mark.parametrize("text", [
+        "{nope",
+        '{"n": 2, "H": {"dense": [[2, 0], [0, 2]]}, "c": [' + "7" * 5000 + ', 0], "x0": [0, 0]}',
+    ], ids=["malformed", "5000-digit-integer"])
+    def test_unreadable_json_exits_two_with_one_line(self, tmp_path, capsys, backend, text):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        assert run_main(["verify", "--problem", str(path), "--backend", backend]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_exponent_past_the_cap_is_refused_before_building_it(self, tmp_path, capsys):
+        path = tmp_path / "hostile.json"
+        path.write_text('{"n": 1, "H": {"dense": [[2]]}, "c": [1e999999999], "x0": [0]}')
+        assert run_main(["verify", "--problem", str(path), "--backend", "rational"]) == 2
+        assert "1e999999999" in capsys.readouterr().err
+
+    def test_rational_entries_past_the_float_range_verify(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"n": 2, "H": {"dense": [[2, 0], [0, 2]]}, "c": [2**1100, 1], "x0": [0, 0]}
+        ))
+        report = tmp_path / "r.json"
+        assert run_main([
+            "verify", "--problem", str(path), "--backend", "rational", "--report", str(report),
+        ]) == 0
+        assert json.loads(report.read_text())["overall"] is True
+        for command in ("solve", "oracle"):
+            assert run_main([command, "--problem", str(path), "--backend", "rational"]) == 0
+        capsys.readouterr()
+        assert run_main(["verify", "--problem", str(path), "--backend", "f64"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+class TestRationalOutputPinned:
+    """stdout, report and trace of rational runs, hashed; pinned before the
+    exact kernels became fraction-free, which must not move a byte."""
+
+    @pytest.mark.parametrize("problem, direction, scaling, digest", [
+        ("rand_spd", "recursive", "cg", "178bce9f8ea1d7f7"),
+        ("rand_spd", "recursive", "unit", "05bf8f14ed531de1"),
+        ("rand_spd", "gradient-sum", "cg", "e12f7557c979ed4d"),
+        ("rand_spd", "gradient-sum", "unit", "8491287417a52a75"),
+        ("rand_spd", "shortest-residuals", "cg", "6c8ced853c766a4d"),
+        ("rand_spd", "shortest-residuals", "unit", "73ec32bec8d67a8b"),
+        ("laplacian1d", "recursive", "cg", "a1f38d1b0580cc92"),
+        ("laplacian1d", "recursive", "unit", "872e4b0bd0b0c627"),
+        ("laplacian1d", "gradient-sum", "cg", "0315492356ebad61"),
+        ("laplacian1d", "gradient-sum", "unit", "1e746ad956e0242a"),
+        ("laplacian1d", "shortest-residuals", "cg", "f81f634564acba72"),
+        ("laplacian1d", "shortest-residuals", "unit", "77314b15fa034ac2"),
+    ])
+    def test_verify_output_is_pinned(self, tmp_path, capsys, problem, direction, scaling, digest):
+        flags = {
+            "rand_spd": ["--kind", "rand_spd", "--n", "12", "--cond", "8", "--seed", "3"],
+            "laplacian1d": ["--kind", "laplacian1d", "--n", "10"],
+        }[problem]
+        report, trace = tmp_path / "R.json", tmp_path / "T.json"
+        assert run_main([
+            "verify", *flags, "--backend", "rational", "--direction", direction,
+            "--scaling", scaling, "--report", str(report), "--trace", str(trace),
+        ]) == 0
+        h = hashlib.sha256(capsys.readouterr().out.encode())
+        for path in (report, trace):
+            h.update(path.read_bytes())
+        assert h.hexdigest()[:16] == digest
 
 
 class TestBreakdownExitCode:

@@ -350,6 +350,22 @@ class TestTraceJson:
         path.write_text(json.dumps(data))
         assert load_trace(path).records[0].x_k[0] == Fraction(1, 10)
 
+    @pytest.mark.parametrize("text", ["{nope", '{"backend": "f64", "r": ' + "7" * 5000 + "}"],
+                             ids=["malformed", "5000-digit-integer"])
+    def test_unreadable_trace_json_rejected(self, tmp_path, text):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        with pytest.raises(LinalgError, match="not a readable JSON file"):
+            load_trace(path)
+
+    def test_rational_decimals_parse_through_the_token_grammar(self, tmp_path):
+        P = generate_problem(ProblemSpec(kind="diag", n=2), RATIONAL)
+        data = trace_json(run_cg(P), tmp_path)
+        path = tmp_path / "hand.json"
+        path.write_text(json.dumps(data).replace('"x": ["0", "0"]', '"x": [1e999999999, 0]', 1))
+        with pytest.raises(LinalgError, match="not a readable JSON file"):
+            load_trace(path)
+
     def test_malformed_trace_rejected(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"problem_id": "x"}))

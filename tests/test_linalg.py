@@ -19,6 +19,8 @@ from cglens.linalg import (
     DimensionMismatch,
     NotSPDError,
     PivotedLDLT,
+    SpdCheck,
+    _product,
     backend_of,
     cholesky_spd_check,
     leading_solves,
@@ -177,6 +179,120 @@ class TestKernels:
     def test_residual_magnitude_split(self):
         assert residual_magnitude(vector([3, 4], F64)) == 5.0
         assert residual_magnitude(vector(["-1/2", "1/3"], RATIONAL)) == Fraction(1, 2)
+
+
+# Fractions with zeros, negatives and denominators up to ~2^500.
+wide_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.builds(Fraction, st.integers(-(2**520), 2**520), st.integers(1, 2**500)),
+)
+
+
+def _fraction_array(entries, shape):
+    out = np.empty(shape, dtype=object)
+    out.flat[:] = entries
+    return out
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b) of shapes (0,)(0,), (k,)(k,), (k, m)(m,) or (k, m)(m, j), with m = 0 allowed."""
+    k, j = (draw(st.integers(min_value=1, max_value=4)) for _ in range(2))
+    m = draw(st.integers(min_value=0, max_value=4))
+    shapes = draw(st.sampled_from([((0,), (0,)), ((k,), (k,)), ((k, m), (m,)), ((k, m), (m, j))]))
+    if shapes[0] == (k,) and draw(st.booleans()):
+        a = _fraction_array(draw(st.lists(wide_rationals, min_size=k, max_size=k)), (k,))
+        return a, a  # the norm_sq case
+    sizes = [math.prod(shape) for shape in shapes]
+    return tuple(
+        _fraction_array(draw(st.lists(wide_rationals, min_size=size, max_size=size)), shape)
+        for shape, size in zip(shapes, sizes)
+    )
+
+
+class TestFractionFreeProduct:
+    @given(product_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_product_is_the_fraction_dot_entry_for_entry(self, operands):
+        a, b = operands
+        expected, got = np.dot(a, b), _product(a, b)
+        assert np.shape(got) == np.shape(expected)
+        for x, y in zip(np.ravel(got), np.ravel(expected)):
+            assert type(x) is Fraction and x == y
+
+    def test_float_product_is_np_dot(self):
+        M = np.arange(6.0).reshape(2, 3) / 7
+        v = np.array([0.1, 0.2, 0.3])
+        assert _product(M, v).tobytes() == np.dot(M, v).tobytes()
+
+    def test_exact_mat_vec_and_dot_make_no_fraction_product(self, monkeypatch):
+        def fraction_product(a, b):
+            raise AssertionError(f"Fraction product {a!r} * {b!r}")
+
+        M = sym_matrix([["1/2", "-3/7", 5], ["-3/7", 2, "1/9"], [5, "1/9", "4/3"]], RATIONAL)
+        v = vector(["2/3", "-5/11", "7"], RATIONAL)
+        expected_Mv, expected_dot = list(np.dot(M, v)), np.dot(v, v)
+        monkeypatch.setattr(Fraction, "__mul__", fraction_product)
+        monkeypatch.setattr(Fraction, "__rmul__", fraction_product)
+        with pytest.raises(AssertionError, match="Fraction product"):
+            np.dot(v, v)  # the patch is in force
+        assert list(mat_vec(M, v)) == expected_Mv
+        assert dot(v, v) == norm_sq(v) == expected_dot
+
+
+def _fraction_elimination(A: np.ndarray) -> PivotedLDLT:
+    """The factor of A by the elimination on Fraction Schur complements that
+    the fraction-free one replaced, kept here as its reference."""
+    n = A.shape[0]
+    W = np.array(A, dtype=object)
+    perm, pivots, rank = list(range(n)), [], n
+    for t in range(n):
+        j = t + int(np.argmax(W.diagonal()[t:]))
+        if j != t:
+            W[[t, j], :] = W[[j, t], :]
+            W[t:, [t, j]] = W[t:, [j, t]]
+            perm[t], perm[j] = perm[j], perm[t]
+        piv = W[t, t]
+        pivots.append(piv)
+        if not piv > 0:
+            rank = t
+            break
+        col = W[t + 1 :, t] / piv
+        W[t + 1 :, t] = col
+        W[t + 1 :, t + 1 :] -= np.outer(col, col) * piv
+    ref = PivotedLDLT.__new__(PivotedLDLT)
+    ref.backend, ref.n, ref.rank, ref.perm, ref.pivots = RATIONAL, n, rank, perm, tuple(pivots)
+    ref.pivot_floor, ref._W, ref._scale = Fraction(0), W, None
+    return ref
+
+
+@st.composite
+def symmetric_rational_matrix(draw):
+    """A symmetric rational matrix with wide entries: SPD, semidefinite or indefinite."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    B = [[draw(wide_rationals) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["spd", "gram", "any"]))
+    if kind == "any":
+        rows = [[B[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    else:  # B^T B over the first m rows of B, plus I when SPD
+        m = n if kind == "spd" else draw(st.integers(min_value=0, max_value=n))
+        rows = [[sum((B[t][i] * B[t][j] for t in range(m)), Fraction(int(kind == "spd" and i == j)))
+                 for j in range(n)] for i in range(n)]
+    return sym_matrix(rows, RATIONAL)
+
+
+class TestBareissAgainstFractionElimination:
+    @given(symmetric_rational_matrix(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pivots_rank_solve_and_nullspace_equal_the_fraction_factor(self, A, data):
+        fact, ref = SpdCheck(A), _fraction_elimination(A)
+        assert (fact.rank, fact.perm, fact.pivots) == (ref.rank, ref.perm, ref.pivots)
+        assert all(type(p) is Fraction for p in fact.pivots)
+        b = vector([data.draw(wide_rationals) for _ in range(A.shape[0])], RATIONAL)
+        (x, consistent), (x_ref, consistent_ref) = fact.solve(b), ref.solve(b)
+        assert consistent == consistent_ref and list(x) == list(x_ref)
+        assert [list(z) for z in fact.nullspace()] == [list(z) for z in ref.nullspace()]
 
 
 class TestScalarToken:
