@@ -61,8 +61,11 @@ class NotSPDError(LinalgError):
 # optional sign, then p/q or digits with an optional fraction and exponent,
 # with whitespace around.  |exponent| <= 4300, Python's int-string digit limit,
 # is checked before any integer is built: Fraction("1e999999999") builds 10**999999999.
+# So is every run of digits, so that a token's fate does not hang on the
+# interpreter's limit (PYTHONINTMAXSTRDIGITS=0 lifts it).
 _TOKEN = re.compile(r"\s*[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?0*(\d+))?)\s*", re.ASCII)
 EXPONENT_CAP = 4300
+_LONG_DIGIT_RUN = re.compile(r"\d{%d}" % (EXPONENT_CAP + 1), re.ASCII)
 
 
 class Backend:
@@ -79,12 +82,15 @@ class Backend:
         """Convert ``value`` to this backend's scalar type.
 
         Strings must match ``_TOKEN``: decimal literals or exact "p/q"
-        fractions.  Under float64 a decimal token goes to ``float()``, with
-        the value of ``float(Fraction(token))`` bit for bit.  Under
-        the rational backend a float converts to its exact binary value;
-        pass a string to get decimal semantics ("0.1" -> 1/10).  Booleans
-        and values naming no rational ("nan", "inf" or "1/0" as strings, a
-        float NaN or infinity under rationals) raise ``LinalgError``.
+        fractions, with no run of more than ``EXPONENT_CAP`` digits and no
+        exponent above it.  Under float64 a decimal token goes to
+        ``float()``, with the value of ``float(Fraction(token))`` bit for
+        bit.  Under the rational backend a float converts to its exact
+        binary value; pass a string to get decimal semantics ("0.1" ->
+        1/10).  Booleans and values naming no rational ("nan", "inf" or
+        "1/0" as strings, a float NaN or infinity under rationals) raise
+        ``LinalgError``, whose message shows at most 40 characters of the
+        value.
         """
         try:
             if isinstance(value, (bool, np.bool_)):
@@ -92,7 +98,8 @@ class Backend:
             if isinstance(value, str):
                 match = _TOKEN.fullmatch(value)
                 exponent = match and match[1]
-                if not match or exponent and (len(exponent) > 4 or int(exponent) > EXPONENT_CAP):
+                if (not match or _LONG_DIGIT_RUN.search(value)
+                        or exponent and (len(exponent) > 4 or int(exponent) > EXPONENT_CAP)):
                     raise ValueError("not a numeric token")
                 if self.exact:
                     return Fraction(value)
@@ -110,7 +117,10 @@ class Backend:
                 return Fraction(value)
             raise TypeError(f"{type(value).__name__} is not a number")
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as err:
-            raise LinalgError(f"cannot convert {value!r} to a {self.name} scalar") from err
+            text = repr(value)
+            if len(text) > 40:
+                text = text[:40] + "..."
+            raise LinalgError(f"cannot convert {text} to a {self.name} scalar") from err
 
     @property
     def zero(self) -> Scalar:
@@ -441,7 +451,7 @@ def leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
 class PivotedLDLT:
     """L D L^T factorization with symmetric diagonal pivoting.
 
-    The package's one elimination kernel.  Each step pivots on the
+    The package's one pivoted elimination kernel.  Each step pivots on the
     largest remaining diagonal entry (Higham, 1990), so the pivots of a
     positive *semi*definite matrix stop being positive exactly where its
     numerical rank ends, and consistent singular systems are solved with
@@ -465,11 +475,12 @@ class PivotedLDLT:
 
     Pivoting makes the factor serve A alone.  ``leading_solves`` is the
     unpivoted, natural-order elimination whose factor serves every
-    leading block of A at once.
+    leading block of A at once, and the float64 ``SpdCheck`` is LAPACK's
+    natural-order Cholesky factor.
     """
 
     def __init__(self, A: np.ndarray, pivot_floor: Scalar | None = None):
-        self._eliminate(A, pivot_floor, rescale=not backend_of(A).exact)
+        self._eliminate(A, pivot_floor)
         if self.rank < self.n and self.pivots[-1] < -1000 * abs(self.pivot_floor):
             # PSD input can only stop on a (numerically) zero trailing
             # block; a solidly negative diagonal means the matrix was not
@@ -478,13 +489,13 @@ class PivotedLDLT:
                 f"matrix is not positive semidefinite (diagonal {self.pivots[-1]})"
             )
 
-    def _eliminate(self, A: np.ndarray, pivot_floor: Scalar | None, rescale: bool) -> None:
+    def _eliminate(self, A: np.ndarray, pivot_floor: Scalar | None) -> None:
         backend = backend_of(A)
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionMismatch("PivotedLDLT requires a square matrix")
         self._scale = None
-        if rescale:
+        if not backend.exact:
             self._scale = _jacobi_scale(A)
             A = A * np.outer(self._scale, self._scale)
         if pivot_floor is None:
@@ -493,8 +504,7 @@ class PivotedLDLT:
             elif n == 0:
                 pivot_floor = 0.0
             else:
-                margin = RANK_FLOOR_MARGIN if rescale else 1
-                pivot_floor = margin * n * np.finfo(np.float64).eps * float(max_abs(A))
+                pivot_floor = RANK_FLOOR_MARGIN * n * np.finfo(np.float64).eps * float(max_abs(A))
         if backend.exact:
             # Bareiss: A = W / den, and from step t on the trailing block of
             # W is prev * den times the Schur complement, prev being the
@@ -593,8 +603,16 @@ class PivotedLDLT:
         return basis
 
 
+def _cholesky_factor(M: np.ndarray) -> np.ndarray | None:
+    """LAPACK's lower Cholesky factor of M, or None where it meets a pivot <= 0."""
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return None
+
+
 class SpdCheck(PivotedLDLT):
-    """The pivoted kernel read as a test of positive definiteness.
+    """An L D L^T factorization read as a test of positive definiteness.
 
     M is positive definite exactly when all n pivots exceed the pivot
     floor, which defaults to 0 on the rational backend and to
@@ -602,10 +620,62 @@ class SpdCheck(PivotedLDLT):
     integer matrices are reliably rejected).  M is not rescaled, so the
     floor is relative to M as given.  Non-SPD input is a result, not an
     error: ``pivots`` run up to and including the first failing one.
+
+    Under rationals the factor is the pivoted Bareiss elimination of
+    ``PivotedLDLT``.  Under float64 it is one LAPACK Cholesky factor
+    M = L L^T in natural order, which needs no pivoting on SPD input
+    (Golub and Van Loan, 4.2), with pivots d_t = L_tt^2; M is SPD exactly
+    when LAPACK succeeds and every d_t exceeds the floor (so a NaN pivot
+    fails).  Where LAPACK fails, a bisection over the leading blocks
+    finds the largest k for which M[:k, :k] factors, and pivot k + 1 is
+    the Schur complement M[k, k] - |L_k^-1 M[:k, k]|^2.  Such an M is
+    never reported SPD, even if rounding puts that value above the floor.
+    Either factor is kept as multipliers below the diagonal and pivots on
+    it, so ``solve`` reads both alike.
     """
 
     def __init__(self, M: np.ndarray, pivot_floor: Scalar | None = None):
-        self._eliminate(M, pivot_floor, rescale=False)
+        if backend_of(M).exact:
+            self._eliminate(M, pivot_floor)
+            return
+        n = M.shape[0]
+        if M.shape != (n, n):
+            raise DimensionMismatch("SpdCheck requires a square matrix")
+        if pivot_floor is None:
+            pivot_floor = n * np.finfo(np.float64).eps * float(max_abs(M)) if n else 0.0
+        k, L = n, _cholesky_factor(M)
+        if L is None:
+            # Leading blocks stay positive definite up to some order k and
+            # no further: M[:lo, :lo] factors and M[:hi, :hi] does not.
+            lo, hi, L = 0, n, np.zeros((0, 0))
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                L_mid = _cholesky_factor(M[:mid, :mid])
+                if L_mid is None:
+                    hi = mid
+                else:
+                    lo, L = mid, L_mid
+            k = lo
+            # The first k columns of the factor of M: below L_k, (L_k^-1 M[:k, k:])^T.
+            L = np.vstack([L, np.linalg.solve(L, M[:k, k:]).T])
+        # Behind a pivot far below the floor the factor may overflow to inf;
+        # the verdict and the pivots up to that one stand.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = L.diagonal() ** 2
+            if k < n:
+                d = np.append(d, M[k, k] - np.dot(L[k], L[k]))
+            W = np.zeros((n, n))
+            W[:, :k] = L / L.diagonal()
+        W[range(len(d)), range(len(d))] = d
+        failing = np.flatnonzero(~(d > pivot_floor))
+        rank = int(failing[0]) if len(failing) else k
+        self.backend = F64
+        self.n = n
+        self.rank = rank
+        self.perm = list(range(n))
+        self.pivots = tuple(d[: rank + 1].tolist())
+        self.pivot_floor = pivot_floor
+        self._W, self._scale = W, None
 
     @property
     def is_spd(self) -> bool:
@@ -618,7 +688,12 @@ class SpdCheck(PivotedLDLT):
 
 
 def cholesky_spd_check(M: np.ndarray, pivot_floor: Scalar | None = None) -> SpdCheck:
-    """Test positive definiteness by the pivots of the L D L^T factorization."""
+    """Test positive definiteness by the pivots of an L D L^T factorization.
+
+    Under float64 that is one natural-order LAPACK Cholesky factor; under
+    rationals, the pivoted Bareiss elimination.  Both compare the pivots
+    with the floor of ``SpdCheck``.
+    """
     return SpdCheck(M, pivot_floor)
 
 

@@ -91,14 +91,13 @@ def read_matrix_market(path, backend: Backend = F64) -> np.ndarray:
     if m != n:
         raise MMParseError(f"line {lineno}: matrix is {m}x{n}, not square")
 
-    filled = [[None] * n for _ in range(n)]
+    filled = {}
 
     def put(i, j, value, lineno):
-        if filled[i][j] is not None and filled[i][j] != value:
+        if filled.setdefault((i, j), value) != value:
             raise MMParseError(
                 f"line {lineno}: duplicate entry ({i + 1}, {j + 1}) with a different value"
             )
-        filled[i][j] = value
 
     if fmt == "coordinate":
         nnz = sizes[2]
@@ -121,30 +120,32 @@ def read_matrix_market(path, backend: Backend = F64) -> np.ndarray:
             put(i, j, value, lno)
             if symmetry == "symmetric" and i != j:
                 put(j, i, value, lno)
+        # The dense matrix has n^2 entries however few the file stores; a row
+        # with none is zero, so only a singular matrix would be built.
+        rows = {i for i, _ in filled}
+        if len(rows) < n:
+            empty = next(i for i in range(n) if i not in rows)
+            raise MMParseError(f"line {lineno}: row {empty + 1} of {n} has no entry")
     else:
         values = []
         for lno, line in body[1:]:
             for tok in line.split():
                 values.append((lno, tok))
+        count = n * (n + 1) // 2 if symmetry == "symmetric" else n * n
+        if len(values) != count:
+            raise MMParseError(f"line {body[-1][0]}: expected {count} values, found {len(values)}")
         if symmetry == "symmetric":
             coords = [(i, j) for j in range(n) for i in range(j, n)]
         else:
             coords = [(i, j) for j in range(n) for i in range(n)]
-        if len(values) != len(coords):
-            raise MMParseError(
-                f"line {body[-1][0]}: expected {len(coords)} values, found {len(values)}"
-            )
         for (i, j), (lno, tok) in zip(coords, values):
             value = _parse_value(tok, field, backend, lno)
             put(i, j, value, lno)
             if symmetry == "symmetric" and i != j:
                 put(j, i, value, lno)
 
-    for i in range(n):
-        for j in range(n):
-            if filled[i][j] is None:
-                filled[i][j] = backend.zero
-    return sym_matrix(filled, backend)
+    dense = [[filled.get((i, j), backend.zero) for j in range(n)] for i in range(n)]
+    return sym_matrix(dense, backend)
 
 
 def write_matrix_market(M: np.ndarray, path, comment: str | None = None) -> None:
@@ -327,37 +328,41 @@ def load_trace(path) -> CGTrace:
     try:
         backend = BACKENDS[data["backend"]]
         raw_records = data["records"]
-    except KeyError as err:
-        raise LinalgError(f"{path}: trace JSON must define backend and records") from err
-    if backend.exact and _holds_float(raw_records):
-        data = _read_json(path, backend)
-        raw_records = data["records"]
+        if backend.exact and _holds_float(raw_records):
+            data = _read_json(path, backend)
+            raw_records = data["records"]
 
-    def scal(x):
-        return None if x is None else backend.scalar(x)
+        def scal(x):
+            return None if x is None else backend.scalar(x)
 
-    def vec(v):
-        return None if v is None else vector(v, backend)
+        def vec(v):
+            return None if v is None else vector(v, backend)
 
-    records = tuple(
-        IterateRecord(
-            k=int(rec["k"]),
-            x_k=vec(rec["x"]),
-            g_k=vec(rec["g"]),
-            grad_norm_sq=scal(rec["grad_norm_sq"]),
-            p_k=vec(rec.get("p")),
-            theta_k=scal(rec.get("theta")),
-            beta_k=scal(rec.get("beta")),
-            c_k=scal(rec.get("c")),
+        records = tuple(
+            IterateRecord(
+                k=int(rec["k"]),
+                x_k=vec(rec["x"]),
+                g_k=vec(rec["g"]),
+                grad_norm_sq=scal(rec["grad_norm_sq"]),
+                p_k=vec(rec.get("p")),
+                theta_k=scal(rec.get("theta")),
+                beta_k=scal(rec.get("beta")),
+                c_k=scal(rec.get("c")),
+            )
+            for rec in raw_records
         )
-        for rec in raw_records
-    )
-    return CGTrace(
-        problem_id=str(data.get("problem_id", "unlabeled")),
-        scalar_backend=backend.name,
-        records=records,
-        termination_index=int(data["r"]),
-        termination_reason=str(data["termination_reason"]),
-        direction_mode=str(data.get("direction_mode", "recursive")),
-        scaling_mode=str(data.get("scaling_mode", "cg_standard")),
-    )
+        return CGTrace(
+            problem_id=str(data.get("problem_id", "unlabeled")),
+            scalar_backend=backend.name,
+            records=records,
+            termination_index=int(data["r"]),
+            termination_reason=str(data["termination_reason"]),
+            direction_mode=str(data.get("direction_mode", "recursive")),
+            scaling_mode=str(data.get("scaling_mode", "cg_standard")),
+        )
+    except LinalgError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as err:
+        # A field missing, or of the wrong kind, anywhere in the document.
+        raise LinalgError(f"{path}: trace JSON must define backend and records, each with "
+                          f"k, x, g and grad_norm_sq ({type(err).__name__}: {err})") from err

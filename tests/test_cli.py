@@ -216,6 +216,9 @@ class TestBadInput:
             # a string where a sequence of entries belongs
             {"c": "12"},
             {"H": {"dense": ["20", "02"]}},
+            # runs of more than 4300 digits, refused whatever the interpreter's limit
+            {"H": {"dense": [["1" * 5000, 0], [0, 2]]}},
+            {"c": ["0." + "1" * 5000, 0]},
         ],
     )
     def test_hostile_scalar_exits_two_with_one_line(self, tmp_path, capsys, backend, changes):
@@ -225,6 +228,21 @@ class TestBadInput:
         assert run_main(["verify", "--problem", str(path), "--backend", backend]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200  # a long token is echoed truncated
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+    def test_digit_cap_does_not_depend_on_the_interpreter_limit(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(
+            {"n": 1, "H": {"dense": [["1" * 5000]]}, "c": ["-" + "1" * 5000], "x0": [0]}
+        ))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # as PYTHONINTMAXSTRDIGITS=0 does
+        try:
+            assert run_main(["verify", "--problem", str(path), "--backend", "rational"]) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().err.startswith("error: cannot convert '1111")
 
 
     @pytest.mark.parametrize("backend", ["f64", "rational"])
@@ -331,3 +349,11 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert "generate" in proc.stdout and "verify" in proc.stdout
+
+    def test_verify_runs_on_numpy_alone(self):
+        # scipy is not a declared dependency, so no command may import it.
+        code = ("import sys; from cglens.cli import main; "
+                "rc = main(['verify', '--kind', 'laplacian1d', '--n', '60', '--tol', '1e-7']); "
+                "print(rc, 'scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr

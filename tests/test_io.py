@@ -151,6 +151,17 @@ class TestMatrixMarketRead:
         with pytest.raises(MMParseError, match="bogus"):
             read_matrix_market(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("%%MatrixMarket matrix coordinate real symmetric\n1000000000 1000000000 0\n", "line 2"),
+        ("%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1\n3 3 1\n", "row 2 of 3"),
+        ("%%MatrixMarket matrix array real symmetric\n1000000000 1000000000\n1\n", "line 3"),
+    ])
+    def test_order_beyond_the_stored_entries_is_refused_before_building(self, tmp_path, text, line):
+        # The dense matrix is built only when every row has a stored entry
+        # and the values fill it, so a size line alone cannot make it huge.
+        with pytest.raises(MMParseError, match=line):
+            read_matrix_market(self.write(tmp_path, text))
+
     @pytest.mark.parametrize("backend", [F64, RATIONAL])
     @pytest.mark.parametrize("field, token", [
         ("real", "nan"), ("real", "1_0"), ("real", "1e5000"), ("integer", "1.5"), ("integer", "1_0"),

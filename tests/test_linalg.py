@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cglens import F64, RATIONAL, LinalgError, dot, norm, norm_sq, scalar_token, vector
+from cglens import (
+    F64,
+    RATIONAL,
+    LinalgError,
+    ProblemSpec,
+    dot,
+    exact_minimizer,
+    generate_problem,
+    norm,
+    norm_sq,
+    scalar_token,
+    vector,
+)
 from cglens.linalg import (
     BACKENDS,
     AsymmetricMatrixError,
@@ -333,6 +346,127 @@ class TestSpdCheck:
         with pytest.raises(NotSPDError) as excinfo:
             solve_spd(M, vector([1, 1], F64))
         assert excinfo.value.pivot_index == 2
+
+
+def _natural_order_pivots(M: np.ndarray, floor: float) -> list[Fraction]:
+    """The natural-order L D L^T pivots of the float matrix M, on exact
+    Fraction Schur complements of its entries, up to and including the first
+    at or below ``floor``: the reference for the float64 SPD test."""
+    S = np.array([[Fraction(x) for x in row] for row in M], dtype=object)
+    pivots = []
+    for t in range(len(S)):
+        pivots.append(S[t, t])
+        if not S[t, t] > floor:
+            break
+        col = S[t + 1 :, t] / S[t, t]
+        S[t + 1 :, t + 1 :] -= np.outer(col, S[t + 1 :, t])
+    return pivots
+
+
+@st.composite
+def float_ldlt_matrix(draw):
+    """L D L^T for a unit lower triangular L with entries in {-1, 0, 1} and
+    a nonzero integer D, all positive half of the time: exact float entries,
+    and natural-order pivots D up to the first negative one.  (With entries
+    up to 3 the Schur complements cancel enough to cost 1e-12 relative.)"""
+    n = draw(st.integers(min_value=1, max_value=7))
+    L = np.eye(n)
+    for i in range(n):
+        L[i, :i] = draw(st.lists(st.integers(-1, 1), min_size=i, max_size=i))
+    entries = st.integers(1, 6) if draw(st.booleans()) else st.integers(-6, 6).filter(bool)
+    d = draw(st.lists(entries, min_size=n, max_size=n))
+    return L @ np.diag(d) @ L.T
+
+
+@st.composite
+def float_gram_matrix(draw):
+    """B^T B + I for a random float B: SPD and well conditioned."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    B = np.array(draw(st.lists(st.floats(-1, 1), min_size=n * n, max_size=n * n))).reshape(n, n)
+    M = B.T @ B + np.eye(n)
+    return (M + M.T) / 2
+
+
+class TestFloatSpdCheck:
+    """Under float64 the SPD test is one natural-order LAPACK Cholesky factor."""
+
+    @given(st.one_of(float_ldlt_matrix(), float_gram_matrix()))
+    @settings(max_examples=100, deadline=None)
+    def test_verdict_index_and_pivots_match_natural_order_schur_complements(self, M):
+        check = cholesky_spd_check(M)
+        assert check.pivot_floor == len(M) * np.finfo(np.float64).eps * np.abs(M).max()
+        ref = _natural_order_pivots(M, check.pivot_floor)
+        spd = len(ref) == len(M) and ref[-1] > check.pivot_floor
+        assert check.is_spd == spd
+        assert check.failed_pivot == (None if spd else len(ref) - 1)
+        assert len(check.pivots) == len(ref)
+        assert all(math.isclose(p, q, rel_tol=1e-12) for p, q in zip(check.pivots, ref))
+
+    def test_natural_order_reports_the_first_failing_leading_block(self):
+        # The pivoted rational elimination takes the 5 first and fails at step 3.
+        rows = [[4, 2, 0], [2, 1, 0], [0, 0, 5]]
+        check = cholesky_spd_check(sym_matrix(rows, F64))
+        assert (check.failed_pivot, check.pivots) == (1, (4.0, 0.0))
+        assert cholesky_spd_check(sym_matrix(rows, RATIONAL)).failed_pivot == 2
+
+    def test_nan_entry_fails(self):
+        # LAPACK passes a NaN through to the factor; the floor test fails it.
+        for M in ([[1.0, math.nan], [math.nan, 1.0]], [[1.0, 0.0], [0.0, math.nan]], [[math.nan]]):
+            assert not cholesky_spd_check(np.array(M)).is_spd
+
+    def test_one_by_one(self):
+        check = cholesky_spd_check(np.array([[3.0]]))
+        assert check.is_spd and math.isclose(check.pivots[0], 3.0, rel_tol=1e-15)
+        for value in (0.0, -2.0):
+            check = cholesky_spd_check(np.array([[value]]))
+            assert (check.is_spd, check.failed_pivot, check.pivots) == (False, 0, (value,))
+
+    def test_positive_pivot_below_the_floor_fails(self):
+        # Pivot 2 is 2**-52 > 0, under the floor 2 * eps * (1 + eps).
+        check = cholesky_spd_check(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]))
+        assert not check.is_spd and check.failed_pivot == 1
+        assert 0 < check.pivots[1] <= check.pivot_floor
+
+    def test_overflow_behind_a_tiny_pivot_raises_no_warning(self):
+        # The pivoted elimination took 1e10 first; natural order meets the
+        # tiny pivot first, and the factor behind it overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for M in ([[1e-308, 1e10], [1e10, 1.0]], [[1e-300, 1e150], [1e150, 1e300]]):
+                check = cholesky_spd_check(np.array(M))
+                assert (check.failed_pivot, check.pivots) == (0, (M[0][0],))
+
+    def test_a_failed_factorization_is_never_spd(self, monkeypatch):
+        # LAPACK refuses the whole matrix while its leading blocks factor, as
+        # rounding can when the last Schur complement is near zero; the one
+        # recomputed here is well above the floor.
+        cholesky = np.linalg.cholesky
+
+        def refuse_order_three(A):
+            if len(A) == 3:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(A)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse_order_three)
+        check = cholesky_spd_check(np.diag([1.0, 2.0, 3.0]))
+        assert not check.is_spd and check.failed_pivot == 2
+        assert check.pivots[2] == 3.0 > check.pivot_floor
+
+    def test_solve_on_the_factor_of_rand_spd_200(self):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=200, condition=1e4, seed=0), F64)
+        x = exact_minimizer(P)
+        assert np.linalg.norm(P.H @ x + P.c) <= 1e-10 * np.linalg.norm(P.c)
+
+    def test_never_enters_the_pivoted_elimination(self, monkeypatch):
+        def eliminate(self, *args):
+            raise AssertionError("PivotedLDLT._eliminate entered")
+
+        monkeypatch.setattr(PivotedLDLT, "_eliminate", eliminate)
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=40, condition=100.0, seed=1), F64)
+        assert P.spd.is_spd and len(exact_minimizer(P)) == 40
+        assert not cholesky_spd_check(sym_matrix([[1, 2], [2, 1]], F64)).is_spd
+        with pytest.raises(AssertionError, match="entered"):
+            cholesky_spd_check(sym_matrix([[1]], RATIONAL))  # the patch is in force
 
 
 class TestPivotedLDLT:
