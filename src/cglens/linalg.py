@@ -14,12 +14,17 @@ functions; nothing here mutates its inputs.
 
 ``Fraction`` arrays are the rational backend at every boundary, but not
 inside its hot kernels, because a sum of ``Fraction`` products pays a gcd
-per operation.  The products (``_product``), the elimination of
-``PivotedLDLT`` and the generator's reflections work instead on integer
-numerators over one common denominator (``_integerized``; in a product of
-two matrices, one per row and per column, ``_integer_rows``).  Integers
-sum with no gcd, and each result entry becomes a ``Fraction`` once
-(``_rationalized``).
+per operation.  The products (``_product``), the elimination
+(``_eliminate``) and the generator's reflections work instead on integer
+numerators over a common denominator (``_integerized``; one per row and
+per column of a matrix, ``_integer_rows``).  Integers sum with no gcd, and
+each result entry becomes a ``Fraction`` once (``_rationalized``).
+
+Two kernels carry every decision about rank and definiteness.
+``_orthogonalized`` (Gram-Schmidt) decides which vectors of a list depend
+on the earlier ones; ``_eliminate`` (natural-order L D L^T, the one
+elimination loop) decides how far a symmetric matrix is positive definite
+and serves ``leading_solves`` and the exact ``SpdCheck``.
 """
 
 from __future__ import annotations
@@ -259,23 +264,22 @@ def _product(a: np.ndarray, b: np.ndarray):
 
     Under float64 this is one ``np.dot`` call.  Exact operands become
     integer numerators, the sums of products run on Python ints with no
-    gcd, and each result entry is made a ``Fraction`` once.  Against a
-    vector, each operand has one denominator.  A product of two matrices
-    is a table of inner products between two stacks of vectors, such as a
-    CG history, whose denominators are unrelated and have a needlessly
-    large common multiple; there each row of ``a`` and each column of
-    ``b`` has its own.
+    gcd, and each result entry is made a ``Fraction`` once.  Two vectors
+    have one denominator each.  Otherwise each row of ``a`` and each column
+    of ``b`` has its own (a vector counts as one row or one column): a
+    matrix is usually a stack of vectors, such as a CG history, whose
+    denominators are unrelated and have a needlessly large common multiple.
     """
     if a.dtype != object:
         return np.dot(a, b)
-    if b.ndim == 1:
+    if a.ndim == b.ndim == 1:
         Na, da = _integerized(a)
         Nb, db = (Na, da) if b is a else _integerized(b)
         return _rationalized(np.dot(Na, Nb), da * db)
-    Na, da = _integer_rows(a)
-    Nb, db = _integer_rows(b.T)
+    Na, da = _integer_rows(a if a.ndim == 2 else a[None, :])
+    Nb, db = _integer_rows(b.T if b.ndim == 2 else b[None, :])
     dens = np.multiply.outer(np.array(da, dtype=object), np.array(db, dtype=object))
-    return _rationalized(np.dot(Na, Nb.T), dens)
+    return _rationalized(np.dot(Na, Nb.T), dens).reshape(a.shape[:-1] + b.shape[1:])
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> Scalar:
@@ -380,41 +384,118 @@ def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales) 
     return max(rows) if backend.exact else float(np.max(rows))
 
 
-# Float64 rank floor of the Jacobi-scaled semidefinite kernel, in units
-# of n * eps.  At 1 the exactly singular Gram matrix B^T B of
-# B = [[-2,-2,1,-3],[1,-3,-2,3],[-2,-1,1,-3]] came out of full rank (last
-# pivot 9.3e-16 against a floor of 8.9e-16), 1 of 3000 rank-deficient
-# integer Gram matrices with n <= 6; from 2 up none of the 3000 did.
-RANK_FLOOR_MARGIN = 4
-
-# The smallest float64 pivot ``leading_solves`` accepts on the
-# Jacobi-scaled (unit-diagonal) matrix, where pivot k is the squared sine
-# of the angle between column k and the span of the earlier ones.
-# Unpivoted elimination has no rank floor it can trust: on exactly
-# rank-deficient integer Gram matrices with n <= 6 it left spurious
-# pivots up to 6.4e-13 at dependent columns, where the exact pivot is 0.
-# CG histories that keep their theory stay far above sqrt(eps): the
-# smallest scaled pivot of S^T H S is 5e-3 for laplacian1d n = 400 and
-# 0.47 for rand_spd n = 250 at cond 1e4, and every Gram pivot is ~1.
-# Below sqrt(eps) a solve keeps fewer than half the digits.
-LEADING_PIVOT_MARGIN = math.sqrt(np.finfo(np.float64).eps)
+# A float64 column is dropped when the part of it that the earlier kept
+# columns do not span has at most sqrt(eps) of its norm, q^T q <= eps v^T v:
+# below that a solve on the column keeps fewer than half the digits.  On
+# 1000 exactly rank-deficient integer matrices with n <= 6 columns, the
+# number of kept columns of every prefix matched its exact rank.  CG
+# histories that keep their theory are nowhere near it: |q| / |v| is 1 to
+# 15 digits on every gradient of the benchmark's seed-1 float64 job sets.
+_DROP_MARGIN = np.finfo(np.float64).eps
 
 
-def _jacobi_scale(A: np.ndarray) -> np.ndarray:
-    """1/sqrt(A_jj) for each j, or 1 where the diagonal entry is not positive."""
-    return np.array([1.0 / math.sqrt(d) if d > 0 else 1.0 for d in A.diagonal()])
+def _orthogonalized(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Gram-Schmidt of v_0..v_{r-1}, column by column: ``(Q, T, d, kept)``.
+
+    v_j becomes q_j = v_j - sum_i c_ij q_i, c_ij = q_i^T v_j / d_i, over the
+    kept q_i before it: classical Gram-Schmidt twice under float64 ("twice
+    is enough": Giraud, Langou and Rozloznik, 2005), once under rationals.
+    Column j is kept unless q_j^T q_j <= eps v_j^T v_j (float64) or = 0
+    (rationals): the package's one rank decision.  A NaN column is kept.
+
+    The rows of Q are the kept q_j, unnormalized, ``d`` their squared norms
+    and ``kept`` their indices.  T = R^-1 for the unit upper triangular R
+    of V = Q R: sum_i T[i, j] v_i = q_j, which for a dropped j is the
+    negligible (under rationals, zero) part left over.  Orthogonal input,
+    such as an exact CG history, gives Q = V and T = I.
+    """
+    backend = backend_of(vectors[0])
+    r, n = len(vectors), vectors[0].shape[0]
+    Q, d, T = backend.empty((r, n)), backend.empty(r), backend.empty((r, r))
+    passes, kept = 1 if backend.exact else 2, []
+    for j, v in enumerate(vectors):
+        T[j, j] = backend.one
+        q, m = v, len(kept)
+        for _ in range(passes if kept else 0):
+            c = _product(Q[:m], q) / d[:m]
+            if c.any():
+                q = q - _product(c, Q[:m])
+                T[:j, j] -= _product(T[:j, kept], c)
+        q_sq = norm_sq(q)
+        if not q_sq <= (0 if backend.exact else _DROP_MARGIN * norm_sq(v)):
+            Q[m], d[m] = q, q_sq
+            kept.append(j)
+    return Q[: len(kept)], T, d[: len(kept)], kept
+
+
+def _spd_floor(M: np.ndarray) -> Scalar:
+    """The default pivot floor: 0 under rationals, n * eps * max|M_ij| under
+    float64, the maximum taken over the finite entries (0 if there are none)."""
+    if backend_of(M).exact:
+        return Fraction(0)
+    top = np.abs(M[np.isfinite(M)]).max(initial=0.0)
+    return len(M) * np.finfo(np.float64).eps * float(top)
+
+
+def _eliminate(M: np.ndarray, floor: Scalar) -> tuple[np.ndarray, list, int]:
+    """Natural-order L D L^T of M up to its first pivot not above ``floor``.
+
+    The package's one elimination loop.  Returns ``(W, pivots, m)``: the
+    pivots up to and including the failing one, the order m of the largest
+    leading block they show positive definite, and, in the first m columns
+    of W, the multipliers below the diagonal and the pivots on it.  The
+    factor's leading k-by-k block is the factor of M[:k, :k].
+
+    Under rationals the elimination is fraction-free (Bareiss, 1968): it
+    runs on the integer numerators of M over one denominator, and divides
+    each update exactly by the previous integer pivot, so no gcd is taken
+    inside the loop.  Each pivot and multiplier becomes a ``Fraction``
+    once, equal to the one the Schur complements would give.
+    """
+    exact = backend_of(M).exact
+    if exact:
+        # From step t on the trailing block of W is prev * den times the Schur
+        # complement, prev being the integer pivot of step t - 1 (1 at t = 0).
+        W, den = _integerized(M)
+    else:
+        W = np.array(M, dtype=np.float64)
+    prev, pivots = 1, []
+    for t in range(len(M)):
+        piv = Fraction(W[t, t], prev * den) if exact else W[t, t]
+        pivots.append(piv)
+        if not piv > floor:
+            return W, pivots, t
+        col = W[t + 1 :, t]
+        if exact:
+            W[t + 1 :, t + 1 :] = (W[t, t] * W[t + 1 :, t + 1 :] - np.outer(col, col)) // prev
+            prev = W[t, t]
+            W[t + 1 :, t] = [Fraction(x, prev) for x in col]
+            W[t, t] = piv
+        else:
+            W[t + 1 :, t + 1 :] -= np.outer(col / piv, col)
+            W[t + 1 :, t] = col / piv
+    return W, pivots, len(M)
+
+
+def _forward(W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y with L D y = b, for the unit lower L below the diagonal of W and D on it."""
+    y = _array_from(b, backend_of(W))
+    for t in range(1, len(y)):
+        y[t] -= np.dot(W[t, :t], y[:t])
+    return y / W.diagonal()[: len(y)]
 
 
 def leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
     """x_k with A[:k, :k] x_k = b[:k] for k = 1..m, from one L D L^T of A.
 
-    Elimination in natural order factors every leading block at once: the
-    leading k-by-k block of the factor of A is the factor of A[:k, :k].
-    It stops at the first pivot at or below the margin, which is
-    ``LEADING_PIVOT_MARGIN`` on the Jacobi-scaled matrix under float64
-    and literal zero under rationals, so m is the order of the largest
-    leading block that is (numerically) positive definite.  A NaN pivot
-    does not stop it, so NaN input yields NaN solutions.  One forward
+    Elimination in natural order factors every leading block at once.  It
+    stops at the first pivot that the SPD test's floor fails, so m is the
+    order of the largest leading block that is (numerically) positive
+    definite.  Under float64 A is first scaled to unit diagonal (Jacobi
+    scaling), which keeps systems whose columns differ by many orders of
+    magnitude solvable, and the floor is ``SpdCheck``'s for the scaled
+    matrix, r * eps * max|A_ij|; under rationals it is literal zero.  A NaN
+    pivot stops it too.  One forward
     substitution then serves every prefix b[:k], and the m back
     substitutions run at once (column k-1 of X holds x_k): O(r^3)
     arithmetic in O(r) array steps.
@@ -423,23 +504,12 @@ def leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
     r = A.shape[0]
     if A.shape != (r, r) or b.shape != (r,):
         raise DimensionMismatch(f"leading solves of shapes {A.shape} and {b.shape}")
-    scale, margin = None, backend.zero
-    if not backend.exact:
-        scale, margin = _jacobi_scale(A), LEADING_PIVOT_MARGIN
+    scale = None
+    if not backend.exact:  # 1/sqrt(A_jj), or 1 where A_jj is not positive
+        scale = 1 / np.sqrt(np.where(A.diagonal() > 0, A.diagonal(), 1.0))
         A, b = A * np.outer(scale, scale), b * scale
-    W = np.array(A)
-    m = r
-    for t in range(r):
-        if W[t, t] <= margin:
-            m = t
-            break
-        col = W[t + 1 :, t] / W[t, t]
-        W[t + 1 :, t + 1 :] -= np.outer(col, W[t + 1 :, t])
-        W[t + 1 :, t] = col
-    y = _array_from(b[:m], backend)
-    for t in range(1, m):
-        y[t] -= np.dot(W[t, :t], y[:t])
-    y = y / W.diagonal()[:m]
+    W, _, m = _eliminate(A, _spd_floor(A))
+    y = _forward(W, b[:m])
     X = backend.empty((m, m))
     for t in range(m - 1, -1, -1):
         X[t, t:] = y[t] - np.dot(W[t + 1 : m, t], X[t + 1 :, t:])
@@ -448,234 +518,62 @@ def leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
     return [_freeze(X[:k, k - 1].copy()) for k in range(1, m + 1)]
 
 
-class PivotedLDLT:
-    """L D L^T factorization with symmetric diagonal pivoting.
+def _cholesky_pivots(M: np.ndarray, floor: float) -> tuple[np.ndarray, list, int]:
+    """``_eliminate``'s ``(W, pivots, m)`` for a float64 M, from LAPACK.
 
-    The package's one pivoted elimination kernel.  Each step pivots on the
-    largest remaining diagonal entry (Higham, 1990), so the pivots of a
-    positive *semi*definite matrix stop being positive exactly where its
-    numerical rank ends, and consistent singular systems are solved with
-    the free coordinates set to zero.  Exact under the rational backend
-    (rank decisions compare against literal zero).
-
-    The rational elimination is fraction-free (Bareiss, 1968): it runs on
-    the integer numerators of A over one denominator, dividing each update
-    exactly by the previous integer pivot, so no gcd is taken inside the
-    loop.  Each pivot and multiplier becomes a ``Fraction`` once, equal to
-    the one the Schur complements would give, so ``pivots``, ``solve`` and
-    ``nullspace`` read the same factor.  The pivot order is the same too:
-    the integer diagonal is the Schur diagonal times prev * den, which has
-    the sign of the previous pivot, positive whenever the floor is >= 0.
-
-    Under float64 the matrix is first rescaled symmetrically to unit
-    diagonal (Jacobi scaling), which keeps systems whose columns differ
-    by many orders of magnitude (as CG gradient histories do) solvable;
-    ``solve`` and ``nullspace`` map their results back through the scale.
-    The default rank floor there is ``RANK_FLOOR_MARGIN * n * eps``.
-
-    Pivoting makes the factor serve A alone.  ``leading_solves`` is the
-    unpivoted, natural-order elimination whose factor serves every
-    leading block of A at once, and the float64 ``SpdCheck`` is LAPACK's
-    natural-order Cholesky factor.
+    One Cholesky factor M = L L^T in natural order, which needs no pivoting
+    on SPD input (Golub and Van Loan, 4.2), with pivots d_t = L_tt^2.  Only
+    a matrix that LAPACK refuses runs the elimination loop, which names the
+    first pivot to fail the floor; such an M never counts as factored in
+    full, even if rounding lets every pivot of the loop pass.
     """
-
-    def __init__(self, A: np.ndarray, pivot_floor: Scalar | None = None):
-        self._eliminate(A, pivot_floor)
-        if self.rank < self.n and self.pivots[-1] < -1000 * abs(self.pivot_floor):
-            # PSD input can only stop on a (numerically) zero trailing
-            # block; a solidly negative diagonal means the matrix was not
-            # PSD at all.
-            raise LinalgError(
-                f"matrix is not positive semidefinite (diagonal {self.pivots[-1]})"
-            )
-
-    def _eliminate(self, A: np.ndarray, pivot_floor: Scalar | None) -> None:
-        backend = backend_of(A)
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise DimensionMismatch("PivotedLDLT requires a square matrix")
-        self._scale = None
-        if not backend.exact:
-            self._scale = _jacobi_scale(A)
-            A = A * np.outer(self._scale, self._scale)
-        if pivot_floor is None:
-            if backend.exact:
-                pivot_floor = Fraction(0)
-            elif n == 0:
-                pivot_floor = 0.0
-            else:
-                pivot_floor = RANK_FLOOR_MARGIN * n * np.finfo(np.float64).eps * float(max_abs(A))
-        if backend.exact:
-            # Bareiss: A = W / den, and from step t on the trailing block of
-            # W is prev * den times the Schur complement, prev being the
-            # integer pivot of step t - 1 (1 at t = 0).
-            W, den = _integerized(A)
-        else:
-            W, den = np.array(A, dtype=np.float64), 1
-        prev = 1
-        perm = list(range(n))
-        pivots = []
-        rank = n
-        for t in range(n):
-            diagonal = W.diagonal()[t:]
-            j = t + int(np.argmax(diagonal if prev > 0 else -diagonal))
-            if j != t:
-                # Rows carry the multipliers of earlier steps; above row t
-                # the swapped columns are never read again.
-                W[[t, j], :] = W[[j, t], :]
-                W[t:, [t, j]] = W[t:, [j, t]]
-                perm[t], perm[j] = perm[j], perm[t]
-            piv = Fraction(W[t, t], prev * den) if backend.exact else W[t, t]
-            pivots.append(piv)
-            if not piv > pivot_floor:
-                rank = t
-                break
-            if backend.exact:
-                col = W[t + 1 :, t]
-                W[t + 1 :, t + 1 :] = (W[t, t] * W[t + 1 :, t + 1 :] - np.outer(col, col)) // prev
-                prev = W[t, t]
-                W[t + 1 :, t] = [Fraction(x, prev) for x in col]
-                W[t, t] = piv
-            elif t + 1 < n:
-                col = W[t + 1 :, t] / piv
-                W[t + 1 :, t] = col
-                W[t + 1 :, t + 1 :] -= np.outer(col, col) * piv
-        self.backend = backend
-        self.n = n
-        self.rank = rank
-        self.perm = perm
-        self.pivots = tuple(pivots)
-        self.pivot_floor = pivot_floor
-        self._W = W  # multipliers below the diagonal, pivots on it
-
-    def _unscaled(self, v: list) -> np.ndarray:
-        out = _array_from(v, self.backend)
-        if self._scale is not None:
-            out = self._scale * out
-        return _freeze(out)
-
-    def solve(self, b: np.ndarray, consistency_tol: float = 1e-8):
-        """Return ``(x, consistent)`` with free coordinates of x zeroed.
-
-        ``consistent`` reports whether b lies in the range of A: exactly
-        under the rational backend, against ``consistency_tol`` relative
-        to max(1, |b|_inf) under float64 (b as rescaled).
-        """
-        n, r, W = self.n, self.rank, self._W
-        if b.shape[0] != n:
-            raise DimensionMismatch(f"solve of order {n} against {b.shape}")
-        if self._scale is not None:
-            b = b * self._scale
-        y = _array_from([b[self.perm[t]] for t in range(n)], self.backend)
-        for t in range(r):
-            y[t + 1 :] -= W[t + 1 :, t] * y[t]
-        if self.backend.exact:
-            consistent = all(y[i] == 0 for i in range(r, n))
-        else:
-            bscale = max(1.0, float(max_abs(b))) if n else 1.0
-            consistent = all(abs(y[i]) <= consistency_tol * bscale for i in range(r, n))
-        for t in range(r):
-            y[t] = y[t] / W[t, t]
-        y[r:] = self.backend.zero
-        for t in range(r - 1, -1, -1):
-            y[t] -= np.dot(W[t + 1 : r, t], y[t + 1 : r])
-        x = [self.backend.zero] * n
-        for t in range(r):
-            x[self.perm[t]] = y[t]
-        return self._unscaled(x), consistent
-
-    def nullspace(self) -> list[np.ndarray]:
-        """A basis of the kernel, one vector per pivot-free column."""
-        n, r, W = self.n, self.rank, self._W
-        basis = []
-        for f in range(r, n):
-            top = [-W[f, t] for t in range(r)]
-            for t in range(r - 1, -1, -1):  # L11^T x = -L21[f, :]
-                xt = top[t]
-                for i in range(t + 1, r):
-                    xt = xt - W[i, t] * top[i]
-                top[t] = xt
-            v = [self.backend.zero] * n
-            for t in range(r):
-                v[self.perm[t]] = top[t]
-            v[self.perm[f]] = self.backend.one
-            basis.append(self._unscaled(v))
-        return basis
-
-
-def _cholesky_factor(M: np.ndarray) -> np.ndarray | None:
-    """LAPACK's lower Cholesky factor of M, or None where it meets a pivot <= 0."""
+    n = len(M)
     try:
-        return np.linalg.cholesky(M)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        return None
+        # Behind a pivot far below the floor the loop may overflow to inf;
+        # the verdict and the pivots up to that one stand.
+        with np.errstate(over="ignore", invalid="ignore"):
+            W, pivots, m = _eliminate(M, floor)
+        return W, pivots, min(m, n - 1)
+    d = L.diagonal() ** 2
+    W = L / L.diagonal()
+    W[range(n), range(n)] = d
+    failing = np.flatnonzero(~(d > floor))
+    m = int(failing[0]) if len(failing) else n
+    return W, d[: m + 1].tolist(), m
 
 
-class SpdCheck(PivotedLDLT):
-    """An L D L^T factorization read as a test of positive definiteness.
+class SpdCheck:
+    """A natural-order L D L^T factorization read as a test of positive definiteness.
 
     M is positive definite exactly when all n pivots exceed the pivot
     floor, which defaults to 0 on the rational backend and to
-    n * eps * max|M_ij| on the float backend (so exactly singular
-    integer matrices are reliably rejected).  M is not rescaled, so the
-    floor is relative to M as given.  Non-SPD input is a result, not an
-    error: ``pivots`` run up to and including the first failing one.
+    n * eps * max|M_ij| on the float backend (so exactly singular integer
+    matrices are reliably rejected); the maximum is over the finite
+    entries, so a NaN entry fails the pivot where it enters.  M is not
+    rescaled, so the floor is relative to M as given.  Non-SPD input is a
+    result, not an error: ``pivots`` run up to and including the first
+    failing one.
 
-    Under rationals the factor is the pivoted Bareiss elimination of
-    ``PivotedLDLT``.  Under float64 it is one LAPACK Cholesky factor
-    M = L L^T in natural order, which needs no pivoting on SPD input
-    (Golub and Van Loan, 4.2), with pivots d_t = L_tt^2; M is SPD exactly
-    when LAPACK succeeds and every d_t exceeds the floor (so a NaN pivot
-    fails).  Where LAPACK fails, a bisection over the leading blocks
-    finds the largest k for which M[:k, :k] factors, and pivot k + 1 is
-    the Schur complement M[k, k] - |L_k^-1 M[:k, k]|^2.  Such an M is
-    never reported SPD, even if rounding puts that value above the floor.
-    Either factor is kept as multipliers below the diagonal and pivots on
-    it, so ``solve`` reads both alike.
+    Under rationals the factor is ``_eliminate``'s exact elimination; under
+    float64 it is one LAPACK Cholesky factor (``_cholesky_pivots``).  Both
+    keep multipliers below the diagonal and pivots on it, so ``solve``
+    reads them alike.
     """
 
     def __init__(self, M: np.ndarray, pivot_floor: Scalar | None = None):
-        if backend_of(M).exact:
-            self._eliminate(M, pivot_floor)
-            return
         n = M.shape[0]
         if M.shape != (n, n):
             raise DimensionMismatch("SpdCheck requires a square matrix")
         if pivot_floor is None:
-            pivot_floor = n * np.finfo(np.float64).eps * float(max_abs(M)) if n else 0.0
-        k, L = n, _cholesky_factor(M)
-        if L is None:
-            # Leading blocks stay positive definite up to some order k and
-            # no further: M[:lo, :lo] factors and M[:hi, :hi] does not.
-            lo, hi, L = 0, n, np.zeros((0, 0))
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                L_mid = _cholesky_factor(M[:mid, :mid])
-                if L_mid is None:
-                    hi = mid
-                else:
-                    lo, L = mid, L_mid
-            k = lo
-            # The first k columns of the factor of M: below L_k, (L_k^-1 M[:k, k:])^T.
-            L = np.vstack([L, np.linalg.solve(L, M[:k, k:]).T])
-        # Behind a pivot far below the floor the factor may overflow to inf;
-        # the verdict and the pivots up to that one stand.
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = L.diagonal() ** 2
-            if k < n:
-                d = np.append(d, M[k, k] - np.dot(L[k], L[k]))
-            W = np.zeros((n, n))
-            W[:, :k] = L / L.diagonal()
-        W[range(len(d)), range(len(d))] = d
-        failing = np.flatnonzero(~(d > pivot_floor))
-        rank = int(failing[0]) if len(failing) else k
-        self.backend = F64
+            pivot_floor = _spd_floor(M)
+        self.backend = backend_of(M)
+        factor = _eliminate if self.backend.exact else _cholesky_pivots
+        self._W, pivots, self.rank = factor(M, pivot_floor)
         self.n = n
-        self.rank = rank
-        self.perm = list(range(n))
-        self.pivots = tuple(d[: rank + 1].tolist())
+        self.pivots = tuple(pivots)
         self.pivot_floor = pivot_floor
-        self._W, self._scale = W, None
 
     @property
     def is_spd(self) -> bool:
@@ -686,14 +584,16 @@ class SpdCheck(PivotedLDLT):
         """0-based elimination step of the first non-positive pivot."""
         return None if self.is_spd else self.rank
 
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with M x = b, on the factor of a positive definite M."""
+        x, W = _forward(self._W, b), self._W
+        for t in range(self.n - 2, -1, -1):
+            x[t] -= np.dot(W[t + 1 :, t], x[t + 1 :])
+        return _freeze(x)
+
 
 def cholesky_spd_check(M: np.ndarray, pivot_floor: Scalar | None = None) -> SpdCheck:
-    """Test positive definiteness by the pivots of an L D L^T factorization.
-
-    Under float64 that is one natural-order LAPACK Cholesky factor; under
-    rationals, the pivoted Bareiss elimination.  Both compare the pivots
-    with the floor of ``SpdCheck``.
-    """
+    """Test positive definiteness by the pivots of ``SpdCheck``'s factorization."""
     return SpdCheck(M, pivot_floor)
 
 
@@ -714,4 +614,4 @@ def solve_spd(M: np.ndarray, b: np.ndarray, check: SpdCheck | None = None) -> np
             f"is {check.pivots[check.failed_pivot]}",
             pivot_index=check.failed_pivot + 1,
         )
-    return check.solve(b)[0]
+    return check.solve(b)

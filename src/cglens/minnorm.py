@@ -7,21 +7,19 @@ point of their affine hull has the closed form
 
 an affine combination with strictly positive harmonic weights.  This
 module computes ghat two independent ways — the closed form above, and
-a KKT projection that makes no orthogonality assumption — and exposes
+a projection that makes no orthogonality assumption — and exposes
 the identities connecting ghat to the CG direction (p_k is a positive
 multiple of -ghat_k) and to the iterates (affine combinations of
 gradients correspond to gradients at affine combinations of iterates).
 
 Checking a whole trace needs ghat_k for every prefix g_0..g_k of one
-history, and the sweeps serve all prefixes in O(r^3) rather than O(r^4).
-``closed_form_sweep`` reads each gradient's norm once.
-``projection_sweep`` factors the Gram matrix G^T G once, in natural
-order (``linalg.leading_solves``), which factors the Gram matrix of
-every prefix at the same time.  The first pivot at or below the margin
-(a zero or dependent gradient, exactly or to float64 working accuracy)
-ends the sweep: from that k on, every k takes the one-shot pivoted
-``projection_oracle``, so a degraded history gets the answer it would
-get one prefix at a time.
+history, and the sweeps serve all prefixes at once.  ``closed_form_sweep``
+reads each gradient's norm once and keeps a running sum.
+``projection_sweep`` orthogonalizes the history once, column by column
+(``linalg._orthogonalized``, G = Q R), and reads every prefix's ghat off
+Q and R^-1 with running sums: O(r^2 n) for the sweep.  For the orthogonal
+gradients of an exact trace Q = G and R = I, and the projection
+reduces to the closed form's harmonic weights.
 """
 
 from __future__ import annotations
@@ -36,11 +34,9 @@ from .linalg import (
     F64,
     DimensionMismatch,
     LinalgError,
-    PivotedLDLT,
     Scalar,
-    _array_from,
     _freeze,
-    _product,
+    _orthogonalized,
     backend_of,
     dot,
     leading_solves,
@@ -50,6 +46,10 @@ from .linalg import (
     residual_magnitude,
 )
 from .quadratic import QuadraticProblem, gradient
+
+# Patched by bench/tracer.py, which still names the deleted pivoted kernel;
+# nothing calls it.
+PivotedLDLT = leading_solves
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,18 +93,9 @@ def _combine(vectors: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hull_point(gradients: Sequence[np.ndarray], alpha: list) -> MinNormResult:
-    """The point sum alpha_i g_i of the affine hull, with its weights and norm."""
-    weights = AffineCombination(_freeze(_array_from(alpha, backend_of(gradients[0]))))
-    ghat = _combine(gradients, weights.weights)
-    return MinNormResult(ghat=ghat, weights=weights, norm_sq=norm_sq(ghat))
-
-
-def _prefix_point(G: np.ndarray, alpha: list) -> MinNormResult:
-    """``_hull_point`` of the first len(alpha) columns of G, as one product."""
-    weights = AffineCombination(_freeze(_array_from(alpha, backend_of(G))))
-    ghat = _freeze(_product(G[:, : len(alpha)], weights.weights))
-    return MinNormResult(ghat=ghat, weights=weights, norm_sq=norm_sq(ghat))
+def _affine(a: np.ndarray) -> AffineCombination:
+    """The affine weights a / sum(a)."""
+    return AffineCombination(_freeze(a / sum(a)))
 
 
 def _check_nonzero(gradients: Sequence[np.ndarray]) -> None:
@@ -147,98 +138,80 @@ def min_norm_closed_form(
             "gradient history is not orthogonal; the closed form does not "
             "apply — use projection_oracle"
         )
-    return _hull_point(gradients, _harmonic_weights([1 / norm_sq(g) for g in gradients]))
-
-
-def _harmonic_weights(inv: Sequence[Scalar]) -> list:
-    """The closed form's weights from the inverse squared norms 1/(g_i^T g_i)."""
-    total = sum(inv)
-    return [w / total for w in inv]
+    weights = _affine(np.array([1 / norm_sq(g) for g in gradients]))
+    ghat = _combine(gradients, weights.weights)
+    return MinNormResult(ghat=ghat, weights=weights, norm_sq=norm_sq(ghat))
 
 
 def closed_form_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]:
     """Yield ``min_norm_closed_form(gradients[:k], math.inf)`` for k = 1..m.
 
-    Each gradient's norm is read once for the whole sweep.
+    Each gradient's norm is read once, and the sums over i < k of
+    g_i / (g_i^T g_i) and of 1 / (g_i^T g_i) run along the history.
     """
     if len(gradients) == 0:
         return
     _check_nonzero(gradients)
-    G = np.column_stack(gradients)
-    inv = [1 / norm_sq(g) for g in gradients]
-    for k in range(1, len(inv) + 1):
-        yield _prefix_point(G, _harmonic_weights(inv[:k]))
+    inv = np.array([1 / norm_sq(g) for g in gradients])
+    ghats = _freeze(np.cumsum(inv[:, None] * np.stack(gradients), axis=0)
+                    / np.cumsum(inv)[:, None])
+    for k, ghat in enumerate(ghats, start=1):
+        yield MinNormResult(ghat=ghat, weights=_affine(inv[:k]), norm_sq=norm_sq(ghat))
 
 
 def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
     """ghat by direct projection: minimize ||sum alpha_i g_i|| s.t. sum alpha = 1.
 
-    Works for arbitrary vectors (no orthogonality assumed) and is the
-    independent cross-check of the closed form.  Stationarity gives
-    (G^T G) alpha = nu * 1 with nu fixed by the constraint, solved here
-    with the pivoted semidefinite kernel; when 1 is not in the range of
-    G^T G the least-norm point is the origin, reached through a kernel
-    vector of G (only possible for non-orthogonal input).
+    Works for arbitrary vectors (no orthogonality assumed; zero and
+    dependent ones included) and is the independent cross-check of the
+    closed form: the last result of ``projection_sweep``.
     """
     if len(gradients) == 0:
         raise LinalgError("gradient history is empty")
-    backend = backend_of(gradients[0])
-    m = len(gradients)
-
-    for i, g in enumerate(gradients):
-        if norm_sq(g) == 0:
-            # A zero vector is a vertex of the hull, so the least-norm
-            # point is the origin itself.
-            alpha = [backend.zero] * m
-            alpha[i] = backend.one
-            weights = AffineCombination(_freeze(_array_from(alpha, backend)))
-            zero = backend.empty(gradients[0].shape)
-            zero.flags.writeable = False
-            return MinNormResult(ghat=zero, weights=weights, norm_sq=backend.zero)
-
-    G = np.column_stack(gradients)
-    fact = PivotedLDLT(_product(G.T, G))
-    y, consistent = fact.solve(_array_from([backend.one] * m, backend))
-    if consistent:
-        total = sum(y)
-        if total > 0:
-            return _hull_point(gradients, [yi / total for yi in y])
-
-    # 1 outside the range of the Gram matrix: the hull passes through
-    # the origin.  Any Gram-kernel vector z with 1^T z != 0 certifies it.
-    kernel = fact.nullspace()
-    best, best_mag = None, None
-    for z in kernel:
-        mag = abs(sum(z))
-        if best is None or mag > best_mag:
-            best, best_mag = z, mag
-    if best is None or best_mag == 0:
-        raise LinalgError("projection failed to localize the least-norm point")
-    total = sum(best)
-    return _hull_point(gradients, [zi / total for zi in best])
+    *_, last = projection_sweep(gradients)
+    return last
 
 
 def projection_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]:
-    """Yield ``projection_oracle(gradients[:k])`` for k = 1..m, from one Gram factor.
+    """Yield ``projection_oracle(gradients[:k])`` for k = 1..m, from one orthogonalization.
 
-    The Gram matrices of the prefixes are the leading blocks of G^T G, and
-    their right-hand sides are the leading entries of the all-ones vector.
+    With G = Q R, Q^T Q = D diagonal and R unit upper triangular, the hull
+    points G alpha with 1^T alpha = 1 are the points Q beta with
+    w^T beta = 1, where beta = R alpha and R^T w = 1.  The shortest is
+    beta = D^-1 w / (w^T D^-1 w).  The orthogonalization returns T = R^-1,
+    so w = T^T 1, and alpha = T beta.  Every prefix's beta is a prefix of
+    one vector, so ghat_k and alpha_k are running sums over the kept
+    columns.
+
+    A dropped column j lies in the span of the earlier ones, and its
+    entry w_j = 1 - w_{<j}^T R[:j, j] is the affine residual: where it is
+    not zero, g_j lies outside their affine hull, so from k = j + 1 on the
+    hull is the whole span and ghat is 0, with alpha the kernel vector
+    T[:, j] / w_j.  The test is against literal zero on both backends, so
+    a float64 column that repeats an earlier one only up to rounding can
+    end the sweep at 0 too.
     """
     if len(gradients) == 0:
         return
     backend = backend_of(gradients[0])
-    m = len(gradients)
-    G = np.column_stack(gradients)
-    ones = _array_from([backend.one] * m, backend)
-    served = 0
-    for y in leading_solves(_product(G.T, G), ones):
-        total = sum(y)
-        if total <= 0:  # a NaN total is yielded: its NaN ghat FAILs the check
+    Q, T, d, kept = _orthogonalized(gradients)
+    w = T.sum(axis=0)
+    u = w[kept] / d
+    ghats = _freeze(np.cumsum(u[:, None] * Q, axis=0) / np.cumsum(w[kept] * u)[:, None])
+    alphas = np.cumsum(T[:, kept] * u, axis=1)
+    t = 0
+    for j in range(len(gradients)):
+        if j in kept:
+            t += 1
+        elif w[j] != 0:
             break
-        served += 1
-        yield _prefix_point(G, [yi / total for yi in y])
-    for k in range(served + 1, m + 1):
-        yield projection_oracle(gradients[:k])
+        ghat = ghats[t - 1]
+        yield MinNormResult(ghat=ghat, weights=_affine(alphas[: j + 1, t - 1]), norm_sq=norm_sq(ghat))
+    else:
+        return
+    zero = _freeze(backend.empty(Q.shape[1]))
+    for k in range(j + 1, len(gradients) + 1):
+        yield MinNormResult(ghat=zero, weights=_affine(T[:k, j]), norm_sq=backend.zero)
 
 
 def characterization_residuals(

@@ -1,26 +1,24 @@
 """Brute-force minimization of q over an affine span.
 
 Given a base point x0 and spanning vectors s_1..s_k, the unique
-minimizer of q over {x0 + sum_j v_j s_j} is found by forming the reduced
-k-by-k system (S^T H S) v = -S^T g(x0) and solving it directly.  Nothing
-here iterates: the oracle is the independent yardstick the conjugate
-gradient engine is measured against, so it must not share machinery
-with it.
+minimizer of q over {x0 + sum_j v_j s_j} is found directly, by a reduced
+solve.  Nothing here iterates: the oracle is the independent yardstick
+the conjugate gradient engine is measured against, so it must not share
+machinery with it.
 
-Spanning vectors may be dependent (the reduced matrix is then singular
-but always consistent, since it is S^T H S with H positive definite);
-the pivoted solver returns one coordinate vector and the resulting
-*point* is still unique.
-
-Along a trace the spans are nested, so every reduced system is a leading
-block of the one r-by-r matrix S^T (H S), and its right-hand side is a
-prefix of -S^T g(x0).  ``trace_oracle`` forms that matrix once and
-factors it once, in natural order (``linalg.leading_solves``), which
-factors every leading block at the same time; it reads q at each point
-from the reduced system: O(r^3) per trace instead of O(r^4).  The first
-pivot at or below the margin (a dependent gradient, or nearly so in
-float64) ends the sweep: from that k on, every k takes the one-shot
-pivoted solve of ``minimize_on_affine_span``.
+The spans x0 + span{s_1..s_k} are nested, so one sweep serves every k.
+It orthogonalizes the spanning vectors once, column by column
+(``linalg._orthogonalized``), which drops a vector that depends on the
+earlier ones (exactly, or to float64 working accuracy), and solves
+(Q^T H Q) y = -Q^T g(x0) on the kept columns Q.  These systems are the
+leading blocks of one matrix and one right-hand side, so one
+natural-order factor serves them all (``linalg.leading_solves``): O(r^2 n
++ r^3) per trace.  The vectors may be dependent, and there may be more
+of them than the dimension: a k whose vector was dropped spans what k - 1
+spanned and repeats its point, which is unique even where the
+coordinates are not.  Q^T H Q is as well conditioned as H, so the
+elimination stops only where a pivot fails the SPD test's floor; a k it
+cannot serve gets a NaN point, and a NaN can never pass a check.
 """
 
 from __future__ import annotations
@@ -32,8 +30,10 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     LinalgError,
-    PivotedLDLT,
     Scalar,
+    _freeze,
+    _integer_rows,
+    _orthogonalized,
     _product,
     backend_of,
     leading_solves,
@@ -42,13 +42,18 @@ from .linalg import (
 from .quadratic import QuadraticProblem, evaluate, gradient
 from .engine import CGTrace
 
+# Patched by bench/tracer.py, which still names the deleted pivoted kernel;
+# nothing calls it.
+PivotedLDLT = leading_solves
+
 
 @dataclass(frozen=True, eq=False)
 class SpanBasis:
     """A base point and spanning vectors for an affine set x0 + span{s_j}.
 
     The spanning vectors may be dependent, and there may be more of them
-    than the dimension; rank handling is the solver's job.
+    than the dimension: the sweep's orthogonalization drops the dependent
+    ones.
     """
 
     x0: np.ndarray
@@ -83,47 +88,60 @@ class SubspaceSolution:
     objective_value: Scalar
 
 
+def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors) -> list[SubspaceSolution]:
+    """The minimizers over x0 + span{s_1..s_k} for k = 0..len(vectors)."""
+    backend = P.backend
+    q0 = evaluate(P, x0)
+    if len(vectors) == 0:
+        return [SubspaceSolution(coordinates=backend.empty(0), point=x0, objective_value=q0)]
+    Q, T, _, kept = _orthogonalized(vectors)
+    m, T = len(kept), T[:, kept]
+    if backend.exact:
+        # Each q_t over its own denominator spans the same line, and then
+        # the reduced matrix has the denominator of H alone, which keeps the
+        # integers of its fraction-free elimination small.
+        Q, scale = _integer_rows(Q)
+        T = T * np.array(scale, dtype=object)
+    A, rhs = _product(Q, _product(P.H, Q.T)), -_product(Q, gradient(P, x0))
+    solves = leading_solves(A, rhs)
+    # Row t of Y holds y_t, the solution on the first t kept columns; a row
+    # the elimination did not reach (float64 only) is NaN.
+    Y = backend.empty((m + 1, m))
+    Y[len(solves) + 1 :] = np.nan
+    for t, y in enumerate(solves, start=1):
+        Y[t, :t] = y
+    points = _freeze(x0 + _product(Y, Q))
+    coordinates = _freeze(_product(Y, T.T))
+    # q(x0 + sum_t y_t q_t) = q(x0) - rhs^T y + 1/2 y^T A y = q(x0) - 1/2 y^T rhs
+    # when A y = rhs: O(k) per point where evaluating q costs O(n^2).
+    objectives = q0 - backend.scalar("1/2") * _product(Y, rhs)
+    kept_before = np.cumsum([0] + [j in kept for j in range(len(vectors))])
+    return [
+        SubspaceSolution(coordinates=coordinates[t, :k], point=points[t], objective_value=objectives[t])
+        for k, t in enumerate(kept_before)
+    ]
+
+
 def minimize_on_affine_span(P: QuadraticProblem, B: SpanBasis) -> SubspaceSolution:
-    """Minimize q over x0 + span{s_j} by a direct reduced solve.
+    """Minimize q over x0 + span{s_j}: the last solution of the sweep.
 
     The gradient of q at the result is orthogonal to every spanning
     vector — exactly so under the rational backend.
     """
-    backend = P.backend
     if B.x0.shape != (P.n,):
         raise DimensionMismatch(f"base point has shape {B.x0.shape}, expected ({P.n},)")
-    if backend_of(B.x0) is not backend:
+    if backend_of(B.x0) is not P.backend:
         raise LinalgError("span basis is on a different backend than the problem")
-    k = B.k
-    if k == 0:
-        return SubspaceSolution(
-            coordinates=backend.empty(0),
-            point=B.x0,
-            objective_value=evaluate(P, B.x0),
-        )
-
-    S = np.column_stack(B.spanning_vectors)
-    g0 = gradient(P, B.x0)
-    A = _product(S.T, _product(P.H, S))
-    rhs = -_product(S.T, g0)
-
-    v, consistent = PivotedLDLT(A).solve(rhs)
-    if not consistent:
-        # Unreachable for A = S^T H S with SPD H; defensive only.
-        raise LinalgError("reduced system is inconsistent; H may not be SPD")
-
-    point = B.x0 + _product(S, v)
-    point.flags.writeable = False
-    return SubspaceSolution(coordinates=v, point=point, objective_value=evaluate(P, point))
+    return _sweep(P, B.x0, B.spanning_vectors)[-1]
 
 
 def trace_oracle(P: QuadraticProblem, trace: CGTrace) -> list[SubspaceSolution]:
     """The minimizers over x_0 + span{g_0..g_{k-1}} for k = 1..r of a trace.
 
     Each trace iterate is recomputed independently from its gradient
-    history, by the one-factor sweep of the module docstring.  The trace
-    must come from P: its backend must match, and its first and last
-    recorded gradients must match H x + c.
+    history, by the one sweep of the module docstring.  The trace must
+    come from P: its backend must match, and its first and last recorded
+    gradients must match H x + c.
     """
     if trace.scalar_backend != P.backend.name:
         raise LinalgError(
@@ -142,30 +160,7 @@ def trace_oracle(P: QuadraticProblem, trace: CGTrace) -> list[SubspaceSolution]:
         limit = 0 if P.backend.exact else 1e-12 * max(1.0, float(residual_magnitude(g)))
         if mismatch > limit:
             raise LinalgError("trace gradients do not come from this problem")
-
-    r, x0 = trace.r, records[0].x_k
-    if r == 0:
-        return []
-    gradients = [rec.g_k for rec in records[:r]]
-    S = np.column_stack(gradients)
-    A = _product(S.T, _product(P.H, S))
-    rhs = -_product(S.T, gradient(P, x0))
-    # q(x0 + S v) = q(x0) - rhs^T v + 1/2 v^T A v = q(x0) - 1/2 v^T rhs when
-    # A v = rhs: O(k) per point where evaluating q costs O(n^2).
-    q0, half = evaluate(P, x0), P.backend.scalar("1/2")
-    solutions = []
-    for v in leading_solves(A, rhs):
-        k = v.shape[0]
-        point = x0 + _product(S[:, :k], v)
-        point.flags.writeable = False
-        solutions.append(SubspaceSolution(
-            coordinates=v, point=point, objective_value=q0 - half * _product(v, rhs[:k])
-        ))
-    for k in range(len(solutions) + 1, r + 1):
-        solutions.append(
-            minimize_on_affine_span(P, SpanBasis(x0=x0, spanning_vectors=gradients[:k]))
-        )
-    return solutions
+    return _sweep(P, records[0].x_k, [rec.g_k for rec in records[: trace.r]])[1:]
 
 
 def verify_against_trace(P: QuadraticProblem, trace: CGTrace) -> list:

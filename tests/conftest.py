@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import strategies as st
 
 from cglens import RATIONAL, ProblemSpec, generate_problem, run_cg, vector
 from cglens.linalg import sym_matrix
@@ -80,3 +81,24 @@ def exact_batch() -> ExactBatch:
         P = generate_problem(batch_spec(seed), RATIONAL)
         pairs.append((P, run_cg(P)))
     return ExactBatch(pairs=tuple(pairs), build_seconds=time.perf_counter() - t0)
+
+
+@st.composite
+def dependent_rational_vectors(draw, n: int = 3):
+    """2 to 6 rational vectors in Q^n, each a fresh vector, a zero vector,
+    or a rational combination of earlier ones, so the list is often
+    dependent and its affine hull often passes through the origin."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    vectors = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combination"]))
+        if kind == "combination" and vectors:
+            weights = [draw(small) for _ in vectors]
+            v = sum((w * u for w, u in zip(weights, vectors)), vector([0] * n, RATIONAL))
+        elif kind == "zero":
+            v = vector([0] * n, RATIONAL)
+        else:
+            v = vector([draw(small) for _ in range(n)], RATIONAL)
+        v.flags.writeable = False
+        vectors.append(v)
+    return vectors

@@ -1,4 +1,4 @@
-"""Backends, array constructors, and the two LDL^T factorizations."""
+"""Backends, array constructors, the elimination kernel and the orthogonalization."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cglens import (
@@ -17,22 +17,26 @@ from cglens import (
     RATIONAL,
     LinalgError,
     ProblemSpec,
+    characterization_residuals,
     dot,
     exact_minimizer,
     generate_problem,
+    gradient,
     norm,
     norm_sq,
+    projection_oracle,
     scalar_token,
     vector,
 )
+import cglens.linalg
 from cglens.linalg import (
     BACKENDS,
     AsymmetricMatrixError,
     Backend,
     DimensionMismatch,
     NotSPDError,
-    PivotedLDLT,
     SpdCheck,
+    _orthogonalized,
     _product,
     backend_of,
     cholesky_spd_check,
@@ -43,6 +47,8 @@ from cglens.linalg import (
     solve_spd,
     sym_matrix,
 )
+from cglens.oracle import SpanBasis, minimize_on_affine_span
+from cglens.quadratic import QuadraticProblem
 
 
 class TestBackends:
@@ -210,10 +216,11 @@ def _fraction_array(entries, shape):
 
 @st.composite
 def product_operands(draw):
-    """(a, b) of shapes (0,)(0,), (k,)(k,), (k, m)(m,) or (k, m)(m, j), with m = 0 allowed."""
+    """(a, b) of shapes (0,)(0,), (k,)(k,), (k, m)(m,), (m,)(m, j) or (k, m)(m, j), with m = 0 allowed."""
     k, j = (draw(st.integers(min_value=1, max_value=4)) for _ in range(2))
     m = draw(st.integers(min_value=0, max_value=4))
-    shapes = draw(st.sampled_from([((0,), (0,)), ((k,), (k,)), ((k, m), (m,)), ((k, m), (m, j))]))
+    shapes = draw(st.sampled_from(
+        [((0,), (0,)), ((k,), (k,)), ((k, m), (m,)), ((m,), (m, j)), ((k, m), (m, j))]))
     if shapes[0] == (k,) and draw(st.booleans()):
         a = _fraction_array(draw(st.lists(wide_rationals, min_size=k, max_size=k)), (k,))
         return a, a  # the norm_sq case
@@ -254,30 +261,19 @@ class TestFractionFreeProduct:
         assert dot(v, v) == norm_sq(v) == expected_dot
 
 
-def _fraction_elimination(A: np.ndarray) -> PivotedLDLT:
-    """The factor of A by the elimination on Fraction Schur complements that
-    the fraction-free one replaced, kept here as its reference."""
-    n = A.shape[0]
-    W = np.array(A, dtype=object)
-    perm, pivots, rank = list(range(n)), [], n
-    for t in range(n):
-        j = t + int(np.argmax(W.diagonal()[t:]))
-        if j != t:
-            W[[t, j], :] = W[[j, t], :]
-            W[t:, [t, j]] = W[t:, [j, t]]
-            perm[t], perm[j] = perm[j], perm[t]
-        piv = W[t, t]
-        pivots.append(piv)
-        if not piv > 0:
-            rank = t
+def _natural_order_pivots(M: np.ndarray, floor) -> list[Fraction]:
+    """The natural-order L D L^T pivots of M, on exact Fraction Schur
+    complements of its entries, up to and including the first at or below
+    ``floor``: the reference for both SPD tests and for the elimination."""
+    S = np.array([[Fraction(x) for x in row] for row in M], dtype=object)
+    pivots = []
+    for t in range(len(S)):
+        pivots.append(S[t, t])
+        if not S[t, t] > floor:
             break
-        col = W[t + 1 :, t] / piv
-        W[t + 1 :, t] = col
-        W[t + 1 :, t + 1 :] -= np.outer(col, col) * piv
-    ref = PivotedLDLT.__new__(PivotedLDLT)
-    ref.backend, ref.n, ref.rank, ref.perm, ref.pivots = RATIONAL, n, rank, perm, tuple(pivots)
-    ref.pivot_floor, ref._W, ref._scale = Fraction(0), W, None
-    return ref
+        col = S[t + 1 :, t] / S[t, t]
+        S[t + 1 :, t + 1 :] -= np.outer(col, S[t + 1 :, t])
+    return pivots
 
 
 @st.composite
@@ -299,13 +295,19 @@ class TestBareissAgainstFractionElimination:
     @given(symmetric_rational_matrix(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_pivots_rank_solve_and_nullspace_equal_the_fraction_factor(self, A, data):
-        fact, ref = SpdCheck(A), _fraction_elimination(A)
-        assert (fact.rank, fact.perm, fact.pivots) == (ref.rank, ref.perm, ref.pivots)
-        assert all(type(p) is Fraction for p in fact.pivots)
+        # The fraction-free elimination against natural-order Fraction Schur
+        # complements: the same pivots and verdict, and exact solves.
+        check, ref = SpdCheck(A), _natural_order_pivots(A, 0)
+        assert list(check.pivots) == ref
+        assert all(type(p) is Fraction for p in check.pivots)
+        assert check.failed_pivot == (None if ref[-1] > 0 and len(ref) == len(A) else len(ref) - 1)
         b = vector([data.draw(wide_rationals) for _ in range(A.shape[0])], RATIONAL)
-        (x, consistent), (x_ref, consistent_ref) = fact.solve(b), ref.solve(b)
-        assert consistent == consistent_ref and list(x) == list(x_ref)
-        assert [list(z) for z in fact.nullspace()] == [list(z) for z in ref.nullspace()]
+        solves = leading_solves(A, b)
+        assert len(solves) == check.rank
+        for k, x in enumerate(solves, start=1):
+            assert list(mat_vec(A[:k, :k], x)) == list(b[:k])
+        if check.is_spd:
+            assert list(check.solve(b)) == list(solves[-1])
 
 
 class TestScalarToken:
@@ -348,21 +350,6 @@ class TestSpdCheck:
         assert excinfo.value.pivot_index == 2
 
 
-def _natural_order_pivots(M: np.ndarray, floor: float) -> list[Fraction]:
-    """The natural-order L D L^T pivots of the float matrix M, on exact
-    Fraction Schur complements of its entries, up to and including the first
-    at or below ``floor``: the reference for the float64 SPD test."""
-    S = np.array([[Fraction(x) for x in row] for row in M], dtype=object)
-    pivots = []
-    for t in range(len(S)):
-        pivots.append(S[t, t])
-        if not S[t, t] > floor:
-            break
-        col = S[t + 1 :, t] / S[t, t]
-        S[t + 1 :, t + 1 :] -= np.outer(col, S[t + 1 :, t])
-    return pivots
-
-
 @st.composite
 def float_ldlt_matrix(draw):
     """L D L^T for a unit lower triangular L with entries in {-1, 0, 1} and
@@ -403,16 +390,19 @@ class TestFloatSpdCheck:
         assert all(math.isclose(p, q, rel_tol=1e-12) for p, q in zip(check.pivots, ref))
 
     def test_natural_order_reports_the_first_failing_leading_block(self):
-        # The pivoted rational elimination takes the 5 first and fails at step 3.
+        # Both backends eliminate in natural order: pivot 2 fails first.
         rows = [[4, 2, 0], [2, 1, 0], [0, 0, 5]]
         check = cholesky_spd_check(sym_matrix(rows, F64))
         assert (check.failed_pivot, check.pivots) == (1, (4.0, 0.0))
-        assert cholesky_spd_check(sym_matrix(rows, RATIONAL)).failed_pivot == 2
+        exact = cholesky_spd_check(sym_matrix(rows, RATIONAL))
+        assert (exact.failed_pivot, exact.pivots) == (1, (4, 0))
 
     def test_nan_entry_fails(self):
         # LAPACK passes a NaN through to the factor; the floor test fails it.
         for M in ([[1.0, math.nan], [math.nan, 1.0]], [[1.0, 0.0], [0.0, math.nan]], [[math.nan]]):
             assert not cholesky_spd_check(np.array(M)).is_spd
+        # The floor comes from the finite entries, so the NaN pivot is the one named.
+        assert cholesky_spd_check(np.array([[1.0, math.nan], [math.nan, 1.0]])).failed_pivot == 1
 
     def test_one_by_one(self):
         check = cholesky_spd_check(np.array([[3.0]]))
@@ -439,7 +429,7 @@ class TestFloatSpdCheck:
     def test_a_failed_factorization_is_never_spd(self, monkeypatch):
         # LAPACK refuses the whole matrix while its leading blocks factor, as
         # rounding can when the last Schur complement is near zero; the one
-        # recomputed here is well above the floor.
+        # the elimination loop computes here is well above the floor.
         cholesky = np.linalg.cholesky
 
         def refuse_order_three(A):
@@ -458,59 +448,96 @@ class TestFloatSpdCheck:
         assert np.linalg.norm(P.H @ x + P.c) <= 1e-10 * np.linalg.norm(P.c)
 
     def test_never_enters_the_pivoted_elimination(self, monkeypatch):
-        def eliminate(self, *args):
-            raise AssertionError("PivotedLDLT._eliminate entered")
+        # Under float64 the SPD test and its solves are LAPACK's; the
+        # package's elimination loop runs for the rational test, and for a
+        # float64 matrix only where LAPACK refuses it, to name the pivot.
+        def eliminate(*args):
+            raise AssertionError("_eliminate entered")
 
-        monkeypatch.setattr(PivotedLDLT, "_eliminate", eliminate)
+        monkeypatch.setattr(cglens.linalg, "_eliminate", eliminate)
         P = generate_problem(ProblemSpec(kind="rand_spd", n=40, condition=100.0, seed=1), F64)
         assert P.spd.is_spd and len(exact_minimizer(P)) == 40
-        assert not cholesky_spd_check(sym_matrix([[1, 2], [2, 1]], F64)).is_spd
-        with pytest.raises(AssertionError, match="entered"):
-            cholesky_spd_check(sym_matrix([[1]], RATIONAL))  # the patch is in force
+        assert not cholesky_spd_check(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]])).is_spd
+        for M in (sym_matrix([[1, 2], [2, 1]], F64), sym_matrix([[1]], RATIONAL)):
+            with pytest.raises(AssertionError, match="entered"):
+                cholesky_spd_check(M)
+
+
+def _rational_problem() -> QuadraticProblem:
+    """H = [[2, 1, 0], [1, 2, 1], [0, 1, 2]], c = -H 1, x0 = 0: minimizer (1, 1, 1)."""
+    H = sym_matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]], RATIONAL)
+    return QuadraticProblem(H=H, c=-mat_vec(H, vector([1, 1, 1], RATIONAL)),
+                            x0=vector([0, 0, 0], RATIONAL))
 
 
 class TestPivotedLDLT:
+    """Singular and dependent inputs, once the pivoted semidefinite kernel's
+    job.  The sweeps' orthogonalization drops dependent vectors, and the
+    natural-order elimination serves what is left, exactly under rationals."""
+
     def test_full_rank_exact_solve(self):
         A = sym_matrix([[2, 1], [1, 2]], RATIONAL)
-        x, consistent = PivotedLDLT(A).solve(vector([3, 3], RATIONAL))
-        assert consistent
-        assert list(x) == [1, 1]
+        b = vector([3, 3], RATIONAL)
+        assert list(leading_solves(A, b)[-1]) == list(SpdCheck(A).solve(b)) == [1, 1]
 
     def test_consistent_singular_system(self):
-        # rank 1; b in the column space
-        A = sym_matrix([[1, 1], [1, 1]], RATIONAL)
-        x, consistent = PivotedLDLT(A).solve(vector([2, 2], RATIONAL))
-        assert consistent
-        assert mat_vec(A, x)[0] == 2
+        # s, s, 2s: S^T H S has rank 1, and the span is that of s alone.
+        P = _rational_problem()
+        s = vector([1, 0, 1], RATIONAL)
+        one = minimize_on_affine_span(P, SpanBasis(x0=P.x0, spanning_vectors=(s,)))
+        three = minimize_on_affine_span(P, SpanBasis(x0=P.x0, spanning_vectors=(s, s, 2 * s)))
+        assert list(three.point) == list(one.point) == [Fraction(3, 2), 0, Fraction(3, 2)]
+        assert three.objective_value == one.objective_value
+        assert list(three.coordinates) == [one.coordinates[0], 0, 0]
+        assert dot(gradient(P, three.point), s) == 0
 
     def test_inconsistent_singular_system(self):
-        A = sym_matrix([[1, 1], [1, 1]], RATIONAL)
-        _, consistent = PivotedLDLT(A).solve(vector([1, 0], RATIONAL))
-        assert not consistent
+        # g_0 + g_1 lies in the span of g_0 and g_1 but not in their affine
+        # hull, so the hull of all three is the whole span: ghat = 0.
+        g0, g1 = vector([1, 0, 0], RATIONAL), vector([0, 1, 0], RATIONAL)
+        result = projection_oracle([g0, g1, g0 + g1])
+        assert result.norm_sq == 0 and all(entry == 0 for entry in result.ghat)
+        assert list(result.weights.weights) == [1, 1, -1]
 
     def test_nullspace_annihilates(self):
-        A = sym_matrix([[1, 1], [1, 1]], RATIONAL)
-        basis = PivotedLDLT(A).nullspace()
-        assert len(basis) == 1
-        assert all(entry == 0 for entry in mat_vec(A, basis[0]))
+        # The weights of a zero ghat are a kernel vector of the history:
+        # (2, 1, -3) = 2 (1, 2, 0) - 3 (0, 1, 1), weights summing to -1.
+        history = [vector(v, RATIONAL) for v in ([1, 2, 0], [0, 1, 1], [2, 1, -3], [3, 3, 3])]
+        result = projection_oracle(history)
+        assert result.norm_sq == 0
+        assert list(result.weights.weights) == [-1, Fraction(3, 2), Fraction(1, 2), 0]
+        combination = sum(w * g for w, g in zip(result.weights.weights, history))
+        assert all(entry == 0 for entry in combination)
 
     def test_full_rank_has_empty_nullspace(self):
-        A = sym_matrix([[2, 1], [1, 2]], RATIONAL)
-        assert PivotedLDLT(A).nullspace() == []
+        # Independent but not orthogonal: a nonzero ghat, and the variational
+        # characterization holds exactly.
+        history = [vector(v, RATIONAL) for v in ([1, 2, 0], [0, 1, 1], [3, 0, 1])]
+        result = projection_oracle(history)
+        assert result.norm_sq > 0
+        assert characterization_residuals(result, history) == [0, 0, 0]
 
     def test_pivoting_handles_zero_leading_entry(self):
-        # rank-1 PSD with a zero leading diagonal entry: elimination
-        # cannot start at (0, 0) without the diagonal pivot search
-        A = sym_matrix([[0, 0, 0], [0, 1, 2], [0, 2, 4]], RATIONAL)
-        b = vector([0, 1, 2], RATIONAL)
-        x, consistent = PivotedLDLT(A).solve(b)
-        assert consistent
-        assert list(mat_vec(A, x)) == [0, 1, 2]
+        # A zero leading vector makes S^T H S start with a zero pivot; the
+        # orthogonalization drops it first.
+        P = _rational_problem()
+        zero, s = vector([0, 0, 0], RATIONAL), vector([1, 0, 1], RATIONAL)
+        sol = minimize_on_affine_span(P, SpanBasis(x0=P.x0, spanning_vectors=(zero, s, 2 * s)))
+        ref = minimize_on_affine_span(P, SpanBasis(x0=P.x0, spanning_vectors=(s,)))
+        assert list(sol.point) == list(ref.point)
+        assert sol.objective_value == ref.objective_value
+        assert list(sol.coordinates) == [0, ref.coordinates[0], 0]
+        start = minimize_on_affine_span(P, SpanBasis(x0=P.x0, spanning_vectors=(zero,)))
+        assert list(start.point) == [0, 0, 0] and start.objective_value == 0
+        first = projection_oracle([zero, s])
+        assert first.norm_sq == 0 and list(first.weights.weights) == [1, 0]
 
     def test_negative_diagonal_rejected(self):
+        # The elimination stops at the first pivot that is not positive.
         A = sym_matrix([[1, 0], [0, -1]], RATIONAL)
-        with pytest.raises(LinalgError, match="not positive semidefinite"):
-            PivotedLDLT(A)
+        check = SpdCheck(A)
+        assert (check.is_spd, check.failed_pivot, check.pivots) == (False, 1, (1, -1))
+        assert len(leading_solves(A, vector([1, 1], RATIONAL))) == 1
 
 
 small_rationals = st.fractions(
@@ -554,12 +581,14 @@ class TestProperties:
     @given(spd_rational_matrix(), st.data())
     @settings(max_examples=30, deadline=None)
     def test_pivoted_ldlt_matches_direct_solve(self, M, data):
+        # The oracle over the unit vectors reaches the minimizer M^-1 b of
+        # 1/2 x^T M x - b^T x, which the direct solve gives.
         n = M.shape[0]
         b = vector([data.draw(small_rationals) for _ in range(n)], RATIONAL)
-        x_direct = solve_spd(M, b)
-        x_pivoted, consistent = PivotedLDLT(M).solve(b)
-        assert consistent
-        assert list(x_pivoted) == list(x_direct)
+        P = QuadraticProblem(H=M, c=-b, x0=vector([0] * n, RATIONAL))
+        units = [vector([int(i == j) for j in range(n)], RATIONAL) for i in range(n)]
+        sol = minimize_on_affine_span(P, SpanBasis(x0=P.x0, spanning_vectors=units))
+        assert list(sol.point) == list(solve_spd(M, b))
 
 
 def _sympy_matrix(rows):
@@ -568,7 +597,7 @@ def _sympy_matrix(rows):
 
 @st.composite
 def gram_system(draw):
-    """(B^T B, b) for a random rational B with at most n rows, so often singular.
+    """(B^T B, b, B) for a random rational B with at most n rows, so often singular.
 
     b is drawn in the range of B^T B half the time and freely otherwise.
     """
@@ -582,30 +611,44 @@ def gram_system(draw):
         b = [sum((A[i][j] * y[j] for j in range(n)), Fraction(0)) for i in range(n)]
     else:
         b = [draw(small_rationals) for _ in range(n)]
-    return A, b
+    return A, b, B
+
+
+def _columns(B, backend) -> list[np.ndarray]:
+    return [vector([row[j] for row in B], backend) for j in range(len(B[0]))]
+
+
+def _kept_by_rank(B) -> list[int]:
+    """The columns of B that raise the exact rank of the columns before them (sympy)."""
+    _, pivots = _sympy_matrix(B).rref()
+    return list(pivots)
 
 
 class TestKernelAgainstSympy:
-    """The one LDL^T kernel against an independent exact reference."""
+    """The elimination and the orthogonalization against independent exact references."""
 
     @given(gram_system())
     @settings(max_examples=60, deadline=None)
     def test_rank_nullspace_and_consistency_exact(self, system):
-        rows, rhs = system
+        # The elimination of a (often singular) Gram matrix stops at its first
+        # leading block that is not positive definite, with the pivots of the
+        # Fraction Schur complements, and solves every block before it
+        # exactly.  The orthogonalization of B's columns keeps exactly those
+        # that raise the rank.
+        rows, rhs, B = system
         A, b = sym_matrix(rows, RATIONAL), vector(rhs, RATIONAL)
         ref = _sympy_matrix(rows)
-        fact = PivotedLDLT(A)
-        assert fact.rank == ref.rank()
-        basis = fact.nullspace()
-        assert len(basis) == A.shape[0] - fact.rank
-        for v in basis:
-            assert all(entry == 0 for entry in mat_vec(A, v))
-        x, consistent = fact.solve(b)
-        in_range = ref.row_join(_sympy_matrix([[e] for e in rhs])).rank() == ref.rank()
-        assert consistent == in_range
-        if consistent:
-            assert list(mat_vec(A, x)) == list(b)
-        assert cholesky_spd_check(A).is_spd == bool(ref.is_positive_definite)
+        check = SpdCheck(A)
+        assert list(check.pivots) == _natural_order_pivots(A, 0)
+        definite = [bool(ref[:k, :k].is_positive_definite) for k in range(1, len(rows) + 1)]
+        assert check.rank == (definite + [False]).index(False)
+        assert check.is_spd == bool(ref.is_positive_definite)
+        solves = leading_solves(A, b)
+        assert len(solves) == check.rank
+        for k, x in enumerate(solves, start=1):
+            assert list(mat_vec(A[:k, :k], x)) == list(b[:k])
+        if B:
+            assert _orthogonalized(_columns(B, RATIONAL))[3] == _kept_by_rank(B)
 
     @given(st.integers(min_value=1, max_value=4).flatmap(
         lambda n: st.lists(st.lists(small_rationals, min_size=n, max_size=n),
@@ -620,44 +663,38 @@ class TestKernelAgainstSympy:
     @given(gram_system(), st.lists(st.sampled_from([-6, -2, 2, 6]), min_size=5, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_float_columns_scaled_over_twelve_decades(self, system, exponents):
-        # A = D (B^T B) D with D = diag(10^e_j): the float64 kernel must
-        # undo D itself and map kernel vectors and solutions back to the
-        # unscaled coordinates.  (Its rank is a numerical rank: a pivot
-        # within a few eps of the floor can fall on either side of it.)
-        rows, _ = system
-        n = len(rows)
-        d = [Fraction(10) ** e for e in exponents[:n]]
-        A = np.array([[float(d[i] * rows[i][j] * d[j]) for j in range(n)] for i in range(n)])
-        fact = PivotedLDLT(A)
-        size = np.abs(A)
-        for v in fact.nullspace():
-            assert np.all(np.abs(A @ v) <= 1e-9 * (size @ np.abs(v)))
-        y = np.array([float(e) for e in d]) ** -1
-        b = A @ y
-        x, consistent = fact.solve(b)
-        assert consistent
-        assert np.all(np.abs(A @ x - b) <= 1e-9 * (size @ (np.abs(x) + np.abs(y))))
+        # Column j of B times 10^e_j: the float64 drop rule weighs each column
+        # against its own norm, so the scaling moves no decision, and the
+        # kept columns are those that raise the exact rank.
+        _, _, B = system
+        assume(B)
+        columns = [v * 10.0**e for v, e in zip(_columns(B, F64), exponents)]
+        Q, T, d, kept = _orthogonalized(columns)
+        assert kept == _kept_by_rank(B)
+        V, norms = np.column_stack(columns), np.array([np.linalg.norm(v) for v in columns])
+        for j in range(len(columns)):  # sum_i T[i, j] v_i is q_j, or ~0 if dropped
+            q = Q[kept.index(j)] if j in kept else 0
+            assert np.linalg.norm(V @ T[:, j] - q) <= 1e-12 * (norms @ np.abs(T[:, j]))
 
 
 class TestFloatRankFloor:
-    """The float64 semidefinite kernel against exact ranks of integer Gram matrices."""
+    """The float64 drop rule against exact ranks of integer matrices."""
 
     def test_exactly_singular_gram_is_rank_deficient(self):
-        # Its last pivot, 9.3e-16, sat just above an unmargined floor of 8.9e-16.
-        B = np.array([[-2, -2, 1, -3], [1, -3, -2, 3], [-2, -1, 1, -3]], dtype=float)
-        assert sympy.Matrix((B.T @ B).astype(int).tolist()).rank() == 3
-        assert PivotedLDLT(B.T @ B).rank == 3
+        # Exactly rank 3, yet the last pivot of the Jacobi-scaled B^T B is
+        # 9.3e-16, above the floor 8.9e-16 of n * eps.
+        B = np.array([[-2, -2, 1, -3], [1, -3, -2, 3], [-2, -1, 1, -3]])
+        assert _orthogonalized(list(B.T.astype(float)))[3] == _kept_by_rank(B.tolist()) == [0, 1, 2]
 
     def test_seeded_sweep_of_rank_deficient_integer_grams(self):
-        # B^T B with B of m < n rows, n <= 6: exact rank below n.  An
-        # unmargined floor gets 1 of these 1000 wrong.
+        # n <= 6 integer columns in m < n dimensions: the kept columns of
+        # every prefix B[:, :k] are those that raise its exact rank.
         rng = np.random.default_rng(2)
         wrong = []
         for _ in range(1000):
             n = int(rng.integers(2, 7))
             B = rng.integers(-3, 4, size=(int(rng.integers(1, n)), n))
-            A = B.T @ B
-            if PivotedLDLT(A.astype(float)).rank != sympy.Matrix(A.tolist()).rank():
+            if _orthogonalized(list(B.T.astype(float)))[3] != _kept_by_rank(B.tolist()):
                 wrong.append(B.tolist())
         assert wrong == []
 
@@ -666,7 +703,7 @@ class TestAppend:
     """Each leading block is the one before it with a column appended.
 
     ``leading_solves`` factors all of them in one natural-order pass and
-    stops at the first appended column whose pivot misses its margin.
+    stops at the first appended column whose pivot fails the floor.
     """
 
     @given(spd_rational_matrix(), st.data())
@@ -701,7 +738,11 @@ class TestAppend:
             assert np.allclose(np.array(A[:k, :k] @ x, dtype=float), np.array(b[:k], dtype=float))
 
     def test_float_margin_refuses_a_nearly_dependent_column(self):
+        # g + t h lies in the span of g and h; g + t e leaves 0.98 t of e
+        # outside it, against a margin of sqrt(eps) |g + t e| = 3.7e-8.
         g = np.array([1.0, 2.0, -1.0, 0.5])
         h = np.array([0.0, 1.0, 1.0, 0.0])
-        G = np.column_stack([g, h, g + 1e-9 * h])
-        assert len(leading_solves(G.T @ G, np.ones(3))) == 2
+        e = np.array([0.0, 0.0, 0.0, 1.0])
+        assert _orthogonalized([g, h, g + 1e-9 * h])[3] == [0, 1]
+        assert _orthogonalized([g, h, g + 1e-9 * e])[3] == [0, 1]
+        assert _orthogonalized([g, h, g + 1e-7 * e])[3] == [0, 1, 2]

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cglens import (
     F64,
@@ -34,6 +35,8 @@ from cglens.minnorm import (
     orthogonality_defect,
     projection_sweep,
 )
+
+from conftest import dependent_rational_vectors
 
 
 def make_p1():
@@ -142,8 +145,8 @@ class TestProjectionOracle:
 
     @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
     def test_hull_through_origin_unequal_norms(self, backend):
-        # 2/3 (1,0) + 1/3 (-2,0) = 0; the Gram matrix is singular and 1
-        # lies outside its range, so the answer comes from its kernel
+        # 2/3 (1,0) + 1/3 (-2,0) = 0: (-2,0) is dropped as dependent, and
+        # its weights on (1,0) sum to -2, not 1, so the hull is the whole line
         result = projection_oracle([vector([1, 0], backend), vector([-2, 0], backend)])
         assert all(entry == 0 for entry in result.ghat)
         assert result.norm_sq == 0
@@ -158,6 +161,18 @@ class TestProjectionOracle:
         )
         assert result.norm_sq == 0
         assert list(result.weights.weights) == [0, 1]
+
+    @given(dependent_rational_vectors())
+    @settings(max_examples=150, deadline=None)
+    def test_dependent_exact_input_meets_the_characterization(self, history):
+        # ghat is the point sum alpha_i g_i of the hull with ghat^T (g_i - ghat) = 0
+        # for every i, which makes it the least-norm point.
+        result = projection_oracle(history)
+        assert sum(result.weights.weights) == 1
+        combination = sum(w * g for w, g in zip(result.weights.weights, history))
+        assert list(combination) == list(result.ghat)
+        assert characterization_residuals(result, history) == [0] * len(history)
+        assert result.norm_sq == norm_sq(result.ghat)
 
     def test_dominance_over_vertices(self):
         result = projection_oracle(p1_history())

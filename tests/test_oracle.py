@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cglens import (
     F64,
@@ -14,7 +15,9 @@ from cglens import (
     DirectionScaling,
     LinalgError,
     ProblemSpec,
+    dot,
     generate_problem,
+    gradient,
     run_cg,
     vector,
     verify_against_trace,
@@ -22,6 +25,8 @@ from cglens import (
 from cglens.linalg import DimensionMismatch, sym_matrix
 from cglens.quadratic import QuadraticProblem, evaluate
 from cglens.oracle import SpanBasis, minimize_on_affine_span, trace_oracle
+
+from conftest import dependent_rational_vectors
 
 
 def make_p1():
@@ -103,6 +108,20 @@ class TestMinimizeOnAffineSpan:
                 ),
             )
 
+    @given(dependent_rational_vectors())
+    @settings(max_examples=150, deadline=None)
+    def test_dependent_exact_spans_reach_a_stationary_point(self, vectors):
+        # H = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]: the point is x0 + sum_j v_j s_j,
+        # and the gradient there is orthogonal to every s_j.
+        H = sym_matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]], RATIONAL)
+        P = QuadraticProblem(H=H, c=vector([-3, 1, 2], RATIONAL), x0=vector([1, 0, -1], RATIONAL))
+        sol = minimize_on_affine_span(P, SpanBasis(x0=P.x0, spanning_vectors=vectors))
+        moved = sum((v * s for v, s in zip(sol.coordinates, vectors)), P.x0)
+        assert len(sol.coordinates) == len(vectors) and list(moved) == list(sol.point)
+        g = gradient(P, sol.point)
+        assert [dot(g, s) for s in vectors] == [0] * len(vectors)
+        assert sol.objective_value == evaluate(P, sol.point)
+
     def test_float_path_handles_wide_norm_range(self):
         P = generate_problem(ProblemSpec(kind="diag", n=12))
         trace = run_cg(P, tol=1e-8)
@@ -147,7 +166,7 @@ class TestVerifyAgainstTrace:
 
 
 def one_shot(P, trace):
-    """The oracle one k at a time: a fresh pivoted reduced solve for every k."""
+    """The oracle one k at a time: a fresh sweep for every k, keeping its last solution."""
     gradients = [rec.g_k for rec in trace.records[: trace.r]]
     x0 = trace.records[0].x_k
     return [
@@ -167,7 +186,7 @@ def relative_gap(a, b):
 
 
 class TestTraceOracleSweep:
-    """One growing factor per trace gives the one-shot answers."""
+    """One sweep per trace gives the one-shot answers."""
 
     @pytest.mark.parametrize("direction", ["recursive", "gradient_sum", "shortest_residuals"])
     @pytest.mark.parametrize("scaling", ["cg_standard", "unit"])

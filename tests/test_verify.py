@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import cglens.minnorm
+import cglens.oracle
 
 from cglens import (
     F64,
@@ -22,6 +28,7 @@ from cglens import (
     run_full_suite,
     vector,
 )
+from cglens import cli
 from cglens.linalg import BACKENDS, mat_vec, sym_matrix
 from cglens.quadratic import QuadraticProblem
 from cglens.verify import (
@@ -372,3 +379,53 @@ class TestNaNNeverPasses:
             measured = checks[name].measured
             assert (math.isnan(measured) or math.isinf(measured)) and not checks[name].passed
         assert not report.overall
+
+
+class TestRankLosingHistory:
+    """rand_spd n = 60, cond 1e6, tol 1e-12, 180 steps: the float64 gradients
+    lose orthogonality and then rank (60 of the 180 are kept)."""
+
+    ARGV = ["verify", "--kind", "rand_spd", "--n", "60", "--cond", "1e6", "--seed", "0",
+            "--tol", "1e-12", "--max-iter", "180"]
+
+    def test_each_sweep_orthogonalizes_and_factors_once(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for module in (cglens.oracle, cglens.minnorm):
+            monkeypatch.setattr(module, "_orthogonalized",
+                                counted(module.__name__, module._orthogonalized))
+        monkeypatch.setattr(cglens.oracle, "leading_solves",
+                            counted("leading_solves", cglens.oracle.leading_solves))
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=60, condition=1e6, seed=0))
+        trace = run_cg(P, tol=1e-12, max_iter=180)
+        assert trace.r == 180
+        report = run_full_suite(P, trace=trace)
+        assert sorted(calls) == ["cglens.minnorm", "cglens.oracle", "leading_solves"]
+        checks = {check.name: check for check in report.checks}
+        for name in ("subspace_optimality", "min_norm_relation"):
+            assert math.isfinite(checks[name].measured) and not checks[name].passed
+
+    def test_cli_exits_one_with_every_check_reported(self, capsys):
+        assert cli.main(self.ARGV) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == EXPECTED_CHECKS
+        assert lines[-1].startswith("overall: FAIL")
+
+
+class TestTracerNames:
+    def test_every_patched_name_resolves(self):
+        # The benchmark's tracer replaces these module globals while it runs.
+        path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert len(tracer.PATCHES) > 20
+        missing = [(module, attr) for module, attr, _ in tracer.PATCHES
+                   if not hasattr(importlib.import_module(module), attr)]
+        assert missing == []
