@@ -123,33 +123,8 @@ class CGTrace:
     def r(self) -> int:
         return self.termination_index
 
-    def iterates(self) -> list[np.ndarray]:
-        return [rec.x_k for rec in self.records]
-
     def gradients(self) -> list[np.ndarray]:
         return [rec.g_k for rec in self.records]
-
-    def directions(self) -> list[np.ndarray]:
-        return [rec.p_k for rec in self.records if rec.p_k is not None]
-
-
-def direction_recursive(
-    g_k: np.ndarray, g_prev: np.ndarray, p_prev: np.ndarray
-) -> np.ndarray:
-    """p_k = -g_k + (g_k^T g_k / g_prev^T g_prev) p_prev.
-
-    The k = 0 direction is simply -g_0; callers start the recursion
-    there.  The coefficient is the ratio of consecutive squared gradient
-    norms, so a zero previous gradient is a caller error (the iteration
-    should already have terminated).
-    """
-    denom = norm_sq(g_prev)
-    if not denom > 0:
-        raise LinalgError("previous gradient is zero; the iteration has already terminated")
-    beta = norm_sq(g_k) / denom
-    out = -g_k + beta * p_prev
-    out.flags.writeable = False
-    return out
 
 
 def direction_gradient_sum(
@@ -210,7 +185,6 @@ def run_cg(
     max_iter: int | None = None,
     direction_mode: str = "recursive",
     scaling: DirectionScaling | None = None,
-    problem_id: str | None = None,
 ) -> CGTrace:
     """Run the method from P.x0 and record everything.
 
@@ -218,11 +192,13 @@ def run_cg(
     backend; under float64 when ||g_k|| <= tol * max(||g_0||, 1)), or
     after ``max_iter`` completed steps (default n under the rational
     backend, where termination within n steps is a theorem, and n + 5
-    under float64), or on curvature breakdown.
+    under float64), or on curvature breakdown.  ``tol`` must satisfy
+    0 <= tol < inf on both backends; the rational backend ignores it.
 
     ``direction_mode`` selects among the three characterizations; the
     ``scaling`` applies to the gradient-history forms and, through the
-    equivalent rescaled recursion, to the recursive form as well.
+    equivalent rescaled recursion, to the recursive form as well.  The
+    trace's ``problem_id`` is ``P.label``, or "unlabeled" without one.
     """
     if direction_mode not in DIRECTION_MODES:
         raise LinalgError(f"unknown direction mode {direction_mode!r}")
@@ -232,6 +208,8 @@ def run_cg(
         max_iter = P.n if backend.exact else P.n + 5
     if max_iter < 0:
         raise LinalgError("max_iter must be nonnegative")
+    if not 0 <= tol < math.inf:
+        raise LinalgError(f"tol must be finite and nonnegative, got {tol}")
 
     records: list[IterateRecord] = []
     grads: list[np.ndarray] = []
@@ -300,9 +278,8 @@ def run_cg(
         p_prev, c_prev = p, c_k
         k += 1
 
-    pid = problem_id if problem_id is not None else (P.label or "unlabeled")
     return CGTrace(
-        problem_id=pid,
+        problem_id=P.label or "unlabeled",
         scalar_backend=backend.name,
         records=tuple(records),
         termination_index=records[-1].k,

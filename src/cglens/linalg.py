@@ -51,17 +51,6 @@ class AsymmetricMatrixError(LinalgError):
     """A symmetric matrix was constructed from asymmetric data."""
 
 
-class NotSPDError(LinalgError):
-    """A positive-definite matrix was required but a pivot failed.
-
-    ``pivot_index`` is the 1-based index of the first non-positive pivot.
-    """
-
-    def __init__(self, message: str, pivot_index: int | None = None):
-        super().__init__(message)
-        self.pivot_index = pivot_index
-
-
 # One grammar for numeric text on every backend and Python version: an
 # optional sign, then p/q or digits with an optional fraction and exponent,
 # with whitespace around.  |exponent| <= 4300, Python's int-string digit limit,
@@ -310,11 +299,6 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(float(norm_sq(v)))
 
 
-def max_abs(v: np.ndarray) -> Scalar:
-    """Largest entry magnitude; exact under the rational backend."""
-    return np.abs(v).max()
-
-
 def scalar_token(x) -> str:
     """Serialize a scalar losslessly as text.
 
@@ -339,7 +323,7 @@ def residual_magnitude(v: np.ndarray) -> Scalar:
     if v.size == 0:
         return Fraction(0) if backend_of(v).exact else 0.0
     if backend_of(v).exact:
-        return max_abs(v)
+        return np.abs(v).max()
     return float(np.linalg.norm(v))
 
 
@@ -429,7 +413,7 @@ def _orthogonalized(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[i
 
 
 def _spd_floor(M: np.ndarray) -> Scalar:
-    """The default pivot floor: 0 under rationals, n * eps * max|M_ij| under
+    """The SPD test's pivot floor: 0 under rationals, n * eps * max|M_ij| under
     float64, the maximum taken over the finite entries (0 if there are none)."""
     if backend_of(M).exact:
         return Fraction(0)
@@ -548,7 +532,7 @@ class SpdCheck:
     """A natural-order L D L^T factorization read as a test of positive definiteness.
 
     M is positive definite exactly when all n pivots exceed the pivot
-    floor, which defaults to 0 on the rational backend and to
+    floor ``pivot_floor``, which is 0 on the rational backend and
     n * eps * max|M_ij| on the float backend (so exactly singular integer
     matrices are reliably rejected); the maximum is over the finite
     entries, so a NaN entry fails the pivot where it enters.  M is not
@@ -562,18 +546,16 @@ class SpdCheck:
     reads them alike.
     """
 
-    def __init__(self, M: np.ndarray, pivot_floor: Scalar | None = None):
+    def __init__(self, M: np.ndarray):
         n = M.shape[0]
         if M.shape != (n, n):
             raise DimensionMismatch("SpdCheck requires a square matrix")
-        if pivot_floor is None:
-            pivot_floor = _spd_floor(M)
+        self.pivot_floor = _spd_floor(M)
         self.backend = backend_of(M)
         factor = _eliminate if self.backend.exact else _cholesky_pivots
-        self._W, pivots, self.rank = factor(M, pivot_floor)
+        self._W, pivots, self.rank = factor(M, self.pivot_floor)
         self.n = n
         self.pivots = tuple(pivots)
-        self.pivot_floor = pivot_floor
 
     @property
     def is_spd(self) -> bool:
@@ -592,26 +574,6 @@ class SpdCheck:
         return _freeze(x)
 
 
-def cholesky_spd_check(M: np.ndarray, pivot_floor: Scalar | None = None) -> SpdCheck:
+def cholesky_spd_check(M: np.ndarray) -> SpdCheck:
     """Test positive definiteness by the pivots of ``SpdCheck``'s factorization."""
-    return SpdCheck(M, pivot_floor)
-
-
-def solve_spd(M: np.ndarray, b: np.ndarray, check: SpdCheck | None = None) -> np.ndarray:
-    """Solve M y = b for symmetric positive definite M.
-
-    Exact under the rational backend.  Raises ``NotSPDError`` if the
-    pivot test fails; a previously computed ``check`` may be supplied to
-    skip refactorization.
-    """
-    if M.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"solve of shapes {M.shape} and {b.shape}")
-    if check is None:
-        check = cholesky_spd_check(M)
-    if not check.is_spd:
-        raise NotSPDError(
-            f"matrix is not positive definite: pivot {check.failed_pivot + 1} "
-            f"is {check.pivots[check.failed_pivot]}",
-            pivot_index=check.failed_pivot + 1,
-        )
-    return check.solve(b)
+    return SpdCheck(M)

@@ -9,7 +9,7 @@ double), and everything written is written losslessly: rationals as
 Files keep the ``indent=1`` layout of ``json.dump`` except that each
 vector (a matrix row, c, x0, or a trace's x, g or p) is one line.
 
-Matrix Market support covers the coordinate and array formats with
+Matrix Market reading covers the coordinate and array formats with
 real or integer fields and general or symmetric symmetry — the
 standard interchange subset for dense SPD test matrices.  Parse errors
 carry 1-based line numbers.
@@ -27,7 +27,6 @@ from .linalg import (
     Backend,
     F64,
     LinalgError,
-    backend_of,
     scalar_token,
     sym_matrix,
     vector,
@@ -146,36 +145,6 @@ def read_matrix_market(path, backend: Backend = F64) -> np.ndarray:
 
     dense = [[filled.get((i, j), backend.zero) for j in range(n)] for i in range(n)]
     return sym_matrix(dense, backend)
-
-
-def write_matrix_market(M: np.ndarray, path, comment: str | None = None) -> None:
-    """Write a symmetric matrix in array format, losslessly.
-
-    The field is ``integer`` when every entry is integral; otherwise
-    ``real`` with shortest round-tripping float tokens.  Non-integer
-    rational matrices have no lossless Matrix Market encoding — store
-    those in the JSON dense form instead.
-    """
-    backend = backend_of(M)
-    n = M.shape[0]
-    entries = [M[i, j] for j in range(n) for i in range(j, n)]
-    if all(x == int(x) for x in entries):
-        field, render = "integer", lambda x: str(int(x))
-    elif backend.exact:
-        raise LinalgError(
-            "non-integer rational matrix cannot be written losslessly to "
-            "Matrix Market; use the JSON dense form"
-        )
-    else:
-        field, render = "real", lambda x: repr(float(x))
-    with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix array {field} symmetric\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"% {line}\n")
-        fh.write(f"{n} {n}\n")
-        for x in entries:
-            fh.write(render(x) + "\n")
 
 
 def _entry_token(x, backend: Backend):

@@ -75,8 +75,8 @@ class ProblemSpec:
         if self.kind == "rand_spd":
             if self.seed is None or self.condition is None:
                 raise LinalgError("rand_spd requires both a seed and a condition number")
-            if not self.condition >= 1:
-                raise LinalgError("condition number must be >= 1")
+            if not 1 <= self.condition < math.inf:
+                raise LinalgError(f"condition number must be finite and >= 1, got {self.condition}")
 
 
 def _reflect(M: np.ndarray, v: np.ndarray) -> np.ndarray:

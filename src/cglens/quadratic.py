@@ -23,8 +23,6 @@ from .linalg import (
     cholesky_spd_check,
     dot,
     mat_vec,
-    solve_spd,
-    vector,
 )
 
 
@@ -89,45 +87,10 @@ def gradient(P: QuadraticProblem, x: np.ndarray) -> np.ndarray:
 
 
 def exact_minimizer(P: QuadraticProblem) -> np.ndarray:
-    """The unique stationary point, solving H x = -c.
+    """The unique stationary point, solving H x = -c on the factor of H
+    that construction validated (``P.spd``).
 
     Exact under the rational backend: the gradient at the result is the
     zero vector identically.
     """
-    return solve_spd(P.H, -P.c, check=P.spd)
-
-
-def point_of_gradient(P: QuadraticProblem, g: np.ndarray) -> np.ndarray:
-    """The unique x with gradient(P, x) = g, i.e. the solve H x = g - c.
-
-    The gradient map x -> Hx + c is a bijection for SPD H; this is its
-    inverse, used to translate statements about gradients back into
-    statements about points.
-    """
-    if g.shape != (P.n,):
-        raise DimensionMismatch(f"expected a gradient of dimension {P.n}, got {g.shape}")
-    return solve_spd(P.H, g - P.c, check=P.spd)
-
-
-def gradient_fd_check(P: QuadraticProblem, x: np.ndarray, h=None):
-    """Max-abs deviation of a central finite difference from gradient(P, x).
-
-    Central differences are exact on quadratics, so the deviation is
-    rounding-level noise in float64 and identically zero under the
-    rational backend (pass h as a Fraction or "p/q" string there).
-    """
-    _check_point(P, x)
-    backend = P.backend
-    h = backend.scalar("1/10000" if backend.exact else 1e-4) if h is None else backend.scalar(h)
-    if not h > 0:
-        raise LinalgError(f"finite-difference step must be positive, got {h}")
-    g = gradient(P, x)
-    two_h = h + h
-    deviations = []
-    for i in range(P.n):
-        e = [backend.zero] * P.n
-        e[i] = h
-        step = vector(e, backend)
-        slope = (evaluate(P, x + step) - evaluate(P, x - step)) / two_h
-        deviations.append(abs(slope - g[i]))
-    return max(deviations)
+    return P.spd.solve(-P.c)

@@ -391,7 +391,6 @@ def run_full_suite(
     direction_mode: str = "recursive",
     scaling: DirectionScaling | None = None,
     tolerances: dict | None = None,
-    problem_id: str | None = None,
     trace: CGTrace | None = None,
 ) -> VerificationReport:
     """Solve (or accept a saved trace) and run every check.
@@ -401,12 +400,7 @@ def run_full_suite(
     """
     if trace is None:
         trace = run_cg(
-            P,
-            tol=tol,
-            max_iter=max_iter,
-            direction_mode=direction_mode,
-            scaling=scaling,
-            problem_id=problem_id,
+            P, tol=tol, max_iter=max_iter, direction_mode=direction_mode, scaling=scaling
         )
     tolerances = dict(tolerances or {})
 

@@ -230,6 +230,19 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < 200  # a long token is echoed truncated
 
+    @pytest.mark.parametrize("backend", ["f64", "rational"])
+    @pytest.mark.parametrize("flags", [
+        # a non-finite condition number; argparse reads 1e400 as inf
+        *(["--kind", "rand_spd", "--n", "4", "--seed", "0", "--cond", c]
+          for c in ("inf", "nan", "1e400")),
+        # a stopping tolerance outside [0, inf)
+        *(["--kind", "diag", "--n", "4", "--tol", t] for t in ("nan", "-1", "inf")),
+    ])
+    def test_bad_flag_value_exits_two_with_one_line(self, capsys, backend, flags):
+        assert run_main(["verify", *flags, "--backend", backend]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
     def test_digit_cap_does_not_depend_on_the_interpreter_limit(self, tmp_path, capsys):
         path = tmp_path / "long.json"

@@ -25,7 +25,6 @@ from cglens.engine import (
     CGTrace,
     IterateRecord,
     direction_gradient_sum,
-    direction_recursive,
     step_length,
 )
 
@@ -41,22 +40,17 @@ def make_p1():
 
 class TestDirections:
     def test_recursive_on_worked_problem(self):
-        g1 = vector(["-4/9", "2/9"], RATIONAL)
-        g0 = vector([-1, -2], RATIONAL)
-        p0 = vector([1, 2], RATIONAL)
-        p1 = direction_recursive(g1, g0, p0)
+        # p_1 = -g_1 + (g_1^T g_1 / g_0^T g_0) p_0 with g_1 = (-4/9, 2/9), p_0 = (1, 2)
+        p0, p1 = (rec.p_k for rec in run_cg(make_p1()).records[:2])
+        assert list(p0) == [1, 2]
         assert list(p1) == [Fraction(40, 81), Fraction(-10, 81)]
 
     def test_recursive_ratio_one(self):
-        g = vector([1, 2], F64)
-        p_prev = vector([5, 5], F64)
-        assert list(direction_recursive(g, g, p_prev)) == [4.0, 3.0]
-
-    def test_recursive_rejects_zero_previous_gradient(self):
-        g = vector([1, 0], RATIONAL)
-        zero = vector([0, 0], RATIONAL)
-        with pytest.raises(LinalgError):
-            direction_recursive(g, zero, g)
+        # Unit scaling makes c_k / c_{k-1} = 1: p_1 = -g_1 / (g_1^T g_1) + p_0.
+        trace = run_cg(make_p1(), scaling=DirectionScaling(mode="unit"))
+        p0, p1 = (rec.p_k for rec in trace.records[:2])
+        assert list(p0) == [Fraction(1, 5), Fraction(2, 5)]
+        assert list(p1) == [2, Fraction(-1, 2)]
 
     def test_gradient_sum_first_step_is_steepest_descent(self):
         g0 = vector([-1, -2], RATIONAL)
@@ -155,7 +149,7 @@ class TestRunCG:
         trace = run_cg(P0)
         assert trace.r == 0
         assert trace.termination_reason == "gradient_zero"
-        assert trace.directions() == []
+        assert [rec.p_k for rec in trace.records] == [None]
 
     def test_exact_termination_within_dimension(self):
         P = generate_problem(ProblemSpec(kind="diag", n=5), RATIONAL)
@@ -192,6 +186,11 @@ class TestRunCG:
     def test_unknown_direction_mode_rejected(self):
         with pytest.raises(LinalgError):
             run_cg(make_p1(), direction_mode="steepest")
+
+    def test_zero_tol_is_valid(self):
+        # The boundary of 0 <= tol < inf: float64 runs until g is exactly zero.
+        P = generate_problem(ProblemSpec(kind="diag", n=4))
+        assert run_cg(P, tol=0.0).termination_reason == "gradient_zero"
 
     def test_float_backend_tolerance_stop(self):
         P = generate_problem(ProblemSpec(kind="diag", n=8))

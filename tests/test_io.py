@@ -18,14 +18,13 @@ from cglens import (
     load_trace,
     run_cg,
 )
-from cglens.linalg import AsymmetricMatrixError, scalar_token, sym_matrix
+from cglens.linalg import AsymmetricMatrixError, scalar_token
 from cglens.mmio import (
     MMParseError,
     load_problem,
     read_matrix_market,
     save_problem,
     save_trace,
-    write_matrix_market,
 )
 
 
@@ -74,6 +73,17 @@ class TestMatrixMarketRead:
         )
         M = read_matrix_market(path, F64)
         assert [list(row) for row in M] == [[4.0, 1.0], [1.0, 3.0]]
+
+    def test_real_tokens_read_bitwise(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "%%MatrixMarket matrix array real symmetric\n"
+            "2 2\n"
+            "0.1\n1e-300\n3.7\n",
+        )
+        M = read_matrix_market(path, F64)
+        assert [list(row) for row in M] == [[0.1, 1e-300], [1e-300, 3.7]]
+        assert read_matrix_market(path, RATIONAL)[0, 0] == Fraction(1, 10)
 
     def test_array_general_full(self, tmp_path):
         path = self.write(
@@ -177,28 +187,6 @@ class TestMatrixMarketRead:
             read_matrix_market(path, backend)
 
 
-class TestMatrixMarketWrite:
-    def test_integer_round_trip(self, tmp_path):
-        M = sym_matrix([[2, 1], [1, 3]], RATIONAL)
-        path = tmp_path / "m.mtx"
-        write_matrix_market(M, path, comment="laplacian-ish")
-        assert "integer symmetric" in path.read_text().splitlines()[0]
-        back = read_matrix_market(path, RATIONAL)
-        assert [list(row) for row in back] == [list(row) for row in M]
-
-    def test_float_round_trip_bitwise(self, tmp_path):
-        M = sym_matrix([[0.1, 1e-300], [1e-300, 3.7]], F64)
-        path = tmp_path / "m.mtx"
-        write_matrix_market(M, path)
-        back = read_matrix_market(path, F64)
-        assert [list(row) for row in back] == [list(row) for row in M]
-
-    def test_non_integer_rational_refused(self, tmp_path):
-        M = sym_matrix([["1/3", 0], [0, 1]], RATIONAL)
-        with pytest.raises(LinalgError, match="JSON dense form"):
-            write_matrix_market(M, tmp_path / "m.mtx")
-
-
 class TestProblemJson:
     def test_save_load_rational_exact(self, tmp_path):
         P = generate_problem(
@@ -223,7 +211,7 @@ class TestProblemJson:
     def test_matrix_market_reference_resolved_relative(self, tmp_path):
         sub = tmp_path / "nested"
         sub.mkdir()
-        write_matrix_market(sym_matrix([[1, 0], [0, 2]], RATIONAL), sub / "H.mtx")
+        (sub / "H.mtx").write_text("%%MatrixMarket matrix array integer symmetric\n2 2\n1\n0\n2\n")
         (sub / "p.json").write_text(json.dumps({
             "n": 2,
             "H": {"matrix_market": "H.mtx"},

@@ -211,7 +211,7 @@ class TestAffinePoint:
         trace = run_cg(P)
         weights = AffineCombination(vector(["1/2", "1/2"], RATIONAL))
         point = affine_point_of_gradient_combination(
-            P, trace.iterates()[:2], weights
+            P, [rec.x_k for rec in trace.records[:2]], weights
         )
         assert list(point.x) == [Fraction(5, 18), Fraction(5, 9)]
         assert list(point.g) == [Fraction(-13, 18), Fraction(-8, 9)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -62,8 +63,9 @@ class TestProblemSpec:
             ProblemSpec(kind="rand_spd", n=4, condition=10)
         with pytest.raises(LinalgError):
             ProblemSpec(kind="rand_spd", n=4, seed=1)
-        with pytest.raises(LinalgError):
-            ProblemSpec(kind="rand_spd", n=4, condition=0.5, seed=1)
+        for condition in (0.5, math.inf, math.nan):
+            with pytest.raises(LinalgError):
+                ProblemSpec(kind="rand_spd", n=4, condition=condition, seed=1)
 
 
 class TestGeneratedProblems:
