@@ -9,23 +9,28 @@ characterizations —
 * ``recursive``: p_k from p_{k-1} and the gradient-norm ratio,
 * ``gradient_sum``: p_k = c_k * sum_i g_i / (g_i^T g_i) over the whole
   gradient history,
-* ``shortest_residuals``: p_k along the negated minimum-norm point of
-  the affine hull of the gradient history.
+* ``shortest_residuals``: p_k = -ghat_k, the negated minimum-norm point
+  of the affine hull of the gradient history, which for CG's orthogonal
+  gradients is sum_i g_i / (g_i^T g_i) over sum_i 1 / (g_i^T g_i).
 
-All three generate identical iterate sequences (exactly so under the
-rational backend); the verification suite checks precisely that.
+The two history forms read p_k off one pair of running sums, updated
+once per step, and do not re-read the history.  The engine shares no
+code with the min-norm module, whose sweeps recompute ghat from the
+recorded gradients as an independent check.  All three forms generate
+identical iterate sequences (exactly so under the rational backend);
+the verification suite checks precisely that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .linalg import (
-    BACKENDS, Backend, LinalgError, Scalar, _product, backend_of, dot, mat_vec, norm_sq,
+    BACKENDS, Backend, LinalgError, Scalar, _product, dot, mat_vec, norm_sq,
 )
 from .quadratic import QuadraticProblem, gradient
 
@@ -127,31 +132,6 @@ class CGTrace:
         return [rec.g_k for rec in self.records]
 
 
-def direction_gradient_sum(
-    gradients: Sequence[np.ndarray], scaling: DirectionScaling | None = None
-) -> np.ndarray:
-    """p_k = c_k * sum_{i=0..k} g_i / (g_i^T g_i), gradients-only form.
-
-    With cg_standard scaling this reproduces the recursive direction
-    exactly; other scalings rescale the direction without moving the
-    iterates (the exact linesearch absorbs the factor).
-    """
-    if len(gradients) == 0:
-        raise LinalgError("gradient history is empty")
-    scaling = DirectionScaling() if scaling is None else scaling
-    backend = backend_of(gradients[-1])
-    acc = backend.empty(gradients[-1].shape)
-    for i, g in enumerate(gradients):
-        gg = norm_sq(g)
-        if not gg > 0:
-            raise LinalgError(f"gradient {i} in the history is zero")
-        acc += g / gg
-    c_k = scaling.value_for(len(gradients) - 1, norm_sq(gradients[-1]), backend)
-    out = c_k * acc
-    out.flags.writeable = False
-    return out
-
-
 def step_length(P: QuadraticProblem, g_k: np.ndarray, p_k: np.ndarray) -> Scalar:
     """Exact-linesearch step theta = -g_k^T p_k / (p_k^T H p_k).
 
@@ -167,16 +147,6 @@ def step_length(P: QuadraticProblem, g_k: np.ndarray, p_k: np.ndarray) -> Scalar
             curvature=curvature,
         )
     return -dot(g_k, p_k) / curvature
-
-
-def _stop_reason(backend: Backend, gns: Scalar, g0_norm: float | None, tol: float) -> str | None:
-    if gns == 0:
-        return "gradient_zero"
-    if backend.exact:
-        return None
-    if math.sqrt(float(gns)) <= tol * max(g0_norm, 1.0):
-        return "tolerance_met"
-    return None
 
 
 def run_cg(
@@ -212,7 +182,6 @@ def run_cg(
         raise LinalgError(f"tol must be finite and nonnegative, got {tol}")
 
     records: list[IterateRecord] = []
-    grads: list[np.ndarray] = []
     x = P.x0
     g = gradient(P, x)
     gns = norm_sq(g)
@@ -221,36 +190,27 @@ def run_cg(
     p_prev: np.ndarray | None = None
     c_prev: Scalar | None = None
     gns_prev: Scalar | None = None
-    reason: str | None = None
+    # The history forms' running sums over i <= k of g_i / (g_i^T g_i)
+    # and of 1 / (g_i^T g_i).
+    total, weight = backend.empty(P.n), backend.zero
     k = 0
 
     while True:
-        stop = _stop_reason(backend, gns, g0_norm, tol)
         beta = None if k == 0 else gns / gns_prev
-        if stop is not None:
-            records.append(IterateRecord(k, x, g, gns, beta_k=beta))
-            reason = stop
-            break
-        if k == max_iter:
-            records.append(IterateRecord(k, x, g, gns, beta_k=beta))
+        if gns == 0:
+            reason = "gradient_zero"
+        elif not backend.exact and math.sqrt(float(gns)) <= tol * max(g0_norm, 1.0):
+            reason = "tolerance_met"
+        elif k == max_iter:
             reason = "max_iter"
+        else:
+            reason = None
+        if reason is not None:
+            records.append(IterateRecord(k, x, g, gns, beta_k=beta))
             break
 
-        grads.append(g)
         c_k = scaling.value_for(k, gns, backend)
-        if direction_mode == "gradient_sum":
-            p = direction_gradient_sum(grads, scaling)
-        elif direction_mode == "shortest_residuals":
-            from .minnorm import min_norm_closed_form
-
-            # Ungated: a history that drifts from orthogonality is the
-            # checks' to measure, not a reason to stop the run.
-            p = -min_norm_closed_form(grads, math.inf).ghat
-            p.flags.writeable = False
-            # p = -ghat, and p^T g_i = -ghat^T ghat for every i, so the
-            # direction's common inner-product value is -(p^T p).
-            c_k = -norm_sq(p)
-        else:
+        if direction_mode == "recursive":
             # The recursive form under general scaling:
             #   p_k = (c_k / g_k^T g_k) g_k + (c_k / c_{k-1}) p_{k-1}
             # which is the classical -g_k + beta_k p_{k-1} when
@@ -259,7 +219,19 @@ def run_cg(
                 p = (c_k / gns) * g
             else:
                 p = (c_k / gns) * g + (c_k / c_prev) * p_prev
-            p.flags.writeable = False
+        else:
+            total = total + g / gns
+            if direction_mode == "gradient_sum":
+                p = c_k * total
+            else:
+                # p = -ghat, ungated: a history that drifts from
+                # orthogonality is the checks' to measure, not a reason to
+                # stop the run.  p^T g_i = -ghat^T ghat for every i, so the
+                # direction's common inner-product value is -(p^T p).
+                weight = weight + 1 / gns
+                p = -total / weight
+                c_k = -norm_sq(p)
+        p.flags.writeable = False
 
         try:
             theta = step_length(P, g, p)

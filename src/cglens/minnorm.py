@@ -129,6 +129,7 @@ def min_norm_closed_form(
     under the rational backend, beyond ``orthogonality_tol`` (relative)
     under float64.  ``orthogonality_tol=math.inf`` skips the gate on
     both backends, for callers that measure the consequences themselves.
+    Past the gate, the result is the last one of ``closed_form_sweep``.
     """
     _check_nonzero(gradients)
     backend = backend_of(gradients[0])
@@ -138,13 +139,12 @@ def min_norm_closed_form(
             "gradient history is not orthogonal; the closed form does not "
             "apply — use projection_oracle"
         )
-    weights = _affine(np.array([1 / norm_sq(g) for g in gradients]))
-    ghat = _combine(gradients, weights.weights)
-    return MinNormResult(ghat=ghat, weights=weights, norm_sq=norm_sq(ghat))
+    *_, last = closed_form_sweep(gradients)
+    return last
 
 
 def closed_form_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]:
-    """Yield ``min_norm_closed_form(gradients[:k], math.inf)`` for k = 1..m.
+    """Yield the ungated closed-form ghat of ``gradients[:k]`` for k = 1..m.
 
     Each gradient's norm is read once, and the sums over i < k of
     g_i / (g_i^T g_i) and of 1 / (g_i^T g_i) run along the history.
@@ -278,7 +278,4 @@ def shortest_residuals_direction(gradients: Sequence[np.ndarray]) -> np.ndarray:
     The proportionality ratio is g_k^T g_k / ghat^T ghat > 0, so exact
     linesearch along -ghat reproduces the CG iterates.
     """
-    result = min_norm_closed_form(gradients)
-    out = -result.ghat
-    out.flags.writeable = False
-    return out
+    return _freeze(-min_norm_closed_form(gradients).ghat)

@@ -27,6 +27,7 @@ from .linalg import (
     Backend,
     F64,
     LinalgError,
+    norm_sq,
     scalar_token,
     sym_matrix,
     vector,
@@ -320,6 +321,19 @@ def load_trace(path) -> CGTrace:
             )
             for rec in raw_records
         )
+        # run_cg records g_k^T g_k, equal here up to a float64 dot product's
+        # rounding on another BLAS build, and beta_k, its exact ratio to the last.
+        slack = 0 if backend.exact else np.finfo(np.float64).eps
+        for prev, rec in zip((None, *records), records):
+            gns = norm_sq(rec.g_k)
+            if not abs(rec.grad_norm_sq - gns) <= slack * rec.g_k.size * gns:
+                raise LinalgError(f"{path}: grad_norm_sq of record {rec.k} is not g^T g")
+            if prev is None:
+                beta_ok = rec.beta_k is None
+            else:
+                beta_ok = prev.grad_norm_sq != 0 and rec.beta_k == rec.grad_norm_sq / prev.grad_norm_sq
+            if not beta_ok:
+                raise LinalgError(f"{path}: beta of record {rec.k} is not its grad_norm_sq ratio")
         return CGTrace(
             problem_id=str(data.get("problem_id", "unlabeled")),
             scalar_backend=backend.name,

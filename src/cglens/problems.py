@@ -77,6 +77,8 @@ class ProblemSpec:
                 raise LinalgError("rand_spd requires both a seed and a condition number")
             if not 1 <= self.condition < math.inf:
                 raise LinalgError(f"condition number must be finite and >= 1, got {self.condition}")
+        elif self.condition is not None or self.seed is not None:
+            raise LinalgError(f"{self.kind} takes no condition number or seed (rand_spd only)")
 
 
 def _reflect(M: np.ndarray, v: np.ndarray) -> np.ndarray:

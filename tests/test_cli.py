@@ -237,6 +237,11 @@ class TestBadInput:
           for c in ("inf", "nan", "1e400")),
         # a stopping tolerance outside [0, inf)
         *(["--kind", "diag", "--n", "4", "--tol", t] for t in ("nan", "-1", "inf")),
+        # a condition number or a seed for a kind that takes neither
+        ["--kind", "diag", "--n", "4", "--cond", "nan", "--seed", "5"],
+        ["--kind", "laplacian1d", "--n", "6", "--cond", "-3", "--seed", "-1"],
+        ["--kind", "diag", "--n", "4", "--seed", "0"],
+        ["--kind", "laplacian1d", "--n", "6", "--cond", "10"],
     ])
     def test_bad_flag_value_exits_two_with_one_line(self, capsys, backend, flags):
         assert run_main(["verify", *flags, "--backend", backend]) == 2

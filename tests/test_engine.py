@@ -18,13 +18,12 @@ from cglens import (
     run_cg,
     vector,
 )
-from cglens.linalg import sym_matrix
+from cglens.linalg import norm_sq, sym_matrix
 from cglens.quadratic import QuadraticProblem, evaluate
 from cglens.engine import (
     BreakdownError,
     CGTrace,
     IterateRecord,
-    direction_gradient_sum,
     step_length,
 )
 
@@ -53,27 +52,59 @@ class TestDirections:
         assert list(p1) == [2, Fraction(-1, 2)]
 
     def test_gradient_sum_first_step_is_steepest_descent(self):
-        g0 = vector([-1, -2], RATIONAL)
-        p0 = direction_gradient_sum([g0], DirectionScaling())
-        assert list(p0) == [1, 2]
+        trace = run_cg(make_p1(), direction_mode="gradient_sum")
+        assert list(trace.records[0].p_k) == [1, 2]
 
     def test_gradient_sum_matches_recursive(self):
-        g0 = vector([-1, -2], RATIONAL)
-        g1 = vector(["-4/9", "2/9"], RATIONAL)
-        p1 = direction_gradient_sum([g0, g1], DirectionScaling())
-        assert list(p1) == [Fraction(40, 81), Fraction(-10, 81)]
+        # p_1 = -(g_1^T g_1) (g_0 / g_0^T g_0 + g_1 / g_1^T g_1), g_1 = (-4/9, 2/9)
+        trace = run_cg(make_p1(), direction_mode="gradient_sum")
+        assert list(trace.records[1].p_k) == [Fraction(40, 81), Fraction(-10, 81)]
 
     def test_gradient_sum_unit_scaling(self):
-        g0 = vector([2, 0], RATIONAL)
-        g1 = vector([0, 2], RATIONAL)
-        p = direction_gradient_sum([g0, g1], DirectionScaling(mode="unit"))
-        assert list(p) == [Fraction(-1, 2), Fraction(-1, 2)]
+        # p_1 = -(g_0 / 5 + g_1 / (20/81)) = -((-1/5, -2/5) + (-9/5, 9/10))
+        trace = run_cg(make_p1(), direction_mode="gradient_sum",
+                       scaling=DirectionScaling(mode="unit"))
+        p0, p1 = (rec.p_k for rec in trace.records[:2])
+        assert list(p0) == [Fraction(1, 5), Fraction(2, 5)]
+        assert list(p1) == [2, Fraction(-1, 2)]
 
-    def test_gradient_sum_rejects_zero_gradient(self):
-        with pytest.raises(LinalgError):
-            direction_gradient_sum(
-                [vector([0, 0], RATIONAL)], DirectionScaling()
-            )
+    def test_gradient_sum_reads_each_gradient_norm_once(self, monkeypatch):
+        # The history forms keep running sums: one g^T g per iterate, where
+        # re-reading the history made r(r+1)/2 + 2r + 1 calls (43 here).
+        import cglens.engine
+
+        calls = []
+
+        def counting(v):
+            calls.append(1)
+            return norm_sq(v)
+
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=14, condition=11, seed=7), RATIONAL)
+        monkeypatch.setattr(cglens.engine, "norm_sq", counting)
+        trace = run_cg(P, direction_mode="gradient_sum")
+        assert trace.termination_reason == "gradient_zero"
+        assert len(calls) == trace.r + 1
+
+    def test_shortest_residuals_does_not_use_the_min_norm_module(self, monkeypatch):
+        import cglens.minnorm
+
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=8, condition=8, seed=3), RATIONAL)
+        expected = run_cg(P, direction_mode="shortest_residuals")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_cg called the min-norm module")
+
+        monkeypatch.setattr(cglens.minnorm, "min_norm_closed_form", refuse)
+        monkeypatch.setattr(cglens.minnorm, "closed_form_sweep", refuse)
+        trace = run_cg(P, direction_mode="shortest_residuals")
+        assert trace.termination_reason == "gradient_zero"
+        assert trace.r == expected.r
+        for a, b in zip(trace.records, expected.records):
+            assert list(a.x_k) == list(b.x_k) and list(a.g_k) == list(b.g_k)
+            assert (a.p_k is None) == (b.p_k is None)
+            if a.p_k is not None:
+                assert list(a.p_k) == list(b.p_k)
+                assert (a.theta_k, a.c_k, a.beta_k) == (b.theta_k, b.c_k, b.beta_k)
 
 
 class TestScaling:

@@ -403,6 +403,44 @@ class TestTraceJson:
         with pytest.raises(LinalgError):
             load_trace(path)
 
+    def test_float64_norm_within_the_dot_product_bound_still_loads(self, tmp_path):
+        # As a trace written on another BLAS build: the last g^T g off by an
+        # ulp (beta recomputed from it) loads; off by 1e-12 relative does not.
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=12))
+        data = trace_json(run_cg(P, tol=1e-8), tmp_path)
+        last, before = data["records"][-1], data["records"][-2]
+        path = tmp_path / "moved.json"
+        for gns, loads in ((np.nextafter(last["grad_norm_sq"], 1.0), True),
+                           (last["grad_norm_sq"] * (1 + 1e-12), False)):
+            last["grad_norm_sq"], last["beta"] = float(gns), float(gns) / before["grad_norm_sq"]
+            path.write_text(json.dumps(data))
+            if loads:
+                assert load_trace(path).records[-1].grad_norm_sq == gns
+            else:
+                with pytest.raises(LinalgError, match="grad_norm_sq of record"):
+                    load_trace(path)
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("k, beta", [(0, 1), (1, None), (1, 0)])
+    def test_beta_must_be_the_ratio_of_recorded_norms(self, backend, k, beta, tmp_path):
+        P = generate_problem(ProblemSpec(kind="diag", n=3), backend)
+        data = trace_json(run_cg(P), tmp_path)
+        data["records"][k]["beta"] = beta
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(LinalgError, match=f"beta of record {k} "):
+            load_trace(path)
+
+    def test_record_after_a_zero_gradient_rejected(self, tmp_path):
+        P = generate_problem(ProblemSpec(kind="diag", n=2), RATIONAL)
+        data = trace_json(run_cg(P), tmp_path)
+        data["records"][0].update(g=["0", "0"], grad_norm_sq="0")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(LinalgError, match="beta of record 1 "):
+            load_trace(path)
+
+
 def trace_json(trace, tmp_path):
     path = tmp_path / "saved.json"
     save_trace(trace, path)

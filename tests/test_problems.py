@@ -68,6 +68,13 @@ class TestProblemSpec:
                 ProblemSpec(kind="rand_spd", n=4, condition=condition, seed=1)
 
 
+    @pytest.mark.parametrize("kind", ["diag", "laplacian1d"])
+    @pytest.mark.parametrize("condition, seed", [(10, None), (None, 0), (math.nan, 5), (-3, -1)])
+    def test_only_rand_spd_takes_condition_or_seed(self, kind, condition, seed):
+        with pytest.raises(LinalgError, match="rand_spd only"):
+            ProblemSpec(kind=kind, n=4, condition=condition, seed=seed)
+
+
 class TestGeneratedProblems:
     def test_diag_matches_worked_problem(self):
         P = generate_problem(ProblemSpec(kind="diag", n=2), RATIONAL)
