@@ -119,6 +119,8 @@ class CGTrace:
     def __post_init__(self):
         if self.termination_reason not in TERMINATION_REASONS:
             raise LinalgError(f"unknown termination reason {self.termination_reason!r}")
+        if not self.records:
+            raise LinalgError("a trace needs at least the record of k = 0")
         if [rec.k for rec in self.records] != list(range(len(self.records))):
             raise LinalgError("trace records must be consecutive from k = 0")
         if self.termination_index != len(self.records) - 1:

@@ -327,45 +327,47 @@ def residual_magnitude(v: np.ndarray) -> Scalar:
     return float(np.linalg.norm(v))
 
 
+def _row_magnitudes(V: np.ndarray) -> np.ndarray:
+    """``residual_magnitude`` of each row of a 2-D array with columns."""
+    return np.abs(V).max(axis=1) if V.dtype == object else np.linalg.norm(V, axis=1)
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """a_i^T b_i for each pair of rows; each exact as ``dot`` under rationals."""
+    if A.dtype != object:
+        return np.einsum("ij,ij->i", A, B)
+    return np.fromiter(map(_product, A, B), dtype=object, count=len(A))
+
+
+def _worst_ratio(backend: Backend, raw: np.ndarray, scale) -> Scalar:
+    """max(0, raw) under rationals; under float64 max(0, raw / scale()) over the
+    entries of nonzero scale, NaN if one is NaN (Python's ``max`` drops a NaN)."""
+    if backend.exact:
+        return max([backend.zero, *raw])
+    denom = np.asarray(scale(), dtype=np.float64)
+    live = denom != 0
+    return float(np.max(np.concatenate(([0.0], raw[live] / denom[live]))))
+
+
 def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales) -> Scalar:
     """Worst |a_k^T b_j - shift[k]| over the triangle j < k (j <= k if ``diagonal``).
 
     The residual rule of every identity over index pairs: each is a
-    triangle of the inner-product table of two vector sequences.  Exact
-    vectors report the raw worst value.  Float vectors divide entry
-    (k, j) by row[k] * col[j], where ``(row, col) = scales()`` is called
-    only under float64 (exact runs compute no norms), and an entry whose
-    scale is zero contributes nothing; a NaN entry makes the result NaN,
-    which no tolerance passes.  ``shift`` is None or one value per row.
-    Under float64, row k is one product of a_k with the b_j of its
-    triangle, so each pair's inner product is computed once and the other
-    triangle never is; exact vectors take the whole table as one integer
-    product.
+    triangle of the inner-product table of two vector sequences, taken as
+    one product.  Exact vectors report the raw worst value.  Float vectors
+    divide entry (k, j) by row[k] * col[j], where ``(row, col) = scales()``
+    is called only under float64 (exact runs compute no norms), and an
+    entry whose scale is zero contributes nothing; a NaN entry makes the
+    result NaN.  ``shift`` is None or one value per row.
     """
-    rows = [backend.zero]
     if len(a) == 0 or len(b) == 0:
-        return rows[0]
-    B = np.stack(b)
-    if backend.exact:
-        table = _product(np.stack(a), B.T)
-    else:
-        row, col = (np.asarray(s, dtype=np.float64) for s in scales())
-    for k, a_k in enumerate(a):
-        m = k + diagonal
-        if m == 0:
-            continue
-        t = table[k, :m] if backend.exact else np.dot(B[:m], a_k)
-        if shift is not None:
-            t = t - shift[k]
-        t = np.abs(t)
-        if not backend.exact:
-            denom = row[k] * col[:m]
-            live = denom != 0
-            if not live.any():
-                continue
-            t = t[live] / denom[live]
-        rows.append(t.max())
-    return max(rows) if backend.exact else float(np.max(rows))
+        return backend.zero
+    table = _product(np.asarray(a), np.asarray(b).T)
+    if shift is not None:
+        table = table - np.array(shift, dtype=table.dtype)[:, None]
+    triangle = np.tri(len(a), len(b), int(diagonal) - 1, dtype=bool)
+    return _worst_ratio(backend, np.abs(table)[triangle],
+                        lambda: np.multiply.outer(*map(np.asarray, scales()))[triangle])
 
 
 # A float64 column is dropped when the part of it that the earlier kept
@@ -470,36 +472,60 @@ def _forward(W: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-    """x_k with A[:k, :k] x_k = b[:k] for k = 1..m, from one L D L^T of A.
+    """x_k with A[:k, :k] x_k = b[:k] for k = 1..m, from one natural-order factor of A.
 
-    Elimination in natural order factors every leading block at once.  It
-    stops at the first pivot that the SPD test's floor fails, so m is the
-    order of the largest leading block that is (numerically) positive
-    definite.  Under float64 A is first scaled to unit diagonal (Jacobi
-    scaling), which keeps systems whose columns differ by many orders of
-    magnitude solvable, and the floor is ``SpdCheck``'s for the scaled
-    matrix, r * eps * max|A_ij|; under rationals it is literal zero.  A NaN
-    pivot stops it too.  One forward
-    substitution then serves every prefix b[:k], and the m back
-    substitutions run at once (column k-1 of X holds x_k): O(r^3)
-    arithmetic in O(r) array steps.
+    A natural-order factor factors every leading block at once, and the
+    solves stop at the first pivot that the SPD test's floor fails (a NaN
+    pivot too), so m is the order of the largest leading block that is
+    (numerically) positive definite.  Under float64 A is first scaled to
+    unit diagonal (Jacobi scaling), which keeps systems whose columns differ
+    by many orders of magnitude solvable, the floor is ``SpdCheck``'s for
+    the scaled matrix, r * eps * max|A_ij|, and the factor is LAPACK's
+    (``_cholesky_solves``).  Under rationals, or where LAPACK refuses A or
+    a pivot fails the floor, ``_eliminate`` factors A; one forward
+    substitution serves every prefix b[:k], and the m back substitutions
+    run at once (column k-1 of X holds x_k).
     """
     backend = backend_of(A)
     r = A.shape[0]
     if A.shape != (r, r) or b.shape != (r,):
         raise DimensionMismatch(f"leading solves of shapes {A.shape} and {b.shape}")
-    scale = None
+    X = None
     if not backend.exact:  # 1/sqrt(A_jj), or 1 where A_jj is not positive
         scale = 1 / np.sqrt(np.where(A.diagonal() > 0, A.diagonal(), 1.0))
         A, b = A * np.outer(scale, scale), b * scale
-    W, _, m = _eliminate(A, _spd_floor(A))
-    y = _forward(W, b[:m])
-    X = backend.empty((m, m))
-    for t in range(m - 1, -1, -1):
-        X[t, t:] = y[t] - np.dot(W[t + 1 : m, t], X[t + 1 :, t:])
-    if scale is not None:
-        X *= scale[:m, None]
-    return [_freeze(X[:k, k - 1].copy()) for k in range(1, m + 1)]
+        X = _cholesky_solves(A, b)
+    if X is None:
+        W, _, m = _eliminate(A, _spd_floor(A))
+        y = _forward(W, b[:m])
+        X = backend.empty((m, m))
+        for t in range(m - 1, -1, -1):
+            X[t, t:] = y[t] - np.dot(W[t + 1 : m, t], X[t + 1 :, t:])
+    if not backend.exact:
+        X *= scale[: len(X), None]
+    return [_freeze(X[:k, k - 1].copy()) for k in range(1, len(X) + 1)]
+
+
+def _cholesky_solves(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """``leading_solves``'s X from one LAPACK Cholesky factor A = C C^T, or None
+    if LAPACK refuses A or a pivot C_tt^2 fails ``_spd_floor``.
+
+    With z = C^-1 b, x_k = sum_{j<k} C^-T[:, j] z_j, because the leading
+    blocks of a triangular factor are the factors of the leading blocks.
+    Row t of [z | C^-1] is one forward-substitution step on the rows above
+    it, so each leading block gets the solution its own factor would give.
+    """
+    try:
+        C = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(C.diagonal() ** 2 > _spd_floor(A)):
+        return None
+    r = len(A)
+    W = np.hstack((b[:, None], np.eye(r)))
+    for t in range(r):
+        W[t, : t + 2] = (W[t, : t + 2] - C[t, :t] @ W[:t, : t + 2]) / C[t, t]
+    return np.cumsum(W[:, 1:].T * W[:, 0], axis=1)
 
 
 def _cholesky_pivots(M: np.ndarray, floor: float) -> tuple[np.ndarray, list, int]:

@@ -37,6 +37,7 @@ from .linalg import (
     Scalar,
     _freeze,
     _orthogonalized,
+    _row_dots,
     backend_of,
     dot,
     leading_solves,
@@ -98,12 +99,16 @@ def _affine(a: np.ndarray) -> AffineCombination:
     return AffineCombination(_freeze(a / sum(a)))
 
 
-def _check_nonzero(gradients: Sequence[np.ndarray]) -> None:
+def _squared_norms(gradients: Sequence[np.ndarray]) -> np.ndarray:
+    """g_i^T g_i for each gradient, after rejecting an empty history or a zero gradient."""
     if len(gradients) == 0:
         raise LinalgError("gradient history is empty")
-    for i, g in enumerate(gradients):
-        if norm_sq(g) == 0:
-            raise LinalgError(f"gradient {i} in the history is zero")
+    G = np.asarray(gradients)
+    sq = _row_dots(G, G)
+    zero = np.flatnonzero(sq == 0)
+    if len(zero):
+        raise LinalgError(f"gradient {zero[0]} in the history is zero")
+    return sq
 
 
 def orthogonality_defect(gradients: Sequence[np.ndarray]) -> Scalar:
@@ -131,7 +136,7 @@ def min_norm_closed_form(
     both backends, for callers that measure the consequences themselves.
     Past the gate, the result is the last one of ``closed_form_sweep``.
     """
-    _check_nonzero(gradients)
+    _squared_norms(gradients)
     backend = backend_of(gradients[0])
     limit = backend.zero if backend.exact else orthogonality_tol
     if orthogonality_tol != math.inf and orthogonality_defect(gradients) > limit:
@@ -143,6 +148,14 @@ def min_norm_closed_form(
     return last
 
 
+def _closed_form_ghats(gradients: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The ungated closed-form ghat of every prefix, row k-1 for ``gradients[:k]``,
+    and the harmonic weights 1 / (g_i^T g_i) behind them."""
+    inv = 1 / _squared_norms(gradients)
+    ghats = np.cumsum(inv[:, None] * np.asarray(gradients), axis=0) / np.cumsum(inv)[:, None]
+    return _freeze(ghats), inv
+
+
 def closed_form_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]:
     """Yield the ungated closed-form ghat of ``gradients[:k]`` for k = 1..m.
 
@@ -151,10 +164,7 @@ def closed_form_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult
     """
     if len(gradients) == 0:
         return
-    _check_nonzero(gradients)
-    inv = np.array([1 / norm_sq(g) for g in gradients])
-    ghats = _freeze(np.cumsum(inv[:, None] * np.stack(gradients), axis=0)
-                    / np.cumsum(inv)[:, None])
+    ghats, inv = _closed_form_ghats(gradients)
     for k, ghat in enumerate(ghats, start=1):
         yield MinNormResult(ghat=ghat, weights=_affine(inv[:k]), norm_sq=norm_sq(ghat))
 
@@ -170,6 +180,23 @@ def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
         raise LinalgError("gradient history is empty")
     *_, last = projection_sweep(gradients)
     return last
+
+
+def _projected_ghats(gradients: Sequence[np.ndarray], basis=None) -> tuple[np.ndarray, int]:
+    """``projection_sweep``'s ghats as rows, row k-1 for ``gradients[:k]``, and the
+    first column outside the affine hull of the earlier ones (``len(gradients)``
+    if none), past which every row is 0.  ``basis`` is ``_orthogonalized(gradients)``."""
+    backend = backend_of(gradients[0])
+    Q, T, d, kept = _orthogonalized(gradients) if basis is None else basis
+    w = T.sum(axis=0)
+    u = w[kept] / d
+    hull = np.cumsum(u[:, None] * Q, axis=0) / np.cumsum(w[kept] * u)[:, None]
+    is_kept = np.isin(np.arange(len(gradients)), kept)
+    outside = np.flatnonzero(~is_kept & (w != 0))
+    stop = int(outside[0]) if len(outside) else len(gradients)
+    ghats = backend.empty((len(gradients), Q.shape[1]))
+    ghats[:stop] = hull[np.cumsum(is_kept)[:stop] - 1]
+    return _freeze(ghats), stop
 
 
 def projection_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]:
@@ -193,25 +220,13 @@ def projection_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]
     """
     if len(gradients) == 0:
         return
-    backend = backend_of(gradients[0])
-    Q, T, d, kept = _orthogonalized(gradients)
-    w = T.sum(axis=0)
-    u = w[kept] / d
-    ghats = _freeze(np.cumsum(u[:, None] * Q, axis=0) / np.cumsum(w[kept] * u)[:, None])
-    alphas = np.cumsum(T[:, kept] * u, axis=1)
-    t = 0
-    for j in range(len(gradients)):
-        if j in kept:
-            t += 1
-        elif w[j] != 0:
-            break
-        ghat = ghats[t - 1]
-        yield MinNormResult(ghat=ghat, weights=_affine(alphas[: j + 1, t - 1]), norm_sq=norm_sq(ghat))
-    else:
-        return
-    zero = _freeze(backend.empty(Q.shape[1]))
-    for k in range(j + 1, len(gradients) + 1):
-        yield MinNormResult(ghat=zero, weights=_affine(T[:k, j]), norm_sq=backend.zero)
+    _, T, d, kept = basis = _orthogonalized(gradients)
+    ghats, stop = _projected_ghats(gradients, basis)
+    alphas = np.cumsum(T[:, kept] * (T.sum(axis=0)[kept] / d), axis=1)
+    kept_before = np.cumsum([j in kept for j in range(len(gradients))])
+    for k, ghat in enumerate(ghats, start=1):
+        weights = alphas[:k, kept_before[k - 1] - 1] if k <= stop else T[:k, stop]
+        yield MinNormResult(ghat=ghat, weights=_affine(weights), norm_sq=norm_sq(ghat))
 
 
 def characterization_residuals(

@@ -35,6 +35,7 @@ from .linalg import (
     _integer_rows,
     _orthogonalized,
     _product,
+    _row_magnitudes,
     backend_of,
     leading_solves,
     residual_magnitude,
@@ -88,13 +89,15 @@ class SubspaceSolution:
     objective_value: Scalar
 
 
-def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors) -> list[SubspaceSolution]:
-    """The minimizers over x0 + span{s_1..s_k} for k = 0..len(vectors)."""
+def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors, basis=None, points_only=False):
+    """The minimizers over x0 + span{s_1..s_k} for k = 0..len(vectors), or with
+    ``points_only`` (and a vector) just their points, as rows; ``basis`` is
+    ``_orthogonalized(vectors)`` if the caller already has it."""
     backend = P.backend
-    q0 = evaluate(P, x0)
     if len(vectors) == 0:
-        return [SubspaceSolution(coordinates=backend.empty(0), point=x0, objective_value=q0)]
-    Q, T, _, kept = _orthogonalized(vectors)
+        return [SubspaceSolution(coordinates=backend.empty(0), point=x0,
+                                 objective_value=evaluate(P, x0))]
+    Q, T, _, kept = _orthogonalized(vectors) if basis is None else basis
     m, T = len(kept), T[:, kept]
     if backend.exact:
         # Each q_t over its own denominator spans the same line, and then
@@ -110,15 +113,17 @@ def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors) -> list[SubspaceSolutio
     Y[len(solves) + 1 :] = np.nan
     for t, y in enumerate(solves, start=1):
         Y[t, :t] = y
+    rows = np.cumsum([0] + [j in kept for j in range(len(vectors))])
     points = _freeze(x0 + _product(Y, Q))
+    if points_only:
+        return points[rows]
     coordinates = _freeze(_product(Y, T.T))
     # q(x0 + sum_t y_t q_t) = q(x0) - rhs^T y + 1/2 y^T A y = q(x0) - 1/2 y^T rhs
     # when A y = rhs: O(k) per point where evaluating q costs O(n^2).
-    objectives = q0 - backend.scalar("1/2") * _product(Y, rhs)
-    kept_before = np.cumsum([0] + [j in kept for j in range(len(vectors))])
+    objectives = evaluate(P, x0) - backend.scalar("1/2") * _product(Y, rhs)
     return [
         SubspaceSolution(coordinates=coordinates[t, :k], point=points[t], objective_value=objectives[t])
-        for k, t in enumerate(kept_before)
+        for k, t in enumerate(rows)
     ]
 
 
@@ -135,13 +140,16 @@ def minimize_on_affine_span(P: QuadraticProblem, B: SpanBasis) -> SubspaceSoluti
     return _sweep(P, B.x0, B.spanning_vectors)[-1]
 
 
-def trace_oracle(P: QuadraticProblem, trace: CGTrace) -> list[SubspaceSolution]:
+def trace_oracle(
+    P: QuadraticProblem, trace: CGTrace, *, _basis=None, _points_only=False
+) -> list[SubspaceSolution]:
     """The minimizers over x_0 + span{g_0..g_{k-1}} for k = 1..r of a trace.
 
     Each trace iterate is recomputed independently from its gradient
     history, by the one sweep of the module docstring.  The trace must
     come from P: its backend must match, and its first and last recorded
-    gradients must match H x + c.
+    gradients must match H x + c.  ``_basis`` and ``_points_only`` are
+    ``_sweep``'s, for ``verify_against_trace``.
     """
     if trace.scalar_backend != P.backend.name:
         raise LinalgError(
@@ -160,16 +168,18 @@ def trace_oracle(P: QuadraticProblem, trace: CGTrace) -> list[SubspaceSolution]:
         limit = 0 if P.backend.exact else 1e-12 * max(1.0, float(residual_magnitude(g)))
         if mismatch > limit:
             raise LinalgError("trace gradients do not come from this problem")
-    return _sweep(P, records[0].x_k, [rec.g_k for rec in records[: trace.r]])[1:]
+    gradients = [rec.g_k for rec in records[: trace.r]]
+    return _sweep(P, records[0].x_k, gradients, _basis, _points_only)[1:]
 
 
-def verify_against_trace(P: QuadraticProblem, trace: CGTrace) -> list:
+def verify_against_trace(P: QuadraticProblem, trace: CGTrace, *, _basis=None) -> list:
     """Deviations ||x_k - oracle_k|| for k = 1..r, oracle over span{g_0..g_{k-1}}.
 
-    Under the rational backend every deviation is exactly zero.
+    Under the rational backend every deviation is exactly zero.  Only the
+    oracle's points are formed, not its coordinates or objective values.
+    ``_basis`` is ``linalg._orthogonalized`` of g_0..g_{r-1}, if the caller
+    already has it.
     """
-    solutions = trace_oracle(P, trace)
-    return [
-        residual_magnitude(rec.x_k - sol.point)
-        for rec, sol in zip(trace.records[1:], solutions)
-    ]
+    points = trace_oracle(P, trace, _basis=_basis, _points_only=True)
+    X = np.asarray([rec.x_k for rec in trace.records[1:]])
+    return list(_row_magnitudes(X - points)) if trace.r else []

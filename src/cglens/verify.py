@@ -31,17 +31,18 @@ from .linalg import (
     BACKENDS,
     Backend,
     Scalar,
-    dot,
-    mat_vec,
-    norm,
+    _orthogonalized,
+    _product,
+    _row_dots,
+    _row_magnitudes,
+    _worst_ratio,
     pairwise_residual,
-    residual_magnitude,
     scalar_token,
 )
 from .quadratic import QuadraticProblem
 from .engine import CGTrace, DirectionScaling, run_cg
 from .oracle import verify_against_trace
-from .minnorm import closed_form_sweep, projection_sweep
+from .minnorm import _closed_form_ghats, _projected_ghats
 # bench/tracer.py patches these one-shot names on this module.
 from .minnorm import min_norm_closed_form, projection_oracle  # noqa: F401
 
@@ -156,52 +157,22 @@ def _result(name: str, measured: Scalar, tolerance: Scalar) -> CheckResult:
     )
 
 
-def _worst(backend: Backend, contributions) -> Scalar:
-    """Fold residual contributions into a worst-case scalar (0 if none).
-
-    A ``None`` contribution (a float64 residual with no scale) is skipped;
-    a NaN one makes the result NaN, which no tolerance passes.
-    """
-    values = [backend.zero] + [v for v in contributions if v is not None]
-    return max(values) if backend.exact else float(np.max(values))
-
-
 def _step_records(trace: CGTrace):
     """Records that carry a completed step (direction and step length)."""
     return [rec for rec in trace.records if rec.theta_k is not None]
 
 
-def _pre_terminal_gradients(trace: CGTrace):
-    """Gradients that drove a step; the terminal gradient is excluded."""
-    return [rec.g_k for rec in trace.records[:-1]]
-
-
-def _measure(backend: Backend, raw: Scalar, scale) -> Scalar | None:
-    """One residual as the checks report it.
-
-    Exact: the raw value.  Float64: raw / scale(), or None (no
-    contribution) when that scale is zero.  ``scale`` is called only
-    under float64, so exact runs compute no norms.
-    """
-    if backend.exact:
-        return raw
-    denom = scale()
-    if denom == 0:
-        return None
-    return float(raw) / denom
-
-
-def _norms(vectors) -> list[float]:
-    return [norm(v) for v in vectors]
+def _norms(vectors) -> np.ndarray:
+    return np.linalg.norm(np.asarray(vectors), axis=1)
 
 
 def check_gradient_orthogonality(trace: CGTrace, tolerance=None) -> CheckResult:
     """Pairwise orthogonality of the gradients that generated steps."""
     backend = _backend(trace)
     tol = _tolerance("gradient_orthogonality", backend, tolerance)
-    gs = _pre_terminal_gradients(trace)
-    if backend.exact:
-        gs = [rec.g_k for rec in trace.records]  # terminal zero rides along
+    # Under rationals the terminal zero gradient rides along.
+    records = trace.records if backend.exact else trace.records[:-1]
+    gs = np.asarray([rec.g_k for rec in records])
     measured = pairwise_residual(
         backend, gs, gs, shift=None, diagonal=False, scales=lambda: (_norms(gs),) * 2
     )
@@ -221,8 +192,8 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None) -> list[CheckRe
     tolerances = tolerances or {}
     records = trace.records
     steps = _step_records(trace)
-    x0, g0 = records[0].x_k, records[0].g_k
-    ps = [rec.p_k for rec in steps]
+    G, X = np.asarray([rec.g_k for rec in records]), np.asarray([rec.x_k for rec in records])
+    ps = np.asarray([rec.p_k for rec in steps])
 
     def result(name, measured):
         return _result(name, measured, _tolerance(name, backend, tolerances.get(name)))
@@ -231,22 +202,21 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None) -> list[CheckRe
     # terminal gradient is numerically zero noise whose *direction* is
     # meaningless, so only pre-terminal gradients are measured there.
     last = len(records) - 1 if backend.exact else len(records) - 2
-    gs = [rec.g_k for rec in records[1 : last + 1]]
-    moves = [rec.x_k - x0 for rec in records[1 : last + 1]]
+    gs, moves = G[1 : last + 1], X[1 : last + 1] - X[0]
     span = pairwise_residual(
         backend, gs, moves, shift=None, diagonal=True,
         scales=lambda: (_norms(gs), _norms(moves)),
     )
 
     # (b) p_k^T (g_{i+1} - g_0) = 0 for i < k.
-    diffs = [rec.g_k - g0 for rec in records[1 : len(steps)]]
+    diffs = G[1 : len(steps)] - G[0]
     diff = pairwise_residual(
         backend, ps, diffs, shift=None, diagonal=False,
         scales=lambda: (_norms(ps), _norms(diffs)),
     )
 
     # (c) p_k^T g_i = c_k for i <= k, with c_k as recorded by the run.
-    history = [rec.g_k for rec in records[: len(steps)]]
+    history = G[: len(steps)]
     constancy = pairwise_residual(
         backend, ps, history, shift=[rec.c_k for rec in steps], diagonal=True,
         scales=lambda: (_norms(ps), _norms(history)),
@@ -266,16 +236,16 @@ def check_exact_linesearch(trace: CGTrace, tolerance=None) -> CheckResult:
     """
     backend = _backend(trace)
     tol = _tolerance("exact_linesearch", backend, tolerance)
-    records = trace.records
-    contributions = [
-        _measure(
-            backend,
-            abs(dot(rec.p_k, records[k + 1].g_k)),
-            lambda: norm(rec.p_k) * norm(rec.g_k),
+    records, steps = trace.records, _step_records(trace)
+    measured = backend.zero
+    if steps:
+        ps = np.asarray([rec.p_k for rec in steps])
+        following = np.asarray([records[k + 1].g_k for k in range(len(steps))])
+        measured = _worst_ratio(
+            backend, np.abs(_row_dots(ps, following)),
+            lambda: _norms(ps) * _norms([rec.g_k for rec in steps]),
         )
-        for k, rec in enumerate(_step_records(trace))
-    ]
-    return _result("exact_linesearch", _worst(backend, contributions), tol)
+    return _result("exact_linesearch", measured, tol)
 
 
 def check_gradient_update_identity(
@@ -288,35 +258,40 @@ def check_gradient_update_identity(
     """
     backend = _backend(trace)
     tol = _tolerance("gradient_update_identity", backend, tolerance)
-    records = trace.records
-    contributions = [
-        _measure(
-            backend,
-            residual_magnitude(
-                records[k + 1].g_k - rec.g_k - rec.theta_k * mat_vec(P.H, rec.p_k)
-            ),
-            lambda: norm(rec.g_k),
-        )
-        for k, rec in enumerate(_step_records(trace))
-    ]
-    return _result("gradient_update_identity", _worst(backend, contributions), tol)
+    records, steps = trace.records, _step_records(trace)
+    measured = backend.zero
+    if steps:
+        ps, gs = np.asarray([rec.p_k for rec in steps]), np.asarray([rec.g_k for rec in steps])
+        hps = _product(P.H, ps.T).T
+        following = np.asarray([records[k + 1].g_k for k in range(len(steps))])
+        thetas = np.array([rec.theta_k for rec in steps], dtype=hps.dtype)
+        residuals = _row_magnitudes(following - gs - thetas[:, None] * hps)
+        measured = _worst_ratio(backend, residuals, lambda: _norms(gs))
+    return _result("gradient_update_identity", measured, tol)
 
 
 def check_subspace_optimality(
-    P: QuadraticProblem, trace: CGTrace, tolerance=None
+    P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _basis=None
 ) -> CheckResult:
-    """Each iterate equals the independent minimizer over its gradient span."""
+    """Each iterate equals the independent minimizer over its gradient span.
+
+    ``_basis`` is ``linalg._orthogonalized`` of g_0..g_{r-1}, which
+    ``run_full_suite`` shares with ``check_min_norm_relation``.
+    """
     backend = _backend(trace)
     tol = _tolerance("subspace_optimality", backend, tolerance)
-    contributions = [
-        _measure(backend, dev, lambda: max(1.0, norm(rec.x_k)))
-        for rec, dev in zip(trace.records[1:], verify_against_trace(P, trace))
-    ]
-    return _result("subspace_optimality", _worst(backend, contributions), tol)
+    deviations = verify_against_trace(P, trace, _basis=_basis)
+    measured = backend.zero
+    if deviations:
+        measured = _worst_ratio(
+            backend, np.array(deviations),
+            lambda: np.maximum(1.0, _norms([rec.x_k for rec in trace.records[1:]])),
+        )
+    return _result("subspace_optimality", measured, tol)
 
 
 def check_min_norm_relation(
-    P: QuadraticProblem, trace: CGTrace, tolerance=None
+    P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _basis=None
 ) -> CheckResult:
     """p_k against the min-norm point of its gradient history, both methods.
 
@@ -328,40 +303,45 @@ def check_min_norm_relation(
     -(g_k^T g_k / ghat^T ghat) ghat under the standard scaling.  Float64
     residuals are normalized by ||ghat|| and ||p_k||.  A zero ghat (only a
     non-orthogonal history has one) leaves c_k / ghat^T ghat unbounded and
-    is measured as an infinite residual.
+    is measured as an infinite residual.  ``_basis`` is as for
+    ``check_subspace_optimality``.
     """
     backend = _backend(trace)
     tol = _tolerance("min_norm_relation", backend, tolerance)
     steps = _step_records(trace)
+    if not steps:
+        return _result("min_norm_relation", backend.zero, tol)
     history = [rec.g_k for rec in trace.records[: len(steps)]]
-    contributions = []
-    for rec, closed, projected in zip(steps, closed_form_sweep(history), projection_sweep(history)):
-        if closed.norm_sq == 0:
-            # c_k / ghat^T ghat is unbounded: no multiple of ghat is p_k.
-            contributions.append(math.inf)
-            continue
-        agreement = residual_magnitude(closed.ghat - projected.ghat)
-        deviation = residual_magnitude(rec.p_k - (rec.c_k / closed.norm_sq) * closed.ghat)
-        contributions.append(
-            _measure(backend, agreement, lambda: max(math.sqrt(float(closed.norm_sq)), 1e-300))
-        )
-        contributions.append(_measure(backend, deviation, lambda: max(norm(rec.p_k), 1e-300)))
-    return _result("min_norm_relation", _worst(backend, contributions), tol)
+    closed, _ = _closed_form_ghats(history)
+    projected, _ = _projected_ghats(history, _basis)
+    ps = np.asarray([rec.p_k for rec in steps])
+    sq = _row_dots(closed, closed)
+    live = sq != 0
+    ratios = np.array([rec.c_k / s if ok else backend.zero
+                       for rec, s, ok in zip(steps, sq, live)], dtype=closed.dtype)
+    agreement = _row_magnitudes(closed - projected)
+    deviation = _row_magnitudes(ps - ratios[:, None] * closed)
+    # At a zero ghat, c_k / ghat^T ghat is unbounded: no multiple of ghat is p_k.
+    agreement[~live], deviation[~live] = backend.zero, math.inf
+    measured = _worst_ratio(
+        backend, np.concatenate((agreement, deviation)),
+        lambda: np.maximum(np.concatenate((np.sqrt(sq), _norms(ps))), 1e-300),
+    )
+    return _result("min_norm_relation", measured, tol)
 
 
 def check_conjugacy(P: QuadraticProblem, trace: CGTrace, tolerance=None) -> CheckResult:
     """p_i^T H p_j = 0 for i != j — a consequence here, not an assumption."""
     backend = _backend(trace)
     tol = _tolerance("conjugacy", backend, tolerance)
-    ps = [rec.p_k for rec in _step_records(trace)]
-    hps = [mat_vec(P.H, p) for p in ps]
-
-    def energy_norms():
-        norms = [math.sqrt(float(dot(p, hp))) for p, hp in zip(ps, hps)]
-        return norms, norms
-
+    steps = _step_records(trace)
+    if not steps:
+        return _result("conjugacy", backend.zero, tol)
+    ps = np.asarray([rec.p_k for rec in steps])
+    hps = _product(P.H, ps.T).T  # H p_k as rows, from one product
     measured = pairwise_residual(
-        backend, hps, ps, shift=None, diagonal=False, scales=energy_norms
+        backend, hps, ps, shift=None, diagonal=False,
+        scales=lambda: (np.sqrt(_row_dots(ps, hps)),) * 2,
     )
     return _result("conjugacy", measured, tol)
 
@@ -411,8 +391,12 @@ def run_full_suite(
     checks.extend(check_derivation_conditions(trace, tolerances))
     checks.append(check_exact_linesearch(trace, t("exact_linesearch")))
     checks.append(check_gradient_update_identity(P, trace, t("gradient_update_identity")))
-    checks.append(check_subspace_optimality(P, trace, t("subspace_optimality")))
-    checks.append(check_min_norm_relation(P, trace, t("min_norm_relation")))
+    # One orthogonalization of g_0..g_{r-1} serves both sweeps.
+    history = [rec.g_k for rec in trace.records[: trace.r]]
+    basis = _orthogonalized(history) if history else None
+    checks.append(check_subspace_optimality(P, trace, t("subspace_optimality"), _basis=basis))
+    shared = basis if len(_step_records(trace)) == trace.r else None
+    checks.append(check_min_norm_relation(P, trace, t("min_norm_relation"), _basis=shared))
     checks.append(check_conjugacy(P, trace, t("conjugacy")))
     checks.append(check_termination_bound(P, trace, t("termination_bound")))
     return VerificationReport(

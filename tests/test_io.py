@@ -371,6 +371,17 @@ class TestTraceJson:
         with pytest.raises(LinalgError, match="backend and records"):
             load_trace(path)
 
+    def test_trace_without_records_rejected(self, tmp_path):
+        # r = len(records) - 1 holds for "records": [], "r": -1, but a
+        # trace needs the record of k = 0 to say anything.
+        P = generate_problem(ProblemSpec(kind="diag", n=3))
+        data = trace_json(run_cg(P), tmp_path)
+        data["records"], data["r"] = [], -1
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(LinalgError, match="at least the record of k = 0"):
+            load_trace(path)
+
     @pytest.mark.parametrize("backend", [F64, RATIONAL])
     def test_one_number_per_line_layout_still_loads_bit_identically(self, backend, tmp_path):
         P = generate_problem(ProblemSpec(kind="rand_spd", n=6, condition=20, seed=4), backend)

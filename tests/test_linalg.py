@@ -736,3 +736,74 @@ class TestAppend:
         assert _orthogonalized([g, h, g + 1e-9 * h])[3] == [0, 1]
         assert _orthogonalized([g, h, g + 1e-9 * e])[3] == [0, 1]
         assert _orthogonalized([g, h, g + 1e-7 * e])[3] == [0, 1, 2]
+
+
+
+def _refuse(*args):
+    raise AssertionError("the elimination loop ran")
+
+
+def _solves_both_ways(A, b):
+    """leading_solves through LAPACK (the loop refused), then through the
+    elimination loop (LAPACK's path switched off)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cglens.linalg, "_eliminate", _refuse)
+        lapack = leading_solves(A, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cglens.linalg, "_cholesky_solves", lambda A, b: None)
+        loop = leading_solves(A, b)
+    return lapack, loop
+
+
+def _assert_close(lapack, loop):
+    assert len(lapack) == len(loop)
+    for x, ref in zip(lapack, loop):
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+class TestCholeskyLeadingSolves:
+    """Float64 leading solves from one LAPACK factor against the elimination loop."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_random_spd_matches_the_elimination(self, seed, n):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((n + 2, n))
+        d = 10.0 ** rng.integers(-6, 7, size=n)
+        A = d[:, None] * (B.T @ B + np.eye(n)) * d
+        lapack, loop = _solves_both_ways(A, rng.standard_normal(n) * d)
+        assert len(lapack) == n
+        _assert_close(lapack, loop)
+
+    def test_twelve_decades_match_the_elimination(self):
+        rng = np.random.default_rng(0)
+        B = rng.integers(-3, 4, size=(9, 6)).astype(float)
+        d = 10.0 ** np.array([-6, 6, -2, 2, 0, 4])
+        A = d[:, None] * (B.T @ B + np.eye(6)) * d
+        lapack, loop = _solves_both_ways(A, A @ (np.arange(1.0, 7.0) / d))
+        assert len(lapack) == 6
+        _assert_close(lapack, loop)
+
+    @pytest.mark.parametrize("rows, m", [
+        ([[1, 2], [2, 1]], 1),  # indefinite: LAPACK refuses
+        ([[4, 2, 6], [2, 5, 3], [6, 3, 9]], 2),  # singular: column 2 is 1.5 column 0
+        # LAPACK factors these, but pivot 2 is 2^-52, under the floor 2 eps (3 eps).
+        ([[1, 1 - 2.0**-53], [1 - 2.0**-53, 1]], 1),
+        ([[1, 1 - 2.0**-53, 0], [1 - 2.0**-53, 1, 0], [0, 0, 1]], 1),
+    ])
+    def test_refused_or_floor_failing_matrix_keeps_the_elimination_m(self, rows, m):
+        A = np.array(rows, dtype=float)
+        b = A @ np.ones(len(A))
+        _, _, loop_m = cglens.linalg._eliminate(A, cglens.linalg._spd_floor(A))
+        assert loop_m == m
+        solves = leading_solves(A, b)
+        assert len(solves) == m
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cglens.linalg, "_cholesky_solves", lambda A, b: None)
+            _assert_close(solves, leading_solves(A, b))
+
+    def test_floor_failing_cases_are_factored_by_lapack(self):
+        # The floor, not LAPACK, decides these: the factor exists.
+        A = np.array([[1, 1 - 2.0**-53], [1 - 2.0**-53, 1]])
+        C = np.linalg.cholesky(A)
+        assert 0 < C[1, 1] ** 2 <= cglens.linalg._spd_floor(A)

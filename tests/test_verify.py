@@ -10,10 +10,14 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cglens.minnorm
 import cglens.oracle
+import cglens.verify
 
 from cglens import (
     F64,
@@ -29,7 +33,7 @@ from cglens import (
     vector,
 )
 from cglens import cli
-from cglens.linalg import BACKENDS, mat_vec, sym_matrix
+from cglens.linalg import BACKENDS, mat_vec, pairwise_residual, sym_matrix
 from cglens.quadratic import QuadraticProblem
 from cglens.verify import (
     DEFAULT_TOLERANCES,
@@ -352,6 +356,69 @@ class TestPairwiseRuleMatchesPerPairLoops:
         assert all(math.isfinite(v) for v in measured.values())
 
 
+def reference_table_residual(backend, a, b, shift, diagonal, row, col):
+    """``pairwise_residual`` one pair at a time, with ``_ref_measure``; a NaN
+    contribution makes the worst NaN."""
+    values = []
+    for k, a_k in enumerate(a):
+        for j in range(min(len(b), k + diagonal)):
+            raw = abs(dot(a_k, b[j]) - (shift[k] if shift is not None else 0))
+            value = _ref_measure(backend, raw, lambda: row[k] * col[j])
+            if value is not None:
+                values.append(value)
+    if any(v != v for v in values):
+        return math.nan
+    return _ref_worst(backend, values)
+
+
+small_ints = st.integers(min_value=-4, max_value=4)
+
+
+class TestPairwiseTable:
+    """The whole-table rule against the per-pair loop, on integer data whose
+    inner products and shifts are exact in float64, so both agree to the bit."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_table_matches_per_pair_reference(self, data):
+        backend = data.draw(st.sampled_from([F64, RATIONAL]))
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        draw_vectors = st.lists(st.lists(small_ints, min_size=n, max_size=n), max_size=6)
+        a = [vector(v, backend) for v in data.draw(draw_vectors)]
+        b = [vector(v, backend) for v in data.draw(draw_vectors)]
+        shift = data.draw(st.none() | st.lists(small_ints, min_size=len(a), max_size=len(a)))
+        if shift is not None:
+            shift = [backend.scalar(x) for x in shift]
+        diagonal = data.draw(st.booleans())
+        scale = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])  # 0: the pair contributes nothing
+        row = data.draw(st.lists(scale, min_size=len(a), max_size=len(a)))
+        col = data.draw(st.lists(scale, min_size=len(b), max_size=len(b)))
+        if not backend.exact and a and data.draw(st.booleans()):
+            k, i = data.draw(st.integers(0, len(a) - 1)), data.draw(st.integers(0, n - 1))
+            a[k] = a[k].copy()
+            a[k][i] = math.nan
+        measured = pairwise_residual(backend, a, b, shift=shift, diagonal=diagonal,
+                                     scales=lambda: (row, col))
+        expected = reference_table_residual(backend, a, b, shift, diagonal, row, col)
+        if backend.exact:
+            assert type(measured) is Fraction and measured == expected
+        elif math.isnan(expected):
+            assert math.isnan(measured)
+        else:
+            assert type(measured) is float and measured == expected
+
+    def test_nan_entry_beats_every_finite_one(self):
+        # Python's max(0.0, nan) is 0.0; the table rule must not drop the NaN.
+        a = [np.array([1.0, 0.0]), np.array([math.nan, 5.0])]
+        b = [np.array([3.0, 1.0])]
+        measured = pairwise_residual(F64, a, b, shift=None, diagonal=False,
+                                     scales=lambda: ([1.0, 1.0], [1.0]))
+        assert math.isnan(measured)
+        unscaled = pairwise_residual(F64, a, b, shift=None, diagonal=False,
+                                     scales=lambda: ([1.0, 0.0], [1.0]))
+        assert unscaled == 0.0
+
+
 class TestNaNNeverPasses:
     def test_nan_gradient_entry_fails_the_checks_it_enters(self):
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=12))
@@ -397,7 +464,9 @@ class TestRankLosingHistory:
                 return fn(*args)
             return wrapper
 
-        for module in (cglens.oracle, cglens.minnorm):
+        # The suite orthogonalizes the history once and hands the basis to
+        # both sweeps, which orthogonalize only when called alone.
+        for module in (cglens.verify, cglens.oracle, cglens.minnorm):
             monkeypatch.setattr(module, "_orthogonalized",
                                 counted(module.__name__, module._orthogonalized))
         monkeypatch.setattr(cglens.oracle, "leading_solves",
@@ -406,7 +475,7 @@ class TestRankLosingHistory:
         trace = run_cg(P, tol=1e-12, max_iter=180)
         assert trace.r == 180
         report = run_full_suite(P, trace=trace)
-        assert sorted(calls) == ["cglens.minnorm", "cglens.oracle", "leading_solves"]
+        assert sorted(calls) == ["cglens.verify", "leading_solves"]
         checks = {check.name: check for check in report.checks}
         for name in ("subspace_optimality", "min_norm_relation"):
             assert math.isfinite(checks[name].measured) and not checks[name].passed
