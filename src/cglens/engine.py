@@ -30,9 +30,9 @@ from typing import Callable, Union
 import numpy as np
 
 from .linalg import (
-    BACKENDS, Backend, LinalgError, Scalar, _product, dot, mat_vec, norm_sq,
+    BACKENDS, Backend, LinalgError, Scalar, _product, dot, norm_sq,
 )
-from .quadratic import QuadraticProblem, gradient
+from .quadratic import QuadraticProblem, _check_point, _times_H, gradient
 
 DIRECTION_MODES = ("recursive", "gradient_sum", "shortest_residuals")
 TERMINATION_REASONS = ("gradient_zero", "tolerance_met", "max_iter", "breakdown")
@@ -142,7 +142,8 @@ def step_length(P: QuadraticProblem, g_k: np.ndarray, p_k: np.ndarray) -> Scalar
     ``BreakdownError`` — impossible for SPD H and nonzero p_k, so it
     signals corrupted data or catastrophic rounding.
     """
-    curvature = dot(p_k, mat_vec(P.H, p_k))
+    _check_point(P, p_k)
+    curvature = dot(p_k, _times_H(P, p_k))
     if not curvature > 0:
         raise BreakdownError(
             f"direction curvature p^T H p = {curvature} is not positive",

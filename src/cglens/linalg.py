@@ -20,11 +20,16 @@ numerators over a common denominator (``_integerized``; one per row and
 per column of a matrix, ``_integer_rows``).  Integers sum with no gcd, and
 each result entry becomes a ``Fraction`` once (``_rationalized``).
 
-Two kernels carry every decision about rank and definiteness.
 ``_orthogonalized`` (Gram-Schmidt) decides which vectors of a list depend
-on the earlier ones; ``_eliminate`` (natural-order L D L^T, the one
-elimination loop) decides how far a symmetric matrix is positive definite
-and serves ``leading_solves`` and the exact ``SpdCheck``.
+on the earlier ones.  A natural-order L D L^T decides how far a symmetric
+matrix is positive definite, by the same rule everywhere (stop at the first
+pivot not above the floor), in one of two loops chosen by the matrix each
+serves.  ``_eliminate`` (Bareiss under rationals) serves ``SpdCheck``: on the
+dense, small-entry H of the SPD test it is about 3x faster than a Fraction
+elimination.  ``_sparse_ldl`` serves the exact ``leading_solves``: it touches
+only nonzero entries, and the oracle's reduced matrix is tridiagonal for an
+exact CG history, where Bareiss's integers grow at every step.  Under float64
+both serve only where LAPACK's Cholesky factor does not.
 """
 
 from __future__ import annotations
@@ -248,7 +253,7 @@ def _integerized(arr: np.ndarray) -> tuple[np.ndarray, int]:
 _rationalized = np.frompyfunc(Fraction, 2, 1)
 
 
-def _product(a: np.ndarray, b: np.ndarray):
+def _product(a: np.ndarray, b: np.ndarray, a_rows=None):
     """``np.dot(a, b)``, on integer numerators under the rational backend.
 
     Under float64 this is one ``np.dot`` call.  Exact operands become
@@ -258,6 +263,8 @@ def _product(a: np.ndarray, b: np.ndarray):
     of ``b`` has its own (a vector counts as one row or one column): a
     matrix is usually a stack of vectors, such as a CG history, whose
     denominators are unrelated and have a needlessly large common multiple.
+    ``a_rows`` is ``_integer_rows(a)`` for a matrix ``a`` whose numerators
+    the caller keeps (a problem's H).
     """
     if a.dtype != object:
         return np.dot(a, b)
@@ -265,7 +272,7 @@ def _product(a: np.ndarray, b: np.ndarray):
         Na, da = _integerized(a)
         Nb, db = (Na, da) if b is a else _integerized(b)
         return _rationalized(np.dot(Na, Nb), da * db)
-    Na, da = _integer_rows(a if a.ndim == 2 else a[None, :])
+    Na, da = a_rows or _integer_rows(a if a.ndim == 2 else a[None, :])
     Nb, db = _integer_rows(b.T if b.ndim == 2 else b[None, :])
     dens = np.multiply.outer(np.array(da, dtype=object), np.array(db, dtype=object))
     return _rationalized(np.dot(Na, Nb.T), dens).reshape(a.shape[:-1] + b.shape[1:])
@@ -399,17 +406,22 @@ def _orthogonalized(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[i
     r, n = len(vectors), vectors[0].shape[0]
     Q, d, T = backend.empty((r, n)), backend.empty(r), backend.empty((r, r))
     passes, kept = 1 if backend.exact else 2, []
+    # Under rationals, the integer rows of the kept q_i, each formed once.
+    N, den = np.empty((r, n), dtype=object) if backend.exact else None, []
     for j, v in enumerate(vectors):
         T[j, j] = backend.one
         q, m = v, len(kept)
         for _ in range(passes if kept else 0):
-            c = _product(Q[:m], q) / d[:m]
+            c = _product(Q[:m], q, (N[:m], den) if backend.exact else None) / d[:m]
             if c.any():
                 q = q - _product(c, Q[:m])
                 T[:j, j] -= _product(T[:j, kept], c)
         q_sq = norm_sq(q)
         if not q_sq <= (0 if backend.exact else _DROP_MARGIN * norm_sq(v)):
             Q[m], d[m] = q, q_sq
+            if backend.exact:
+                N[m], d_m = _integerized(q)
+                den.append(d_m)
             kept.append(j)
     return Q[: len(kept)], T, d[: len(kept)], kept
 
@@ -426,7 +438,8 @@ def _spd_floor(M: np.ndarray) -> Scalar:
 def _eliminate(M: np.ndarray, floor: Scalar) -> tuple[np.ndarray, list, int]:
     """Natural-order L D L^T of M up to its first pivot not above ``floor``.
 
-    The package's one elimination loop.  Returns ``(W, pivots, m)``: the
+    The elimination of ``SpdCheck``, and of ``leading_solves`` under float64
+    where LAPACK's factor does not serve.  Returns ``(W, pivots, m)``: the
     pivots up to and including the failing one, the order m of the largest
     leading block they show positive definite, and, in the first m columns
     of W, the multipliers below the diagonal and the pivots on it.  The
@@ -477,33 +490,95 @@ def leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
     A natural-order factor factors every leading block at once, and the
     solves stop at the first pivot that the SPD test's floor fails (a NaN
     pivot too), so m is the order of the largest leading block that is
-    (numerically) positive definite.  Under float64 A is first scaled to
-    unit diagonal (Jacobi scaling), which keeps systems whose columns differ
-    by many orders of magnitude solvable, the floor is ``SpdCheck``'s for
-    the scaled matrix, r * eps * max|A_ij|, and the factor is LAPACK's
-    (``_cholesky_solves``).  Under rationals, or where LAPACK refuses A or
-    a pivot fails the floor, ``_eliminate`` factors A; one forward
-    substitution serves every prefix b[:k], and the m back substitutions
-    run at once (column k-1 of X holds x_k).
+    (numerically) positive definite.  Under rationals the factor is
+    ``_sparse_ldl``'s, which touches only the nonzero entries of A, and
+    the solves are ``_leading_combinations`` of the identity.
+    Under float64 A is first scaled to unit diagonal (Jacobi scaling),
+    which keeps systems whose columns differ by many orders of magnitude
+    solvable, the floor is ``SpdCheck``'s for the scaled matrix,
+    r * eps * max|A_ij|, and the factor is LAPACK's (``_cholesky_solves``).
+    Where LAPACK refuses A or a pivot fails the floor, ``_eliminate``
+    factors A; one forward substitution serves every prefix b[:k], and the
+    m back substitutions run at once (column k-1 of X holds x_k).
     """
-    backend = backend_of(A)
     r = A.shape[0]
     if A.shape != (r, r) or b.shape != (r,):
         raise DimensionMismatch(f"leading solves of shapes {A.shape} and {b.shape}")
-    X = None
-    if not backend.exact:  # 1/sqrt(A_jj), or 1 where A_jj is not positive
-        scale = 1 / np.sqrt(np.where(A.diagonal() > 0, A.diagonal(), 1.0))
-        A, b = A * np.outer(scale, scale), b * scale
-        X = _cholesky_solves(A, b)
+    if backend_of(A).exact:
+        eye = RATIONAL.empty((r, r))
+        np.fill_diagonal(eye, Fraction(1))
+        return [_freeze(x[:k]) for k, x in enumerate(_leading_combinations(A, b, eye), start=1)]
+    # 1/sqrt(A_jj), or 1 where A_jj is not positive
+    scale = 1 / np.sqrt(np.where(A.diagonal() > 0, A.diagonal(), 1.0))
+    A, b = A * np.outer(scale, scale), b * scale
+    X = _cholesky_solves(A, b)
     if X is None:
         W, _, m = _eliminate(A, _spd_floor(A))
         y = _forward(W, b[:m])
-        X = backend.empty((m, m))
+        X = np.zeros((m, m))
         for t in range(m - 1, -1, -1):
             X[t, t:] = y[t] - np.dot(W[t + 1 : m, t], X[t + 1 :, t:])
-    if not backend.exact:
-        X *= scale[: len(X), None]
+    X *= scale[: len(X), None]
     return [_freeze(X[:k, k - 1].copy()) for k in range(1, len(X) + 1)]
+
+
+def _sparse_ldl(A: np.ndarray) -> tuple[list[list], list, int]:
+    """Natural-order L D L^T of an exact A, on its nonzero entries only, up to
+    its first pivot that is not positive: ``(L, pivots, m)``, where L[i]
+    lists ``(t, l_it)`` for the nonzero multipliers of row i.
+
+    Step t subtracts l_it a_jt from entry (i, j) for each pair of nonzeros
+    a_it, a_jt below the pivot, and an entry that this makes zero leaves the
+    factor.  For an exact CG history the oracle's A is tridiagonal (the
+    Lanczos matrix; Paige, 1976), so each step is one update, and the
+    Fractions stay the size of the pivots, where Bareiss's scaling of the
+    whole trailing block makes its integers grow at every step.  A dense A,
+    such as a corrupted trace gives, is factored all the same.
+    """
+    r = len(A)
+    pivots = list(A.diagonal())
+    # below[t]: row i > t -> the entry (i, t) as updated so far, nonzeros only.
+    below = [{int(i): A[i, t] for i in np.flatnonzero(A[t + 1 :, t]) + t + 1} for t in range(r)]
+    L = [[] for _ in range(r)]
+    m = 0
+    while m < r and pivots[m] > 0:
+        column = below[m]
+        for i, a_it in column.items():
+            l_it = a_it / pivots[m]
+            L[i].append((m, l_it))
+            for j, a_jt in column.items():
+                if j < i:
+                    entry = below[j].get(i, 0) - l_it * a_jt
+                    if entry:
+                        below[j][i] = entry
+                    else:
+                        del below[j][i]
+            pivots[i] -= l_it * a_it
+        m += 1
+    return L, pivots, m
+
+
+def _leading_combinations(A: np.ndarray, b: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
+    """V[:k]^T x_k for k = 1..m, where x_k are the exact ``leading_solves``.
+
+    The solves come as ``_cholesky_solves``'s do, off ``_sparse_ldl``'s
+    factor: with z = D^-1 L^-1 b from one forward substitution,
+    V[:k]^T x_k = sum_{j<k} z_j w_j, a running sum over k, where w_j, row j
+    of L^-1 V, is v_j - sum_t l_jt w_t over the nonzero l_jt.  With V = I
+    these are the x_k themselves; the oracle takes V = Q, the kept q_j as rows,
+    and so forms its points with no product of the solves and Q.
+    """
+    L, pivots, m = _sparse_ldl(A)
+    y, W, total, out = list(b[:m]), [], RATIONAL.empty(V.shape[1]), []
+    for k in range(m):
+        w = V[k]
+        for t, l in L[k]:
+            y[k] -= l * y[t]
+            w = w - l * W[t]
+        W.append(w)
+        total = total + (y[k] / pivots[k]) * w
+        out.append(_freeze(total))
+    return out
 
 
 def _cholesky_solves(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

@@ -13,7 +13,9 @@ earlier ones (exactly, or to float64 working accuracy), and solves
 (Q^T H Q) y = -Q^T g(x0) on the kept columns Q.  These systems are the
 leading blocks of one matrix and one right-hand side, so one
 natural-order factor serves them all (``linalg.leading_solves``): O(r^2 n
-+ r^3) per trace.  The vectors may be dependent, and there may be more
++ r^3) per trace.  Under rationals the points come off that factor as
+running sums (``linalg._leading_combinations``), with no product of the
+solutions and Q.  The vectors may be dependent, and there may be more
 of them than the dimension: a k whose vector was dropped spans what k - 1
 spanned and repeats its point, which is unique even where the
 coordinates are not.  Q^T H Q is as well conditioned as H, so the
@@ -33,6 +35,7 @@ from .linalg import (
     Scalar,
     _freeze,
     _integer_rows,
+    _leading_combinations,
     _orthogonalized,
     _product,
     _row_magnitudes,
@@ -40,7 +43,7 @@ from .linalg import (
     leading_solves,
     residual_magnitude,
 )
-from .quadratic import QuadraticProblem, evaluate, gradient
+from .quadratic import QuadraticProblem, _times_H, evaluate, gradient
 from .engine import CGTrace
 
 # Patched by bench/tracer.py, which still names the deleted pivoted kernel;
@@ -89,6 +92,17 @@ class SubspaceSolution:
     objective_value: Scalar
 
 
+def _solution_rows(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Row t holds y_t, the solution on the first t kept columns; a row the
+    elimination did not reach (float64 only) is NaN."""
+    solves = leading_solves(A, rhs)
+    Y = backend_of(A).empty((len(A) + 1, len(A)))
+    Y[len(solves) + 1 :] = np.nan
+    for t, y in enumerate(solves, start=1):
+        Y[t, :t] = y
+    return Y
+
+
 def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors, basis=None, points_only=False):
     """The minimizers over x0 + span{s_1..s_k} for k = 0..len(vectors), or with
     ``points_only`` (and a vector) just their points, as rows; ``basis`` is
@@ -98,23 +112,23 @@ def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors, basis=None, points_only
         return [SubspaceSolution(coordinates=backend.empty(0), point=x0,
                                  objective_value=evaluate(P, x0))]
     Q, T, _, kept = _orthogonalized(vectors) if basis is None else basis
-    m, T = len(kept), T[:, kept]
+    T = T[:, kept]
     if backend.exact:
         # Each q_t over its own denominator spans the same line, and then
         # the reduced matrix has the denominator of H alone, which keeps the
-        # integers of its fraction-free elimination small.
+        # Fractions of its elimination small.
         Q, scale = _integer_rows(Q)
         T = T * np.array(scale, dtype=object)
-    A, rhs = _product(Q, _product(P.H, Q.T)), -_product(Q, gradient(P, x0))
-    solves = leading_solves(A, rhs)
-    # Row t of Y holds y_t, the solution on the first t kept columns; a row
-    # the elimination did not reach (float64 only) is NaN.
-    Y = backend.empty((m + 1, m))
-    Y[len(solves) + 1 :] = np.nan
-    for t, y in enumerate(solves, start=1):
-        Y[t, :t] = y
+    A, rhs = _product(Q, _times_H(P, Q.T)), -_product(Q, gradient(P, x0))
     rows = np.cumsum([0] + [j in kept for j in range(len(vectors))])
-    points = _freeze(x0 + _product(Y, Q))
+    Y = None if backend.exact and points_only else _solution_rows(A, rhs)
+    if backend.exact:
+        # The moves y_t^T Q[:t] as running sums off the factor: the product
+        # of the solves with Q would multiply their much longer integers.
+        points = np.array([x0, *(x0 + move for move in _leading_combinations(A, rhs, Q))])
+    else:
+        points = x0 + _product(Y, Q)
+    points = _freeze(points)
     if points_only:
         return points[rows]
     coordinates = _freeze(_product(Y, T.T))
@@ -140,6 +154,19 @@ def minimize_on_affine_span(P: QuadraticProblem, B: SpanBasis) -> SubspaceSoluti
     return _sweep(P, B.x0, B.spanning_vectors)[-1]
 
 
+def _check_trace_fits(P: QuadraticProblem, trace: CGTrace) -> None:
+    """Raise ``LinalgError`` unless the trace is on P's backend, and
+    ``DimensionMismatch`` unless each of its vectors has P's dimension."""
+    if trace.scalar_backend != P.backend.name:
+        raise LinalgError(
+            f"trace backend {trace.scalar_backend!r} does not match problem "
+            f"backend {P.backend.name!r}"
+        )
+    for rec in trace.records:
+        if any(v is not None and v.shape != (P.n,) for v in (rec.x_k, rec.g_k, rec.p_k)):
+            raise DimensionMismatch("trace dimension does not match problem")
+
+
 def trace_oracle(
     P: QuadraticProblem, trace: CGTrace, *, _basis=None, _points_only=False
 ) -> list[SubspaceSolution]:
@@ -151,14 +178,8 @@ def trace_oracle(
     gradients must match H x + c.  ``_basis`` and ``_points_only`` are
     ``_sweep``'s, for ``verify_against_trace``.
     """
-    if trace.scalar_backend != P.backend.name:
-        raise LinalgError(
-            f"trace backend {trace.scalar_backend!r} does not match problem "
-            f"backend {P.backend.name!r}"
-        )
+    _check_trace_fits(P, trace)
     records = trace.records
-    if records[0].x_k.shape != (P.n,):
-        raise DimensionMismatch("trace dimension does not match problem")
     # Recompute the first and last recorded gradients from the problem
     # data; both must match (the first alone is blind to a wrong H
     # whenever x0 = 0, where the gradient is just c).

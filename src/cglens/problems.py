@@ -145,24 +145,29 @@ def generate_problem(spec: ProblemSpec, backend: Backend = F64) -> QuadraticProb
     """Build the problem a spec describes, deterministically.
 
     All kinds share c = -H*1 and x0 = 0, so exact_minimizer is the
-    all-ones vector by construction.
+    all-ones vector by construction.  A float64 problem whose H or c
+    overflows (``rand_spd`` with a condition near the float64 maximum)
+    raises ``LinalgError``, with no warning on the way.
     """
     n = spec.n
-    if spec.kind == "rand_spd":
-        H = _rand_spd_matrix(spec, backend)
-        label = f"rand_spd-n{n}-cond{spec.condition:g}-seed{spec.seed}"
-    else:
-        H = backend.empty((n, n))
-        label = f"{spec.kind}-n{n}"
-        if spec.kind == "diag":
-            np.fill_diagonal(H, [backend.scalar(i + 1) for i in range(n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "rand_spd":
+            H = _rand_spd_matrix(spec, backend)
+            label = f"rand_spd-n{n}-cond{spec.condition:g}-seed{spec.seed}"
         else:
-            i = np.arange(n - 1)
-            np.fill_diagonal(H, backend.scalar(2))
-            H[i, i + 1] = H[i + 1, i] = backend.scalar(-1)
-    # c = -H 1, each row summed left to right (np.sum would sum pairwise).
-    total = 0
-    for j in range(n):
-        total = total + H[:, j]
+            H = backend.empty((n, n))
+            label = f"{spec.kind}-n{n}"
+            if spec.kind == "diag":
+                np.fill_diagonal(H, [backend.scalar(i + 1) for i in range(n)])
+            else:
+                i = np.arange(n - 1)
+                np.fill_diagonal(H, backend.scalar(2))
+                H[i, i + 1] = H[i + 1, i] = backend.scalar(-1)
+        # c = -H 1, each row summed left to right (np.sum would sum pairwise).
+        total = 0
+        for j in range(n):
+            total = total + H[:, j]
+    if not backend.exact and not (np.isfinite(H).all() and np.isfinite(total).all()):
+        raise LinalgError(f"{label} overflows the float64 range")
     return QuadraticProblem(H=sym_matrix(H, backend), c=vector(-total, backend),
                             x0=vector([0] * n, backend), label=f"{label}-{backend.name}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -18,11 +19,11 @@ from .linalg import (
     DimensionMismatch,
     LinalgError,
     SpdCheck,
+    _integer_rows,
     _product,
     backend_of,
     cholesky_spd_check,
     dot,
-    mat_vec,
 )
 
 
@@ -63,6 +64,18 @@ class QuadraticProblem:
     def backend(self) -> Backend:
         return backend_of(self.H)
 
+    @cached_property
+    def _H_rows(self) -> tuple[np.ndarray, list[int]]:
+        """``linalg._integer_rows(H)``, formed at the first exact product with H
+        and kept with the problem."""
+        return _integer_rows(self.H)
+
+
+def _times_H(P: QuadraticProblem, B: np.ndarray) -> np.ndarray:
+    """H B for a vector B, or for a matrix B of columns: one ``np.dot`` under
+    float64, and on the numerators of H that P keeps under rationals."""
+    return _product(P.H, B, P._H_rows if P.backend.exact else None)
+
 
 def _check_point(P: QuadraticProblem, x: np.ndarray) -> None:
     if x.shape != (P.n,):
@@ -75,13 +88,13 @@ def evaluate(P: QuadraticProblem, x: np.ndarray):
     """q(x) = 1/2 x^T H x + c^T x."""
     _check_point(P, x)
     half = Fraction(1, 2) if P.backend.exact else 0.5
-    return half * dot(x, mat_vec(P.H, x)) + dot(P.c, x)
+    return half * dot(x, _times_H(P, x)) + dot(P.c, x)
 
 
 def gradient(P: QuadraticProblem, x: np.ndarray) -> np.ndarray:
     """The gradient H x + c."""
     _check_point(P, x)
-    out = _product(P.H, x) + P.c
+    out = _times_H(P, x) + P.c
     out.flags.writeable = False
     return out
 

@@ -32,16 +32,15 @@ from .linalg import (
     Backend,
     Scalar,
     _orthogonalized,
-    _product,
     _row_dots,
     _row_magnitudes,
     _worst_ratio,
     pairwise_residual,
     scalar_token,
 )
-from .quadratic import QuadraticProblem
+from .quadratic import QuadraticProblem, _times_H
 from .engine import CGTrace, DirectionScaling, run_cg
-from .oracle import verify_against_trace
+from .oracle import _check_trace_fits, verify_against_trace
 from .minnorm import _closed_form_ghats, _projected_ghats
 # bench/tracer.py patches these one-shot names on this module.
 from .minnorm import min_norm_closed_form, projection_oracle  # noqa: F401
@@ -262,7 +261,7 @@ def check_gradient_update_identity(
     measured = backend.zero
     if steps:
         ps, gs = np.asarray([rec.p_k for rec in steps]), np.asarray([rec.g_k for rec in steps])
-        hps = _product(P.H, ps.T).T
+        hps = _times_H(P, ps.T).T
         following = np.asarray([records[k + 1].g_k for k in range(len(steps))])
         thetas = np.array([rec.theta_k for rec in steps], dtype=hps.dtype)
         residuals = _row_magnitudes(following - gs - thetas[:, None] * hps)
@@ -338,7 +337,7 @@ def check_conjugacy(P: QuadraticProblem, trace: CGTrace, tolerance=None) -> Chec
     if not steps:
         return _result("conjugacy", backend.zero, tol)
     ps = np.asarray([rec.p_k for rec in steps])
-    hps = _product(P.H, ps.T).T  # H p_k as rows, from one product
+    hps = _times_H(P, ps.T).T  # H p_k as rows, from one product
     measured = pairwise_residual(
         backend, hps, ps, shift=None, diagonal=False,
         scales=lambda: (np.sqrt(_row_dots(ps, hps)),) * 2,
@@ -376,9 +375,13 @@ def run_full_suite(
     """Solve (or accept a saved trace) and run every check.
 
     Solver breakdown surfaces as a failed termination check inside the
-    report, never as an exception.
+    report, never as an exception.  A trace on another backend than P
+    raises ``LinalgError``, and one of another dimension
+    ``DimensionMismatch``.
     """
-    if trace is None:
+    if trace is not None:
+        _check_trace_fits(P, trace)
+    else:
         trace = run_cg(
             P, tol=tol, max_iter=max_iter, direction_mode=direction_mode, scaling=scaling
         )

@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,23 @@ class TestBadInput:
         assert run_main(["verify", *flags, "--backend", backend]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cond", ["1e307", "1e308"])
+    def test_overflowing_condition_exits_two_with_one_line(self, capsys, cond):
+        # float64 rand_spd overflows in its reflections: one line, no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_main(["verify", "--kind", "rand_spd", "--n", "5", "--cond", cond,
+                             "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: rand_spd-n5-cond{float(cond):g}-seed1 overflows the float64 range\n"
+
+    def test_overflowing_condition_is_exact_under_rationals(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_main(["verify", "--kind", "rand_spd", "--n", "5", "--cond", "1e308",
+                             "--seed", "1", "--backend", "rational"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
     def test_digit_cap_does_not_depend_on_the_interpreter_limit(self, tmp_path, capsys):

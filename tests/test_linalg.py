@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -737,6 +738,97 @@ class TestAppend:
         assert _orthogonalized([g, h, g + 1e-9 * e])[3] == [0, 1]
         assert _orthogonalized([g, h, g + 1e-7 * e])[3] == [0, 1, 2]
 
+
+
+def _bareiss_leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """The exact leading solves as the fraction-free elimination gave them
+    before the nonzero-only factor: Bareiss on A's integer numerators, one
+    forward substitution and the m back substitutions at once."""
+    W, den = cglens.linalg._integerized(A)
+    prev, m = 1, len(A)
+    for t in range(len(A)):
+        piv = Fraction(W[t, t], prev * den)
+        if not piv > 0:
+            m = t
+            break
+        col = W[t + 1 :, t]
+        W[t + 1 :, t + 1 :] = (W[t, t] * W[t + 1 :, t + 1 :] - np.outer(col, col)) // prev
+        prev = W[t, t]
+        W[t + 1 :, t] = [Fraction(x, prev) for x in col]
+        W[t, t] = piv
+    y = np.array(b[:m], dtype=object)
+    for t in range(1, m):
+        y[t] -= np.dot(W[t, :t], y[:t])
+    y = y / W.diagonal()[:m]
+    X = RATIONAL.empty((m, m))
+    for t in range(m - 1, -1, -1):
+        X[t, t:] = y[t] - np.dot(W[t + 1 : m, t], X[t + 1 :, t:])
+    return [X[:k, k - 1] for k in range(1, m + 1)]
+
+
+def _assert_same_solves(A: np.ndarray, b: np.ndarray) -> None:
+    solves, reference = leading_solves(A, b), _bareiss_leading_solves(A, b)
+    assert len(solves) == len(reference)
+    for x, ref in zip(solves, reference):
+        assert list(x) == list(ref)
+        assert all(type(entry) is Fraction for entry in x)
+
+
+@st.composite
+def tridiagonal_rational_matrix(draw):
+    """A symmetric tridiagonal rational matrix, some off-diagonal entries zero;
+    diagonally dominant (so SPD) or with any diagonal."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    off = [draw(st.one_of(st.just(Fraction(0)), wide_rationals)) for _ in range(n - 1)]
+    diag = [draw(wide_rationals) for _ in range(n)]
+    if draw(st.booleans()):
+        diag = [abs(d) + 1 + sum(abs(e) for e in off[max(i - 1, 0) : i + 1])
+                for i, d in enumerate(diag)]
+    rows = [[diag[i] if i == j else off[min(i, j)] if abs(i - j) == 1 else 0
+             for j in range(n)] for i in range(n)]
+    return sym_matrix(rows, RATIONAL)
+
+
+class TestNonzeroOnlyLeadingSolves:
+    """The exact ``leading_solves`` factors only A's nonzero entries, and
+    returns the Fractions, and stops at the m, that Bareiss gave."""
+
+    @given(st.one_of(spd_rational_matrix(), symmetric_rational_matrix(),
+                     tridiagonal_rational_matrix()), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_same_fractions_and_m_as_bareiss(self, A, data):
+        b = vector([data.draw(wide_rationals) for _ in range(len(A))], RATIONAL)
+        _assert_same_solves(A, b)
+
+    def test_stops_at_the_first_pivot_that_is_not_positive(self):
+        A = sym_matrix([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, -1, 1], [0, 0, 1, 3]], RATIONAL)
+        b = vector([1, 2, 3, 4], RATIONAL)
+        assert len(leading_solves(A, b)) == 2
+        _assert_same_solves(A, b)
+
+    def test_dense_reduced_matrix_of_a_corrupted_trace(self):
+        # The oracle's reduced matrix Q^T H Q is tridiagonal for an exact CG
+        # history and dense once a recorded vector is corrupted.
+        from test_coverage import EXPECTED, nudged
+
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=8, condition=8, seed=3), RATIONAL)
+        trace = cglens.run_cg(P)
+        dense = []
+        for field, k in EXPECTED:
+            if field not in ("x_k", "g_k") or k >= trace.r:
+                continue
+            records = list(trace.records)
+            records[k] = dataclasses.replace(records[k], **{field: nudged(getattr(records[k], field))})
+            Q, _ = cglens.linalg._integer_rows(
+                _orthogonalized([rec.g_k for rec in records[: trace.r]])[0])
+            A = _product(Q, _product(P.H, Q.T))
+            if np.triu(A != 0, 2).any():
+                dense.append((field, k))
+            _assert_same_solves(A, -_product(Q, gradient(P, records[0].x_k)))
+        # A corrupted last gradient g_3 leaves the matrix tridiagonal: its
+        # Gram-Schmidt residual is orthogonal to H q_0 and H q_1, which lie
+        # in the span of g_0, g_1 and g_2.
+        assert dense == [("g_k", 0), ("g_k", 2)]
 
 
 def _refuse(*args):

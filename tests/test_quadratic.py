@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cglens import F64, RATIONAL, LinalgError, exact_minimizer, gradient, vector
+import cglens.linalg
+import cglens.quadratic
+from cglens import (
+    F64, RATIONAL, LinalgError, ProblemSpec, exact_minimizer, generate_problem, gradient,
+    run_cg, vector,
+)
 from cglens.linalg import DimensionMismatch, sym_matrix
 from cglens.quadratic import QuadraticProblem, evaluate
+from cglens.verify import run_full_suite
 
 
 def make_p1():
@@ -17,6 +26,47 @@ def make_p1():
         c=vector([-1, -2], RATIONAL),
         x0=vector([0, 0], RATIONAL),
     )
+
+
+def _count_integerizations_of_H(monkeypatch, P) -> list:
+    """Record each ``_integer_rows`` call on H or on a view of it."""
+    calls = []
+    original = cglens.linalg._integer_rows
+
+    def counted(rows):
+        if np.shares_memory(rows, P.H):
+            calls.append(rows.shape)
+        return original(rows)
+
+    monkeypatch.setattr(cglens.linalg, "_integer_rows", counted)
+    monkeypatch.setattr(cglens.quadratic, "_integer_rows", counted, raising=False)
+    return calls
+
+
+class TestKeptNumerators:
+    """A rational problem integerizes H once, at its first exact product."""
+
+    @pytest.mark.parametrize("mode", ["recursive", "gradient_sum", "shortest_residuals"])
+    def test_solve_and_suite_integerize_H_at_most_once(self, monkeypatch, mode):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=14, condition=11, seed=7), RATIONAL)
+        calls = _count_integerizations_of_H(monkeypatch, P)
+        report = run_full_suite(P, trace=run_cg(P, direction_mode=mode))
+        assert report.overall and report.r >= 5
+        assert calls == [(14, 14)]
+
+    def test_float64_forms_no_numerators(self, monkeypatch):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=14, condition=11, seed=7), F64)
+        calls = _count_integerizations_of_H(monkeypatch, P)
+        assert run_full_suite(P).r == 14
+        assert calls == [] and "_H_rows" not in vars(P)
+
+    def test_numerators_die_with_their_problem(self):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=6), RATIONAL)
+        gradient(P, P.x0)
+        numerators = weakref.ref(P._H_rows[0])
+        del P
+        gc.collect()
+        assert numerators() is None
 
 
 class TestConstruction:

@@ -23,17 +23,20 @@ from cglens import (
     F64,
     RATIONAL,
     DirectionScaling,
+    LinalgError,
     ProblemSpec,
     check_gradient_orthogonality,
     dot,
     generate_problem,
+    load_trace,
     norm_sq,
     run_cg,
     run_full_suite,
     vector,
 )
 from cglens import cli
-from cglens.linalg import BACKENDS, mat_vec, pairwise_residual, sym_matrix
+from cglens.linalg import BACKENDS, DimensionMismatch, mat_vec, pairwise_residual, sym_matrix
+from cglens.mmio import save_trace
 from cglens.quadratic import QuadraticProblem
 from cglens.verify import (
     DEFAULT_TOLERANCES,
@@ -498,3 +501,25 @@ class TestTracerNames:
         missing = [(module, attr) for module, attr, _ in tracer.PATCHES
                    if not hasattr(importlib.import_module(module), attr)]
         assert missing == []
+
+
+class TestTraceMustFitTheProblem:
+    """``run_full_suite(P, trace=load_trace(path))`` rejects a trace of
+    another dimension or backend before any check runs."""
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_trace_of_another_dimension(self, tmp_path, backend):
+        small = generate_problem(ProblemSpec(kind="laplacian1d", n=4), backend)
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=5), backend)
+        save_trace(run_cg(small), tmp_path / "T.json")
+        with pytest.raises(DimensionMismatch, match="trace dimension does not match problem"):
+            run_full_suite(P, trace=load_trace(tmp_path / "T.json"))
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_trace_of_another_backend(self, tmp_path, backend):
+        other = RATIONAL if backend is F64 else F64
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=4), backend)
+        save_trace(run_cg(generate_problem(ProblemSpec(kind="laplacian1d", n=4), other)),
+                   tmp_path / "T.json")
+        with pytest.raises(LinalgError, match="does not match problem backend"):
+            run_full_suite(P, trace=load_trace(tmp_path / "T.json"))
