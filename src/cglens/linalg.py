@@ -23,13 +23,18 @@ each result entry becomes a ``Fraction`` once (``_rationalized``).
 ``_orthogonalized`` (Gram-Schmidt) decides which vectors of a list depend
 on the earlier ones.  A natural-order L D L^T decides how far a symmetric
 matrix is positive definite, by the same rule everywhere (stop at the first
-pivot not above the floor), in one of two loops chosen by the matrix each
-serves.  ``_eliminate`` (Bareiss under rationals) serves ``SpdCheck``: on the
-dense, small-entry H of the SPD test it is about 3x faster than a Fraction
-elimination.  ``_sparse_ldl`` serves the exact ``leading_solves``: it touches
-only nonzero entries, and the oracle's reduced matrix is tridiagonal for an
-exact CG history, where Bareiss's integers grow at every step.  Under float64
-both serve only where LAPACK's Cholesky factor does not.
+pivot not above the floor).  Under rationals the factor comes from one of two
+loops, chosen by the matrix each serves.  ``_eliminate`` (Bareiss) serves
+``SpdCheck``: on the dense, small-entry H of the SPD test it is about 3x
+faster than a Fraction elimination.  ``_sparse_ldl`` serves the exact leading
+solves: it touches only nonzero entries, and the oracle's reduced matrix is
+tridiagonal for an exact CG history, where Bareiss's integers grow at every
+step.  Under float64 the factor is LAPACK's Cholesky factor
+(``_cholesky_pivots``), or ``_eliminate``'s where LAPACK refuses.  Every
+factor is written in one layout, unit multipliers below the diagonal and
+pivots on it, and one forward substitution on that layout
+(``_leading_combinations``) is every solve: ``SpdCheck.solve``,
+``leading_solves`` and the oracle's points, coordinates and objectives.
 """
 
 from __future__ import annotations
@@ -438,8 +443,8 @@ def _spd_floor(M: np.ndarray) -> Scalar:
 def _eliminate(M: np.ndarray, floor: Scalar) -> tuple[np.ndarray, list, int]:
     """Natural-order L D L^T of M up to its first pivot not above ``floor``.
 
-    The elimination of ``SpdCheck``, and of ``leading_solves`` under float64
-    where LAPACK's factor does not serve.  Returns ``(W, pivots, m)``: the
+    The elimination of the rational ``SpdCheck``, and of a float64 matrix
+    that LAPACK refuses (``_cholesky_pivots``).  Returns ``(W, pivots, m)``: the
     pivots up to and including the failing one, the order m of the largest
     leading block they show positive definite, and, in the first m columns
     of W, the multipliers below the diagonal and the pivots on it.  The
@@ -476,56 +481,10 @@ def _eliminate(M: np.ndarray, floor: Scalar) -> tuple[np.ndarray, list, int]:
     return W, pivots, len(M)
 
 
-def _forward(W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y with L D y = b, for the unit lower L below the diagonal of W and D on it."""
-    y = _array_from(b, backend_of(W))
-    for t in range(1, len(y)):
-        y[t] -= np.dot(W[t, :t], y[:t])
-    return y / W.diagonal()[: len(y)]
-
-
-def leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-    """x_k with A[:k, :k] x_k = b[:k] for k = 1..m, from one natural-order factor of A.
-
-    A natural-order factor factors every leading block at once, and the
-    solves stop at the first pivot that the SPD test's floor fails (a NaN
-    pivot too), so m is the order of the largest leading block that is
-    (numerically) positive definite.  Under rationals the factor is
-    ``_sparse_ldl``'s, which touches only the nonzero entries of A, and
-    the solves are ``_leading_combinations`` of the identity.
-    Under float64 A is first scaled to unit diagonal (Jacobi scaling),
-    which keeps systems whose columns differ by many orders of magnitude
-    solvable, the floor is ``SpdCheck``'s for the scaled matrix,
-    r * eps * max|A_ij|, and the factor is LAPACK's (``_cholesky_solves``).
-    Where LAPACK refuses A or a pivot fails the floor, ``_eliminate``
-    factors A; one forward substitution serves every prefix b[:k], and the
-    m back substitutions run at once (column k-1 of X holds x_k).
-    """
-    r = A.shape[0]
-    if A.shape != (r, r) or b.shape != (r,):
-        raise DimensionMismatch(f"leading solves of shapes {A.shape} and {b.shape}")
-    if backend_of(A).exact:
-        eye = RATIONAL.empty((r, r))
-        np.fill_diagonal(eye, Fraction(1))
-        return [_freeze(x[:k]) for k, x in enumerate(_leading_combinations(A, b, eye), start=1)]
-    # 1/sqrt(A_jj), or 1 where A_jj is not positive
-    scale = 1 / np.sqrt(np.where(A.diagonal() > 0, A.diagonal(), 1.0))
-    A, b = A * np.outer(scale, scale), b * scale
-    X = _cholesky_solves(A, b)
-    if X is None:
-        W, _, m = _eliminate(A, _spd_floor(A))
-        y = _forward(W, b[:m])
-        X = np.zeros((m, m))
-        for t in range(m - 1, -1, -1):
-            X[t, t:] = y[t] - np.dot(W[t + 1 : m, t], X[t + 1 :, t:])
-    X *= scale[: len(X), None]
-    return [_freeze(X[:k, k - 1].copy()) for k in range(1, len(X) + 1)]
-
-
-def _sparse_ldl(A: np.ndarray) -> tuple[list[list], list, int]:
+def _sparse_ldl(A: np.ndarray) -> tuple[np.ndarray, list, int]:
     """Natural-order L D L^T of an exact A, on its nonzero entries only, up to
-    its first pivot that is not positive: ``(L, pivots, m)``, where L[i]
-    lists ``(t, l_it)`` for the nonzero multipliers of row i.
+    its first pivot that is not positive, in ``_eliminate``'s ``(W, pivots, m)``
+    layout.
 
     Step t subtracts l_it a_jt from entry (i, j) for each pair of nonzeros
     a_it, a_jt below the pivot, and an entry that this makes zero leaves the
@@ -539,13 +498,13 @@ def _sparse_ldl(A: np.ndarray) -> tuple[list[list], list, int]:
     pivots = list(A.diagonal())
     # below[t]: row i > t -> the entry (i, t) as updated so far, nonzeros only.
     below = [{int(i): A[i, t] for i in np.flatnonzero(A[t + 1 :, t]) + t + 1} for t in range(r)]
-    L = [[] for _ in range(r)]
+    W = RATIONAL.empty((r, r))
     m = 0
     while m < r and pivots[m] > 0:
+        W[m, m] = pivots[m]
         column = below[m]
         for i, a_it in column.items():
-            l_it = a_it / pivots[m]
-            L[i].append((m, l_it))
+            l_it = W[i, m] = a_it / pivots[m]
             for j, a_jt in column.items():
                 if j < i:
                     entry = below[j].get(i, 0) - l_it * a_jt
@@ -555,52 +514,7 @@ def _sparse_ldl(A: np.ndarray) -> tuple[list[list], list, int]:
                         del below[j][i]
             pivots[i] -= l_it * a_it
         m += 1
-    return L, pivots, m
-
-
-def _leading_combinations(A: np.ndarray, b: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
-    """V[:k]^T x_k for k = 1..m, where x_k are the exact ``leading_solves``.
-
-    The solves come as ``_cholesky_solves``'s do, off ``_sparse_ldl``'s
-    factor: with z = D^-1 L^-1 b from one forward substitution,
-    V[:k]^T x_k = sum_{j<k} z_j w_j, a running sum over k, where w_j, row j
-    of L^-1 V, is v_j - sum_t l_jt w_t over the nonzero l_jt.  With V = I
-    these are the x_k themselves; the oracle takes V = Q, the kept q_j as rows,
-    and so forms its points with no product of the solves and Q.
-    """
-    L, pivots, m = _sparse_ldl(A)
-    y, W, total, out = list(b[:m]), [], RATIONAL.empty(V.shape[1]), []
-    for k in range(m):
-        w = V[k]
-        for t, l in L[k]:
-            y[k] -= l * y[t]
-            w = w - l * W[t]
-        W.append(w)
-        total = total + (y[k] / pivots[k]) * w
-        out.append(_freeze(total))
-    return out
-
-
-def _cholesky_solves(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """``leading_solves``'s X from one LAPACK Cholesky factor A = C C^T, or None
-    if LAPACK refuses A or a pivot C_tt^2 fails ``_spd_floor``.
-
-    With z = C^-1 b, x_k = sum_{j<k} C^-T[:, j] z_j, because the leading
-    blocks of a triangular factor are the factors of the leading blocks.
-    Row t of [z | C^-1] is one forward-substitution step on the rows above
-    it, so each leading block gets the solution its own factor would give.
-    """
-    try:
-        C = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(C.diagonal() ** 2 > _spd_floor(A)):
-        return None
-    r = len(A)
-    W = np.hstack((b[:, None], np.eye(r)))
-    for t in range(r):
-        W[t, : t + 2] = (W[t, : t + 2] - C[t, :t] @ W[:t, : t + 2]) / C[t, t]
-    return np.cumsum(W[:, 1:].T * W[:, 0], axis=1)
+    return W, pivots[: m + 1], m
 
 
 def _cholesky_pivots(M: np.ndarray, floor: float) -> tuple[np.ndarray, list, int]:
@@ -629,6 +543,63 @@ def _cholesky_pivots(M: np.ndarray, floor: float) -> tuple[np.ndarray, list, int
     return W, d[: m + 1].tolist(), m
 
 
+def _leading_combinations(factor: tuple[np.ndarray, list, int], b: np.ndarray,
+                          V: np.ndarray) -> np.ndarray:
+    """Row k-1 holds V[:k]^T x_k, where A[:k, :k] x_k = b[:k], for k = 1..m.
+
+    ``factor`` is a natural-order L D L^T of A in ``_eliminate``'s ``(W,
+    pivots, m)`` layout: the unit lower L below the diagonal of W, of which
+    only the nonzero entries are read, and D on it.  The leading blocks of
+    the factor are the factors of the leading blocks of A, so one forward
+    substitution of [b | V] serves every k: with z = D^-1 L^-1 b,
+    V[:k]^T x_k = sum_{j<k} z_j w_j, a running sum over k, where w_j is row
+    j of L^-1 V.  This is the package's one solve.
+    """
+    W, _, m = factor
+    Z = np.concatenate((b[:m, None], V[:m]), axis=1)
+    for t in range(1, m):
+        live = np.flatnonzero(W[t, :t])
+        Z[t] -= W[t, live] @ Z[live]
+    z = Z[:, 0] / W.diagonal()[:m]
+    return np.cumsum(z[:, None] * Z[:, 1:], axis=0)
+
+
+def _leading_rows(A: np.ndarray, b: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``_leading_combinations`` on one natural-order factor of A, up to its
+    first pivot that the SPD test's floor fails (a NaN pivot too), so m is the
+    order of the largest leading block that is (numerically) positive definite.
+
+    Under rationals the factor is ``_sparse_ldl``'s, which touches only the
+    nonzero entries of A.  Under float64 A is first scaled to unit diagonal
+    (Jacobi scaling), which keeps systems whose columns differ by many orders
+    of magnitude solvable; the factor is the SPD test's (``_cholesky_pivots``)
+    of the scaled matrix, with its floor r * eps * max|A_ij|.  The solves
+    come off it with V = diag(scale), and V is applied in one product.
+    """
+    if backend_of(A).exact:
+        return _leading_combinations(_sparse_ldl(A), b, V)
+    # 1/sqrt(A_jj), or 1 where A_jj is not positive
+    scale = 1 / np.sqrt(np.where(A.diagonal() > 0, A.diagonal(), 1.0))
+    A = A * np.outer(scale, scale)
+    X = _leading_combinations(_cholesky_pivots(A, _spd_floor(A)), b * scale, np.diag(scale))
+    return X @ V
+
+
+def leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """x_k with A[:k, :k] x_k = b[:k] for k = 1..m, from one natural-order factor of A.
+
+    A natural-order factor factors every leading block at once, and the
+    solves stop at the first pivot that the SPD test's floor fails, so m
+    is the order of the largest leading block that is (numerically)
+    positive definite.  The solves are ``_leading_rows`` of the identity.
+    """
+    r = A.shape[0]
+    if A.shape != (r, r) or b.shape != (r,):
+        raise DimensionMismatch(f"leading solves of shapes {A.shape} and {b.shape}")
+    X = _leading_rows(A, b, np.eye(r, dtype=A.dtype))
+    return [_freeze(x[:k]) for k, x in enumerate(X, start=1)]
+
+
 class SpdCheck:
     """A natural-order L D L^T factorization read as a test of positive definiteness.
 
@@ -643,8 +614,8 @@ class SpdCheck:
 
     Under rationals the factor is ``_eliminate``'s exact elimination; under
     float64 it is one LAPACK Cholesky factor (``_cholesky_pivots``).  Both
-    keep multipliers below the diagonal and pivots on it, so ``solve``
-    reads them alike.
+    keep multipliers below the diagonal and pivots on it, the layout of the
+    package's one solve, ``_leading_combinations``.
     """
 
     def __init__(self, M: np.ndarray):
@@ -668,11 +639,15 @@ class SpdCheck:
         return None if self.is_spd else self.rank
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with M x = b, on the factor of a positive definite M."""
-        x, W = _forward(self._W, b), self._W
-        for t in range(self.n - 2, -1, -1):
-            x[t] -= np.dot(W[t + 1 :, t], x[t + 1 :])
-        return _freeze(x)
+        """x with M x = b: the last row of ``_leading_combinations`` of the
+        identity, on the factor of M.  Raises ``DimensionMismatch`` unless b
+        has shape (n,), and ``LinalgError`` unless M is positive definite."""
+        if b.shape != (self.n,):
+            raise DimensionMismatch(f"solve of an order {self.n} matrix and shape {b.shape}")
+        if not self.is_spd:
+            raise LinalgError(f"solve on a matrix whose pivot {self.rank} fails the SPD test")
+        factor = (self._W, self.pivots, self.n)
+        return _freeze(_leading_combinations(factor, b, np.eye(self.n, dtype=self._W.dtype))[-1])
 
 
 def cholesky_spd_check(M: np.ndarray) -> SpdCheck:

@@ -12,15 +12,16 @@ It orthogonalizes the spanning vectors once, column by column
 earlier ones (exactly, or to float64 working accuracy), and solves
 (Q^T H Q) y = -Q^T g(x0) on the kept columns Q.  These systems are the
 leading blocks of one matrix and one right-hand side, so one
-natural-order factor serves them all (``linalg.leading_solves``): O(r^2 n
-+ r^3) per trace.  Under rationals the points come off that factor as
-running sums (``linalg._leading_combinations``), with no product of the
-solutions and Q.  The vectors may be dependent, and there may be more
-of them than the dimension: a k whose vector was dropped spans what k - 1
-spanned and repeats its point, which is unique even where the
-coordinates are not.  Q^T H Q is as well conditioned as H, so the
-elimination stops only where a pivot fails the SPD test's floor; a k it
-cannot serve gets a NaN point, and a NaN can never pass a check.
+natural-order factor serves them all, on both backends, and one call
+(``linalg._leading_rows``) gives the points, coordinates and objectives:
+O(r^2 n + r^3) per trace.  Under rationals they are running sums off the
+factor, with no product of the solutions and Q.  The vectors may be
+dependent, and there may be more of them than the dimension: a k whose
+vector was dropped spans what k - 1 spanned and repeats its point, which
+is unique even where the coordinates are not.  Q^T H Q is as well
+conditioned as H, so the elimination stops only where a pivot fails the
+SPD test's floor; a k it cannot serve gets a NaN point, and a NaN can
+never pass a check.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .linalg import (
     Scalar,
     _freeze,
     _integer_rows,
-    _leading_combinations,
+    _leading_rows,
     _orthogonalized,
     _product,
     _row_magnitudes,
@@ -92,17 +93,6 @@ class SubspaceSolution:
     objective_value: Scalar
 
 
-def _solution_rows(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Row t holds y_t, the solution on the first t kept columns; a row the
-    elimination did not reach (float64 only) is NaN."""
-    solves = leading_solves(A, rhs)
-    Y = backend_of(A).empty((len(A) + 1, len(A)))
-    Y[len(solves) + 1 :] = np.nan
-    for t, y in enumerate(solves, start=1):
-        Y[t, :t] = y
-    return Y
-
-
 def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors, basis=None, points_only=False):
     """The minimizers over x0 + span{s_1..s_k} for k = 0..len(vectors), or with
     ``points_only`` (and a vector) just their points, as rows; ``basis`` is
@@ -120,21 +110,22 @@ def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors, basis=None, points_only
         Q, scale = _integer_rows(Q)
         T = T * np.array(scale, dtype=object)
     A, rhs = _product(Q, _times_H(P, Q.T)), -_product(Q, gradient(P, x0))
+    # Row t of Y is [Q^T y | T y | rhs^T y] for y = y_t, the solution on the
+    # first t kept columns, summed off the factor: the moves, the coordinates
+    # and what the objectives need.  A row the elimination did not reach
+    # (float64 only) is NaN.
+    V = Q if points_only else np.hstack((Q, T.T, rhs[:, None]))
+    solved = _leading_rows(A, rhs, V)
+    Y = backend.empty((len(A) + 1, V.shape[1]))
+    Y[1 : len(solved) + 1], Y[len(solved) + 1 :] = solved, np.nan
+    points = _freeze(x0 + Y[:, : P.n])
     rows = np.cumsum([0] + [j in kept for j in range(len(vectors))])
-    Y = None if backend.exact and points_only else _solution_rows(A, rhs)
-    if backend.exact:
-        # The moves y_t^T Q[:t] as running sums off the factor: the product
-        # of the solves with Q would multiply their much longer integers.
-        points = np.array([x0, *(x0 + move for move in _leading_combinations(A, rhs, Q))])
-    else:
-        points = x0 + _product(Y, Q)
-    points = _freeze(points)
     if points_only:
         return points[rows]
-    coordinates = _freeze(_product(Y, T.T))
+    coordinates = _freeze(Y[:, P.n : -1])
     # q(x0 + sum_t y_t q_t) = q(x0) - rhs^T y + 1/2 y^T A y = q(x0) - 1/2 y^T rhs
     # when A y = rhs: O(k) per point where evaluating q costs O(n^2).
-    objectives = evaluate(P, x0) - backend.scalar("1/2") * _product(Y, rhs)
+    objectives = evaluate(P, x0) - backend.scalar("1/2") * Y[:, -1]
     return [
         SubspaceSolution(coordinates=coordinates[t, :k], point=points[t], objective_value=objectives[t])
         for k, t in enumerate(rows)

@@ -349,6 +349,20 @@ class TestRationalOutputPinned:
             h.update(path.read_bytes())
         assert h.hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("flags, digest", [
+        (["--kind", "rand_spd", "--n", "12", "--cond", "8", "--seed", "3"], "e10fb1ca81c55224"),
+        (["--kind", "laplacian1d", "--n", "10"], "8ab5ca1688be7a9c"),
+        (["--kind", "rand_spd", "--n", "24", "--cond", "20", "--seed", "0"], "d5172477bde85773"),
+    ])
+    def test_oracle_output_is_pinned(self, tmp_path, capsys, flags, digest):
+        # The oracle's exact coordinates, points and objectives, which no
+        # verify check prints.
+        report = tmp_path / "R.json"
+        assert run_main(["oracle", *flags, "--backend", "rational", "--report", str(report)]) == 0
+        h = hashlib.sha256(capsys.readouterr().out.encode())
+        h.update(report.read_bytes())
+        assert h.hexdigest()[:16] == digest
+
 
 class TestBreakdownExitCode:
     @staticmethod

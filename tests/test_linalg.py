@@ -36,6 +36,7 @@ from cglens.linalg import (
     Backend,
     DimensionMismatch,
     SpdCheck,
+    _leading_rows,
     _orthogonalized,
     _product,
     backend_of,
@@ -339,6 +340,21 @@ class TestSpdCheck:
         b = vector([1, 0], RATIONAL)
         x = cholesky_spd_check(M).solve(b)
         assert list(x) == [Fraction(2, 3), Fraction(-1, 3)]
+
+    @pytest.mark.parametrize("backend", [RATIONAL, F64])
+    def test_solve_refuses_a_matrix_that_is_not_spd(self, backend):
+        # Pivot 1 is -3: the factor of the leading block alone would give an
+        # x with M x = (1, 9, 1/3).
+        check = SpdCheck(sym_matrix([[1, 2, 0], [2, 1, 1], [0, 1, 1]], backend))
+        with pytest.raises(LinalgError, match="pivot 1"):
+            check.solve(vector([1, 1, 1], backend))
+
+    @pytest.mark.parametrize("backend", [RATIONAL, F64])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_solve_refuses_a_right_hand_side_of_another_order(self, backend, length):
+        check = SpdCheck(sym_matrix([[2, 1], [1, 2]], backend))
+        with pytest.raises(DimensionMismatch):
+            check.solve(vector([1] * length, backend))
 
 
 @st.composite
@@ -831,24 +847,70 @@ class TestNonzeroOnlyLeadingSolves:
         assert dense == [("g_k", 0), ("g_k", 2)]
 
 
+class TestLeadingCombinations:
+    """Row k-1 of ``_leading_rows(A, b, V)`` is V[:k]^T x_k for the x_k of
+    ``leading_solves``: exactly under rationals, where the forward
+    substitution runs over V's columns, and to rounding under float64."""
+
+    @given(st.one_of(spd_rational_matrix(), symmetric_rational_matrix(),
+                     tridiagonal_rational_matrix()), st.integers(1, 3), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_exact_rows_are_the_combinations_of_the_solves(self, A, columns, data):
+        r = len(A)
+        b = vector([data.draw(wide_rationals) for _ in range(r)], RATIONAL)
+        V = np.array([[data.draw(small_rationals) for _ in range(columns)] for _ in range(r)],
+                     dtype=object)
+        rows, solves = _leading_rows(A, b, V), leading_solves(A, b)
+        assert len(rows) == len(solves) <= r
+        for k, (row, x) in enumerate(zip(rows, solves), start=1):
+            assert list(row) == list(np.dot(V[:k].T, x))
+            assert all(type(entry) is Fraction for entry in row)
+
+    def test_exact_rows_stop_where_the_solves_do(self):
+        A = sym_matrix([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, -1, 1], [0, 0, 1, 3]], RATIONAL)
+        b = vector([1, 2, 3, 4], RATIONAL)
+        V = np.array([[Fraction(i + j, 3) for j in range(5)] for i in range(4)], dtype=object)
+        rows = _leading_rows(A, b, V)
+        assert len(rows) == len(leading_solves(A, b)) == 2
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_float_rows_over_twelve_decades(self, seed, n):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((n + 2, n))
+        d = 10.0 ** rng.integers(-6, 7, size=n)
+        A = d[:, None] * (B.T @ B + np.eye(n)) * d
+        b, V = rng.standard_normal(n) * d, rng.standard_normal((n, 4))
+        rows, solves = _leading_rows(A, b, V), leading_solves(A, b)
+        assert len(rows) == len(solves) == n
+        for k, (row, x) in enumerate(zip(rows, solves), start=1):
+            bound = np.abs(V[:k]).T @ np.abs(x)
+            assert np.all(np.abs(row - V[:k].T @ x) <= 1e-12 * bound)
+
+
 def _refuse(*args):
     raise AssertionError("the elimination loop ran")
 
 
+def _refuse_lapack(A):
+    raise np.linalg.LinAlgError("refused")
+
+
 def _solves_both_ways(A, b):
     """leading_solves through LAPACK (the loop refused), then through the
-    elimination loop (LAPACK's path switched off)."""
+    elimination loop (LAPACK refusing).  A matrix that LAPACK refuses never
+    counts as factored in full, so the loop's solves stop short of order n."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cglens.linalg, "_eliminate", _refuse)
         lapack = leading_solves(A, b)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cglens.linalg, "_cholesky_solves", lambda A, b: None)
+        mp.setattr(np.linalg, "cholesky", _refuse_lapack)
         loop = leading_solves(A, b)
     return lapack, loop
 
 
-def _assert_close(lapack, loop):
-    assert len(lapack) == len(loop)
+def _assert_close(lapack, loop, n):
+    assert len(loop) == min(len(lapack), n - 1)
     for x, ref in zip(lapack, loop):
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -865,7 +927,7 @@ class TestCholeskyLeadingSolves:
         A = d[:, None] * (B.T @ B + np.eye(n)) * d
         lapack, loop = _solves_both_ways(A, rng.standard_normal(n) * d)
         assert len(lapack) == n
-        _assert_close(lapack, loop)
+        _assert_close(lapack, loop, n)
 
     def test_twelve_decades_match_the_elimination(self):
         rng = np.random.default_rng(0)
@@ -874,7 +936,7 @@ class TestCholeskyLeadingSolves:
         A = d[:, None] * (B.T @ B + np.eye(6)) * d
         lapack, loop = _solves_both_ways(A, A @ (np.arange(1.0, 7.0) / d))
         assert len(lapack) == 6
-        _assert_close(lapack, loop)
+        _assert_close(lapack, loop, 6)
 
     @pytest.mark.parametrize("rows, m", [
         ([[1, 2], [2, 1]], 1),  # indefinite: LAPACK refuses
@@ -891,8 +953,8 @@ class TestCholeskyLeadingSolves:
         solves = leading_solves(A, b)
         assert len(solves) == m
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cglens.linalg, "_cholesky_solves", lambda A, b: None)
-            _assert_close(solves, leading_solves(A, b))
+            mp.setattr(np.linalg, "cholesky", _refuse_lapack)
+            _assert_close(solves, leading_solves(A, b), len(A))
 
     def test_floor_failing_cases_are_factored_by_lapack(self):
         # The floor, not LAPACK, decides these: the factor exists.

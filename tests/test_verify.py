@@ -472,13 +472,13 @@ class TestRankLosingHistory:
         for module in (cglens.verify, cglens.oracle, cglens.minnorm):
             monkeypatch.setattr(module, "_orthogonalized",
                                 counted(module.__name__, module._orthogonalized))
-        monkeypatch.setattr(cglens.oracle, "leading_solves",
-                            counted("leading_solves", cglens.oracle.leading_solves))
+        monkeypatch.setattr(cglens.oracle, "_leading_rows",
+                            counted("_leading_rows", cglens.oracle._leading_rows))
         P = generate_problem(ProblemSpec(kind="rand_spd", n=60, condition=1e6, seed=0))
         trace = run_cg(P, tol=1e-12, max_iter=180)
         assert trace.r == 180
         report = run_full_suite(P, trace=trace)
-        assert sorted(calls) == ["cglens.verify", "leading_solves"]
+        assert sorted(calls) == ["_leading_rows", "cglens.verify"]
         checks = {check.name: check for check in report.checks}
         for name in ("subspace_optimality", "min_norm_relation"):
             assert math.isfinite(checks[name].measured) and not checks[name].passed
