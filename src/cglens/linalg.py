@@ -18,7 +18,9 @@ per operation.  The products (``_product``), the elimination
 (``_eliminate``) and the generator's reflections work instead on integer
 numerators over a common denominator (``_integerized``; one per row and
 per column of a matrix, ``_integer_rows``).  Integers sum with no gcd, and
-each result entry becomes a ``Fraction`` once (``_rationalized``).
+each result entry becomes a ``Fraction`` once (``_rationalized``).  A
+residual that should vanish is tested on its integer numerators, and
+becomes a ``Fraction`` only if it does not (``pairwise_residual``).
 
 ``_orthogonalized`` (Gram-Schmidt) decides which vectors of a list depend
 on the earlier ones.  A natural-order L D L^T decides how far a symmetric
@@ -33,8 +35,9 @@ step.  Under float64 the factor is LAPACK's Cholesky factor
 (``_cholesky_pivots``), or ``_eliminate``'s where LAPACK refuses.  Every
 factor is written in one layout, unit multipliers below the diagonal and
 pivots on it, and one forward substitution on that layout
-(``_leading_combinations``) is every solve: ``SpdCheck.solve``,
-``leading_solves`` and the oracle's points, coordinates and objectives.
+(``_leading_combinations``) serves every leading solve: ``leading_solves``
+and the oracle's points, coordinates and objectives.  ``SpdCheck.solve``,
+which needs the whole system's solution alone, adds a back substitution.
 """
 
 from __future__ import annotations
@@ -339,9 +342,15 @@ def residual_magnitude(v: np.ndarray) -> Scalar:
     return float(np.linalg.norm(v))
 
 
-def _row_magnitudes(V: np.ndarray) -> np.ndarray:
-    """``residual_magnitude`` of each row of a 2-D array with columns."""
-    return np.abs(V).max(axis=1) if V.dtype == object else np.linalg.norm(V, axis=1)
+def _row_magnitudes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``residual_magnitude`` of each row of A - B, 2-D arrays with columns.  Under
+    rationals a row of A that equals B's (canonical ``Fraction``s) is 0, unsubtracted."""
+    if A.dtype != object:
+        return np.linalg.norm(A - B, axis=1)
+    out = np.full(len(A), Fraction(0), dtype=object)
+    for k in np.flatnonzero((A != B).any(axis=1)):
+        out[k] = np.abs(A[k] - B[k]).max()
+    return out
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -361,25 +370,61 @@ def _worst_ratio(backend: Backend, raw: np.ndarray, scale) -> Scalar:
     return float(np.max(np.concatenate(([0.0], raw[live] / denom[live]))))
 
 
-def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales) -> Scalar:
+class _Rows:
+    """Stacked rational rows on integers, row i = N[i] / d[i]: ``_Rows(*_integer_rows(
+    rows))``, sliced as the stack is."""
+
+    def __init__(self, N: np.ndarray, d):
+        self.N, self.d = N, np.array(d, dtype=object)
+
+    def __len__(self) -> int:
+        return len(self.N)
+
+    def __getitem__(self, rows) -> "_Rows":
+        return _Rows(self.N[rows], self.d[rows])
+
+    def triangle(self, other: "_Rows", extra: int) -> list:
+        """Row k of the integer table of a_k^T b_j over its columns j < k + extra."""
+        return [np.dot(other.N[: k + extra], row) for k, row in enumerate(self.N)]
+
+
+def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales,
+                      origin=False, rows=None) -> Scalar:
     """Worst |a_k^T b_j - shift[k]| over the triangle j < k (j <= k if ``diagonal``).
 
-    The residual rule of every identity over index pairs: each is a
-    triangle of the inner-product table of two vector sequences, taken as
-    one product.  Exact vectors report the raw worst value.  Float vectors
-    divide entry (k, j) by row[k] * col[j], where ``(row, col) = scales()``
-    is called only under float64 (exact runs compute no norms), and an
-    entry whose scale is zero contributes nothing; a NaN entry makes the
-    result NaN.  ``shift`` is None or one value per row.
+    The residual rule of every identity over index pairs, each a triangle of
+    the inner-product table of two vector sequences; with ``origin``, of a_k
+    and b_{j+1} - b_0.  ``shift`` is None or one value per row.  Float vectors
+    take the whole table as one product and divide entry (k, j) by row[k] *
+    col[j], where ``(row, col) = scales()`` is called only under float64; an
+    entry whose scale is zero contributes nothing, and a NaN makes the result
+    NaN.  Exact vectors, or the ``_Rows`` that a caller shares with ``rows``
+    their ``_Rows.triangle``, report the raw worst value off the triangle's
+    integer rows alone, an origin as T[k, j+1] - T[k, 0]: each entry is tested
+    for zero on its numerator, and only a nonzero one becomes a ``Fraction``.
     """
     if len(a) == 0 or len(b) == 0:
         return backend.zero
-    table = _product(np.asarray(a), np.asarray(b).T)
-    if shift is not None:
-        table = table - np.array(shift, dtype=table.dtype)[:, None]
-    triangle = np.tri(len(a), len(b), int(diagonal) - 1, dtype=bool)
-    return _worst_ratio(backend, np.abs(table)[triangle],
-                        lambda: np.multiply.outer(*map(np.asarray, scales()))[triangle])
+    if not backend.exact:
+        a, b = np.asarray(a), np.asarray(b)
+        table = np.dot(a, (b[1:] - b[0] if origin else b).T)
+        if shift is not None:
+            table = table - np.array(shift, dtype=table.dtype)[:, None]
+        triangle = np.tri(*table.shape, int(diagonal) - 1, dtype=bool)
+        return _worst_ratio(backend, np.abs(table)[triangle],
+                            lambda: np.multiply.outer(*map(np.asarray, scales()))[triangle])
+    a, b = (v if isinstance(v, _Rows) else _Rows(*_integer_rows(np.asarray(v))) for v in (a, b))
+    worst, lo = backend.zero, int(origin)
+    for k, row in enumerate(a.triangle(b, int(diagonal) + lo) if rows is None else rows):
+        cols = slice(lo, k + diagonal + lo)
+        num, den = row[cols], a.d[k] * b.d[cols]
+        if origin:
+            num, den = num * b.d[0] - row[0] * b.d[cols], den * b.d[0]
+        elif shift is not None:
+            num, den = num * shift[k].denominator - shift[k].numerator * den, den * shift[k].denominator
+        for j in np.flatnonzero(num):
+            worst = max(worst, abs(Fraction(num[j], den[j])))
+    return worst
 
 
 # A float64 column is dropped when the part of it that the earlier kept
@@ -614,8 +659,8 @@ class SpdCheck:
 
     Under rationals the factor is ``_eliminate``'s exact elimination; under
     float64 it is one LAPACK Cholesky factor (``_cholesky_pivots``).  Both
-    keep multipliers below the diagonal and pivots on it, the layout of the
-    package's one solve, ``_leading_combinations``.
+    keep multipliers below the diagonal and pivots on it, the layout of
+    ``_leading_combinations``.
     """
 
     def __init__(self, M: np.ndarray):
@@ -639,15 +684,20 @@ class SpdCheck:
         return None if self.is_spd else self.rank
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with M x = b: the last row of ``_leading_combinations`` of the
-        identity, on the factor of M.  Raises ``DimensionMismatch`` unless b
-        has shape (n,), and ``LinalgError`` unless M is positive definite."""
+        """x with M x = b, on the factor of M: L z = b, then L^T x = D^-1 z,
+        O(n^2).  Raises ``DimensionMismatch`` unless b has shape (n,), and
+        ``LinalgError`` unless M is positive definite."""
         if b.shape != (self.n,):
             raise DimensionMismatch(f"solve of an order {self.n} matrix and shape {b.shape}")
         if not self.is_spd:
             raise LinalgError(f"solve on a matrix whose pivot {self.rank} fails the SPD test")
-        factor = (self._W, self.pivots, self.n)
-        return _freeze(_leading_combinations(factor, b, np.eye(self.n, dtype=self._W.dtype))[-1])
+        W, x = self._W, np.array(b, dtype=self._W.dtype)
+        for t in range(1, self.n):
+            x[t] -= W[t, :t] @ x[:t]
+        x /= W.diagonal()
+        for t in range(self.n - 2, -1, -1):
+            x[t] -= W[t + 1 :, t] @ x[t + 1 :]
+        return _freeze(x)
 
 
 def cholesky_spd_check(M: np.ndarray) -> SpdCheck:

@@ -17,12 +17,25 @@ all of them are measured by one rule, ``linalg.pairwise_residual``: the
 worst |a_k^T b_j - shift_k| over the triangle, raw under rationals and
 divided by the two vectors' norms under float64 (energy norms
 sqrt(p^T H p) for conjugacy), skipping a pair whose scale is zero.
+
+Under rationals every residual of a passing trace is literally zero, and a
+zero is proved on integers.  The stacked g_k, x_k, p_k and H p_k become
+integer rows once per suite (``_Tables``, the ``_tables`` of the checks),
+and a pairwise check forms its triangle's rows alone: (a) off G X^T, and
+(b), (c) and the linesearch off one P G^T, as p_k^T (g_{i+1} - g_0) =
+T[k, i+1] - T[k, 0] exactly.  The update identity is tested on integer
+numerators over one denominator per row, the subspace and min-norm
+agreements as canonical ``Fraction``s before any subtraction, and p_k = t
+ghat_k on cross-multiplied numerators.  Only a nonzero residual becomes a
+``Fraction``.  Float64 keeps its formulas: (b) as a difference of table
+entries would cancel badly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +44,9 @@ from .linalg import (
     BACKENDS,
     Backend,
     Scalar,
+    _integer_rows,
     _orthogonalized,
+    _Rows,
     _row_dots,
     _row_magnitudes,
     _worst_ratio,
@@ -165,20 +180,52 @@ def _norms(vectors) -> np.ndarray:
     return np.linalg.norm(np.asarray(vectors), axis=1)
 
 
-def check_gradient_orthogonality(trace: CGTrace, tolerance=None) -> CheckResult:
+class _Tables:
+    """A trace's stacked g_k and x_k (every record) and p_k and H p_k (every
+    step), each formed once, at first use: arrays under float64, and under
+    rationals ``linalg._Rows``, with H p_k from the numerators of H that the
+    problem keeps, over one denominator, and PG, the rows k of the P G^T
+    table over the columns 0..k+1 that conditions (b) and (c) and the
+    linesearch read.  ``run_full_suite`` shares one among its checks; a
+    check called alone builds its own."""
+
+    def __init__(self, P: QuadraticProblem | None, trace: CGTrace):
+        self.problem, self.records, self.steps = P, trace.records, _step_records(trace)
+        self.exact = _backend(trace).exact
+
+    def _stack(self, vectors):
+        return _Rows(*_integer_rows(np.asarray(vectors))) if self.exact else np.asarray(vectors)
+
+    G = cached_property(lambda self: self._stack([rec.g_k for rec in self.records]))
+    X = cached_property(lambda self: self._stack([rec.x_k for rec in self.records]))
+    P = cached_property(lambda self: self._stack([rec.p_k for rec in self.steps]))
+    PG = cached_property(lambda self: self.P.triangle(self.G, 2) if self.exact else None)
+
+    @cached_property
+    def HP(self):
+        if not self.exact:
+            return _times_H(self.problem, self.P.T).T  # H p_k as rows, from one product
+        NH, dH = self.problem._H_rows
+        D = math.lcm(*dH)
+        NH = NH * np.array([[D // d] for d in dH], dtype=object)
+        return _Rows(np.dot(self.P.N, NH.T), D * self.P.d)
+
+
+def check_gradient_orthogonality(trace: CGTrace, tolerance=None, *, _tables=None) -> CheckResult:
     """Pairwise orthogonality of the gradients that generated steps."""
     backend = _backend(trace)
     tol = _tolerance("gradient_orthogonality", backend, tolerance)
+    G = (_tables or _Tables(None, trace)).G
     # Under rationals the terminal zero gradient rides along.
-    records = trace.records if backend.exact else trace.records[:-1]
-    gs = np.asarray([rec.g_k for rec in records])
+    gs = G if backend.exact else G[:-1]
     measured = pairwise_residual(
         backend, gs, gs, shift=None, diagonal=False, scales=lambda: (_norms(gs),) * 2
     )
     return _result("gradient_orthogonality", measured, tol)
 
 
-def check_derivation_conditions(trace: CGTrace, tolerances=None) -> list[CheckResult]:
+def check_derivation_conditions(trace: CGTrace, tolerances=None, *, _tables=None
+                                ) -> list[CheckResult]:
     """The three families of conditions the direction form is forced by.
 
     (a) each new gradient is orthogonal to every displacement
@@ -189,10 +236,8 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None) -> list[CheckRe
     """
     backend = _backend(trace)
     tolerances = tolerances or {}
-    records = trace.records
-    steps = _step_records(trace)
-    G, X = np.asarray([rec.g_k for rec in records]), np.asarray([rec.x_k for rec in records])
-    ps = np.asarray([rec.p_k for rec in steps])
+    T = _tables or _Tables(None, trace)
+    G, X, ps = T.G, T.X, T.P
 
     def result(name, measured):
         return _result(name, measured, _tolerance(name, backend, tolerances.get(name)))
@@ -200,24 +245,22 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None) -> list[CheckRe
     # (a) g_{k+1}^T (x_{i+1} - x_0) = 0 for i <= k.  Under float64 the
     # terminal gradient is numerically zero noise whose *direction* is
     # meaningless, so only pre-terminal gradients are measured there.
-    last = len(records) - 1 if backend.exact else len(records) - 2
-    gs, moves = G[1 : last + 1], X[1 : last + 1] - X[0]
+    last = len(G) - 1 if backend.exact else len(G) - 2
+    gs, xs = G[1 : last + 1], X[: last + 1]
     span = pairwise_residual(
-        backend, gs, moves, shift=None, diagonal=True,
-        scales=lambda: (_norms(gs), _norms(moves)),
+        backend, gs, xs, shift=None, diagonal=True, origin=True,
+        scales=lambda: (_norms(gs), _norms(xs[1:] - xs[0])),
     )
 
-    # (b) p_k^T (g_{i+1} - g_0) = 0 for i < k.
-    diffs = G[1 : len(steps)] - G[0]
+    # (b) p_k^T (g_{i+1} - g_0) = 0 for i < k, and (c) p_k^T g_i = c_k for
+    # i <= k, with c_k as recorded by the run: under rationals one table.
+    history = G[: len(ps)]
     diff = pairwise_residual(
-        backend, ps, diffs, shift=None, diagonal=False,
-        scales=lambda: (_norms(ps), _norms(diffs)),
+        backend, ps, history, shift=None, diagonal=False, origin=True, rows=T.PG,
+        scales=lambda: (_norms(ps), _norms(history[1:] - history[0])),
     )
-
-    # (c) p_k^T g_i = c_k for i <= k, with c_k as recorded by the run.
-    history = G[: len(steps)]
     constancy = pairwise_residual(
-        backend, ps, history, shift=[rec.c_k for rec in steps], diagonal=True,
+        backend, ps, history, shift=[rec.c_k for rec in T.steps], diagonal=True, rows=T.PG,
         scales=lambda: (_norms(ps), _norms(history)),
     )
     return [
@@ -227,7 +270,7 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None) -> list[CheckRe
     ]
 
 
-def check_exact_linesearch(trace: CGTrace, tolerance=None) -> CheckResult:
+def check_exact_linesearch(trace: CGTrace, tolerance=None, *, _tables=None) -> CheckResult:
     """p_k^T g_{k+1} = 0, normalized by the pre-step gradient under float64.
 
     Normalizing by ||g_k|| rather than ||g_{k+1}|| keeps the final
@@ -235,20 +278,21 @@ def check_exact_linesearch(trace: CGTrace, tolerance=None) -> CheckResult:
     """
     backend = _backend(trace)
     tol = _tolerance("exact_linesearch", backend, tolerance)
-    records, steps = trace.records, _step_records(trace)
+    steps, T = _step_records(trace), _tables or _Tables(None, trace)
     measured = backend.zero
-    if steps:
-        ps = np.asarray([rec.p_k for rec in steps])
-        following = np.asarray([records[k + 1].g_k for k in range(len(steps))])
+    if backend.exact:
+        measured = max([measured] + [abs(Fraction(row[k + 1], T.P.d[k] * T.G.d[k + 1]))
+                                     for k, row in enumerate(T.PG) if row[k + 1]])
+    elif steps:
         measured = _worst_ratio(
-            backend, np.abs(_row_dots(ps, following)),
-            lambda: _norms(ps) * _norms([rec.g_k for rec in steps]),
+            backend, np.abs(_row_dots(T.P, T.G[1 : len(steps) + 1])),
+            lambda: _norms(T.P) * _norms([rec.g_k for rec in steps]),
         )
     return _result("exact_linesearch", measured, tol)
 
 
 def check_gradient_update_identity(
-    P: QuadraticProblem, trace: CGTrace, tolerance=None
+    P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _tables=None
 ) -> CheckResult:
     """g_{k+1} = g_k + theta_k H p_k — the recursive update the solver never uses.
 
@@ -257,14 +301,22 @@ def check_gradient_update_identity(
     """
     backend = _backend(trace)
     tol = _tolerance("gradient_update_identity", backend, tolerance)
-    records, steps = trace.records, _step_records(trace)
+    steps, T = _step_records(trace), _tables or _Tables(P, trace)
     measured = backend.zero
-    if steps:
-        ps, gs = np.asarray([rec.p_k for rec in steps]), np.asarray([rec.g_k for rec in steps])
-        hps = _times_H(P, ps.T).T
-        following = np.asarray([records[k + 1].g_k for k in range(len(steps))])
+    if backend.exact and steps:
+        G, HP = T.G, T.HP
+        for k, rec in enumerate(steps):
+            # The row on integers over D, the LCM of its three denominators.
+            t, i = rec.theta_k, rec.k
+            D = math.lcm(G.d[k + 1], G.d[i], t.denominator * HP.d[k])
+            row = (G.N[k + 1] * (D // G.d[k + 1]) - G.N[i] * (D // G.d[i])
+                   - HP.N[k] * (t.numerator * D // (t.denominator * HP.d[k])))
+            if row.any():
+                measured = max(measured, Fraction(np.abs(row).max(), D))
+    elif steps:
+        gs, hps = np.asarray([rec.g_k for rec in steps]), T.HP
         thetas = np.array([rec.theta_k for rec in steps], dtype=hps.dtype)
-        residuals = _row_magnitudes(following - gs - thetas[:, None] * hps)
+        residuals = _row_magnitudes(T.G[1 : len(steps) + 1] - gs, thetas[:, None] * hps)
         measured = _worst_ratio(backend, residuals, lambda: _norms(gs))
     return _result("gradient_update_identity", measured, tol)
 
@@ -290,7 +342,7 @@ def check_subspace_optimality(
 
 
 def check_min_norm_relation(
-    P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _basis=None
+    P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _basis=None, _tables=None
 ) -> CheckResult:
     """p_k against the min-norm point of its gradient history, both methods.
 
@@ -314,12 +366,23 @@ def check_min_norm_relation(
     closed, _ = _closed_form_ghats(history)
     projected, _ = _projected_ghats(history, _basis)
     ps = np.asarray([rec.p_k for rec in steps])
-    sq = _row_dots(closed, closed)
+    if backend.exact:
+        Ps, Gs = (_tables or _Tables(P, trace)).P, _Rows(*_integer_rows(closed))
+        sq = np.array([Fraction(np.dot(g, g), d * d) for g, d in zip(Gs.N, Gs.d)], dtype=object)
+    else:
+        sq = _row_dots(closed, closed)
     live = sq != 0
     ratios = np.array([rec.c_k / s if ok else backend.zero
                        for rec, s, ok in zip(steps, sq, live)], dtype=closed.dtype)
-    agreement = _row_magnitudes(closed - projected)
-    deviation = _row_magnitudes(ps - ratios[:, None] * closed)
+    agreement = _row_magnitudes(closed, projected)
+    if backend.exact:
+        # p_k = t ghat_k, t = ratios[k], on integer rows: Np / dp = t Ng / dg.
+        deviation = np.full(len(steps), backend.zero, dtype=object)
+        for k, t in enumerate(ratios):
+            if (Ps.N[k] * (Gs.d[k] * t.denominator) != Gs.N[k] * (Ps.d[k] * t.numerator)).any():
+                deviation[k] = np.abs(ps[k] - t * closed[k]).max()
+    else:
+        deviation = _row_magnitudes(ps, ratios[:, None] * closed)
     # At a zero ghat, c_k / ghat^T ghat is unbounded: no multiple of ghat is p_k.
     agreement[~live], deviation[~live] = backend.zero, math.inf
     measured = _worst_ratio(
@@ -329,15 +392,15 @@ def check_min_norm_relation(
     return _result("min_norm_relation", measured, tol)
 
 
-def check_conjugacy(P: QuadraticProblem, trace: CGTrace, tolerance=None) -> CheckResult:
+def check_conjugacy(P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _tables=None
+                    ) -> CheckResult:
     """p_i^T H p_j = 0 for i != j — a consequence here, not an assumption."""
     backend = _backend(trace)
     tol = _tolerance("conjugacy", backend, tolerance)
-    steps = _step_records(trace)
-    if not steps:
+    if not _step_records(trace):
         return _result("conjugacy", backend.zero, tol)
-    ps = np.asarray([rec.p_k for rec in steps])
-    hps = _times_H(P, ps.T).T  # H p_k as rows, from one product
+    T = _tables or _Tables(P, trace)
+    ps, hps = T.P, T.HP
     measured = pairwise_residual(
         backend, hps, ps, shift=None, diagonal=False,
         scales=lambda: (np.sqrt(_row_dots(ps, hps)),) * 2,
@@ -390,17 +453,21 @@ def run_full_suite(
     def t(name):
         return tolerances.get(name)
 
-    checks = [check_gradient_orthogonality(trace, t("gradient_orthogonality"))]
-    checks.extend(check_derivation_conditions(trace, tolerances))
-    checks.append(check_exact_linesearch(trace, t("exact_linesearch")))
-    checks.append(check_gradient_update_identity(P, trace, t("gradient_update_identity")))
+    # One set of stacks serves every check that reads them.
+    tables = _Tables(P, trace)
+    checks = [check_gradient_orthogonality(trace, t("gradient_orthogonality"), _tables=tables)]
+    checks.extend(check_derivation_conditions(trace, tolerances, _tables=tables))
+    checks.append(check_exact_linesearch(trace, t("exact_linesearch"), _tables=tables))
+    checks.append(check_gradient_update_identity(
+        P, trace, t("gradient_update_identity"), _tables=tables))
     # One orthogonalization of g_0..g_{r-1} serves both sweeps.
     history = [rec.g_k for rec in trace.records[: trace.r]]
     basis = _orthogonalized(history) if history else None
     checks.append(check_subspace_optimality(P, trace, t("subspace_optimality"), _basis=basis))
     shared = basis if len(_step_records(trace)) == trace.r else None
-    checks.append(check_min_norm_relation(P, trace, t("min_norm_relation"), _basis=shared))
-    checks.append(check_conjugacy(P, trace, t("conjugacy")))
+    checks.append(check_min_norm_relation(
+        P, trace, t("min_norm_relation"), _basis=shared, _tables=tables))
+    checks.append(check_conjugacy(P, trace, t("conjugacy"), _tables=tables))
     checks.append(check_termination_bound(P, trace, t("termination_bound")))
     return VerificationReport(
         problem_id=trace.problem_id,

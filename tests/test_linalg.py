@@ -36,6 +36,7 @@ from cglens.linalg import (
     Backend,
     DimensionMismatch,
     SpdCheck,
+    _leading_combinations,
     _leading_rows,
     _orthogonalized,
     _product,
@@ -845,6 +846,32 @@ class TestNonzeroOnlyLeadingSolves:
         # Gram-Schmidt residual is orthogonal to H q_0 and H q_1, which lie
         # in the span of g_0, g_1 and g_2.
         assert dense == [("g_k", 0), ("g_k", 2)]
+
+
+class TestSpdSolve:
+    """``SpdCheck.solve`` back-substitutes on the stored factor, O(n^2), and
+    gives what the last row of ``_leading_combinations`` of the identity
+    gave on that factor: the same Fractions, and float64 to rounding."""
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec(kind="diag", n=7),
+        ProblemSpec(kind="laplacian1d", n=9),
+        ProblemSpec(kind="rand_spd", n=8, condition=50, seed=2),
+    ], ids=lambda spec: spec.kind)
+    def test_matches_the_last_leading_combination(self, backend, spec):
+        P = generate_problem(spec, backend)
+        check, b = P.spd, -P.c
+        x = check.solve(b)
+        eye = np.eye(check.n, dtype=check._W.dtype)
+        last = _leading_combinations((check._W, check.pivots, check.n), b, eye)[-1]
+        if backend.exact:
+            assert list(x) == list(last) and all(type(e) is Fraction for e in x)
+            assert not gradient(P, x).any()
+            assert list(exact_minimizer(P)) == list(x)
+        else:
+            np.testing.assert_allclose(x, last, rtol=1e-12, atol=1e-14 * np.abs(last).max())
+        assert not x.flags.writeable
 
 
 class TestLeadingCombinations:

@@ -43,9 +43,15 @@ from cglens.verify import (
     check_conjugacy,
     check_derivation_conditions,
     check_exact_linesearch,
+    check_gradient_update_identity,
     check_min_norm_relation,
+    check_subspace_optimality,
     report_to_dict,
 )
+from cglens.linalg import _product
+from cglens.minnorm import _closed_form_ghats, _projected_ghats
+from cglens.oracle import trace_oracle
+from cglens.quadratic import _times_H
 
 EXPECTED_CHECKS = [
     "gradient_orthogonality",
@@ -523,3 +529,155 @@ class TestTraceMustFitTheProblem:
                    tmp_path / "T.json")
         with pytest.raises(LinalgError, match="does not match problem backend"):
             run_full_suite(P, trace=load_trace(tmp_path / "T.json"))
+
+
+# The whole-table formulas the exact checks used before they moved to integer
+# triangles, kept as the reference for them: ``_product`` of the stacked rows,
+# then the triangle's max |.|, and whole Fraction rows for the other checks.
+def _ref_triangle(table, diagonal, shift=None):
+    if shift is not None:
+        table = table - np.array(shift, dtype=object)[:, None]
+    triangle = np.tri(*table.shape, int(diagonal) - 1, dtype=bool)
+    return max([Fraction(0), *np.abs(table)[triangle]])
+
+
+def _ref_rows(rows):
+    return max([Fraction(0), *(np.abs(row).max() for row in rows)])
+
+
+def whole_table_reference(P, trace):
+    records = trace.records
+    steps = [rec for rec in records if rec.theta_k is not None]
+    s = len(steps)
+    G, X = np.asarray([rec.g_k for rec in records]), np.asarray([rec.x_k for rec in records])
+    ps = np.asarray([rec.p_k for rec in steps])
+    hps = _times_H(P, ps.T).T
+    thetas = np.array([rec.theta_k for rec in steps], dtype=object)
+    closed, _ = _closed_form_ghats(list(G[:s]))
+    projected, _ = _projected_ghats(list(G[:s]))
+    min_norm = [
+        math.inf if dot(c, c) == 0
+        else max(np.abs(c - q).max(), np.abs(ps[k] - (steps[k].c_k / dot(c, c)) * c).max())
+        for k, (c, q) in enumerate(zip(closed, projected))
+    ]
+    reference = {
+        "gradient_orthogonality": _ref_triangle(_product(G, G.T), False),
+        "iterate_span_orthogonality": _ref_triangle(_product(G[1:], (X[1:] - X[0]).T), True),
+        "direction_gradient_difference": _ref_triangle(_product(ps, (G[1:s] - G[0]).T), False),
+        "direction_gradient_constancy": _ref_triangle(
+            _product(ps, G[:s].T), True, [rec.c_k for rec in steps]),
+        "exact_linesearch": max([Fraction(0)] + [abs(dot(p, g)) for p, g in zip(ps, G[1:])]),
+        "gradient_update_identity": _ref_rows(G[1 : s + 1] - G[:s] - thetas[:, None] * hps),
+        "min_norm_relation": max([Fraction(0), *min_norm]),
+        "conjugacy": _ref_triangle(_product(hps, ps.T), False),
+    }
+    try:
+        reference["subspace_optimality"] = _ref_rows(
+            X[1:] - trace_oracle(P, trace, _points_only=True))
+    except LinalgError:
+        reference["subspace_optimality"] = LinalgError
+    return reference
+
+
+def measured_alone(P, trace):
+    checks = [check_gradient_orthogonality(trace), *check_derivation_conditions(trace),
+              check_exact_linesearch(trace), check_gradient_update_identity(P, trace),
+              check_min_norm_relation(P, trace), check_conjugacy(P, trace)]
+    measured = {c.name: c.measured for c in checks}
+    try:
+        measured["subspace_optimality"] = check_subspace_optimality(P, trace).measured
+    except LinalgError:
+        measured["subspace_optimality"] = LinalgError
+    return measured
+
+
+def single_entry_corruptions(trace):
+    """(field, k, entry, how) over several k: each vector field at its first and
+    last entry, and theta_k and c_k, scaled by 1 + 2^-30 (2^-30 where 0) or
+    moved by 1/3."""
+    r, n = trace.r, len(trace.records[0].x_k)
+    ks = {"x_k": {0, 1, r // 2, r - 1, r}, "g_k": {0, 1, r // 2, r - 1, r},
+          "p_k": {0, 1, r - 1}, "theta_k": {0, 1, r - 1}, "c_k": {0, 1, r - 1}}
+    for field, at in ks.items():
+        for k in sorted(at):
+            for entry in ((0, n - 1) if field in ("x_k", "g_k", "p_k") else (None,)):
+                for how in ("relative", "third"):
+                    yield field, k, entry, how
+
+
+def corrupted(trace, field, k, entry, how):
+    def moved(x):
+        if how == "third":
+            return x + Fraction(1, 3)
+        return x * (1 + Fraction(1, 2**30)) if x != 0 else Fraction(1, 2**30)
+
+    old = getattr(trace.records[k], field)
+    if entry is None:
+        return with_record(trace, k, **{field: moved(old)})
+    new = old.copy()
+    new[entry] = moved(old[entry])
+    new.flags.writeable = False
+    return with_record(trace, k, **{field: new})
+
+
+class TestExactResidualsMatchWholeTables:
+    """On single-entry corruptions of exact traces, every check's measured value,
+    shared tables or alone, is the Fraction of the whole-table formulas."""
+
+    @pytest.mark.parametrize("direction", ["recursive", "gradient_sum", "shortest_residuals"])
+    def test_corrupted_traces(self, direction):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=7, condition=12, seed=1), RATIONAL)
+        trace = run_cg(P, direction_mode=direction)
+        assert trace.r == 6
+        cases = nonzero = 0
+        for corruption in single_entry_corruptions(trace):
+            bad = corrupted(trace, *corruption)
+            reference = whole_table_reference(P, bad)
+            assert measured_alone(P, bad) == reference, corruption
+            try:
+                report = run_full_suite(P, trace=bad)
+            except LinalgError:
+                assert reference["subspace_optimality"] is LinalgError, corruption
+            else:
+                suite = {c.name: c.measured for c in report.checks[:-1]}
+                assert suite == reference, corruption
+                assert all(type(v) is Fraction or v == math.inf for v in suite.values())
+            cases += 1
+            nonzero += sum(v is not LinalgError and v != 0 for v in reference.values())
+        assert cases == 64 and nonzero > 100
+
+
+class TestSharedTables:
+    """One exact suite integerizes each stacked history once, and each check
+    called alone builds what it needs."""
+
+    def test_suite_integerizes_each_stack_once(self, monkeypatch):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=20, seed=3), RATIONAL)
+        trace = run_cg(P)
+        calls = []
+        original = cglens.linalg._integer_rows
+
+        def counted(rows):
+            calls.append(np.array(rows))
+            return original(rows)
+
+        for module in (cglens.linalg, cglens.verify, cglens.oracle, cglens.quadratic):
+            monkeypatch.setattr(module, "_integer_rows", counted, raising=False)
+        assert run_full_suite(P, trace=trace).overall
+        stacks = {
+            "G": np.asarray([rec.g_k for rec in trace.records]),
+            "X": np.asarray([rec.x_k for rec in trace.records]),
+            "P": np.asarray([rec.p_k for rec in trace.records[:-1]]),
+        }
+        for name, stack in stacks.items():
+            same = [c for c in calls if c.shape == stack.shape and (c == stack).all()]
+            assert len(same) == 1, name
+
+    def test_checks_alone_match_the_suite(self):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=8, condition=10, seed=1), RATIONAL)
+        trace = run_cg(P)
+        doctored = with_record(trace, 2, g_k=trace.records[2].g_k + trace.records[0].g_k / 3)
+        for t in (trace, doctored):
+            suite = {c.name: c.measured for c in run_full_suite(P, trace=t).checks[:-1]}
+            assert measured_alone(P, t) == suite
+        assert any(v != 0 for v in suite.values())
