@@ -603,8 +603,8 @@ def _leading_combinations(factor: tuple[np.ndarray, list, int], b: np.ndarray,
     W, _, m = factor
     Z = np.concatenate((b[:m, None], V[:m]), axis=1)
     for t in range(1, m):
-        live = np.flatnonzero(W[t, :t])
-        Z[t] -= W[t, live] @ Z[live]
+        live = np.flatnonzero(W[t, :t])  # all of them in a dense factor: then no gather
+        Z[t] -= W[t, :t] @ Z[:t] if len(live) == t else W[t, live] @ Z[live]
     z = Z[:, 0] / W.diagonal()[:m]
     return np.cumsum(z[:, None] * Z[:, 1:], axis=0)
 

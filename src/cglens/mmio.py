@@ -7,7 +7,8 @@ are parsed with decimal semantics ("0.1" becomes 1/10, not the nearest
 double), and everything written is written losslessly: rationals as
 "p/q" tokens, floats as JSON numbers with shortest round-tripping digits.
 Files keep the ``indent=1`` layout of ``json.dump`` except that each
-vector (a matrix row, c, x0, or a trace's x, g or p) is one line.
+vector (a matrix row, c, x0, or a trace's x, g or p) is one line.  The rows
+of the symmetric H reuse each entry's token for its mirror above the diagonal.
 
 Matrix Market reading covers the coordinate and array formats with
 real or integer fields and general or symmetric symmetry — the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Iterator
 
 import numpy as np
 
@@ -163,20 +165,48 @@ def vector_tokens(v, backend: Backend) -> list:
 
 def _write_json(fh, node, depth: int) -> None:
     """Write ``node`` as ``json.dump(node, fh, indent=1)`` lays it out, except
-    that a list of scalars (a vector) is one line from ``json.dumps``.
+    that a list of scalars (a vector) is one line from ``json.dumps``, and an
+    iterator stands for a list of vectors and yields each one's line.
 
-    Only one vector's text is in memory at a time.
+    Only one line's text is in memory at a time, beside what an iterator holds.
     """
-    keyed = isinstance(node, dict)
-    if not (node and (keyed or isinstance(node, list) and isinstance(node[0], (list, dict)))):
+    keyed, lines = isinstance(node, dict), isinstance(node, Iterator)
+    if not (node and (keyed or lines or isinstance(node, list) and isinstance(node[0], (list, dict)))):
         fh.write(json.dumps(node))
         return
     pad = "\n" + " " * (depth + 1)
     fh.write("{" if keyed else "[")
     for index, (key, value) in enumerate(node.items() if keyed else enumerate(node)):
         fh.write(("," if index else "") + pad + (json.dumps(key) + ": " if keyed else ""))
-        _write_json(fh, value, depth + 1)
+        if lines:
+            fh.write(value)
+        else:
+            _write_json(fh, value, depth + 1)
     fh.write("\n" + " " * depth + ("}" if keyed else "]"))
+
+
+def _matrix_lines(H: np.ndarray, backend: Backend) -> Iterator[str]:
+    """Each row of a symmetric H as the line ``json.dumps`` gives for it.
+
+    Row i formats its entries from the diagonal rightward and stacks the rest
+    for the later rows they mirror into, so at most ~n^2/4 tokens are held.
+    An entry that differs in bits from its mirror (0.0 against -0.0) is
+    formatted itself; equal rationals always format alike.
+    """
+    if backend.exact:
+        token, bits, odd = (lambda x: '"' + scalar_token(x) + '"'), None, [False] * len(H)
+    else:
+        H = np.asarray(H, dtype=np.float64)
+        token, bits = repr, H.view(np.uint64)
+        odd = (bits != bits.T).any(axis=1).tolist()  # the n-by-n mask is not kept
+    stacks = []  # row j's tokens right of its diagonal, the next column's last
+    for i, row in enumerate(H):
+        upper = list(map(token, row[i:].tolist()))
+        lower = list(map(list.pop, stacks))
+        stacks.append(upper[:0:-1])
+        for j in np.flatnonzero(bits[i, :i] != bits[:i, i]) if odd[i] else ():
+            lower[j] = token(row.item(j))
+        yield "[" + ", ".join(lower + upper) + "]"
 
 
 def _read_json(path, backend: Backend):
@@ -190,7 +220,7 @@ def _read_json(path, backend: Backend):
     with open(path) as fh:
         try:
             return json.load(fh, parse_float=backend.scalar if backend.exact else float)
-        except ValueError as err:  # JSONDecodeError, or the int digit limit
+        except (ValueError, RecursionError) as err:  # JSONDecodeError, digit limit, deep nesting
             raise LinalgError(f"{path}: not a readable JSON file ({err})") from err
 
 
@@ -232,7 +262,7 @@ def save_problem(P: QuadraticProblem, path) -> None:
     backend = P.backend
     data = {
         "n": P.n,
-        "H": {"dense": [vector_tokens(row, backend) for row in P.H]},
+        "H": {"dense": _matrix_lines(P.H, backend)},
         "c": vector_tokens(P.c, backend),
         "x0": vector_tokens(P.x0, backend),
         "label": P.label,
@@ -345,7 +375,7 @@ def load_trace(path) -> CGTrace:
         )
     except LinalgError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as err:
-        # A field missing, or of the wrong kind, anywhere in the document.
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError) as err:
+        # A field missing, of the wrong kind, or nested too deep, anywhere in the document.
         raise LinalgError(f"{path}: trace JSON must define backend and records, each with "
                           f"k, x, g and grad_norm_sq ({type(err).__name__}: {err})") from err

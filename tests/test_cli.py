@@ -55,6 +55,19 @@ class TestGenerate:
         with pytest.raises(SystemExit):
             run_main(["generate", "--kind", "diag", "--n", "2"])
 
+    @pytest.mark.parametrize("flags, digest", [
+        (["--kind", "rand_spd", "--n", "200", "--cond", "1e4", "--seed", "11"], "56aec18bc6ee7080"),
+        (["--kind", "laplacian1d", "--n", "180"], "0d5719484f7dbfc2"),
+        (["--kind", "rand_spd", "--n", "16", "--cond", "14", "--seed", "3", "--backend", "rational"],
+         "5c8827965dabcb13"),
+    ])
+    def test_problem_file_is_pinned(self, tmp_path, flags, digest):
+        # The bytes of P.json as one json.dumps per row wrote them: the
+        # writer that formats H's triangle once must not move a byte.
+        path = tmp_path / "P.json"
+        assert run_main(["generate", *flags, "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
 
 class TestSolve:
     def test_prints_summary_and_writes_trace(self, diag2, tmp_path, capsys):

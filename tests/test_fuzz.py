@@ -8,6 +8,7 @@ import copy
 import json
 from datetime import timedelta
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -131,3 +132,25 @@ def test_tolerance_overrides_verify_or_exit_two(monkeypatch, capsys, pairs, sepa
     assert rc in (0, 1, 2)
     assert _refused_in_one_line(rc, capsys.readouterr().err)
 
+
+@pytest.mark.parametrize("backend", ["f64", "rational"])
+def test_problem_nested_past_the_recursion_limit_exits_two(tmp_path, capsys, backend):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 1, "H": {"dense": [[2]]}, "c": [1], "x0": [0], "label": '
+                    + "[" * depth + "]" * depth + "}")
+    rc = cli.main(["verify", "--problem", str(path), "--backend", backend])
+    err = capsys.readouterr().err
+    assert rc == 2 and _refused_in_one_line(rc, err) and "deep.json" in err
+
+
+def test_rational_trace_nested_deep_in_a_record_raises_linalg_error(tmp_path):
+    path = tmp_path / "deep-trace.json"
+    P = generate_problem(ProblemSpec(kind="rand_spd", n=3, condition=5.0, seed=2), RATIONAL)
+    save_trace(run_cg(P, tol=1e-10), path)
+    doc = json.loads(path.read_text())
+    doc["records"][1]["theta"] = None
+    depth = 600
+    path.write_text(json.dumps(doc).replace('"theta": null', '"theta": ' + "[" * depth + "]" * depth))
+    with pytest.raises(LinalgError):
+        load_trace(path)

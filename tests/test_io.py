@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cglens import (
     F64,
@@ -18,7 +20,8 @@ from cglens import (
     load_trace,
     run_cg,
 )
-from cglens.linalg import AsymmetricMatrixError, scalar_token
+from cglens.linalg import AsymmetricMatrixError, scalar_token, sym_matrix, vector
+from cglens.quadratic import QuadraticProblem
 from cglens.mmio import (
     MMParseError,
     load_problem,
@@ -187,6 +190,42 @@ class TestMatrixMarketRead:
             read_matrix_market(path, backend)
 
 
+def _reference_problem_text(P: QuadraticProblem) -> str:
+    """The problem file as a ``json.dumps`` of each row, c and x0 lays it out."""
+    token = scalar_token if P.backend.exact else float
+
+    def line(v):
+        return json.dumps([token(x) for x in v])
+
+    rows = ",\n   ".join(map(line, P.H))
+    return (f'{{\n "n": {P.n},\n "H": {{\n  "dense": [\n   {rows}\n  ]\n }},\n'
+            f' "c": {line(P.c)},\n "x0": {line(P.x0)},\n "label": {json.dumps(P.label)}\n}}\n')
+
+
+# Off-diagonal entries: zeros of either sign, subnormals and ordinary floats,
+# or rationals; a dominant diagonal keeps H positive definite.
+F64_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310]) \
+    | st.floats(-1, 1)
+RATIONAL_ENTRIES = st.fractions(-1, 1, max_denominator=10**12)
+
+
+@st.composite
+def symmetric_problems(draw):
+    backend = draw(st.sampled_from([F64, RATIONAL]))
+    entries = RATIONAL_ENTRIES if backend.exact else F64_ENTRIES
+    n = draw(st.integers(1, 7))
+    H = [[None] * n for _ in range(n)]
+    for i in range(n):
+        H[i][i] = n + 1000 * abs(draw(entries))
+        for j in range(i):
+            H[i][j] = H[j][i] = draw(entries)
+            if H[i][j] == 0 and not backend.exact:  # a mirror pair may differ in sign
+                H[j][i] = draw(st.sampled_from([0.0, -0.0]))
+    c, x0 = ([draw(entries) for _ in range(n)] for _ in range(2))
+    return QuadraticProblem(H=sym_matrix(H, backend), c=vector(c, backend),
+                            x0=vector(x0, backend), label=draw(st.text(max_size=6)))
+
+
 class TestProblemJson:
     def test_save_load_rational_exact(self, tmp_path):
         P = generate_problem(
@@ -285,6 +324,13 @@ class TestProblemJson:
                 assert list(a.ravel()) == list(b.ravel())
             else:
                 assert a.tobytes() == b.tobytes()
+
+    @given(P=symmetric_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_one_dumps_per_row(self, tmp_path_factory, P):
+        path = tmp_path_factory.getbasetemp() / "p-property.json"
+        save_problem(P, path)
+        assert path.read_text() == _reference_problem_text(P)
 
 
 class TestTraceJson:
