@@ -12,7 +12,6 @@ Run:  python3 demos/01_worked_example.py
 from cglens import (
     RATIONAL,
     ProblemSpec,
-    dimension_reduction_note,
     exact_minimizer,
     generate_problem,
     run_cg,
@@ -55,13 +54,11 @@ def main():
     print(f"overall: {'all identities hold exactly' if report.overall else 'FAILED'}")
     print()
 
-    # the mutually orthogonal gradients split the problem into 1-d pieces:
-    # in the gradient basis, H becomes diagonal
-    gram = dimension_reduction_note(trace)
-    print("Gram matrix g_i^T H g_j of the gradient history (diagonal = the")
-    print("problem decouples into independent one-dimensional minimizations):")
-    for row in gram:
-        print("  [" + "  ".join(scalar_token(x) for x in row) + "]")
+    # orthogonality is in the check table above; the squared norms drain to
+    # zero, which is how the run ends
+    print("squared gradient norms g_k^T g_k:")
+    for rec in trace.records:
+        print(f"  k = {rec.k}: {scalar_token(rec.grad_norm_sq)}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ that theory says vanishes must be literally zero.
 
 from .linalg import F64, RATIONAL, LinalgError, dot, norm, norm_sq, scalar_token, vector
 from .quadratic import exact_minimizer, gradient
-from .engine import DirectionScaling, dimension_reduction_note, run_cg
+from .engine import DirectionScaling, run_cg
 from .oracle import verify_against_trace
 from .minnorm import (
     affine_point_of_gradient_combination,
@@ -36,7 +36,6 @@ __all__ = [
     "affine_point_of_gradient_combination",
     "characterization_residuals",
     "check_gradient_orthogonality",
-    "dimension_reduction_note",
     "dot",
     "exact_minimizer",
     "generate_problem",

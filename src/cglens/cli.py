@@ -241,11 +241,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except LinalgError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (LinalgError, OSError, MemoryError) as err:
+        # A problem too large to allocate is bad input too.
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -15,7 +15,7 @@ characterizations —
 
 The two history forms read p_k off one pair of running sums, updated
 once per step, and do not re-read the history.  The engine shares no
-code with the min-norm module, whose sweeps recompute ghat from the
+code with the min-norm module, whose array sweeps recompute ghat from the
 recorded gradients as an independent check.  All three forms generate
 identical iterate sequences (exactly so under the rational backend);
 the verification suite checks precisely that.
@@ -29,9 +29,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import (
-    BACKENDS, Backend, LinalgError, Scalar, _product, dot, norm_sq,
-)
+from .linalg import Backend, LinalgError, Scalar, dot, norm_sq
 from .quadratic import QuadraticProblem, _check_point, _times_H, gradient
 
 DIRECTION_MODES = ("recursive", "gradient_sum", "shortest_residuals")
@@ -263,19 +261,3 @@ def run_cg(
         scaling_mode=scaling.mode,
     )
 
-
-def dimension_reduction_note(trace: CGTrace) -> np.ndarray:
-    """The Gram matrix G[k][i] = g_k^T g_i of the pre-terminal gradients.
-
-    Off-diagonal entries are the orthogonality residuals whose vanishing
-    characterizes each iterate as the minimizer over the expanding
-    affine span; the diagonal shows the squared norms draining to the
-    termination threshold.  The terminal gradient is excluded — its
-    orthogonality to everything is either trivial (it is zero) or
-    meaningless (the run was cut off).
-    """
-    gs = [rec.g_k for rec in trace.records if rec.p_k is not None or rec.theta_k is not None]
-    G = np.stack(gs) if gs else BACKENDS[trace.scalar_backend].empty((0, 0))
-    gram = _product(G, G.T)
-    gram.flags.writeable = False
-    return gram

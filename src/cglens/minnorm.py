@@ -13,20 +13,22 @@ multiple of -ghat_k) and to the iterates (affine combinations of
 gradients correspond to gradients at affine combinations of iterates).
 
 Checking a whole trace needs ghat_k for every prefix g_0..g_k of one
-history, and the sweeps serve all prefixes at once.  ``closed_form_sweep``
-reads each gradient's norm once and keeps a running sum.
-``projection_sweep`` orthogonalizes the history once, column by column
-(``linalg._orthogonalized``, G = Q R), and reads every prefix's ghat off
-Q and R^-1 with running sums: O(r^2 n) for the sweep.  For the orthogonal
-gradients of an exact trace Q = G and R = I, and the projection
-reduces to the closed form's harmonic weights.
+history, and one array sweep per method serves all prefixes at once, row
+k-1 for ``gradients[:k]``.  ``_closed_form_ghats`` reads each gradient's
+norm once and keeps running sums.  ``_projected_ghats`` orthogonalizes the
+history once, column by column (``linalg._orthogonalized``, G = Q R), and
+reads every prefix's ghat off Q and R^-1 with running sums: O(r^2 n) for
+the sweep.  For the orthogonal gradients of an exact trace Q = G and
+R = I, and the projection reduces to the closed form's harmonic weights.
+The one-shots ``min_norm_closed_form`` and ``projection_oracle`` are the
+last rows of these sweeps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .linalg import (
     Scalar,
     _freeze,
     _orthogonalized,
+    _product,
     _row_dots,
     backend_of,
     dot,
@@ -86,29 +89,10 @@ class MinNormResult:
     norm_sq: Scalar
 
 
-def _combine(vectors: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    out = backend_of(vectors[0]).empty(vectors[0].shape)
-    for w, v in zip(weights, vectors):
-        out += w * v
-    out.flags.writeable = False
-    return out
-
-
-def _affine(a: np.ndarray) -> AffineCombination:
-    """The affine weights a / sum(a)."""
-    return AffineCombination(_freeze(a / sum(a)))
-
-
-def _squared_norms(gradients: Sequence[np.ndarray]) -> np.ndarray:
-    """g_i^T g_i for each gradient, after rejecting an empty history or a zero gradient."""
-    if len(gradients) == 0:
-        raise LinalgError("gradient history is empty")
-    G = np.asarray(gradients)
-    sq = _row_dots(G, G)
-    zero = np.flatnonzero(sq == 0)
-    if len(zero):
-        raise LinalgError(f"gradient {zero[0]} in the history is zero")
-    return sq
+def _result(ghat: np.ndarray, weights: np.ndarray) -> MinNormResult:
+    """ghat with the affine weights weights / sum(weights)."""
+    affine = AffineCombination(_freeze(weights / sum(weights)))
+    return MinNormResult(ghat=ghat, weights=affine, norm_sq=norm_sq(ghat))
 
 
 def orthogonality_defect(gradients: Sequence[np.ndarray]) -> Scalar:
@@ -134,9 +118,9 @@ def min_norm_closed_form(
     under the rational backend, beyond ``orthogonality_tol`` (relative)
     under float64.  ``orthogonality_tol=math.inf`` skips the gate on
     both backends, for callers that measure the consequences themselves.
-    Past the gate, the result is the last one of ``closed_form_sweep``.
+    Past the gate, the result is the last row of ``_closed_form_ghats``.
     """
-    _squared_norms(gradients)
+    ghats, inv = _closed_form_ghats(gradients)
     backend = backend_of(gradients[0])
     limit = backend.zero if backend.exact else orthogonality_tol
     if orthogonality_tol != math.inf and orthogonality_defect(gradients) > limit:
@@ -144,29 +128,27 @@ def min_norm_closed_form(
             "gradient history is not orthogonal; the closed form does not "
             "apply — use projection_oracle"
         )
-    *_, last = closed_form_sweep(gradients)
-    return last
+    return _result(ghats[-1], inv)
 
 
 def _closed_form_ghats(gradients: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The ungated closed-form ghat of every prefix, row k-1 for ``gradients[:k]``,
-    and the harmonic weights 1 / (g_i^T g_i) behind them."""
-    inv = 1 / _squared_norms(gradients)
-    ghats = np.cumsum(inv[:, None] * np.asarray(gradients), axis=0) / np.cumsum(inv)[:, None]
-    return _freeze(ghats), inv
-
-
-def closed_form_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]:
-    """Yield the ungated closed-form ghat of ``gradients[:k]`` for k = 1..m.
+    and the harmonic weights 1 / (g_i^T g_i) behind them, after rejecting an
+    empty history or a zero gradient.
 
     Each gradient's norm is read once, and the sums over i < k of
     g_i / (g_i^T g_i) and of 1 / (g_i^T g_i) run along the history.
     """
     if len(gradients) == 0:
-        return
-    ghats, inv = _closed_form_ghats(gradients)
-    for k, ghat in enumerate(ghats, start=1):
-        yield MinNormResult(ghat=ghat, weights=_affine(inv[:k]), norm_sq=norm_sq(ghat))
+        raise LinalgError("gradient history is empty")
+    G = np.asarray(gradients)
+    sq = _row_dots(G, G)
+    zero = np.flatnonzero(sq == 0)
+    if len(zero):
+        raise LinalgError(f"gradient {zero[0]} in the history is zero")
+    inv = 1 / sq
+    ghats = np.cumsum(inv[:, None] * G, axis=0) / np.cumsum(inv)[:, None]
+    return _freeze(ghats), inv
 
 
 def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
@@ -174,33 +156,23 @@ def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
 
     Works for arbitrary vectors (no orthogonality assumed; zero and
     dependent ones included) and is the independent cross-check of the
-    closed form: the last result of ``projection_sweep``.
+    closed form: the last row of ``_projected_ghats``.
     """
     if len(gradients) == 0:
         raise LinalgError("gradient history is empty")
-    *_, last = projection_sweep(gradients)
-    return last
+    _, T, d, kept = basis = _orthogonalized(gradients)
+    ghats, stop = _projected_ghats(gradients, basis)
+    # alpha = T beta, summed as the sweep sums it; past the hull, the kernel vector.
+    alpha = (np.cumsum(T[:, kept] * (T.sum(axis=0)[kept] / d), axis=1)[:, -1]
+             if stop == len(gradients) else T[:, stop])
+    return _result(ghats[-1], alpha)
 
 
 def _projected_ghats(gradients: Sequence[np.ndarray], basis=None) -> tuple[np.ndarray, int]:
-    """``projection_sweep``'s ghats as rows, row k-1 for ``gradients[:k]``, and the
+    """The projected ghat of every prefix, row k-1 for ``gradients[:k]``, and the
     first column outside the affine hull of the earlier ones (``len(gradients)``
-    if none), past which every row is 0.  ``basis`` is ``_orthogonalized(gradients)``."""
-    backend = backend_of(gradients[0])
-    Q, T, d, kept = _orthogonalized(gradients) if basis is None else basis
-    w = T.sum(axis=0)
-    u = w[kept] / d
-    hull = np.cumsum(u[:, None] * Q, axis=0) / np.cumsum(w[kept] * u)[:, None]
-    is_kept = np.isin(np.arange(len(gradients)), kept)
-    outside = np.flatnonzero(~is_kept & (w != 0))
-    stop = int(outside[0]) if len(outside) else len(gradients)
-    ghats = backend.empty((len(gradients), Q.shape[1]))
-    ghats[:stop] = hull[np.cumsum(is_kept)[:stop] - 1]
-    return _freeze(ghats), stop
-
-
-def projection_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]:
-    """Yield ``projection_oracle(gradients[:k])`` for k = 1..m, from one orthogonalization.
+    if none), past which every row is 0.  ``basis`` is ``_orthogonalized(gradients)``
+    if the caller already has it.
 
     With G = Q R, Q^T Q = D diagonal and R unit upper triangular, the hull
     points G alpha with 1^T alpha = 1 are the points Q beta with
@@ -218,15 +190,17 @@ def projection_sweep(gradients: Sequence[np.ndarray]) -> Iterator[MinNormResult]
     a float64 column that repeats an earlier one only up to rounding can
     end the sweep at 0 too.
     """
-    if len(gradients) == 0:
-        return
-    _, T, d, kept = basis = _orthogonalized(gradients)
-    ghats, stop = _projected_ghats(gradients, basis)
-    alphas = np.cumsum(T[:, kept] * (T.sum(axis=0)[kept] / d), axis=1)
-    kept_before = np.cumsum([j in kept for j in range(len(gradients))])
-    for k, ghat in enumerate(ghats, start=1):
-        weights = alphas[:k, kept_before[k - 1] - 1] if k <= stop else T[:k, stop]
-        yield MinNormResult(ghat=ghat, weights=_affine(weights), norm_sq=norm_sq(ghat))
+    backend = backend_of(gradients[0])
+    Q, T, d, kept = _orthogonalized(gradients) if basis is None else basis
+    w = T.sum(axis=0)
+    u = w[kept] / d
+    hull = np.cumsum(u[:, None] * Q, axis=0) / np.cumsum(w[kept] * u)[:, None]
+    is_kept = np.isin(np.arange(len(gradients)), kept)
+    outside = np.flatnonzero(~is_kept & (w != 0))
+    stop = int(outside[0]) if len(outside) else len(gradients)
+    ghats = backend.empty((len(gradients), Q.shape[1]))
+    ghats[:stop] = hull[np.cumsum(is_kept)[:stop] - 1]
+    return _freeze(ghats), stop
 
 
 def characterization_residuals(
@@ -273,9 +247,9 @@ def affine_point_of_gradient_combination(
         raise DimensionMismatch(
             f"{len(weights)} weights against {len(iterates)} iterates"
         )
-    x = _combine(iterates, weights.weights)
+    x = _freeze(_product(weights.weights, np.asarray(iterates)))
     g = gradient(P, x)
-    combo = _combine([gradient(P, xi) for xi in iterates], weights.weights)
+    combo = _product(weights.weights, np.asarray([gradient(P, xi) for xi in iterates]))
     drift = residual_magnitude(g - combo)
     if P.backend.exact:
         if drift != 0:

@@ -186,12 +186,14 @@ class _Tables:
     rationals ``linalg._Rows``, with H p_k from the numerators of H that the
     problem keeps, over one denominator, and PG, the rows k of the P G^T
     table over the columns 0..k+1 that conditions (b) and (c) and the
-    linesearch read.  ``run_full_suite`` shares one among its checks; a
-    check called alone builds its own."""
+    linesearch read.  ``basis`` is ``linalg._orthogonalized`` of
+    g_0..g_{r-1} (None if r = 0), for the subspace oracle and the min-norm
+    projection.  ``run_full_suite`` shares one among its checks; a check
+    called alone builds its own."""
 
     def __init__(self, P: QuadraticProblem | None, trace: CGTrace):
         self.problem, self.records, self.steps = P, trace.records, _step_records(trace)
-        self.exact = _backend(trace).exact
+        self.exact, self.r = _backend(trace).exact, trace.r
 
     def _stack(self, vectors):
         return _Rows(*_integer_rows(np.asarray(vectors))) if self.exact else np.asarray(vectors)
@@ -200,6 +202,8 @@ class _Tables:
     X = cached_property(lambda self: self._stack([rec.x_k for rec in self.records]))
     P = cached_property(lambda self: self._stack([rec.p_k for rec in self.steps]))
     PG = cached_property(lambda self: self.P.triangle(self.G, 2) if self.exact else None)
+    basis = cached_property(lambda self: _orthogonalized(
+        [rec.g_k for rec in self.records[: self.r]]) if self.r else None)
 
     @cached_property
     def HP(self):
@@ -322,16 +326,12 @@ def check_gradient_update_identity(
 
 
 def check_subspace_optimality(
-    P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _basis=None
+    P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _tables=None
 ) -> CheckResult:
-    """Each iterate equals the independent minimizer over its gradient span.
-
-    ``_basis`` is ``linalg._orthogonalized`` of g_0..g_{r-1}, which
-    ``run_full_suite`` shares with ``check_min_norm_relation``.
-    """
+    """Each iterate equals the independent minimizer over its gradient span."""
     backend = _backend(trace)
     tol = _tolerance("subspace_optimality", backend, tolerance)
-    deviations = verify_against_trace(P, trace, _basis=_basis)
+    deviations = verify_against_trace(P, trace, _basis=(_tables or _Tables(P, trace)).basis)
     measured = backend.zero
     if deviations:
         measured = _worst_ratio(
@@ -342,7 +342,7 @@ def check_subspace_optimality(
 
 
 def check_min_norm_relation(
-    P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _basis=None, _tables=None
+    P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _tables=None
 ) -> CheckResult:
     """p_k against the min-norm point of its gradient history, both methods.
 
@@ -354,20 +354,21 @@ def check_min_norm_relation(
     -(g_k^T g_k / ghat^T ghat) ghat under the standard scaling.  Float64
     residuals are normalized by ||ghat|| and ||p_k||.  A zero ghat (only a
     non-orthogonal history has one) leaves c_k / ghat^T ghat unbounded and
-    is measured as an infinite residual.  ``_basis`` is as for
-    ``check_subspace_optimality``.
+    is measured as an infinite residual.
     """
     backend = _backend(trace)
     tol = _tolerance("min_norm_relation", backend, tolerance)
-    steps = _step_records(trace)
+    T = _tables or _Tables(P, trace)
+    steps = T.steps
     if not steps:
         return _result("min_norm_relation", backend.zero, tol)
     history = [rec.g_k for rec in trace.records[: len(steps)]]
     closed, _ = _closed_form_ghats(history)
-    projected, _ = _projected_ghats(history, _basis)
+    # The shared basis is of g_0..g_{r-1}: this history unless the run broke down.
+    projected, _ = _projected_ghats(history, T.basis if len(steps) == trace.r else None)
     ps = np.asarray([rec.p_k for rec in steps])
     if backend.exact:
-        Ps, Gs = (_tables or _Tables(P, trace)).P, _Rows(*_integer_rows(closed))
+        Ps, Gs = T.P, _Rows(*_integer_rows(closed))
         sq = np.array([Fraction(np.dot(g, g), d * d) for g, d in zip(Gs.N, Gs.d)], dtype=object)
     else:
         sq = _row_dots(closed, closed)
@@ -453,20 +454,15 @@ def run_full_suite(
     def t(name):
         return tolerances.get(name)
 
-    # One set of stacks serves every check that reads them.
+    # One set of stacks and one orthogonalization serve every check that reads them.
     tables = _Tables(P, trace)
     checks = [check_gradient_orthogonality(trace, t("gradient_orthogonality"), _tables=tables)]
     checks.extend(check_derivation_conditions(trace, tolerances, _tables=tables))
     checks.append(check_exact_linesearch(trace, t("exact_linesearch"), _tables=tables))
     checks.append(check_gradient_update_identity(
         P, trace, t("gradient_update_identity"), _tables=tables))
-    # One orthogonalization of g_0..g_{r-1} serves both sweeps.
-    history = [rec.g_k for rec in trace.records[: trace.r]]
-    basis = _orthogonalized(history) if history else None
-    checks.append(check_subspace_optimality(P, trace, t("subspace_optimality"), _basis=basis))
-    shared = basis if len(_step_records(trace)) == trace.r else None
-    checks.append(check_min_norm_relation(
-        P, trace, t("min_norm_relation"), _basis=shared, _tables=tables))
+    checks.append(check_subspace_optimality(P, trace, t("subspace_optimality"), _tables=tables))
+    checks.append(check_min_norm_relation(P, trace, t("min_norm_relation"), _tables=tables))
     checks.append(check_conjugacy(P, trace, t("conjugacy"), _tables=tables))
     checks.append(check_termination_bound(P, trace, t("termination_bound")))
     return VerificationReport(

@@ -272,6 +272,20 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err == f"error: rand_spd-n5-cond{float(cond):g}-seed1 overflows the float64 range\n"
 
+    @pytest.mark.parametrize("backend", ["f64", "rational"])
+    @pytest.mark.parametrize("command", ["generate", "solve", "verify", "oracle"])
+    def test_problem_past_the_address_space_exits_two_with_one_line(
+        self, tmp_path, capsys, command, backend
+    ):
+        # H of n = 10^8 needs 71 PiB, more than any address space: refused at
+        # once, before anything is written.
+        argv = [command, "--kind", "diag", "--n", "100000000", "--backend", backend]
+        out = tmp_path / "P.json"
+        assert run_main(argv + (["--out", str(out)] if command == "generate" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_overflowing_condition_is_exact_under_rationals(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -12,7 +12,6 @@ from cglens import (
     DirectionScaling,
     LinalgError,
     ProblemSpec,
-    dimension_reduction_note,
     exact_minimizer,
     generate_problem,
     run_cg,
@@ -95,7 +94,8 @@ class TestDirections:
             raise AssertionError("run_cg called the min-norm module")
 
         monkeypatch.setattr(cglens.minnorm, "min_norm_closed_form", refuse)
-        monkeypatch.setattr(cglens.minnorm, "closed_form_sweep", refuse)
+        monkeypatch.setattr(cglens.minnorm, "_closed_form_ghats", refuse)
+        monkeypatch.setattr(cglens.minnorm, "_projected_ghats", refuse)
         trace = run_cg(P, direction_mode="shortest_residuals")
         assert trace.termination_reason == "gradient_zero"
         assert trace.r == expected.r
@@ -271,16 +271,3 @@ class TestTraceContainer:
                 termination_reason="gave_up",
             )
 
-
-class TestDimensionReductionNote:
-    def test_worked_problem_gram_is_diagonal(self):
-        G = dimension_reduction_note(run_cg(make_p1()))
-        assert G.shape == (2, 2)
-        assert G[0, 1] == G[1, 0] == 0
-        assert G[0, 0] == 5
-        assert G[1, 1] == Fraction(20, 81)
-
-    def test_degenerate_trace_gives_empty_matrix(self):
-        P = make_p1()
-        P0 = QuadraticProblem(H=P.H, c=P.c, x0=exact_minimizer(P))
-        assert dimension_reduction_note(run_cg(P0)).shape == (0, 0)

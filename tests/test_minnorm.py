@@ -31,9 +31,9 @@ from cglens.linalg import DimensionMismatch, sym_matrix
 from cglens.quadratic import QuadraticProblem
 from cglens.minnorm import (
     AffineCombination,
-    closed_form_sweep,
+    _closed_form_ghats,
+    _projected_ghats,
     orthogonality_defect,
-    projection_sweep,
 )
 
 from conftest import dependent_rational_vectors
@@ -254,64 +254,71 @@ def history_of(P, **options):
     return [rec.g_k for rec in trace.records[: trace.r]]
 
 
-def same_result(a, b):
-    return (
-        np.array_equal(a.ghat, b.ghat)
-        and np.array_equal(a.weights.weights, b.weights.weights)
-        and a.norm_sq == b.norm_sq
-    )
+def combined(result, history):
+    """sum alpha_i g_i with the result's affine weights."""
+    return sum(w * g for w, g in zip(result.weights.weights, history))
 
 
 class TestSweeps:
-    """Every prefix of one history, served by one pass."""
+    """Row k-1 of each array sweep, which ``check_min_norm_relation`` reads, is
+    the one-shot on ``gradients[:k]``: every prefix of one history, one pass."""
 
     @pytest.mark.parametrize("direction", ["recursive", "gradient_sum", "shortest_residuals"])
     @pytest.mark.parametrize("scaling", ["cg_standard", "unit"])
     def test_exact_sweeps_equal_one_shot(self, direction, scaling):
         P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=20, seed=3), RATIONAL)
         history = history_of(P, direction_mode=direction, scaling=DirectionScaling(scaling))
-        closed, projected = list(closed_form_sweep(history)), list(projection_sweep(history))
+        (closed, _), (projected, _) = _closed_form_ghats(history), _projected_ghats(history)
         assert len(closed) == len(projected) == len(history) > 3
         for k in range(1, len(history) + 1):
-            assert same_result(closed[k - 1], min_norm_closed_form(history[:k], math.inf))
-            assert same_result(projected[k - 1], projection_oracle(history[:k]))
+            for row, want in (
+                (closed[k - 1], min_norm_closed_form(history[:k], math.inf)),
+                (projected[k - 1], projection_oracle(history[:k])),
+            ):
+                assert list(row) == list(want.ghat) == list(combined(want, history[:k]))
 
     def test_float_sweeps_agree_with_one_shot_on_laplacian180(self):
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=180))
         history = history_of(P, tol=1e-7)
-        closed, projected = list(closed_form_sweep(history)), list(projection_sweep(history))
+        (closed, _), (projected, _) = _closed_form_ghats(history), _projected_ghats(history)
         for k in range(1, len(history) + 1):
             for got, want in (
                 (closed[k - 1], min_norm_closed_form(history[:k], math.inf)),
                 (projected[k - 1], projection_oracle(history[:k])),
             ):
                 scale = np.abs(want.ghat).max()
-                assert np.abs(got.ghat - want.ghat).max() <= 1e-10 * scale
-                assert np.abs(got.weights.weights - want.weights.weights).max() <= 1e-10
+                assert np.abs(got - want.ghat).max() <= 1e-10 * scale
+                assert np.abs(combined(want, history[:k]) - want.ghat).max() <= 1e-10 * scale
 
     @pytest.mark.parametrize("offset", [0.0, 1e-9])
     def test_float_dependent_gradient_falls_back_to_one_shot(self, offset):
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=16))
         history = history_of(P, tol=1e-8)
         history[3] = history[2] + offset * history[1]
-        projected = list(projection_sweep(history))
+        projected, _ = _projected_ghats(history)
         for k in range(4, len(history) + 1):
-            assert same_result(projected[k - 1], projection_oracle(history[:k]))
+            assert np.array_equal(projected[k - 1], projection_oracle(history[:k]).ghat)
 
     def test_zero_gradient_falls_back_to_one_shot(self):
         history = [vector([1, 2], F64), vector([0, 0], F64), vector([2, -1], F64)]
-        projected = list(projection_sweep(history))
+        projected, stop = _projected_ghats(history)
+        assert stop == 1
         for k in (2, 3):
-            assert same_result(projected[k - 1], projection_oracle(history[:k]))
-            assert projected[k - 1].norm_sq == 0
+            want = projection_oracle(history[:k])
+            assert np.array_equal(projected[k - 1], want.ghat)
+            assert np.array_equal(combined(want, history[:k]), want.ghat)
+            assert want.norm_sq == 0 == norm_sq(projected[k - 1])
 
     def test_exact_dependent_gradient_falls_back_to_one_shot(self):
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=8), RATIONAL)
         history = history_of(P)
         history[3] = history[1] + history[2]
-        projected = list(projection_sweep(history))
+        projected, _ = _projected_ghats(history)
         for k in range(1, len(history) + 1):
-            assert same_result(projected[k - 1], projection_oracle(history[:k]))
+            want = projection_oracle(history[:k])
+            assert list(projected[k - 1]) == list(want.ghat) == list(combined(want, history[:k]))
 
-    def test_empty_history_has_no_prefixes(self):
-        assert list(closed_form_sweep([])) == list(projection_sweep([])) == []
+    def test_empty_history_is_refused(self):
+        for one_shot in (min_norm_closed_form, projection_oracle, _closed_form_ghats):
+            with pytest.raises(LinalgError, match="empty"):
+                one_shot([])
