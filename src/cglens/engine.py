@@ -103,7 +103,9 @@ class CGTrace:
 
     ``termination_index`` r counts completed steps; the final record is
     the terminal state.  When the gradient reached zero, r never exceeds
-    the dimension n.
+    the dimension n.  Only the shapes ``run_cg`` writes are accepted: every
+    record has x_k and g_k, each record k < r has p_k, theta_k and c_k, and
+    the final record has no theta_k, so the steps are exactly records[:r].
     """
 
     problem_id: str
@@ -123,6 +125,13 @@ class CGTrace:
             raise LinalgError("trace records must be consecutive from k = 0")
         if self.termination_index != len(self.records) - 1:
             raise LinalgError("termination index must match the final record")
+        for rec in self.records:
+            if rec.x_k is None or rec.g_k is None:
+                raise LinalgError(f"record {rec.k} needs x_k and g_k")
+            if rec.k < self.r and any(v is None for v in (rec.p_k, rec.theta_k, rec.c_k)):
+                raise LinalgError(f"record {rec.k} needs p_k, theta_k and c_k")
+            if rec.k == self.r and rec.theta_k is not None:
+                raise LinalgError(f"the final record {rec.k} has a step length theta_k")
 
     @property
     def r(self) -> int:

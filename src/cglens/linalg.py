@@ -20,7 +20,11 @@ numerators over a common denominator (``_integerized``; one per row and
 per column of a matrix, ``_integer_rows``).  Integers sum with no gcd, and
 each result entry becomes a ``Fraction`` once (``_rationalized``).  A
 residual that should vanish is tested on its integer numerators, and
-becomes a ``Fraction`` only if it does not (``pairwise_residual``).
+becomes a ``Fraction`` only if it does not.  The residual rules take a
+stack of vectors (``_stack``: an array under float64, integer rows under
+rationals) and run on both backends, raw in exact arithmetic and normalized
+in float64 by ``_worst_ratio``: ``pairwise_residual`` over the triangle of
+an inner-product table, ``_row_dots`` and ``_row_residuals`` row by row.
 
 ``_orthogonalized`` (Gram-Schmidt) decides which vectors of a list depend
 on the earlier ones.  A natural-order L D L^T decides how far a symmetric
@@ -342,24 +346,6 @@ def residual_magnitude(v: np.ndarray) -> Scalar:
     return float(np.linalg.norm(v))
 
 
-def _row_magnitudes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``residual_magnitude`` of each row of A - B, 2-D arrays with columns.  Under
-    rationals a row of A that equals B's (canonical ``Fraction``s) is 0, unsubtracted."""
-    if A.dtype != object:
-        return np.linalg.norm(A - B, axis=1)
-    out = np.full(len(A), Fraction(0), dtype=object)
-    for k in np.flatnonzero((A != B).any(axis=1)):
-        out[k] = np.abs(A[k] - B[k]).max()
-    return out
-
-
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """a_i^T b_i for each pair of rows; each exact as ``dot`` under rationals."""
-    if A.dtype != object:
-        return np.einsum("ij,ij->i", A, B)
-    return np.fromiter(map(_product, A, B), dtype=object, count=len(A))
-
-
 def _worst_ratio(backend: Backend, raw: np.ndarray, scale) -> Scalar:
     """max(0, raw) under rationals; under float64 max(0, raw / scale()) over the
     entries of nonzero scale, NaN if one is NaN (Python's ``max`` drops a NaN)."""
@@ -388,6 +374,48 @@ class _Rows:
         return [np.dot(other.N[: k + extra], row) for k, row in enumerate(self.N)]
 
 
+def _stack(vectors, backend: Backend):
+    """The vectors as the rows of one stack, the operand of the row rules: an
+    array under float64, and under rationals ``_Rows``, integer numerators over
+    one denominator per row."""
+    rows = np.asarray(vectors)
+    return _Rows(*_integer_rows(rows)) if backend.exact else rows
+
+
+def _row_dots(A, B) -> np.ndarray:
+    """a_i^T b_i for each pair of rows of two stacks (``_stack``): under rationals
+    one integer dot and one ``Fraction`` per row, each equal to ``dot``."""
+    if not isinstance(A, _Rows):
+        return np.einsum("ij,ij->i", A, B)
+    return _rationalized(np.array([np.dot(a, b) for a, b in zip(A.N, B.N)], dtype=object),
+                         A.d * B.d)
+
+
+def _row_residuals(A, *terms) -> np.ndarray:
+    """``residual_magnitude`` of each row of A - sum t B over ``terms`` (t, B) of
+    stacks (``_stack``), with t one scalar or one per row.
+
+    Under float64 the norm of the combination taken left to right.  Under
+    rationals row j is formed on integers over the LCM of its terms'
+    denominators, and only a nonzero row becomes a ``Fraction``, its max-abs
+    entry.
+    """
+    if not isinstance(A, _Rows):
+        for t, B in terms:
+            A = A - np.reshape(t, (-1, 1)) * B
+        return np.linalg.norm(A, axis=1)
+    out = np.full(len(A), Fraction(0), dtype=object)
+    terms = [(t if np.ndim(t) else [t] * len(A), B) for t, B in terms]
+    for j in range(len(A)):
+        D = math.lcm(A.d[j], *(t[j].denominator * B.d[j] for t, B in terms))
+        row = A.N[j] * (D // A.d[j])
+        for t, B in terms:
+            row = row - B.N[j] * (t[j].numerator * D // (t[j].denominator * B.d[j]))
+        if row.any():
+            out[j] = Fraction(np.abs(row).max(), D)
+    return out
+
+
 def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales,
                       origin=False, rows=None) -> Scalar:
     """Worst |a_k^T b_j - shift[k]| over the triangle j < k (j <= k if ``diagonal``).
@@ -413,7 +441,7 @@ def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales,
         triangle = np.tri(*table.shape, int(diagonal) - 1, dtype=bool)
         return _worst_ratio(backend, np.abs(table)[triangle],
                             lambda: np.multiply.outer(*map(np.asarray, scales()))[triangle])
-    a, b = (v if isinstance(v, _Rows) else _Rows(*_integer_rows(np.asarray(v))) for v in (a, b))
+    a, b = (v if isinstance(v, _Rows) else _stack(v, backend) for v in (a, b))
     worst, lo = backend.zero, int(origin)
     for k, row in enumerate(a.triangle(b, int(diagonal) + lo) if rows is None else rows):
         cols = slice(lo, k + diagonal + lo)

@@ -41,6 +41,7 @@ from .linalg import (
     _orthogonalized,
     _product,
     _row_dots,
+    _stack,
     backend_of,
     dot,
     leading_solves,
@@ -142,7 +143,8 @@ def _closed_form_ghats(gradients: Sequence[np.ndarray]) -> tuple[np.ndarray, np.
     if len(gradients) == 0:
         raise LinalgError("gradient history is empty")
     G = np.asarray(gradients)
-    sq = _row_dots(G, G)
+    S = _stack(G, backend_of(G))
+    sq = _row_dots(S, S)
     zero = np.flatnonzero(sq == 0)
     if len(zero):
         raise LinalgError(f"gradient {zero[0]} in the history is zero")

@@ -364,7 +364,7 @@ def load_trace(path) -> CGTrace:
                 beta_ok = prev.grad_norm_sq != 0 and rec.beta_k == rec.grad_norm_sq / prev.grad_norm_sq
             if not beta_ok:
                 raise LinalgError(f"{path}: beta of record {rec.k} is not its grad_norm_sq ratio")
-        return CGTrace(
+        fields = dict(
             problem_id=str(data.get("problem_id", "unlabeled")),
             scalar_backend=backend.name,
             records=records,
@@ -379,3 +379,7 @@ def load_trace(path) -> CGTrace:
         # A field missing, of the wrong kind, or nested too deep, anywhere in the document.
         raise LinalgError(f"{path}: trace JSON must define backend and records, each with "
                           f"k, x, g and grad_norm_sq ({type(err).__name__}: {err})") from err
+    try:
+        return CGTrace(**fields)
+    except LinalgError as err:  # records out of order, or of a shape run_cg never writes
+        raise LinalgError(f"{path}: {err}") from err

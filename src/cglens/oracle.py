@@ -39,7 +39,8 @@ from .linalg import (
     _leading_rows,
     _orthogonalized,
     _product,
-    _row_magnitudes,
+    _row_residuals,
+    _stack,
     backend_of,
     leading_solves,
     residual_magnitude,
@@ -187,12 +188,14 @@ def trace_oracle(
 def verify_against_trace(P: QuadraticProblem, trace: CGTrace, *, _basis=None) -> list:
     """Deviations ||x_k - oracle_k|| for k = 1..r, oracle over span{g_0..g_{k-1}}.
 
-    Under the rational backend every deviation is exactly zero, and a row is
-    subtracted only if it differs.  Only the oracle's points are formed, not
-    its coordinates or objective values.
+    Under the rational backend every deviation is exactly zero, proved on
+    integer rows (``linalg._row_residuals``).  Only the oracle's points are
+    formed, not its coordinates or objective values.
     ``_basis`` is ``linalg._orthogonalized`` of g_0..g_{r-1}, if the caller
     already has it.
     """
     points = trace_oracle(P, trace, _basis=_basis, _points_only=True)
-    X = np.asarray([rec.x_k for rec in trace.records[1:]])
-    return list(_row_magnitudes(X, points)) if trace.r else []
+    if not trace.r:
+        return []
+    X = _stack([rec.x_k for rec in trace.records[1:]], P.backend)
+    return list(_row_residuals(X, (1, _stack(points, P.backend))))

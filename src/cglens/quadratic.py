@@ -8,6 +8,7 @@ spans, subspace minimizers) is anchored at x0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,6 +22,7 @@ from .linalg import (
     SpdCheck,
     _integer_rows,
     _product,
+    _Rows,
     backend_of,
     cholesky_spd_check,
     dot,
@@ -75,6 +77,17 @@ def _times_H(P: QuadraticProblem, B: np.ndarray) -> np.ndarray:
     """H B for a vector B, or for a matrix B of columns: one ``np.dot`` under
     float64, and on the numerators of H that P keeps under rationals."""
     return _product(P.H, B, P._H_rows if P.backend.exact else None)
+
+
+def _times_H_rows(P: QuadraticProblem, S):
+    """H s_k for each row s_k of a stack (``linalg._stack``), as a stack, from one
+    product: under rationals on the numerators of H that P keeps, put over their LCM."""
+    if not P.backend.exact:
+        return _times_H(P, S.T).T
+    NH, dH = P._H_rows
+    D = math.lcm(*dH)
+    NH = NH * np.array([[D // d] for d in dH], dtype=object)
+    return _Rows(np.dot(S.N, NH.T), D * S.d)
 
 
 def _check_point(P: QuadraticProblem, x: np.ndarray) -> None:

@@ -18,17 +18,17 @@ worst |a_k^T b_j - shift_k| over the triangle, raw under rationals and
 divided by the two vectors' norms under float64 (energy norms
 sqrt(p^T H p) for conjugacy), skipping a pair whose scale is zero.
 
-Under rationals every residual of a passing trace is literally zero, and a
-zero is proved on integers.  The stacked g_k, x_k, p_k and H p_k become
-integer rows once per suite (``_Tables``, the ``_tables`` of the checks),
-and a pairwise check forms its triangle's rows alone: (a) off G X^T, and
-(b), (c) and the linesearch off one P G^T, as p_k^T (g_{i+1} - g_0) =
-T[k, i+1] - T[k, 0] exactly.  The update identity is tested on integer
-numerators over one denominator per row, the subspace and min-norm
-agreements as canonical ``Fraction``s before any subtraction, and p_k = t
-ghat_k on cross-multiplied numerators.  Only a nonzero residual becomes a
-``Fraction``.  Float64 keeps its formulas: (b) as a difference of table
-entries would cancel badly.
+The identities over single rows take one formula on both backends as well,
+from the row rules of ``linalg`` on stacks (``linalg._stack``, formed once
+per suite by ``_Tables``, the ``_tables`` of the checks): the linesearch is
+``_row_dots`` of P and G, and the update identity and p_k = (c_k / ghat^T
+ghat) ghat_k are ``_row_residuals``, as are the agreements of x_k with the
+subspace oracle and of the two ghat.  Under rationals every residual of a
+passing trace is literally zero, and a zero is proved on integers: a stack
+is integer rows, a pairwise check forms its triangle's rows alone, (b) and
+(c) off one P G^T as p_k^T (g_{i+1} - g_0) = T[k, i+1] - T[k, 0] exactly,
+and only a nonzero residual becomes a ``Fraction``.  Float64 keeps its
+pairwise formulas: (b) as a difference of table entries would cancel badly.
 """
 
 from __future__ import annotations
@@ -44,62 +44,40 @@ from .linalg import (
     BACKENDS,
     Backend,
     Scalar,
-    _integer_rows,
     _orthogonalized,
-    _Rows,
     _row_dots,
-    _row_magnitudes,
+    _row_residuals,
+    _stack,
     _worst_ratio,
     pairwise_residual,
     scalar_token,
 )
-from .quadratic import QuadraticProblem, _times_H
+from .quadratic import QuadraticProblem, _times_H_rows
 from .engine import CGTrace, DirectionScaling, run_cg
 from .oracle import _check_trace_fits, verify_against_trace
 from .minnorm import _closed_form_ghats, _projected_ghats
 # bench/tracer.py patches these one-shot names on this module.
 from .minnorm import min_norm_closed_form, projection_oracle  # noqa: F401
 
-CHECK_NAMES = (
-    "gradient_orthogonality",
-    "iterate_span_orthogonality",
-    "direction_gradient_difference",
-    "direction_gradient_constancy",
-    "exact_linesearch",
-    "gradient_update_identity",
-    "subspace_optimality",
-    "min_norm_relation",
-    "conjugacy",
-    "termination_bound",
-)
-
-DEFAULT_TOLERANCES = {
-    "f64": {
-        "gradient_orthogonality": 1e-8,
-        "iterate_span_orthogonality": 1e-8,
-        "direction_gradient_difference": 1e-8,
-        "direction_gradient_constancy": 1e-8,
-        "exact_linesearch": 1e-8,
-        "gradient_update_identity": 1e-8,
-        "subspace_optimality": 1e-6,
-        "min_norm_relation": 1e-6,
-        "conjugacy": 1e-8,
-        "termination_bound": 0.0,
-    },
-    "rational": {name: Fraction(0) for name in CHECK_NAMES},
+# Each check's statement of its identity and its float64 default tolerance.
+_CHECKS = {
+    "gradient_orthogonality": ("g_k^T g_i = 0 for all i < k", 1e-8),
+    "iterate_span_orthogonality": ("g_{k+1}^T (x_{i+1} - x_0) = 0 for all i <= k", 1e-8),
+    "direction_gradient_difference": ("p_k^T (g_{i+1} - g_0) = 0 for all i < k", 1e-8),
+    "direction_gradient_constancy": ("p_k^T g_i = c_k for all i <= k", 1e-8),
+    "exact_linesearch": ("p_k^T g_{k+1} = 0", 1e-8),
+    "gradient_update_identity": ("g_{k+1} = g_k + theta_k H p_k", 1e-8),
+    "subspace_optimality": ("x_k minimizes q over x_0 + span{g_0, ..., g_{k-1}}", 1e-6),
+    "min_norm_relation": ("p_k = (c_k / ghat_k^T ghat_k) ghat_k, ghat by two methods", 1e-6),
+    "conjugacy": ("p_i^T H p_j = 0 for all i != j", 1e-8),
+    "termination_bound": ("g_r = 0 with r <= n (exact); r <= n + 5 (float64)", 0.0),
 }
 
-CHECK_STATEMENTS = {
-    "gradient_orthogonality": "g_k^T g_i = 0 for all i < k",
-    "iterate_span_orthogonality": "g_{k+1}^T (x_{i+1} - x_0) = 0 for all i <= k",
-    "direction_gradient_difference": "p_k^T (g_{i+1} - g_0) = 0 for all i < k",
-    "direction_gradient_constancy": "p_k^T g_i = c_k for all i <= k",
-    "exact_linesearch": "p_k^T g_{k+1} = 0",
-    "gradient_update_identity": "g_{k+1} = g_k + theta_k H p_k",
-    "subspace_optimality": "x_k minimizes q over x_0 + span{g_0, ..., g_{k-1}}",
-    "min_norm_relation": "p_k = (c_k / ghat_k^T ghat_k) ghat_k, ghat by two methods",
-    "conjugacy": "p_i^T H p_j = 0 for all i != j",
-    "termination_bound": "g_r = 0 with r <= n (exact); r <= n + 5 (float64)",
+CHECK_NAMES = tuple(_CHECKS)
+
+DEFAULT_TOLERANCES = {
+    "f64": {name: tol for name, (_, tol) in _CHECKS.items()},
+    "rational": {name: Fraction(0) for name in CHECK_NAMES},
 }
 
 
@@ -164,16 +142,11 @@ def _tolerance(name: str, backend: Backend, tolerance) -> Scalar:
 def _result(name: str, measured: Scalar, tolerance: Scalar) -> CheckResult:
     return CheckResult(
         name=name,
-        paper_anchor=CHECK_STATEMENTS[name],
+        paper_anchor=_CHECKS[name][0],
         measured=measured,
         tolerance=tolerance,
         passed=bool(measured <= tolerance),
     )
-
-
-def _step_records(trace: CGTrace):
-    """Records that carry a completed step (direction and step length)."""
-    return [rec for rec in trace.records if rec.theta_k is not None]
 
 
 def _norms(vectors) -> np.ndarray:
@@ -181,38 +154,25 @@ def _norms(vectors) -> np.ndarray:
 
 
 class _Tables:
-    """A trace's stacked g_k and x_k (every record) and p_k and H p_k (every
-    step), each formed once, at first use: arrays under float64, and under
-    rationals ``linalg._Rows``, with H p_k from the numerators of H that the
-    problem keeps, over one denominator, and PG, the rows k of the P G^T
-    table over the columns 0..k+1 that conditions (b) and (c) and the
-    linesearch read.  ``basis`` is ``linalg._orthogonalized`` of
-    g_0..g_{r-1} (None if r = 0), for the subspace oracle and the min-norm
-    projection.  ``run_full_suite`` shares one among its checks; a check
-    called alone builds its own."""
+    """A trace's stacks (``linalg._stack``), each formed once, at first use: g_k
+    and x_k of every record, and p_k and H p_k (``quadratic._times_H_rows``) of
+    every step k < r.  Under rationals also PG, the rows k of the P G^T table
+    over the columns 0..k that conditions (b) and (c) read.  ``basis`` is
+    ``linalg._orthogonalized`` of g_0..g_{r-1} (None if r = 0), for the
+    subspace oracle and the min-norm projection.  ``run_full_suite`` shares one
+    among its checks; a check called alone builds its own."""
 
     def __init__(self, P: QuadraticProblem | None, trace: CGTrace):
-        self.problem, self.records, self.steps = P, trace.records, _step_records(trace)
-        self.exact, self.r = _backend(trace).exact, trace.r
+        self.problem, self.records, self.r = P, trace.records, trace.r
+        self.steps, self.backend = trace.records[: trace.r], _backend(trace)
 
-    def _stack(self, vectors):
-        return _Rows(*_integer_rows(np.asarray(vectors))) if self.exact else np.asarray(vectors)
-
-    G = cached_property(lambda self: self._stack([rec.g_k for rec in self.records]))
-    X = cached_property(lambda self: self._stack([rec.x_k for rec in self.records]))
-    P = cached_property(lambda self: self._stack([rec.p_k for rec in self.steps]))
-    PG = cached_property(lambda self: self.P.triangle(self.G, 2) if self.exact else None)
+    G = cached_property(lambda self: _stack([rec.g_k for rec in self.records], self.backend))
+    X = cached_property(lambda self: _stack([rec.x_k for rec in self.records], self.backend))
+    P = cached_property(lambda self: _stack([rec.p_k for rec in self.steps], self.backend))
+    HP = cached_property(lambda self: _times_H_rows(self.problem, self.P))
+    PG = cached_property(lambda self: self.P.triangle(self.G, 1) if self.backend.exact else None)
     basis = cached_property(lambda self: _orthogonalized(
-        [rec.g_k for rec in self.records[: self.r]]) if self.r else None)
-
-    @cached_property
-    def HP(self):
-        if not self.exact:
-            return _times_H(self.problem, self.P.T).T  # H p_k as rows, from one product
-        NH, dH = self.problem._H_rows
-        D = math.lcm(*dH)
-        NH = NH * np.array([[D // d] for d in dH], dtype=object)
-        return _Rows(np.dot(self.P.N, NH.T), D * self.P.d)
+        [rec.g_k for rec in self.steps]) if self.r else None)
 
 
 def check_gradient_orthogonality(trace: CGTrace, tolerance=None, *, _tables=None) -> CheckResult:
@@ -282,16 +242,11 @@ def check_exact_linesearch(trace: CGTrace, tolerance=None, *, _tables=None) -> C
     """
     backend = _backend(trace)
     tol = _tolerance("exact_linesearch", backend, tolerance)
-    steps, T = _step_records(trace), _tables or _Tables(None, trace)
+    T, r = _tables or _Tables(None, trace), trace.r
     measured = backend.zero
-    if backend.exact:
-        measured = max([measured] + [abs(Fraction(row[k + 1], T.P.d[k] * T.G.d[k + 1]))
-                                     for k, row in enumerate(T.PG) if row[k + 1]])
-    elif steps:
-        measured = _worst_ratio(
-            backend, np.abs(_row_dots(T.P, T.G[1 : len(steps) + 1])),
-            lambda: _norms(T.P) * _norms([rec.g_k for rec in steps]),
-        )
+    if r:
+        measured = _worst_ratio(backend, np.abs(_row_dots(T.P, T.G[1 : r + 1])),
+                                lambda: _norms(T.P) * _norms(T.G[:r]))
     return _result("exact_linesearch", measured, tol)
 
 
@@ -305,23 +260,12 @@ def check_gradient_update_identity(
     """
     backend = _backend(trace)
     tol = _tolerance("gradient_update_identity", backend, tolerance)
-    steps, T = _step_records(trace), _tables or _Tables(P, trace)
+    T, r = _tables or _Tables(P, trace), trace.r
     measured = backend.zero
-    if backend.exact and steps:
-        G, HP = T.G, T.HP
-        for k, rec in enumerate(steps):
-            # The row on integers over D, the LCM of its three denominators.
-            t, i = rec.theta_k, rec.k
-            D = math.lcm(G.d[k + 1], G.d[i], t.denominator * HP.d[k])
-            row = (G.N[k + 1] * (D // G.d[k + 1]) - G.N[i] * (D // G.d[i])
-                   - HP.N[k] * (t.numerator * D // (t.denominator * HP.d[k])))
-            if row.any():
-                measured = max(measured, Fraction(np.abs(row).max(), D))
-    elif steps:
-        gs, hps = np.asarray([rec.g_k for rec in steps]), T.HP
-        thetas = np.array([rec.theta_k for rec in steps], dtype=hps.dtype)
-        residuals = _row_magnitudes(T.G[1 : len(steps) + 1] - gs, thetas[:, None] * hps)
-        measured = _worst_ratio(backend, residuals, lambda: _norms(gs))
+    if r:
+        thetas = [rec.theta_k for rec in T.steps]
+        residuals = _row_residuals(T.G[1 : r + 1], (1, T.G[:r]), (thetas, T.HP))
+        measured = _worst_ratio(backend, residuals, lambda: _norms(T.G[:r]))
     return _result("gradient_update_identity", measured, tol)
 
 
@@ -359,36 +303,23 @@ def check_min_norm_relation(
     backend = _backend(trace)
     tol = _tolerance("min_norm_relation", backend, tolerance)
     T = _tables or _Tables(P, trace)
-    steps = T.steps
-    if not steps:
+    if not T.r:
         return _result("min_norm_relation", backend.zero, tol)
-    history = [rec.g_k for rec in trace.records[: len(steps)]]
+    history = [rec.g_k for rec in T.steps]
     closed, _ = _closed_form_ghats(history)
-    # The shared basis is of g_0..g_{r-1}: this history unless the run broke down.
-    projected, _ = _projected_ghats(history, T.basis if len(steps) == trace.r else None)
-    ps = np.asarray([rec.p_k for rec in steps])
-    if backend.exact:
-        Ps, Gs = T.P, _Rows(*_integer_rows(closed))
-        sq = np.array([Fraction(np.dot(g, g), d * d) for g, d in zip(Gs.N, Gs.d)], dtype=object)
-    else:
-        sq = _row_dots(closed, closed)
+    projected, _ = _projected_ghats(history, T.basis)
+    ghats = _stack(closed, backend)
+    sq = _row_dots(ghats, ghats)
     live = sq != 0
     ratios = np.array([rec.c_k / s if ok else backend.zero
-                       for rec, s, ok in zip(steps, sq, live)], dtype=closed.dtype)
-    agreement = _row_magnitudes(closed, projected)
-    if backend.exact:
-        # p_k = t ghat_k, t = ratios[k], on integer rows: Np / dp = t Ng / dg.
-        deviation = np.full(len(steps), backend.zero, dtype=object)
-        for k, t in enumerate(ratios):
-            if (Ps.N[k] * (Gs.d[k] * t.denominator) != Gs.N[k] * (Ps.d[k] * t.numerator)).any():
-                deviation[k] = np.abs(ps[k] - t * closed[k]).max()
-    else:
-        deviation = _row_magnitudes(ps, ratios[:, None] * closed)
+                       for rec, s, ok in zip(T.steps, sq, live)], dtype=closed.dtype)
+    agreement = _row_residuals(ghats, (1, _stack(projected, backend)))
+    deviation = _row_residuals(T.P, (ratios, ghats))
     # At a zero ghat, c_k / ghat^T ghat is unbounded: no multiple of ghat is p_k.
     agreement[~live], deviation[~live] = backend.zero, math.inf
     measured = _worst_ratio(
         backend, np.concatenate((agreement, deviation)),
-        lambda: np.maximum(np.concatenate((np.sqrt(sq), _norms(ps))), 1e-300),
+        lambda: np.maximum(np.concatenate((np.sqrt(sq), _norms(T.P))), 1e-300),
     )
     return _result("min_norm_relation", measured, tol)
 
@@ -398,7 +329,7 @@ def check_conjugacy(P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _tab
     """p_i^T H p_j = 0 for i != j — a consequence here, not an assumption."""
     backend = _backend(trace)
     tol = _tolerance("conjugacy", backend, tolerance)
-    if not _step_records(trace):
+    if not trace.r:
         return _result("conjugacy", backend.zero, tol)
     T = _tables or _Tables(P, trace)
     ps, hps = T.P, T.HP
@@ -455,16 +386,19 @@ def run_full_suite(
         return tolerances.get(name)
 
     # One set of stacks and one orthogonalization serve every check that reads them.
+    # A float64 trace whose entries overflow the residuals measures inf or NaN: a
+    # failed check, with no warning on the way.
     tables = _Tables(P, trace)
-    checks = [check_gradient_orthogonality(trace, t("gradient_orthogonality"), _tables=tables)]
-    checks.extend(check_derivation_conditions(trace, tolerances, _tables=tables))
-    checks.append(check_exact_linesearch(trace, t("exact_linesearch"), _tables=tables))
-    checks.append(check_gradient_update_identity(
-        P, trace, t("gradient_update_identity"), _tables=tables))
-    checks.append(check_subspace_optimality(P, trace, t("subspace_optimality"), _tables=tables))
-    checks.append(check_min_norm_relation(P, trace, t("min_norm_relation"), _tables=tables))
-    checks.append(check_conjugacy(P, trace, t("conjugacy"), _tables=tables))
-    checks.append(check_termination_bound(P, trace, t("termination_bound")))
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = [check_gradient_orthogonality(trace, t("gradient_orthogonality"), _tables=tables)]
+        checks.extend(check_derivation_conditions(trace, tolerances, _tables=tables))
+        checks.append(check_exact_linesearch(trace, t("exact_linesearch"), _tables=tables))
+        checks.append(check_gradient_update_identity(
+            P, trace, t("gradient_update_identity"), _tables=tables))
+        checks.append(check_subspace_optimality(P, trace, t("subspace_optimality"), _tables=tables))
+        checks.append(check_min_norm_relation(P, trace, t("min_norm_relation"), _tables=tables))
+        checks.append(check_conjugacy(P, trace, t("conjugacy"), _tables=tables))
+        checks.append(check_termination_bound(P, trace, t("termination_bound")))
     return VerificationReport(
         problem_id=trace.problem_id,
         backend=trace.scalar_backend,

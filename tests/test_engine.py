@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,10 +17,13 @@ from cglens import (
     ProblemSpec,
     exact_minimizer,
     generate_problem,
+    load_trace,
     run_cg,
+    run_full_suite,
     vector,
 )
 from cglens.linalg import norm_sq, sym_matrix
+from cglens.mmio import save_trace
 from cglens.quadratic import QuadraticProblem, evaluate
 from cglens.engine import (
     BreakdownError,
@@ -271,3 +277,54 @@ class TestTraceContainer:
                 termination_reason="gave_up",
             )
 
+    @staticmethod
+    def _lap8(backend=RATIONAL):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=8), backend)
+        return P, run_cg(P, tol=1e-12)
+
+    @staticmethod
+    def _with(trace, k, **fields):
+        records = list(trace.records)
+        records[k] = dataclasses.replace(records[k], **fields)
+        return dataclasses.replace(trace, records=tuple(records))
+
+    @pytest.mark.parametrize("field", ["x_k", "g_k"])
+    def test_every_record_needs_x_and_g(self, field):
+        _, trace = self._lap8()
+        for k in (0, 1, trace.r):
+            with pytest.raises(LinalgError, match=f"record {k} needs x_k and g_k"):
+                self._with(trace, k, **{field: None})
+
+    @pytest.mark.parametrize("field", ["p_k", "theta_k", "c_k"])
+    def test_every_step_needs_p_theta_and_c(self, field):
+        _, trace = self._lap8()
+        for k in (0, 1, trace.r - 1):
+            with pytest.raises(LinalgError, match=f"record {k} needs p_k, theta_k and c_k"):
+                self._with(trace, k, **{field: None})
+
+    def test_final_record_has_no_step_length(self):
+        _, trace = self._lap8()
+        first = trace.records[0]
+        with pytest.raises(LinalgError, match=f"final record {trace.r} has a step length"):
+            self._with(trace, trace.r, p_k=first.p_k, theta_k=first.theta_k, c_k=first.c_k)
+
+    SHAPES = {
+        "last record steps": lambda doc: doc["records"][-1].update(
+            {key: doc["records"][0][key] for key in ("p", "theta", "c")}),
+        "x null": lambda doc: doc["records"][1].update(x=None),
+        "c null": lambda doc: doc["records"][1].update(c=None),
+        "theta null": lambda doc: doc["records"][1].update(theta=None),
+    }
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_loaded_shape_that_run_cg_never_writes_is_refused(self, tmp_path, shape, backend):
+        P, trace = self._lap8(backend)
+        path = tmp_path / "T.json"
+        save_trace(trace, path)
+        doc = json.loads(path.read_text())
+        self.SHAPES[shape](doc)
+        path.write_text(json.dumps(doc))
+        refusal = f"^{re.escape(str(path))}: .*(needs|has a step length)"
+        with pytest.raises(LinalgError, match=refusal):
+            run_full_suite(P, trace=load_trace(path))

@@ -6,13 +6,16 @@ from __future__ import annotations
 
 import copy
 import json
+import warnings
 from datetime import timedelta
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cglens import F64, RATIONAL, LinalgError, ProblemSpec, generate_problem, load_trace, run_cg
+from cglens import (
+    F64, RATIONAL, LinalgError, ProblemSpec, generate_problem, load_trace, run_cg, run_full_suite,
+)
 from cglens import cli
 from cglens.mmio import read_matrix_market, save_trace
 
@@ -82,10 +85,34 @@ def test_trace_json_loads_or_raises_linalg_error(tmp_path_factory, data, backend
     P = generate_problem(ProblemSpec(kind="rand_spd", n=3, condition=5.0, seed=2), backend)
     save_trace(run_cg(P, tol=1e-10), path)
     path.write_text(json.dumps(_mutated(data, json.loads(path.read_text()))))
+    # A trace that loads gives the suite a report or a LinalgError, nothing else.
     try:
-        load_trace(path)
+        run_full_suite(P, trace=load_trace(path))
     except LinalgError:
         pass
+
+
+# Finite entries of a float64 trace that overflow the suite's residuals.
+OVERFLOWS = {
+    "theta": lambda rec: rec.update(theta=1e308),
+    "c": lambda rec: rec.update(c=1.7e308),
+    "p": lambda rec: rec["p"].__setitem__(0, 1.7e308),
+    "x": lambda rec: rec["x"].__setitem__(0, 1.7e308),
+}
+
+
+@pytest.mark.parametrize("entry", list(OVERFLOWS))
+def test_trace_that_overflows_the_residuals_fails_without_a_warning(tmp_path, entry):
+    path = tmp_path / "trace.json"
+    P = generate_problem(ProblemSpec(kind="rand_spd", n=3, condition=5.0, seed=2), F64)
+    save_trace(run_cg(P, tol=1e-10), path)
+    doc = json.loads(path.read_text())
+    OVERFLOWS[entry](doc["records"][1])
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_full_suite(P, trace=load_trace(path))
+    assert not report.overall
 
 
 HEADERS = st.sampled_from([

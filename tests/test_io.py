@@ -19,7 +19,10 @@ from cglens import (
     generate_problem,
     load_trace,
     run_cg,
+    run_full_suite,
 )
+from cglens import engine
+from cglens.engine import DIRECTION_MODES, BreakdownError
 from cglens.linalg import AsymmetricMatrixError, scalar_token, sym_matrix, vector
 from cglens.quadratic import QuadraticProblem
 from cglens.mmio import (
@@ -29,6 +32,7 @@ from cglens.mmio import (
     save_problem,
     save_trace,
 )
+from cglens.verify import report_to_dict
 
 
 class TestExactDecimal:
@@ -386,6 +390,41 @@ class TestTraceJson:
                     assert all(type(x) is Fraction for x in np.atleast_1d(b))
                 else:
                     assert np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b).tobytes()
+
+    @staticmethod
+    def _assert_suite_report_survives_save(P, trace, tmp_path):
+        path = tmp_path / "t.json"
+        save_trace(trace, path)
+        expected = report_to_dict(run_full_suite(P, trace=trace))
+        assert report_to_dict(run_full_suite(P, trace=load_trace(path))) == expected
+
+    @pytest.mark.parametrize("backend", [RATIONAL, F64], ids=["rational", "f64"])
+    @pytest.mark.parametrize("direction", DIRECTION_MODES)
+    def test_saved_trace_gives_the_suite_the_same_report(self, tmp_path, direction, backend):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=10, seed=0), backend)
+        trace = run_cg(P, tol=1e-10, direction_mode=direction)
+        assert trace.r > 3
+        self._assert_suite_report_survives_save(P, trace, tmp_path)
+
+    @pytest.mark.parametrize("backend", [RATIONAL, F64], ids=["rational", "f64"])
+    def test_saved_breakdown_trace_gives_the_suite_the_same_report(
+            self, tmp_path, monkeypatch, backend):
+        # The final record of a breakdown keeps its p_k and c_k but has no theta_k.
+        real_step_length, calls = engine.step_length, []
+
+        def step_length(P, g, p):
+            calls.append(1)
+            if len(calls) == 3:
+                raise BreakdownError("curvature forced to zero", curvature=0)
+            return real_step_length(P, g, p)
+
+        monkeypatch.setattr(engine, "step_length", step_length)
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=10, seed=0), backend)
+        trace = run_cg(P, tol=1e-10)
+        last = trace.records[-1]
+        assert (trace.termination_reason, trace.r) == ("breakdown", 2)
+        assert last.p_k is not None and last.c_k is not None and last.theta_k is None
+        self._assert_suite_report_survives_save(P, trace, tmp_path)
 
     def test_rational_trace_keeps_decimal_semantics(self, tmp_path):
         P = generate_problem(ProblemSpec(kind="diag", n=2), RATIONAL)

@@ -40,6 +40,9 @@ from cglens.linalg import (
     _leading_rows,
     _orthogonalized,
     _product,
+    _row_dots,
+    _row_residuals,
+    _stack,
     backend_of,
     cholesky_spd_check,
     leading_solves,
@@ -258,6 +261,72 @@ class TestFractionFreeProduct:
             np.dot(v, v)  # the patch is in force
         assert list(mat_vec(M, v)) == expected_Mv
         assert dot(v, v) == norm_sq(v) == expected_dot
+
+
+def _coefficient(t, j):
+    return t[j] if np.ndim(t) else t
+
+
+@st.composite
+def row_rule_operands(draw, elements):
+    """(A, terms): m-by-n stacks A and B of each of one or two terms (t, B), with t
+    one scalar or one per row.  For rationals, some rows of A are set to their
+    rows of sum t B, so that they cancel exactly."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def rows(count, shape):
+        return _fraction_array(draw(st.lists(elements, min_size=count, max_size=count)), shape)
+
+    terms = [(draw(elements) if draw(st.booleans()) else rows(m, (m,)), rows(m * n, (m, n)))
+             for _ in range(draw(st.integers(1, 2)))]
+    A = rows(m * n, (m, n))
+    if elements is wide_rationals:
+        for j in draw(st.sets(st.integers(0, m - 1))):
+            A[j] = sum(_coefficient(t, j) * B[j] for t, B in terms)
+    else:
+        A = A.astype(np.float64)
+        terms = [(t if np.ndim(t) == 0 else t.astype(np.float64), B.astype(np.float64))
+                 for t, B in terms]
+    return A, terms
+
+
+class TestRowRules:
+    """``_row_residuals`` and ``_row_dots`` on stacks, against the formulas they
+    stand for."""
+
+    @given(row_rule_operands(wide_rationals))
+    @settings(max_examples=80, deadline=None)
+    def test_exact_rules_are_the_fraction_formulas(self, operands):
+        A, terms = operands
+        got = _row_residuals(_stack(A, RATIONAL), *((t, _stack(B, RATIONAL)) for t, B in terms))
+        for j, value in enumerate(got):
+            row = A[j] - sum(_coefficient(t, j) * B[j] for t, B in terms)
+            assert type(value) is Fraction and value == max(abs(x) for x in row)
+        B = terms[0][1]
+        dots = _row_dots(_stack(A, RATIONAL), _stack(B, RATIONAL))
+        assert [type(x) for x in dots] == [Fraction] * len(A)
+        assert list(dots) == [dot(a, b) for a, b in zip(A, B)]
+
+    @given(row_rule_operands(st.floats(-1e50, 1e50)))
+    @settings(max_examples=80, deadline=None)
+    def test_float_rules_are_the_numpy_formulas(self, operands):
+        A, terms = operands
+        expected = A
+        for t, B in terms:
+            expected = expected - (t[:, None] if np.ndim(t) else t) * B
+        got = _row_residuals(_stack(A, F64), *((t, _stack(B, F64)) for t, B in terms))
+        assert got.tobytes() == np.linalg.norm(expected, axis=1).tobytes()
+        B = terms[0][1]
+        assert _row_dots(A, B).tobytes() == np.einsum("ij,ij->i", A, B).tobytes()
+
+    def test_a_cancelling_row_is_an_exact_zero(self):
+        A = _fraction_array([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2**500), Fraction(1)],
+                            (2, 2))
+        B = _fraction_array([Fraction(2, 3), Fraction(-4, 7), Fraction(0), Fraction(1)], (2, 2))
+        got = _row_residuals(_stack(A, RATIONAL), (Fraction(1, 2), _stack(B, RATIONAL)),
+                             (0, _stack(B, RATIONAL)))
+        assert type(got[0]) is Fraction and got[0] == 0
+        assert got[1] == Fraction(1, 2)
 
 
 def _natural_order_pivots(M: np.ndarray, floor) -> list[Fraction]:
