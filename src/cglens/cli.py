@@ -24,6 +24,7 @@ from .problems import ProblemSpec, generate_problem
 from .mmio import (
     vector_tokens,
     load_problem,
+    save_json,
     save_problem,
     save_trace,
 )
@@ -185,9 +186,7 @@ def cmd_verify(args) -> int:
     print(f"overall: {'pass' if report.overall else 'FAIL'} "
           f"[{report.problem_id}, r = {report.r}]")
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report_to_dict(report), fh, indent=1)
-            fh.write("\n")
+        save_json(report_to_dict(report), args.report)
     if args.csv:
         _append_csv(args.csv, report)
     if trace.termination_reason == "breakdown":

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Union
 
@@ -198,11 +199,11 @@ def vector(entries, backend: Backend = F64) -> np.ndarray:
 
     Entries may be numbers or numeric strings ("p/q" or decimal), or a
     numeric array; a float64 NaN or infinity is rejected, and so is a
-    string in place of the sequence.
+    string or a mapping (a JSON object) in place of the sequence.
     """
     try:
-        if isinstance(entries, str):
-            raise TypeError("a string is not a sequence of entries")
+        if isinstance(entries, (str, Mapping)):
+            raise TypeError("a string or a mapping is not a sequence of entries")
         out = _array_from(entries, backend)
     except TypeError as err:
         raise DimensionMismatch("a vector must be a sequence of entries") from err
@@ -215,14 +216,13 @@ def sym_matrix(rows, backend: Backend = F64) -> np.ndarray:
     """Build a read-only dense symmetric matrix, validating symmetry.
 
     ``rows`` is a sequence of rows or a square array.  Raises
-    ``AsymmetricMatrixError`` naming the first entry, in row-major order
-    over the lower triangle, that differs from its transpose partner
-    (exact comparison in both backends).  A float64 NaN or infinity is
-    rejected, and so is a string in place of the rows or of a row.
+    ``AsymmetricMatrixError`` as ``_check_symmetric`` does.  A float64 NaN or
+    infinity is rejected, and so is a string or a mapping (a JSON object) in
+    place of the rows or of a row.
     """
     try:
-        if isinstance(rows, str) or any(isinstance(row, str) for row in rows):
-            raise TypeError("a string is not a sequence of entries")
+        if isinstance(rows, (str, Mapping)) or any(isinstance(row, (str, Mapping)) for row in rows):
+            raise TypeError("a string or a mapping is not a sequence of entries")
         flat = rows.ravel() if isinstance(rows, np.ndarray) else [e for row in rows for e in row]
     except TypeError as err:
         raise DimensionMismatch("matrix rows must be sequences of entries") from err
@@ -230,13 +230,20 @@ def sym_matrix(rows, backend: Backend = F64) -> np.ndarray:
     if n == 0 or any(len(row) != n for row in rows):
         raise DimensionMismatch("symmetric matrices must be square with n >= 1")
     out = _finite(_array_from(flat, backend).reshape(n, n), backend)
-    bad = np.argwhere(np.tril(out != out.T, -1))
+    _check_symmetric(out)
+    return out
+
+
+def _check_symmetric(M: np.ndarray) -> None:
+    """Raise ``AsymmetricMatrixError`` naming the first entry of the square M,
+    in row-major order over the lower triangle, that differs from its
+    transpose partner (exact comparison in both backends)."""
+    bad = np.argwhere(np.tril(M != M.T, -1))
     if len(bad):
         i, j = bad[0]
         raise AsymmetricMatrixError(
-            f"entry ({i}, {j}) = {out[i, j]} does not match ({j}, {i}) = {out[j, i]}"
+            f"entry ({i}, {j}) = {M[i, j]} does not match ({j}, {i}) = {M[j, i]}"
         )
-    return out
 
 
 def _integer_rows(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -6,18 +6,20 @@ literals or "p/q" exact rationals, in the one token grammar of
 are parsed with decimal semantics ("0.1" becomes 1/10, not the nearest
 double), and everything written is written losslessly: rationals as
 "p/q" tokens, floats as JSON numbers with shortest round-tripping digits.
-Files keep the ``indent=1`` layout of ``json.dump`` except that each
-vector (a matrix row, c, x0, or a trace's x, g or p) is one line.  The rows
-of the symmetric H reuse each entry's token for its mirror above the diagonal.
+``save_json`` writes problems, traces and reports in the ``indent=1`` layout
+of ``json.dump``, except that each vector (a matrix row, c, x0, or a trace's x,
+g or p) is one line.  The rows of the symmetric H reuse each entry's token for
+its mirror above the diagonal.  ``_RECORD_FIELDS`` is the one trace record schema.
 
 Matrix Market reading covers the coordinate and array formats with
 real or integer fields and general or symmetric symmetry — the
 standard interchange subset for dense SPD test matrices.  Parse errors
-carry 1-based line numbers.
+carry 1-based line numbers, and every loader's refusal starts with its path.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from typing import Iterator
@@ -42,6 +44,17 @@ class MMParseError(LinalgError):
     """A Matrix Market file failed to parse; message cites the line."""
 
 
+def _names_its_file(loader):
+    """``loader``, with each ``LinalgError`` it raises prefixed by its path, class kept."""
+    @functools.wraps(loader)
+    def load(path, *args, **kwargs):
+        try:
+            return loader(path, *args, **kwargs)
+        except LinalgError as err:
+            raise type(err)(f"{path}: {err}") from err
+    return load
+
+
 def _parse_value(token: str, field: str, backend: Backend, lineno: int):
     try:
         if field == "integer" and not token.lstrip("+-").isdigit():
@@ -51,6 +64,7 @@ def _parse_value(token: str, field: str, backend: Backend, lineno: int):
         raise MMParseError(f"line {lineno}: bad {field} value {token!r}") from err
 
 
+@_names_its_file
 def read_matrix_market(path, backend: Backend = F64) -> np.ndarray:
     """Read a symmetric matrix; either triangle of a symmetric file is mirrored.
 
@@ -150,12 +164,6 @@ def read_matrix_market(path, backend: Backend = F64) -> np.ndarray:
     return sym_matrix(dense, backend)
 
 
-def _entry_token(x, backend: Backend):
-    if backend.exact:
-        return scalar_token(x)
-    return float(x)
-
-
 def vector_tokens(v, backend: Backend) -> list:
     """Serialize a vector's entries losslessly for JSON embedding."""
     if backend.exact:
@@ -221,9 +229,18 @@ def _read_json(path, backend: Backend):
         try:
             return json.load(fh, parse_float=backend.scalar if backend.exact else float)
         except (ValueError, RecursionError) as err:  # JSONDecodeError, digit limit, deep nesting
-            raise LinalgError(f"{path}: not a readable JSON file ({err})") from err
+            raise LinalgError(f"not a readable JSON file ({err})") from err
 
 
+def save_json(data, path) -> None:
+    """Write ``data`` to ``path`` in the layout of ``_write_json``, with a final
+    newline: a problem, a trace or a verification report."""
+    with open(path, "w") as fh:
+        _write_json(fh, data, 0)
+        fh.write("\n")
+
+
+@_names_its_file
 def load_problem(path, backend: Backend = F64) -> QuadraticProblem:
     """Load a problem from its JSON file (H inline or via Matrix Market).
 
@@ -234,23 +251,21 @@ def load_problem(path, backend: Backend = F64) -> QuadraticProblem:
     """
     data = _read_json(path, backend)
     try:
-        n = data["n"]
-        H_spec = data["H"]
-        c_raw, x0_raw = data["c"], data["x0"]
+        n, H_spec, c_raw, x0_raw = data["n"], data["H"], data["c"], data["x0"]
     except (KeyError, TypeError) as err:
-        raise LinalgError(f"{path}: problem JSON must define n, H, c, x0") from err
+        raise LinalgError("problem JSON must define n, H, c, x0") from err
     if not isinstance(n, int) or isinstance(n, bool):
-        raise LinalgError(f"{path}: n must be an integer, not {n!r}")
+        raise LinalgError(f"n must be an integer, not {n!r}")
 
     if isinstance(H_spec, dict) and "dense" in H_spec:
         H = sym_matrix(H_spec["dense"], backend)
-    elif isinstance(H_spec, dict) and "matrix_market" in H_spec:
+    elif isinstance(H_spec, dict) and isinstance(H_spec.get("matrix_market"), str):
         mm_path = os.path.join(os.path.dirname(os.path.abspath(path)), H_spec["matrix_market"])
         H = read_matrix_market(mm_path, backend)
     else:
-        raise LinalgError(f'{path}: H must be {{"dense": ...}} or {{"matrix_market": ...}}')
+        raise LinalgError('H must be {"dense": [rows]} or {"matrix_market": "a file name"}')
     if H.shape[0] != n:
-        raise LinalgError(f"{path}: H is {H.shape[0]}x{H.shape[0]} but n = {n}")
+        raise LinalgError(f"H is {H.shape[0]}x{H.shape[0]} but n = {n}")
     label = data.get("label") or os.path.splitext(os.path.basename(path))[0]
     return QuadraticProblem(
         H=H, c=vector(c_raw, backend), x0=vector(x0_raw, backend), label=str(label)
@@ -260,29 +275,28 @@ def load_problem(path, backend: Backend = F64) -> QuadraticProblem:
 def save_problem(P: QuadraticProblem, path) -> None:
     """Write a problem as JSON with a dense H, losslessly for both backends."""
     backend = P.backend
-    data = {
+    save_json({
         "n": P.n,
         "H": {"dense": _matrix_lines(P.H, backend)},
         "c": vector_tokens(P.c, backend),
         "x0": vector_tokens(P.x0, backend),
         "label": P.label,
-    }
-    with open(path, "w") as fh:
-        _write_json(fh, data, 0)
-        fh.write("\n")
+    }, path)
+
+
+# A trace record's fields: JSON key, ``IterateRecord`` attribute, kind.  None is null.
+_RECORD_FIELDS = (("k", "k", "index"), ("x", "x_k", "vector"), ("g", "g_k", "vector"),
+                  ("grad_norm_sq", "grad_norm_sq", "scalar"), ("p", "p_k", "vector"),
+                  ("theta", "theta_k", "scalar"), ("beta", "beta_k", "scalar"),
+                  ("c", "c_k", "scalar"))
 
 
 def save_trace(trace: CGTrace, path) -> None:
     """Write a trace as JSON; all numerics lossless."""
     backend = BACKENDS[trace.scalar_backend]
-
-    def scal(x):
-        return None if x is None else _entry_token(x, backend)
-
-    def vec(v):
-        return None if v is None else vector_tokens(v, backend)
-
-    data = {
+    write = {"index": int, "vector": lambda v: vector_tokens(v, backend),
+             "scalar": scalar_token if backend.exact else float}
+    save_json({
         "problem_id": trace.problem_id,
         "backend": trace.scalar_backend,
         "direction_mode": trace.direction_mode,
@@ -290,22 +304,11 @@ def save_trace(trace: CGTrace, path) -> None:
         "termination_reason": trace.termination_reason,
         "r": trace.termination_index,
         "records": [
-            {
-                "k": rec.k,
-                "x": vec(rec.x_k),
-                "g": vec(rec.g_k),
-                "grad_norm_sq": scal(rec.grad_norm_sq),
-                "p": vec(rec.p_k),
-                "theta": scal(rec.theta_k),
-                "beta": scal(rec.beta_k),
-                "c": scal(rec.c_k),
-            }
+            {key: None if (value := getattr(rec, field)) is None else write[kind](value)
+             for key, field, kind in _RECORD_FIELDS}
             for rec in trace.records
         ],
-    }
-    with open(path, "w") as fh:
-        _write_json(fh, data, 0)
-        fh.write("\n")
+    }, path)
 
 
 def _holds_float(node) -> bool:
@@ -316,6 +319,7 @@ def _holds_float(node) -> bool:
     return isinstance(node, float)
 
 
+@_names_its_file
 def load_trace(path) -> CGTrace:
     """Reconstruct a trace from its JSON file.
 
@@ -331,24 +335,10 @@ def load_trace(path) -> CGTrace:
         if backend.exact and _holds_float(raw_records):
             data = _read_json(path, backend)
             raw_records = data["records"]
-
-        def scal(x):
-            return None if x is None else backend.scalar(x)
-
-        def vec(v):
-            return None if v is None else vector(v, backend)
-
+        read = {"index": int, "vector": lambda v: vector(v, backend), "scalar": backend.scalar}
         records = tuple(
-            IterateRecord(
-                k=int(rec["k"]),
-                x_k=vec(rec["x"]),
-                g_k=vec(rec["g"]),
-                grad_norm_sq=scal(rec["grad_norm_sq"]),
-                p_k=vec(rec.get("p")),
-                theta_k=scal(rec.get("theta")),
-                beta_k=scal(rec.get("beta")),
-                c_k=scal(rec.get("c")),
-            )
+            IterateRecord(**{field: None if (value := rec.get(key)) is None else read[kind](value)
+                             for key, field, kind in _RECORD_FIELDS})
             for rec in raw_records
         )
         # run_cg records g_k^T g_k, equal here up to a float64 dot product's
@@ -357,14 +347,15 @@ def load_trace(path) -> CGTrace:
         for prev, rec in zip((None, *records), records):
             gns = norm_sq(rec.g_k)
             if not abs(rec.grad_norm_sq - gns) <= slack * rec.g_k.size * gns:
-                raise LinalgError(f"{path}: grad_norm_sq of record {rec.k} is not g^T g")
+                raise LinalgError(f"grad_norm_sq of record {rec.k} is not g^T g")
             if prev is None:
                 beta_ok = rec.beta_k is None
             else:
                 beta_ok = prev.grad_norm_sq != 0 and rec.beta_k == rec.grad_norm_sq / prev.grad_norm_sq
             if not beta_ok:
-                raise LinalgError(f"{path}: beta of record {rec.k} is not its grad_norm_sq ratio")
-        fields = dict(
+                raise LinalgError(f"beta of record {rec.k} is not its grad_norm_sq ratio")
+        # CGTrace refuses records out of order, or of a shape run_cg never writes.
+        return CGTrace(
             problem_id=str(data.get("problem_id", "unlabeled")),
             scalar_backend=backend.name,
             records=records,
@@ -377,9 +368,5 @@ def load_trace(path) -> CGTrace:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError) as err:
         # A field missing, of the wrong kind, or nested too deep, anywhere in the document.
-        raise LinalgError(f"{path}: trace JSON must define backend and records, each with "
+        raise LinalgError("trace JSON must define backend and records, each with "
                           f"k, x, g and grad_norm_sq ({type(err).__name__}: {err})") from err
-    try:
-        return CGTrace(**fields)
-    except LinalgError as err:  # records out of order, or of a shape run_cg never writes
-        raise LinalgError(f"{path}: {err}") from err

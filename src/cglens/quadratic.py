@@ -20,6 +20,7 @@ from .linalg import (
     DimensionMismatch,
     LinalgError,
     SpdCheck,
+    _check_symmetric,
     _integer_rows,
     _product,
     _Rows,
@@ -31,7 +32,8 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class QuadraticProblem:
-    """Immutable problem data (H, c, x0) with H validated SPD on construction."""
+    """Immutable problem data (H, c, x0) with H validated symmetric and SPD on
+    construction: an asymmetric H raises ``AsymmetricMatrixError``."""
 
     H: np.ndarray
     c: np.ndarray
@@ -50,6 +52,7 @@ class QuadraticProblem:
         backend = backend_of(self.H)
         if backend_of(self.c) is not backend or backend_of(self.x0) is not backend:
             raise LinalgError("H, c, and x0 must live on the same backend")
+        _check_symmetric(self.H)  # the SPD test below reads one triangle
         check = cholesky_spd_check(self.H)
         if not check.is_spd:
             raise LinalgError(

@@ -1,10 +1,10 @@
 """Every identity the derivation rests on, as named runtime checks.
 
-Each check measures a worst-case residual over a completed trace and
-compares it against a tolerance: zero under the rational backend (the
-identities are theorems there, so any nonzero residual is a bug), small
-and configurable under float64 (where departures are information, not
-errors, and are reported rather than masked).
+Each check measures a worst-case residual over a completed trace, and one
+rule, ``_result``, compares it against the caller's tolerance or else the
+check's default: zero under the rational backend (the identities are
+theorems there, so any nonzero residual is a bug), small and configurable
+under float64 (departures there are information, reported, not masked).
 
 Residual conventions, applied uniformly: float64 residuals are
 normalized (relative) Euclidean quantities; rational residuals are raw
@@ -105,41 +105,24 @@ class VerificationReport:
 
 
 def report_to_dict(report: VerificationReport) -> dict:
-    """The report as a JSON-ready dict; numerics serialized as strings.
+    """The report's fields as a JSON-ready dict; numerics serialized as strings.
 
     String serialization carries exact rationals losslessly and
     round-trips float64 bit-for-bit.
     """
-    return {
-        "problem_id": report.problem_id,
-        "backend": report.backend,
-        "r": report.r,
-        "n": report.n,
-        "checks": [
-            {
-                "name": c.name,
-                "paper_anchor": c.paper_anchor,
-                "measured": scalar_token(c.measured),
-                "tolerance": scalar_token(c.tolerance),
-                "passed": c.passed,
-            }
-            for c in report.checks
-        ],
-        "overall": report.overall,
-    }
+    checks = [{**vars(c), "measured": scalar_token(c.measured),
+               "tolerance": scalar_token(c.tolerance)} for c in report.checks]
+    return {**vars(report), "checks": checks}
 
 
 def _backend(trace: CGTrace) -> Backend:
     return BACKENDS[trace.scalar_backend]
 
 
-def _tolerance(name: str, backend: Backend, tolerance) -> Scalar:
-    if tolerance is not None:
-        return tolerance
-    return DEFAULT_TOLERANCES[backend.name][name]
-
-
-def _result(name: str, measured: Scalar, tolerance: Scalar) -> CheckResult:
+def _result(name: str, trace: CGTrace, tolerance, measured: Scalar) -> CheckResult:
+    """``measured`` against ``tolerance``, or the check's default when that is None."""
+    if tolerance is None:
+        tolerance = DEFAULT_TOLERANCES[trace.scalar_backend][name]
     return CheckResult(
         name=name,
         paper_anchor=_CHECKS[name][0],
@@ -178,14 +161,13 @@ class _Tables:
 def check_gradient_orthogonality(trace: CGTrace, tolerance=None, *, _tables=None) -> CheckResult:
     """Pairwise orthogonality of the gradients that generated steps."""
     backend = _backend(trace)
-    tol = _tolerance("gradient_orthogonality", backend, tolerance)
     G = (_tables or _Tables(None, trace)).G
     # Under rationals the terminal zero gradient rides along.
     gs = G if backend.exact else G[:-1]
     measured = pairwise_residual(
         backend, gs, gs, shift=None, diagonal=False, scales=lambda: (_norms(gs),) * 2
     )
-    return _result("gradient_orthogonality", measured, tol)
+    return _result("gradient_orthogonality", trace, tolerance, measured)
 
 
 def check_derivation_conditions(trace: CGTrace, tolerances=None, *, _tables=None
@@ -202,9 +184,6 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None, *, _tables=None
     tolerances = tolerances or {}
     T = _tables or _Tables(None, trace)
     G, X, ps = T.G, T.X, T.P
-
-    def result(name, measured):
-        return _result(name, measured, _tolerance(name, backend, tolerances.get(name)))
 
     # (a) g_{k+1}^T (x_{i+1} - x_0) = 0 for i <= k.  Under float64 the
     # terminal gradient is numerically zero noise whose *direction* is
@@ -227,11 +206,11 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None, *, _tables=None
         backend, ps, history, shift=[rec.c_k for rec in T.steps], diagonal=True, rows=T.PG,
         scales=lambda: (_norms(ps), _norms(history)),
     )
-    return [
-        result("iterate_span_orthogonality", span),
-        result("direction_gradient_difference", diff),
-        result("direction_gradient_constancy", constancy),
-    ]
+    return [_result(name, trace, tolerances.get(name), measured) for name, measured in (
+        ("iterate_span_orthogonality", span),
+        ("direction_gradient_difference", diff),
+        ("direction_gradient_constancy", constancy),
+    )]
 
 
 def check_exact_linesearch(trace: CGTrace, tolerance=None, *, _tables=None) -> CheckResult:
@@ -241,13 +220,12 @@ def check_exact_linesearch(trace: CGTrace, tolerance=None, *, _tables=None) -> C
     (numerically zero) gradient from trivializing the check.
     """
     backend = _backend(trace)
-    tol = _tolerance("exact_linesearch", backend, tolerance)
     T, r = _tables or _Tables(None, trace), trace.r
     measured = backend.zero
     if r:
         measured = _worst_ratio(backend, np.abs(_row_dots(T.P, T.G[1 : r + 1])),
                                 lambda: _norms(T.P) * _norms(T.G[:r]))
-    return _result("exact_linesearch", measured, tol)
+    return _result("exact_linesearch", trace, tolerance, measured)
 
 
 def check_gradient_update_identity(
@@ -259,14 +237,13 @@ def check_gradient_update_identity(
     genuine consistency statement between consecutive records.
     """
     backend = _backend(trace)
-    tol = _tolerance("gradient_update_identity", backend, tolerance)
     T, r = _tables or _Tables(P, trace), trace.r
     measured = backend.zero
     if r:
         thetas = [rec.theta_k for rec in T.steps]
         residuals = _row_residuals(T.G[1 : r + 1], (1, T.G[:r]), (thetas, T.HP))
         measured = _worst_ratio(backend, residuals, lambda: _norms(T.G[:r]))
-    return _result("gradient_update_identity", measured, tol)
+    return _result("gradient_update_identity", trace, tolerance, measured)
 
 
 def check_subspace_optimality(
@@ -274,7 +251,6 @@ def check_subspace_optimality(
 ) -> CheckResult:
     """Each iterate equals the independent minimizer over its gradient span."""
     backend = _backend(trace)
-    tol = _tolerance("subspace_optimality", backend, tolerance)
     deviations = verify_against_trace(P, trace, _basis=(_tables or _Tables(P, trace)).basis)
     measured = backend.zero
     if deviations:
@@ -282,7 +258,7 @@ def check_subspace_optimality(
             backend, np.array(deviations),
             lambda: np.maximum(1.0, _norms([rec.x_k for rec in trace.records[1:]])),
         )
-    return _result("subspace_optimality", measured, tol)
+    return _result("subspace_optimality", trace, tolerance, measured)
 
 
 def check_min_norm_relation(
@@ -301,10 +277,9 @@ def check_min_norm_relation(
     is measured as an infinite residual.
     """
     backend = _backend(trace)
-    tol = _tolerance("min_norm_relation", backend, tolerance)
     T = _tables or _Tables(P, trace)
     if not T.r:
-        return _result("min_norm_relation", backend.zero, tol)
+        return _result("min_norm_relation", trace, tolerance, backend.zero)
     history = [rec.g_k for rec in T.steps]
     closed, _ = _closed_form_ghats(history)
     projected, _ = _projected_ghats(history, T.basis)
@@ -321,23 +296,22 @@ def check_min_norm_relation(
         backend, np.concatenate((agreement, deviation)),
         lambda: np.maximum(np.concatenate((np.sqrt(sq), _norms(T.P))), 1e-300),
     )
-    return _result("min_norm_relation", measured, tol)
+    return _result("min_norm_relation", trace, tolerance, measured)
 
 
 def check_conjugacy(P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _tables=None
                     ) -> CheckResult:
     """p_i^T H p_j = 0 for i != j — a consequence here, not an assumption."""
     backend = _backend(trace)
-    tol = _tolerance("conjugacy", backend, tolerance)
     if not trace.r:
-        return _result("conjugacy", backend.zero, tol)
+        return _result("conjugacy", trace, tolerance, backend.zero)
     T = _tables or _Tables(P, trace)
     ps, hps = T.P, T.HP
     measured = pairwise_residual(
         backend, hps, ps, shift=None, diagonal=False,
         scales=lambda: (np.sqrt(_row_dots(ps, hps)),) * 2,
     )
-    return _result("conjugacy", measured, tol)
+    return _result("conjugacy", trace, tolerance, measured)
 
 
 def check_termination_bound(
@@ -349,13 +323,12 @@ def check_termination_bound(
     without the gradient converging at all (max_iter or breakdown).
     """
     backend = _backend(trace)
-    tol = _tolerance("termination_bound", backend, tolerance)
     bound = P.n if backend.exact else P.n + 5
     excess = max(0, trace.r - bound)
     converged = trace.termination_reason in ("gradient_zero", "tolerance_met")
     measured = excess + (0 if converged else 1)
     measured = Fraction(measured) if backend.exact else float(measured)
-    return _result("termination_bound", measured, tol)
+    return _result("termination_bound", trace, tolerance, measured)
 
 
 def run_full_suite(
@@ -380,11 +353,8 @@ def run_full_suite(
         trace = run_cg(
             P, tol=tol, max_iter=max_iter, direction_mode=direction_mode, scaling=scaling
         )
-    tolerances = dict(tolerances or {})
-
-    def t(name):
-        return tolerances.get(name)
-
+    tolerances = tolerances or {}
+    t = tolerances.get
     # One set of stacks and one orthogonalization serve every check that reads them.
     # A float64 trace whose entries overflow the residuals measures inf or NaN: a
     # failed check, with no warning on the way.

@@ -196,6 +196,15 @@ class TestBadInput:
         assert run_main(["verify", "--problem", str(path)]) == 2
         assert "pivot 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend", ["f64", "rational"])
+    @pytest.mark.parametrize("name", [5, None])
+    def test_matrix_market_name_not_a_string_exits_two(self, tmp_path, capsys, backend, name):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 1, "H": {"matrix_market": name}, "c": [1], "x0": [0]}))
+        assert run_main(["verify", "--problem", str(path), "--backend", backend]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: H must be ") and err.count("\n") == 1
+
     def test_problem_and_kind_together_rejected(self, diag2):
         assert run_main([
             "solve", "--problem", str(diag2), "--kind", "diag", "--n", "2",
@@ -305,7 +314,7 @@ class TestBadInput:
             assert run_main(["verify", "--problem", str(path), "--backend", "rational"]) == 2
         finally:
             sys.set_int_max_str_digits(limit)
-        assert capsys.readouterr().err.startswith("error: cannot convert '1111")
+        assert capsys.readouterr().err.startswith(f"error: {path}: cannot convert '1111")
 
 
     @pytest.mark.parametrize("backend", ["f64", "rational"])

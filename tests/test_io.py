@@ -23,7 +23,7 @@ from cglens import (
 )
 from cglens import engine
 from cglens.engine import DIRECTION_MODES, BreakdownError
-from cglens.linalg import AsymmetricMatrixError, scalar_token, sym_matrix, vector
+from cglens.linalg import AsymmetricMatrixError, DimensionMismatch, scalar_token, sym_matrix, vector
 from cglens.quadratic import QuadraticProblem
 from cglens.mmio import (
     MMParseError,
@@ -541,3 +541,87 @@ def trace_json(trace, tmp_path):
     path = tmp_path / "saved.json"
     save_trace(trace, path)
     return json.loads(path.read_text())
+
+
+def _write(path, data):
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return path
+
+
+class TestObjectsAreNotSequences:
+    # A JSON object iterates over its keys, which would be read as the entries.
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("key, value", [
+        ("c", {"7": "ignored"}), ("x0", {"0": "ignored"}), ("H", {"dense": [{"3": "x"}]}),
+    ], ids=["c", "x0", "H-row"])
+    def test_problem_file(self, tmp_path, backend, key, value):
+        data = {"n": 1, "H": {"dense": [[3]]}, "c": [7], "x0": [0], key: value}
+        with pytest.raises(DimensionMismatch, match="sequences? of entries"):
+            load_problem(_write(tmp_path / "p.json", data), backend)
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("key", ["x", "g", "p"])
+    def test_trace_file(self, tmp_path, backend, key):
+        P = QuadraticProblem(H=sym_matrix([[2]], backend), c=vector([-1], backend),
+                             x0=vector([1], backend))
+        data = trace_json(run_cg(P), tmp_path)
+        rec = data["records"][0]
+        rec[key] = {str(rec[key][0]): "ignored"}  # its one key is its one entry
+        with pytest.raises(DimensionMismatch, match="sequences? of entries"):
+            load_trace(_write(tmp_path / "t.json", data))
+
+
+def _mutated(data, edit):
+    edit(data)
+    return data
+
+
+class TestRefusalsNameTheirFile:
+    """Each loader's refusal keeps its class and names the file it read, once."""
+
+    PROBLEM = {"n": 2, "H": {"dense": [[2, 1], [1, 2]]}, "c": [1, 0], "x0": [0, 0]}
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("edit, error", [
+        (lambda d: "{nope", LinalgError),
+        (lambda d: _mutated(d, lambda d: d.pop("H")), LinalgError),
+        (lambda d: _mutated(d, lambda d: d["c"].__setitem__(0, "1x")), LinalgError),
+        (lambda d: _mutated(d, lambda d: d["H"]["dense"][0].__setitem__(1, 0)),
+         AsymmetricMatrixError),
+        (lambda d: _mutated(d, lambda d: d["H"].update(dense=[[1, 2], [2, 1]])), LinalgError),
+        (lambda d: _mutated(d, lambda d: d.update(n=3)), LinalgError),
+    ], ids=["not-json", "missing-key", "bad-token", "asymmetric", "not-spd", "wrong-n"])
+    def test_problem_file(self, tmp_path, backend, edit, error):
+        path = _write(tmp_path / "p.json", edit(json.loads(json.dumps(self.PROBLEM))))
+        with pytest.raises(LinalgError) as info:
+            load_problem(path, backend)
+        assert type(info.value) is error
+        assert str(info.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_matrix_market_line_names_both_files(self, tmp_path, backend):
+        mtx = tmp_path / "H.mtx"
+        mtx.write_text("%%MatrixMarket matrix array real symmetric\n1 1\n1x\n")
+        path = _write(tmp_path / "p.json",
+                      {"n": 1, "H": {"matrix_market": "H.mtx"}, "c": [1], "x0": [0]})
+        with pytest.raises(LinalgError) as info:
+            load_problem(path, backend)
+        assert type(info.value) is MMParseError
+        assert str(info.value) == f"{path}: {mtx}: line 3: bad real value '1x'"
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("edit", [
+        lambda d: "{nope",
+        lambda d: _mutated(d, lambda d: d.pop("records")),
+        lambda d: _mutated(d, lambda d: d["records"][1].update(grad_norm_sq=12345)),
+        lambda d: _mutated(d, lambda d: d["records"][1].update(beta=7)),
+        lambda d: _mutated(d, lambda d: d["records"][-1].update(theta=1)),
+        lambda d: _mutated(d, lambda d: d["records"][0].update(theta="abc")),
+    ], ids=["not-json", "no-records", "bad-grad-norm-sq", "bad-beta", "shape", "theta-abc"])
+    def test_trace_file(self, tmp_path, backend, edit):
+        P = generate_problem(ProblemSpec(kind="diag", n=3), backend)
+        path = _write(tmp_path / "t.json", edit(trace_json(run_cg(P), tmp_path)))
+        with pytest.raises(LinalgError) as info:
+            load_trace(path)
+        assert type(info.value) is LinalgError
+        assert str(info.value).count(str(path)) == 1

@@ -15,7 +15,7 @@ from cglens import (
     F64, RATIONAL, LinalgError, ProblemSpec, exact_minimizer, generate_problem, gradient,
     run_cg, vector,
 )
-from cglens.linalg import DimensionMismatch, sym_matrix
+from cglens.linalg import AsymmetricMatrixError, DimensionMismatch, sym_matrix
 from cglens.quadratic import QuadraticProblem, evaluate
 from cglens.verify import run_full_suite
 
@@ -85,6 +85,13 @@ class TestConstruction:
                 c=vector([0, 0, 0], F64),
                 x0=vector([0, 0], F64),
             )
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_asymmetric_H_rejected(self, backend):
+        # The SPD test reads one triangle, which this H shares with [[2, 0], [0, 2]].
+        H = np.array([vector([2, 1], backend), vector([0, 2], backend)])
+        with pytest.raises(AsymmetricMatrixError, match=r"entry \(1, 0\) = 0"):
+            QuadraticProblem(H=H, c=vector([0, 0], backend), x0=vector([0, 0], backend))
 
     def test_backend_mixing_rejected(self):
         with pytest.raises(LinalgError):
