@@ -22,6 +22,7 @@ from .oracle import trace_oracle
 from .verify import DEFAULT_TOLERANCES, report_to_dict, run_full_suite
 from .problems import ProblemSpec, generate_problem
 from .mmio import (
+    _names_its_file,
     vector_tokens,
     load_problem,
     save_json,
@@ -197,36 +198,34 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     problem = _problem_from_args(args)
     trace = run_cg(problem, **_run_options(args))
-    backend = problem.backend
     solutions = []
     for k, sol in enumerate(trace_oracle(problem, trace), start=1):
-        drift = trace.records[k].x_k - sol.point
-        deviation = math.sqrt(_shown(norm_sq(drift)))
-        solutions.append(
-            {
-                "k": k,
-                "coordinates": vector_tokens(sol.coordinates, backend),
-                "point": vector_tokens(sol.point, backend),
-                "objective": vector_tokens([sol.objective_value], backend)[0],
-                "deviation_from_trace": repr(deviation),
-            }
-        )
+        deviation = math.sqrt(_shown(norm_sq(trace.records[k].x_k - sol.point)))
+        solutions.append((k, sol, deviation))
         print(f"k = {k}: oracle objective {_shown(sol.objective_value):.12g}, "
               f"|x_k - oracle| = {deviation:.3e}")
     if trace.r == 0:
         print("r = 0: the start point already minimizes q")
     if args.report:
-        payload = {
-            "problem_id": trace.problem_id,
-            "backend": backend.name,
-            "solutions": solutions,
-        }
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        _save_oracle_report(args.report, trace, problem.backend, solutions)
     if trace.termination_reason == "breakdown":
         return EXIT_BREAKDOWN
     return EXIT_OK
+
+
+@_names_its_file
+def _save_oracle_report(path, trace, backend, solutions) -> None:
+    """Write the oracle's solutions as JSON, each number formatted before the file is opened."""
+    payload = {"problem_id": trace.problem_id, "backend": backend.name, "solutions": [{
+        "k": k,
+        "coordinates": vector_tokens(sol.coordinates, backend),
+        "point": vector_tokens(sol.point, backend),
+        "objective": vector_tokens([sol.objective_value], backend)[0],
+        "deviation_from_trace": repr(deviation),
+    } for k, sol, deviation in solutions]}
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:

@@ -33,7 +33,9 @@ from .linalg import Backend, LinalgError, Scalar, dot, norm_sq
 from .quadratic import QuadraticProblem, _check_point, _times_H, gradient
 
 DIRECTION_MODES = ("recursive", "gradient_sum", "shortest_residuals")
+SCALING_MODES = ("cg_standard", "unit", "custom")
 TERMINATION_REASONS = ("gradient_zero", "tolerance_met", "max_iter", "breakdown")
+F64_EXTRA_STEPS = 5  # a float64 run's steps past n: run_cg's default, the termination bound
 
 
 class BreakdownError(RuntimeError):
@@ -60,7 +62,7 @@ class DirectionScaling:
     custom_value: Union[Scalar, int, str, Callable[[int], Scalar], None] = None
 
     def __post_init__(self):
-        if self.mode not in ("cg_standard", "unit", "custom"):
+        if self.mode not in SCALING_MODES:
             raise LinalgError(f"unknown scaling mode {self.mode!r}")
         if self.mode == "custom" and self.custom_value is None:
             raise LinalgError("custom scaling requires a value")
@@ -117,8 +119,11 @@ class CGTrace:
     scaling_mode: str = "cg_standard"
 
     def __post_init__(self):
-        if self.termination_reason not in TERMINATION_REASONS:
-            raise LinalgError(f"unknown termination reason {self.termination_reason!r}")
+        for value, known, what in ((self.termination_reason, TERMINATION_REASONS, "termination reason"),
+                                   (self.direction_mode, DIRECTION_MODES, "direction mode"),
+                                   (self.scaling_mode, SCALING_MODES, "scaling mode")):
+            if value not in known:
+                raise LinalgError(f"unknown {what} {value!r}")
         if not self.records:
             raise LinalgError("a trace needs at least the record of k = 0")
         if [rec.k for rec in self.records] != list(range(len(self.records))):
@@ -169,10 +174,10 @@ def run_cg(
     """Run the method from P.x0 and record everything.
 
     Stops when the gradient vanishes (exactly, under the rational
-    backend; under float64 when ||g_k|| <= tol * max(||g_0||, 1)), or
-    after ``max_iter`` completed steps (default n under the rational
-    backend, where termination within n steps is a theorem, and n + 5
-    under float64), or on curvature breakdown.  ``tol`` must satisfy
+    backend; under float64 when ||g_k|| <= tol * max(||g_0||, 1)), or after
+    ``max_iter`` completed steps (default n under the rational backend, where
+    termination within n steps is a theorem, and n + ``F64_EXTRA_STEPS`` under
+    float64), or on curvature breakdown.  ``tol`` must satisfy
     0 <= tol < inf on both backends; the rational backend ignores it.
 
     ``direction_mode`` selects among the three characterizations; the
@@ -185,7 +190,7 @@ def run_cg(
     scaling = DirectionScaling() if scaling is None else scaling
     backend = P.backend
     if max_iter is None:
-        max_iter = P.n if backend.exact else P.n + 5
+        max_iter = P.n if backend.exact else P.n + F64_EXTRA_STEPS
     if max_iter < 0:
         raise LinalgError("max_iter must be nonnegative")
     if not 0 <= tol < math.inf:

@@ -329,28 +329,31 @@ def scalar_token(x) -> str:
     """Serialize a scalar losslessly as text.
 
     Rationals render as "p/q" (or a bare integer); floats use repr,
-    which round-trips bit-for-bit through float().
+    which round-trips bit-for-bit through float().  A rational whose
+    numerator or denominator has more digits than Python's int-to-text
+    limit (4300 by default) raises ``LinalgError``.
     """
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    try:
+        if isinstance(x, Fraction):
+            return str(x)
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+    except ValueError as err:
+        raise LinalgError("a number has more digits than Python's int-to-text limit") from err
     return repr(float(x))
 
 
 def residual_magnitude(v: np.ndarray) -> Scalar:
-    """Size of a residual vector, in a form the backend can represent.
+    """Size of a residual vector: ``_row_residuals`` of v as a one-row stack,
+    its Euclidean norm under float64 and its max-abs entry under rationals."""
+    return _row_residuals(_stack(v[None], backend_of(v))).item()
 
-    Float arrays report the Euclidean norm.  Exact arrays report the
-    max-abs entry instead: it is an exactly representable rational and
-    vanishes precisely when the Euclidean norm does, which is the only
-    property exact-arithmetic checks rely on (their tolerance is zero).
-    """
-    if v.size == 0:
-        return Fraction(0) if backend_of(v).exact else 0.0
-    if backend_of(v).exact:
-        return np.abs(v).max()
-    return float(np.linalg.norm(v))
+
+def _gate(backend: Backend, residual, bound, message: str) -> None:
+    """Raise ``LinalgError(message)`` unless ``residual`` is 0 under rationals, or
+    |residual| <= ``bound()`` under float64: a NaN residual is refused."""
+    if not (residual == 0 if backend.exact else abs(residual) <= bound()):
+        raise LinalgError(message)
 
 
 def _worst_ratio(backend: Backend, raw: np.ndarray, scale) -> Scalar:
@@ -399,13 +402,14 @@ def _row_dots(A, B) -> np.ndarray:
 
 
 def _row_residuals(A, *terms) -> np.ndarray:
-    """``residual_magnitude`` of each row of A - sum t B over ``terms`` (t, B) of
-    stacks (``_stack``), with t one scalar or one per row.
+    """The size of each row of A - sum t B over ``terms`` (t, B) of stacks
+    (``_stack``), with t one scalar or one per row.
 
-    Under float64 the norm of the combination taken left to right.  Under
-    rationals row j is formed on integers over the LCM of its terms'
-    denominators, and only a nonzero row becomes a ``Fraction``, its max-abs
-    entry.
+    Under float64 the Euclidean norm of the combination taken left to right.
+    Under rationals the max-abs entry: an exactly representable rational that
+    vanishes precisely when the norm does, which is all an exact check, whose
+    tolerance is zero, relies on.  Row j is formed on integers over the LCM of
+    its terms' denominators, and only a nonzero row becomes a ``Fraction``.
     """
     if not isinstance(A, _Rows):
         for t, B in terms:

@@ -38,6 +38,7 @@ from .linalg import (
     LinalgError,
     Scalar,
     _freeze,
+    _gate,
     _orthogonalized,
     _product,
     _row_dots,
@@ -67,15 +68,10 @@ class AffineCombination:
         w = self.weights
         if w.ndim != 1 or w.shape[0] == 0:
             raise DimensionMismatch("affine weights must be a nonempty vector")
-        total = sum(w)
-        if backend_of(w).exact:
-            if total != 1:
-                raise LinalgError(f"affine weights sum to {total}, not 1")
-        else:
-            eps = np.finfo(np.float64).eps
-            scale = max(1.0, float(np.abs(w).max()))
-            if abs(total - 1.0) > 64 * len(w) * eps * scale:
-                raise LinalgError(f"affine weights sum to {total!r}, not 1")
+        total, backend = sum(w), backend_of(w)
+        _gate(backend, total - 1,
+              lambda: 64 * len(w) * np.finfo(np.float64).eps * max(1.0, float(np.abs(w).max())),
+              f"affine weights sum to {total if backend.exact else repr(total)}, not 1")
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -115,20 +111,18 @@ def min_norm_closed_form(
     """ghat by the harmonic-weight formula, valid for orthogonal histories.
 
     The formula silently produces a non-minimal point if the inputs are
-    not orthogonal, so non-orthogonal histories are rejected: exactly
-    under the rational backend, beyond ``orthogonality_tol`` (relative)
-    under float64.  ``orthogonality_tol=math.inf`` skips the gate on
-    both backends, for callers that measure the consequences themselves.
+    not orthogonal, so a history is rejected unless it is exactly orthogonal
+    under the rational backend, or within ``orthogonality_tol`` (relative)
+    under float64, by the one gate rule (``linalg._gate``), which refuses a NaN
+    defect.  ``orthogonality_tol=math.inf`` skips the gate on both backends,
+    for callers that measure the consequences themselves.
     Past the gate, the result is the last row of ``_closed_form_ghats``.
     """
     ghats, inv = _closed_form_ghats(gradients)
-    backend = backend_of(gradients[0])
-    limit = backend.zero if backend.exact else orthogonality_tol
-    if orthogonality_tol != math.inf and orthogonality_defect(gradients) > limit:
-        raise LinalgError(
-            "gradient history is not orthogonal; the closed form does not "
-            "apply — use projection_oracle"
-        )
+    if orthogonality_tol != math.inf:
+        _gate(backend_of(gradients[0]), orthogonality_defect(gradients), lambda: orthogonality_tol,
+              "gradient history is not orthogonal; the closed form does not apply — use "
+              "projection_oracle")
     return _result(ghats[-1], inv)
 
 
@@ -243,7 +237,9 @@ def affine_point_of_gradient_combination(
 
     Because the gradient map is affine, the gradient at x = sum alpha_i x_i
     is the same combination of the individual gradients whenever the
-    weights sum to 1; that identity is checked here before returning.
+    weights sum to 1; that identity is checked here before returning, by the
+    one gate rule (``linalg._gate``): exactly under rationals, to 1e-8 relative
+    to max(1, ||g||) under float64, where a NaN drift is refused.
     """
     if len(iterates) != len(weights):
         raise DimensionMismatch(
@@ -252,14 +248,8 @@ def affine_point_of_gradient_combination(
     x = _freeze(_product(weights.weights, np.asarray(iterates)))
     g = gradient(P, x)
     combo = _product(weights.weights, np.asarray([gradient(P, xi) for xi in iterates]))
-    drift = residual_magnitude(g - combo)
-    if P.backend.exact:
-        if drift != 0:
-            raise LinalgError("gradient correspondence violated; inputs are inconsistent")
-    else:
-        scale = max(1.0, float(residual_magnitude(g)))
-        if float(drift) > 1e-8 * scale:
-            raise LinalgError("gradient correspondence violated; inputs are inconsistent")
+    _gate(P.backend, residual_magnitude(g - combo), lambda: 1e-8 * max(1.0, float(residual_magnitude(g))),
+          "gradient correspondence violated; inputs are inconsistent")
     return AffinePoint(x=x, g=g)
 
 

@@ -11,15 +11,18 @@ of ``json.dump``, except that each vector (a matrix row, c, x0, or a trace's x,
 g or p) is one line.  The rows of the symmetric H reuse each entry's token for
 its mirror above the diagonal.  ``_RECORD_FIELDS`` is the one trace record schema.
 
-Matrix Market reading covers the coordinate and array formats with
-real or integer fields and general or symmetric symmetry — the
-standard interchange subset for dense SPD test matrices.  Parse errors
-carry 1-based line numbers, and every loader's refusal starts with its path.
+Matrix Market reading covers the coordinate and array formats with real or
+integer fields and general or symmetric symmetry, read by one entry loop.  Parse
+errors carry 1-based line numbers.  Every refusal of a loader, or of a writer
+whose number has no token, starts with its path.  Fields are read by JSON type
+(``_typed``): n, k and r integers, names strings.  A trace's grad_norm_sq
+passes ``linalg._gate``, the gate rule of every judgement on input.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import os
 from typing import Iterator
@@ -31,6 +34,7 @@ from .linalg import (
     Backend,
     F64,
     LinalgError,
+    _gate,
     norm_sq,
     scalar_token,
     sym_matrix,
@@ -44,15 +48,24 @@ class MMParseError(LinalgError):
     """A Matrix Market file failed to parse; message cites the line."""
 
 
-def _names_its_file(loader):
-    """``loader``, with each ``LinalgError`` it raises prefixed by its path, class kept."""
-    @functools.wraps(loader)
-    def load(path, *args, **kwargs):
+def _names_its_file(function):
+    """``function``, each ``LinalgError`` it raises prefixed by its ``path`` argument, class kept."""
+    @functools.wraps(function)
+    def named(*args, **kwargs):
         try:
-            return loader(path, *args, **kwargs)
+            return function(*args, **kwargs)
         except LinalgError as err:
+            path = inspect.signature(function).bind(*args, **kwargs).arguments["path"]
             raise type(err)(f"{path}: {err}") from err
-    return load
+    return named
+
+
+def _typed(value, kind: type, name: str):
+    """``value``, refused unless its JSON type is ``kind``: ``int`` (no boolean) or ``str``."""
+    if type(value) is not kind:
+        raise LinalgError(f"{name} must be {'a string' if kind is str else 'an integer'}, "
+                          f"not {value!r}")
+    return value
 
 
 def _parse_value(token: str, field: str, backend: Backend, lineno: int):
@@ -62,6 +75,22 @@ def _parse_value(token: str, field: str, backend: Backend, lineno: int):
         return backend.scalar(token)
     except LinalgError as err:
         raise MMParseError(f"line {lineno}: bad {field} value {token!r}") from err
+
+
+def _coordinate_cells(entries, n: int):
+    """(line number, i, j, value token) of each coordinate line, 0-based,
+    each line's fields and indices checked when the reader reaches it."""
+    for lno, line in entries:
+        parts = line.split()
+        if len(parts) != 3:
+            raise MMParseError(f"line {lno}: expected 'i j value'")
+        try:
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        except ValueError:
+            raise MMParseError(f"line {lno}: bad indices {parts[0]!r} {parts[1]!r}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise MMParseError(f"line {lno}: entry ({i + 1}, {j + 1}) outside {n}x{n}")
+        yield lno, i, j, parts[2]
 
 
 @_names_its_file
@@ -107,58 +136,33 @@ def read_matrix_market(path, backend: Backend = F64) -> np.ndarray:
     if m != n:
         raise MMParseError(f"line {lineno}: matrix is {m}x{n}, not square")
 
-    filled = {}
-
-    def put(i, j, value, lineno):
-        if filled.setdefault((i, j), value) != value:
-            raise MMParseError(
-                f"line {lineno}: duplicate entry ({i + 1}, {j + 1}) with a different value"
-            )
-
+    entries = body[1:]
     if fmt == "coordinate":
-        nnz = sizes[2]
-        entries = body[1:]
-        if len(entries) != nnz:
-            raise MMParseError(
-                f"line {lineno}: declared {nnz} entries but file has {len(entries)}"
-            )
-        for lno, line in entries:
-            parts = line.split()
-            if len(parts) != 3:
-                raise MMParseError(f"line {lno}: expected 'i j value'")
-            try:
-                i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            except ValueError:
-                raise MMParseError(f"line {lno}: bad indices {parts[0]!r} {parts[1]!r}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise MMParseError(f"line {lno}: entry ({i + 1}, {j + 1}) outside {n}x{n}")
-            value = _parse_value(parts[2], field, backend, lno)
-            put(i, j, value, lno)
-            if symmetry == "symmetric" and i != j:
-                put(j, i, value, lno)
-        # The dense matrix has n^2 entries however few the file stores; a row
-        # with none is zero, so only a singular matrix would be built.
-        rows = {i for i, _ in filled}
-        if len(rows) < n:
-            empty = next(i for i in range(n) if i not in rows)
-            raise MMParseError(f"line {lineno}: row {empty + 1} of {n} has no entry")
+        if len(entries) != sizes[2]:
+            raise MMParseError(f"line {lineno}: declared {sizes[2]} entries but file has {len(entries)}")
+        cells = _coordinate_cells(entries, n)
     else:
-        values = []
-        for lno, line in body[1:]:
-            for tok in line.split():
-                values.append((lno, tok))
+        values = [(lno, tok) for lno, line in entries for tok in line.split()]
         count = n * (n + 1) // 2 if symmetry == "symmetric" else n * n
         if len(values) != count:
             raise MMParseError(f"line {body[-1][0]}: expected {count} values, found {len(values)}")
-        if symmetry == "symmetric":
-            coords = [(i, j) for j in range(n) for i in range(j, n)]
-        else:
-            coords = [(i, j) for j in range(n) for i in range(n)]
-        for (i, j), (lno, tok) in zip(coords, values):
-            value = _parse_value(tok, field, backend, lno)
-            put(i, j, value, lno)
-            if symmetry == "symmetric" and i != j:
-                put(j, i, value, lno)
+        coords = [(i, j) for j in range(n) for i in range(j if symmetry == "symmetric" else 0, n)]
+        cells = ((lno, i, j, tok) for (i, j), (lno, tok) in zip(coords, values))
+
+    # One loop for both layouts: parse, place, mirror.
+    filled = {}
+    for lno, i, j, tok in cells:
+        value = _parse_value(tok, field, backend, lno)
+        for key in ((i, j), (j, i)) if symmetry == "symmetric" else ((i, j),):
+            if filled.setdefault(key, value) != value:
+                raise MMParseError(f"line {lno}: duplicate entry ({key[0] + 1}, {key[1] + 1}) "
+                                   "with a different value")
+    # The dense matrix has n^2 entries however few the file stores; a row
+    # with none is zero, so only a singular matrix would be built.
+    rows = {i for i, _ in filled}
+    if len(rows) < n:
+        empty = next(i for i in range(n) if i not in rows)
+        raise MMParseError(f"line {lineno}: row {empty + 1} of {n} has no entry")
 
     dense = [[filled.get((i, j), backend.zero) for j in range(n)] for i in range(n)]
     return sym_matrix(dense, backend)
@@ -254,8 +258,7 @@ def load_problem(path, backend: Backend = F64) -> QuadraticProblem:
         n, H_spec, c_raw, x0_raw = data["n"], data["H"], data["c"], data["x0"]
     except (KeyError, TypeError) as err:
         raise LinalgError("problem JSON must define n, H, c, x0") from err
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise LinalgError(f"n must be an integer, not {n!r}")
+    _typed(n, int, "n")
 
     if isinstance(H_spec, dict) and "dense" in H_spec:
         H = sym_matrix(H_spec["dense"], backend)
@@ -266,9 +269,10 @@ def load_problem(path, backend: Backend = F64) -> QuadraticProblem:
         raise LinalgError('H must be {"dense": [rows]} or {"matrix_market": "a file name"}')
     if H.shape[0] != n:
         raise LinalgError(f"H is {H.shape[0]}x{H.shape[0]} but n = {n}")
-    label = data.get("label") or os.path.splitext(os.path.basename(path))[0]
+    label = "" if data.get("label") is None else _typed(data["label"], str, "label")
     return QuadraticProblem(
-        H=H, c=vector(c_raw, backend), x0=vector(x0_raw, backend), label=str(label)
+        H=H, c=vector(c_raw, backend), x0=vector(x0_raw, backend),
+        label=label or os.path.splitext(os.path.basename(path))[0],
     )
 
 
@@ -291,8 +295,9 @@ _RECORD_FIELDS = (("k", "k", "index"), ("x", "x_k", "vector"), ("g", "g_k", "vec
                   ("c", "c_k", "scalar"))
 
 
+@_names_its_file
 def save_trace(trace: CGTrace, path) -> None:
-    """Write a trace as JSON; all numerics lossless."""
+    """Write a trace as JSON; all numerics lossless, and formatted before the file is opened."""
     backend = BACKENDS[trace.scalar_backend]
     write = {"index": int, "vector": lambda v: vector_tokens(v, backend),
              "scalar": scalar_token if backend.exact else float}
@@ -335,7 +340,8 @@ def load_trace(path) -> CGTrace:
         if backend.exact and _holds_float(raw_records):
             data = _read_json(path, backend)
             raw_records = data["records"]
-        read = {"index": int, "vector": lambda v: vector(v, backend), "scalar": backend.scalar}
+        read = {"index": lambda k: _typed(k, int, "k"), "vector": lambda v: vector(v, backend),
+                "scalar": backend.scalar}
         records = tuple(
             IterateRecord(**{field: None if (value := rec.get(key)) is None else read[kind](value)
                              for key, field, kind in _RECORD_FIELDS})
@@ -343,11 +349,10 @@ def load_trace(path) -> CGTrace:
         )
         # run_cg records g_k^T g_k, equal here up to a float64 dot product's
         # rounding on another BLAS build, and beta_k, its exact ratio to the last.
-        slack = 0 if backend.exact else np.finfo(np.float64).eps
         for prev, rec in zip((None, *records), records):
             gns = norm_sq(rec.g_k)
-            if not abs(rec.grad_norm_sq - gns) <= slack * rec.g_k.size * gns:
-                raise LinalgError(f"grad_norm_sq of record {rec.k} is not g^T g")
+            _gate(backend, rec.grad_norm_sq - gns, lambda: np.finfo(np.float64).eps * rec.g_k.size * gns,
+                  f"grad_norm_sq of record {rec.k} is not g^T g")
             if prev is None:
                 beta_ok = rec.beta_k is None
             else:
@@ -356,13 +361,13 @@ def load_trace(path) -> CGTrace:
                 raise LinalgError(f"beta of record {rec.k} is not its grad_norm_sq ratio")
         # CGTrace refuses records out of order, or of a shape run_cg never writes.
         return CGTrace(
-            problem_id=str(data.get("problem_id", "unlabeled")),
+            problem_id=_typed(data.get("problem_id", "unlabeled"), str, "problem_id"),
             scalar_backend=backend.name,
             records=records,
-            termination_index=int(data["r"]),
-            termination_reason=str(data["termination_reason"]),
-            direction_mode=str(data.get("direction_mode", "recursive")),
-            scaling_mode=str(data.get("scaling_mode", "cg_standard")),
+            termination_index=_typed(data["r"], int, "r"),
+            termination_reason=_typed(data["termination_reason"], str, "termination_reason"),
+            direction_mode=_typed(data.get("direction_mode", "recursive"), str, "direction_mode"),
+            scaling_mode=_typed(data.get("scaling_mode", "cg_standard"), str, "scaling_mode"),
         )
     except LinalgError:
         raise

@@ -35,6 +35,7 @@ from .linalg import (
     LinalgError,
     Scalar,
     _freeze,
+    _gate,
     _integer_rows,
     _leading_rows,
     _orthogonalized,
@@ -45,7 +46,7 @@ from .linalg import (
     leading_solves,
     residual_magnitude,
 )
-from .quadratic import QuadraticProblem, _times_H, evaluate, gradient
+from .quadratic import QuadraticProblem, _check_point, _times_H, evaluate, gradient
 from .engine import CGTrace
 
 # Patched by bench/tracer.py, which still names the deleted pivoted kernel;
@@ -139,10 +140,7 @@ def minimize_on_affine_span(P: QuadraticProblem, B: SpanBasis) -> SubspaceSoluti
     The gradient of q at the result is orthogonal to every spanning
     vector — exactly so under the rational backend.
     """
-    if B.x0.shape != (P.n,):
-        raise DimensionMismatch(f"base point has shape {B.x0.shape}, expected ({P.n},)")
-    if backend_of(B.x0) is not P.backend:
-        raise LinalgError("span basis is on a different backend than the problem")
+    _check_point(P, B.x0)
     return _sweep(P, B.x0, B.spanning_vectors)[-1]
 
 
@@ -177,10 +175,9 @@ def trace_oracle(
     # whenever x0 = 0, where the gradient is just c).
     for rec in {records[0].k: records[0], records[-1].k: records[-1]}.values():
         g = gradient(P, rec.x_k)
-        mismatch = residual_magnitude(g - rec.g_k)
-        limit = 0 if P.backend.exact else 1e-12 * max(1.0, float(residual_magnitude(g)))
-        if mismatch > limit:
-            raise LinalgError("trace gradients do not come from this problem")
+        _gate(P.backend, residual_magnitude(g - rec.g_k),
+              lambda: 1e-12 * max(1.0, float(residual_magnitude(g))),
+              "trace gradients do not come from this problem")
     gradients = [rec.g_k for rec in records[: trace.r]]
     return _sweep(P, records[0].x_k, gradients, _basis, _points_only)[1:]
 

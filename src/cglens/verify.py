@@ -53,7 +53,7 @@ from .linalg import (
     scalar_token,
 )
 from .quadratic import QuadraticProblem, _times_H_rows
-from .engine import CGTrace, DirectionScaling, run_cg
+from .engine import F64_EXTRA_STEPS, CGTrace, DirectionScaling, run_cg
 from .oracle import _check_trace_fits, verify_against_trace
 from .minnorm import _closed_form_ghats, _projected_ghats
 # bench/tracer.py patches these one-shot names on this module.
@@ -70,7 +70,7 @@ _CHECKS = {
     "subspace_optimality": ("x_k minimizes q over x_0 + span{g_0, ..., g_{k-1}}", 1e-6),
     "min_norm_relation": ("p_k = (c_k / ghat_k^T ghat_k) ghat_k, ghat by two methods", 1e-6),
     "conjugacy": ("p_i^T H p_j = 0 for all i != j", 1e-8),
-    "termination_bound": ("g_r = 0 with r <= n (exact); r <= n + 5 (float64)", 0.0),
+    "termination_bound": (f"g_r = 0 with r <= n (exact); r <= n + {F64_EXTRA_STEPS} (float64)", 0.0),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -317,13 +317,13 @@ def check_conjugacy(P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _tab
 def check_termination_bound(
     P: QuadraticProblem, trace: CGTrace, tolerance=None
 ) -> CheckResult:
-    """Finite termination: a zero gradient within n steps (n + 5 under float64).
+    """Finite termination: a zero gradient within n steps (n + F64_EXTRA_STEPS in float64).
 
     measured counts the excess over the bound, plus 1 if the run ended
     without the gradient converging at all (max_iter or breakdown).
     """
     backend = _backend(trace)
-    bound = P.n if backend.exact else P.n + 5
+    bound = P.n if backend.exact else P.n + F64_EXTRA_STEPS
     excess = max(0, trace.r - bound)
     converged = trace.termination_reason in ("gradient_zero", "tolerance_met")
     measured = excess + (0 if converged else 1)

@@ -180,6 +180,12 @@ class TestOracle:
         assert len(payload["solutions"]) == 2
         assert payload["solutions"][1]["point"] == ["1", "1"]
 
+    def test_start_at_the_minimizer_says_so(self, tmp_path, capsys):
+        path = tmp_path / "at-min.json"
+        path.write_text(json.dumps({"n": 1, "H": {"dense": [[2]]}, "c": [-2], "x0": [1]}))
+        assert run_main(["oracle", "--problem", str(path), "--backend", "rational"]) == 0
+        assert capsys.readouterr().out == "r = 0: the start point already minimizes q\n"
+
 
 class TestBadInput:
     def test_missing_file_exits_two(self):
@@ -317,6 +323,25 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith(f"error: {path}: cannot convert '1111")
 
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits")
+                        or sys.get_int_max_str_digits() != 4300, reason="the default int-string limit")
+    @pytest.mark.parametrize("command, flag", [
+        ("verify", "--trace"), ("solve", "--trace"), ("oracle", "--report"),
+    ])
+    def test_number_too_long_to_write_exits_two_naming_the_file(self, tmp_path, capsys,
+                                                                command, flag):
+        # c = 10^4300 loads (the token cap is on the exponent), but its 4301
+        # digits are past Python's int-to-text limit, so g_0 and the oracle's
+        # point cannot be written: one line naming the file, and no file.
+        path, out = tmp_path / "long.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"n": 1, "H": {"dense": [[1]]}, "c": ["1e4300"], "x0": [0]}))
+        problem = ["--problem", str(path), "--backend", "rational"]
+        assert run_main([command, *problem, flag, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+        assert not out.exists()
+        assert run_main([command, *problem]) == 0
+
     @pytest.mark.parametrize("backend", ["f64", "rational"])
     @pytest.mark.parametrize("text", [
         "{nope",
@@ -423,6 +448,11 @@ class TestBreakdownExitCode:
     def test_verify_reports_three_even_when_checks_fail(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_cg", self.fake_run_cg)
         assert run_main(["verify", "--kind", "diag", "--n", "2"]) == 3
+        capsys.readouterr()
+
+    def test_oracle_reports_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_cg", self.fake_run_cg)
+        assert run_main(["oracle", "--kind", "diag", "--n", "2"]) == 3
         capsys.readouterr()
 
 

@@ -28,6 +28,7 @@ from cglens.quadratic import QuadraticProblem, evaluate
 from cglens.engine import (
     BreakdownError,
     CGTrace,
+    SCALING_MODES,
     IterateRecord,
     step_length,
 )
@@ -224,6 +225,10 @@ class TestRunCG:
         with pytest.raises(LinalgError):
             run_cg(make_p1(), direction_mode="steepest")
 
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(LinalgError, match="max_iter must be nonnegative"):
+            run_cg(make_p1(), max_iter=-1)
+
     def test_zero_tol_is_valid(self):
         # The boundary of 0 <= tol < inf: float64 runs until g is exactly zero.
         P = generate_problem(ProblemSpec(kind="diag", n=4))
@@ -276,6 +281,24 @@ class TestTraceContainer:
                 termination_index=0,
                 termination_reason="gave_up",
             )
+
+    @pytest.mark.parametrize("field, value, refusal", [
+        ("direction_mode", "bogus", "unknown direction mode 'bogus'"),
+        ("direction_mode", None, "unknown direction mode None"),
+        ("scaling_mode", "5", "unknown scaling mode '5'"),
+    ])
+    def test_unknown_mode_rejected(self, field, value, refusal):
+        # As an unknown termination reason is: the mode names of run_cg and
+        # DirectionScaling are the only ones a trace can carry.
+        _, trace = self._lap8()
+        with pytest.raises(LinalgError, match=re.escape(refusal)):
+            dataclasses.replace(trace, **{field: value})
+
+    def test_every_scaling_mode_is_a_trace_mode(self):
+        P, _ = self._lap8()
+        for mode in SCALING_MODES:
+            scaling = DirectionScaling(mode, custom_value=2 if mode == "custom" else None)
+            assert run_cg(P, direction_mode="gradient_sum", scaling=scaling).scaling_mode == mode
 
     @staticmethod
     def _lap8(backend=RATIONAL):

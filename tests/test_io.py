@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,19 @@ class TestMatrixMarketRead:
         assert [list(row) for row in M] == [[0.1, 1e-300], [1e-300, 3.7]]
         assert read_matrix_market(path, RATIONAL)[0, 0] == Fraction(1, 10)
 
+    def test_coordinate_general_full(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 4\n"
+            "1 1 2.5\n"
+            "1 2 -1\n"
+            "2 1 -1\n"
+            "2 2 2\n",
+        )
+        M = read_matrix_market(path, RATIONAL)
+        assert [list(row) for row in M] == [[Fraction(5, 2), -1], [-1, 2]]
+
     def test_array_general_full(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -177,6 +191,22 @@ class TestMatrixMarketRead:
         # The dense matrix is built only when every row has a stored entry
         # and the values fill it, so a size line alone cannot make it huge.
         with pytest.raises(MMParseError, match=line):
+            read_matrix_market(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("text, refusal", [
+        ("", "line 1: empty file"),
+        ("%%MatrixMarket matrix vector real general\n2\n1\n1\n", "line 1: unsupported format 'vector'"),
+        ("%%MatrixMarket matrix array real skew-symmetric\n1 1\n0\n",
+         "line 1: unsupported symmetry 'skew-symmetric'"),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1\n", "line 3: expected 'i j value'"),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 x 2\n", "line 3: bad indices '1' 'x'"),
+        # Each line is checked in file order: the bad value on line 3 is
+        # reported before the bad indices on line 4.
+        ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 bogus\n2 y 1\n",
+         "line 3: bad real value 'bogus'"),
+    ], ids=["empty", "format", "symmetry", "two-fields", "bad-indices", "first-bad-line"])
+    def test_refusal_cites_its_line(self, tmp_path, text, refusal):
+        with pytest.raises(MMParseError, match=f"^{re.escape(str(tmp_path / 'm.mtx'))}: {refusal}$"):
             read_matrix_market(self.write(tmp_path, text))
 
     @pytest.mark.parametrize("backend", [F64, RATIONAL])
@@ -625,3 +655,38 @@ class TestRefusalsNameTheirFile:
             load_trace(path)
         assert type(info.value) is LinalgError
         assert str(info.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("edit, refusal", [
+        (lambda d: d["records"][1].update(k=1.9), "k must be an integer"),
+        (lambda d: d["records"][1].update(k=True), "k must be an integer, not True"),
+        (lambda d: d.update(r=3.5), "r must be an integer, not 3.5"),
+        (lambda d: d.update(r="3"), "r must be an integer, not '3'"),
+        (lambda d: d.update(problem_id={"a": 1}), "problem_id must be a string"),
+        (lambda d: d.update(problem_id=None), "problem_id must be a string, not None"),
+        (lambda d: d.update(termination_reason=7), "termination_reason must be a string"),
+        (lambda d: d.update(direction_mode="bogus"), "unknown direction mode 'bogus'"),
+        (lambda d: d.update(direction_mode=None), "direction_mode must be a string, not None"),
+        (lambda d: d.update(scaling_mode=5), "scaling_mode must be a string, not 5"),
+    ], ids=["k-1.9", "k-true", "r-3.5", "r-string", "problem-id-object", "problem-id-null",
+            "reason-number", "direction-bogus", "direction-null", "scaling-number"])
+    def test_trace_field_of_the_wrong_type(self, tmp_path, backend, edit, refusal):
+        # k and r are JSON integers, the names JSON strings; none is coerced.
+        P = generate_problem(ProblemSpec(kind="diag", n=3), backend)
+        path = _write(tmp_path / "t.json", _mutated(trace_json(run_cg(P), tmp_path), edit))
+        with pytest.raises(LinalgError, match=f"^{re.escape(str(path))}: {re.escape(refusal)}"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("label, loaded", [
+        ({"a": [1]}, None), (7, None), (0, None), ([], None), (False, None),
+        (None, "p"), ("", "p"), ("mine", "mine"),
+    ])
+    def test_problem_label_is_a_string_or_falls_back_to_the_file_name(
+            self, tmp_path, backend, label, loaded):
+        path = _write(tmp_path / "p.json", {**self.PROBLEM, "label": label})
+        if loaded is not None:
+            assert load_problem(path, backend).label == loaded
+            return
+        with pytest.raises(LinalgError, match=f"^{re.escape(str(path))}: label must be a string"):
+            load_problem(path, backend)

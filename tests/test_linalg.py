@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from cglens.linalg import (
     Backend,
     DimensionMismatch,
     SpdCheck,
+    _gate,
     _leading_combinations,
     _leading_rows,
     _orthogonalized,
@@ -200,6 +202,35 @@ class TestKernels:
     def test_residual_magnitude_split(self):
         assert residual_magnitude(vector([3, 4], F64)) == 5.0
         assert residual_magnitude(vector(["-1/2", "1/3"], RATIONAL)) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_residual_magnitude_is_the_one_row_case_of_the_row_rule(self, backend):
+        for v in (vector(["-1/2", "1/3", "7"], backend), backend.empty(0)):
+            size = residual_magnitude(v)
+            assert type(size) is (Fraction if backend.exact else float)
+            assert size == _row_residuals(_stack([v], backend))[0]
+
+
+class TestGateRule:
+    """``_gate``: zero under rationals, at most the bound under float64, never NaN."""
+
+    @pytest.mark.parametrize("residual, bound, passes", [
+        (0.5, 1.0, True), (-1.0, 1.0, True), (1.5, 1.0, False),
+        (math.nan, 1.0, False), (0.0, math.nan, False), (math.inf, math.inf, True),
+    ])
+    def test_float64_residual_against_its_bound(self, residual, bound, passes):
+        if passes:
+            _gate(F64, residual, lambda: bound, "refused")
+        else:
+            with pytest.raises(LinalgError, match="^refused$"):
+                _gate(F64, residual, lambda: bound, "refused")
+
+    def test_rational_residual_must_be_zero_and_reads_no_bound(self):
+        def bound():
+            raise AssertionError("the bound is read under float64 only")
+        _gate(RATIONAL, Fraction(0), bound, "refused")
+        with pytest.raises(LinalgError, match="^refused$"):
+            _gate(RATIONAL, Fraction(-1, 10**40), bound, "refused")
 
 
 # Fractions with zeros, negatives and denominators up to ~2^500.
@@ -386,6 +417,15 @@ class TestScalarToken:
     def test_float_tokens_round_trip(self):
         for x in (0.1, 1e-300, -math.pi, 3.0):
             assert float(scalar_token(x)) == x
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits")
+                        or sys.get_int_max_str_digits() != 4300, reason="the default int-string limit")
+    @pytest.mark.parametrize("x", [Fraction(10**4300, 3), Fraction(1, 10**4300), 10**4300],
+                             ids=["numerator", "denominator", "integer"])
+    def test_past_the_int_text_limit_is_a_linalg_error(self, x):
+        with pytest.raises(LinalgError, match="int-to-text limit"):
+            scalar_token(x)
+        assert scalar_token(Fraction(10**4299, 3)) == str(10**4299) + "/3"
 
 
 class TestSpdCheck:

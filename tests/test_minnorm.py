@@ -74,6 +74,17 @@ class TestAffineCombination:
         with pytest.raises(DimensionMismatch):
             AffineCombination(np.zeros(0))
 
+    def test_rejects_nan_weights(self):
+        with pytest.raises(LinalgError, match="sum to"):
+            AffineCombination(np.array([math.nan, 1.0]))
+
+
+class TestClosedFormGate:
+    def test_rejects_a_nan_history(self):
+        # The orthogonality defect of a NaN history is NaN, which no bound passes.
+        with pytest.raises(LinalgError, match="not orthogonal"):
+            min_norm_closed_form([np.array([math.nan, 0.0]), np.array([0.0, 1.0])])
+
 
 class TestOrthogonalityDefect:
     def test_orthogonal_is_zero(self):
@@ -227,6 +238,30 @@ class TestAffinePoint:
         weights = AffineCombination(vector([1], RATIONAL))
         with pytest.raises(DimensionMismatch):
             affine_point_of_gradient_combination(P, [P.x0, P.x0], weights)
+
+    def test_float64_midpoint_correspondence(self):
+        P = generate_problem(ProblemSpec(kind="diag", n=2))
+        trace = run_cg(P)
+        iterates = [rec.x_k for rec in trace.records[:2]]
+        point = affine_point_of_gradient_combination(P, iterates, AffineCombination(vector([0.5, 0.5])))
+        expected = 0.5 * trace.records[0].g_k + 0.5 * trace.records[1].g_k
+        assert np.allclose(point.g, expected, rtol=0, atol=1e-15)
+
+    def test_float64_nan_drift_rejected(self):
+        # x_1 = (inf, 0) makes g = (inf, nan): a NaN drift, which no bound passes.
+        P = generate_problem(ProblemSpec(kind="diag", n=2))
+        weights = AffineCombination(vector([0.5, 0.5]))
+        with np.errstate(invalid="ignore"), pytest.raises(LinalgError, match="correspondence"):
+            affine_point_of_gradient_combination(P, [P.x0, np.array([math.inf, 0.0])], weights)
+
+    def test_exact_drift_rejected(self):
+        # Weights that do not sum to 1, past the constructor's check: under
+        # rationals any drift at all is refused.
+        P = make_p1()
+        weights = AffineCombination(vector(["1/2", "1/2"], RATIONAL))
+        object.__setattr__(weights, "weights", vector(["1/2", "1/3"], RATIONAL))
+        with pytest.raises(LinalgError, match="correspondence"):
+            affine_point_of_gradient_combination(P, [P.x0, vector([1, 1], RATIONAL)], weights)
 
 
 class TestShortestResiduals:
