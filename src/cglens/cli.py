@@ -205,7 +205,8 @@ def cmd_oracle(args) -> int:
         print(f"k = {k}: oracle objective {_shown(sol.objective_value):.12g}, "
               f"|x_k - oracle| = {deviation:.3e}")
     if trace.r == 0:
-        print("r = 0: the start point already minimizes q")
+        print("r = 0: the start point already minimizes q" if trace.converged
+              else f"r = 0: the run stopped ({trace.termination_reason}) before its first step")
     if args.report:
         _save_oracle_report(args.report, trace, problem.backend, solutions)
     if trace.termination_reason == "breakdown":

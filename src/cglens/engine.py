@@ -142,8 +142,19 @@ class CGTrace:
     def r(self) -> int:
         return self.termination_index
 
+    @property
+    def converged(self) -> bool:
+        """Whether the run stopped because its gradient vanished (to ``tol`` in float64)."""
+        return self.termination_reason in ("gradient_zero", "tolerance_met")
+
     def gradients(self) -> list[np.ndarray]:
         return [rec.g_k for rec in self.records]
+
+
+def _step_budget(P: QuadraticProblem) -> int:
+    """n under rationals, where termination within n steps is a theorem, and
+    n + F64_EXTRA_STEPS under float64."""
+    return P.n if P.backend.exact else P.n + F64_EXTRA_STEPS
 
 
 def step_length(P: QuadraticProblem, g_k: np.ndarray, p_k: np.ndarray) -> Scalar:
@@ -175,9 +186,8 @@ def run_cg(
 
     Stops when the gradient vanishes (exactly, under the rational
     backend; under float64 when ||g_k|| <= tol * max(||g_0||, 1)), or after
-    ``max_iter`` completed steps (default n under the rational backend, where
-    termination within n steps is a theorem, and n + ``F64_EXTRA_STEPS`` under
-    float64), or on curvature breakdown.  ``tol`` must satisfy
+    ``max_iter`` completed steps (default ``_step_budget``), or on curvature
+    breakdown.  ``tol`` must satisfy
     0 <= tol < inf on both backends; the rational backend ignores it.
 
     ``direction_mode`` selects among the three characterizations; the
@@ -190,7 +200,7 @@ def run_cg(
     scaling = DirectionScaling() if scaling is None else scaling
     backend = P.backend
     if max_iter is None:
-        max_iter = P.n if backend.exact else P.n + F64_EXTRA_STEPS
+        max_iter = _step_budget(P)
     if max_iter < 0:
         raise LinalgError("max_iter must be nonnegative")
     if not 0 <= tol < math.inf:

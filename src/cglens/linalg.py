@@ -136,11 +136,11 @@ class Backend:
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.exact else 0.0
+        return self.scalar(0)
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.exact else 1.0
+        return self.scalar(1)
 
     def empty(self, shape) -> np.ndarray:
         """A writable all-zeros array of this backend's dtype."""
@@ -486,31 +486,32 @@ def _orthogonalized(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[i
     (rationals): the package's one rank decision.  A NaN column is kept.
 
     The rows of Q are the kept q_j, unnormalized, ``d`` their squared norms
-    and ``kept`` their indices.  T = R^-1 for the unit upper triangular R
-    of V = Q R: sum_i T[i, j] v_i = q_j, which for a dropped j is the
-    negligible (under rationals, zero) part left over.  Orthogonal input,
-    such as an exact CG history, gives Q = V and T = I.
+    and ``kept`` their indices: sum_i T[i, j] v_i is row j of Q, or for a
+    dropped j the negligible (under rationals, zero) part left over.  Under
+    float64 T = R^-1 for the unit upper triangular R of V = Q R, and
+    orthogonal input gives Q = V and T = I.  Under rationals row j is q_j's
+    integer numerators (``_integerized``), made once, and column j of T carries
+    their denominator, so orthogonal input gives a diagonal T.
     """
     backend = backend_of(vectors[0])
     r, n = len(vectors), vectors[0].shape[0]
     Q, d, T = backend.empty((r, n)), backend.empty(r), backend.empty((r, r))
     passes, kept = 1 if backend.exact else 2, []
-    # Under rationals, the integer rows of the kept q_i, each formed once.
-    N, den = np.empty((r, n), dtype=object) if backend.exact else None, []
     for j, v in enumerate(vectors):
         T[j, j] = backend.one
         q, m = v, len(kept)
         for _ in range(passes if kept else 0):
-            c = _product(Q[:m], q, (N[:m], den) if backend.exact else None) / d[:m]
+            c = _product(Q[:m], q) / d[:m]
             if c.any():
                 q = q - _product(c, Q[:m])
                 T[:j, j] -= _product(T[:j, kept], c)
         q_sq = norm_sq(q)
         if not q_sq <= (0 if backend.exact else _DROP_MARGIN * norm_sq(v)):
-            Q[m], d[m] = q, q_sq
             if backend.exact:
-                N[m], d_m = _integerized(q)
-                den.append(d_m)
+                q, den = _integerized(q)
+                T[: j + 1, j] *= den
+                q_sq *= den * den
+            Q[m], d[m] = q, q_sq
             kept.append(j)
     return Q[: len(kept)], T, d[: len(kept)], kept
 

@@ -18,8 +18,9 @@ k-1 for ``gradients[:k]``.  ``_closed_form_ghats`` reads each gradient's
 norm once and keeps running sums.  ``_projected_ghats`` orthogonalizes the
 history once, column by column (``linalg._orthogonalized``, G = Q R), and
 reads every prefix's ghat off Q and R^-1 with running sums: O(r^2 n) for
-the sweep.  For the orthogonal gradients of an exact trace Q = G and
-R = I, and the projection reduces to the closed form's harmonic weights.
+the sweep.  For the orthogonal gradients of a CG trace Q = G and R = I,
+and the projection reduces to the closed form's harmonic weights; under
+rationals each row of Q is a positive multiple of its g_i, which moves no ghat.
 The one-shots ``min_norm_closed_form`` and ``projection_oracle`` are the
 last rows of these sweeps.
 """
@@ -50,6 +51,7 @@ from .linalg import (
     norm_sq,
     pairwise_residual,
     residual_magnitude,
+    scalar_token,
 )
 from .quadratic import QuadraticProblem, gradient
 
@@ -71,7 +73,7 @@ class AffineCombination:
         total, backend = sum(w), backend_of(w)
         _gate(backend, total - 1,
               lambda: 64 * len(w) * np.finfo(np.float64).eps * max(1.0, float(np.abs(w).max())),
-              f"affine weights sum to {total if backend.exact else repr(total)}, not 1")
+              f"affine weights sum to {scalar_token(total)}, not 1")
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -170,7 +172,8 @@ def _projected_ghats(gradients: Sequence[np.ndarray], basis=None) -> tuple[np.nd
     if none), past which every row is 0.  ``basis`` is ``_orthogonalized(gradients)``
     if the caller already has it.
 
-    With G = Q R, Q^T Q = D diagonal and R unit upper triangular, the hull
+    With G = Q R, Q^T Q = D diagonal and R upper triangular (its diagonal 1
+    but on a kept column under rationals, ``_orthogonalized``), the hull
     points G alpha with 1^T alpha = 1 are the points Q beta with
     w^T beta = 1, where beta = R alpha and R^T w = 1.  The shortest is
     beta = D^-1 w / (w^T D^-1 w).  The orthogonalization returns T = R^-1,

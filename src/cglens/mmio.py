@@ -201,7 +201,7 @@ def _matrix_lines(H: np.ndarray, backend: Backend) -> Iterator[str]:
     """Each row of a symmetric H as the line ``json.dumps`` gives for it.
 
     Row i formats its entries from the diagonal rightward and stacks the rest
-    for the later rows they mirror into, so at most ~n^2/4 tokens are held.
+    for the later rows they mirror into, so each token is formatted once.
     An entry that differs in bits from its mirror (0.0 against -0.0) is
     formatted itself; equal rationals always format alike.
     """
@@ -276,12 +276,13 @@ def load_problem(path, backend: Backend = F64) -> QuadraticProblem:
     )
 
 
+@_names_its_file
 def save_problem(P: QuadraticProblem, path) -> None:
-    """Write a problem as JSON with a dense H, losslessly for both backends."""
+    """Write a problem as JSON with a dense H, losslessly; formatted before the file is opened."""
     backend = P.backend
     save_json({
         "n": P.n,
-        "H": {"dense": _matrix_lines(P.H, backend)},
+        "H": {"dense": iter(list(_matrix_lines(P.H, backend)))},
         "c": vector_tokens(P.c, backend),
         "x0": vector_tokens(P.x0, backend),
         "label": P.label,

@@ -15,8 +15,10 @@ leading blocks of one matrix and one right-hand side, so one
 natural-order factor serves them all, on both backends, and one call
 (``linalg._leading_rows``) gives the points, coordinates and objectives:
 O(r^2 n + r^3) per trace.  Under rationals they are running sums off the
-factor, with no product of the solutions and Q.  The vectors may be
-dependent, and there may be more of them than the dimension: a k whose
+factor, with no product of the solutions and Q, whose rows are integers (the
+orthogonalization stores them so): the reduced matrix has the denominator of
+H alone, which keeps the Fractions of its elimination small.  The vectors may
+be dependent, and there may be more of them than the dimension: a k whose
 vector was dropped spans what k - 1 spanned and repeats its point, which
 is unique even where the coordinates are not.  Q^T H Q is as well
 conditioned as H, so the elimination stops only where a pivot fails the
@@ -36,7 +38,6 @@ from .linalg import (
     Scalar,
     _freeze,
     _gate,
-    _integer_rows,
     _leading_rows,
     _orthogonalized,
     _product,
@@ -105,12 +106,6 @@ def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors, basis=None, points_only
                                  objective_value=evaluate(P, x0))]
     Q, T, _, kept = _orthogonalized(vectors) if basis is None else basis
     T = T[:, kept]
-    if backend.exact:
-        # Each q_t over its own denominator spans the same line, and then
-        # the reduced matrix has the denominator of H alone, which keeps the
-        # Fractions of its elimination small.
-        Q, scale = _integer_rows(Q)
-        T = T * np.array(scale, dtype=object)
     A, rhs = _product(Q, _times_H(P, Q.T)), -_product(Q, gradient(P, x0))
     # Row t of Y is [Q^T y | T y | rhs^T y] for y = y_t, the solution on the
     # first t kept columns, summed off the factor: the moves, the coordinates
@@ -127,7 +122,7 @@ def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors, basis=None, points_only
     coordinates = _freeze(Y[:, P.n : -1])
     # q(x0 + sum_t y_t q_t) = q(x0) - rhs^T y + 1/2 y^T A y = q(x0) - 1/2 y^T rhs
     # when A y = rhs: O(k) per point where evaluating q costs O(n^2).
-    objectives = evaluate(P, x0) - backend.scalar("1/2") * Y[:, -1]
+    objectives = evaluate(P, x0) - Y[:, -1] / 2
     return [
         SubspaceSolution(coordinates=coordinates[t, :k], point=points[t], objective_value=objectives[t])
         for k, t in enumerate(rows)

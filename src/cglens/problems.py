@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -110,19 +109,13 @@ def _reflect(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _spectrum(spec: ProblemSpec, rng: SplitMix64, backend: Backend) -> list:
-    """Eigenvalues spanning [1, condition]: endpoints pinned, rest log-uniform."""
-    n, cond = spec.n, float(spec.condition)
-    if backend.exact:
-        top = max(1, round(cond))
-        values = [Fraction(1), Fraction(top)]
-        for _ in range(n - 2):
-            values.append(Fraction(round(math.exp(rng.unit_float() * math.log(top)))
-                                   if top > 1 else 1))
-        return values[:n]
-    values = [1.0, cond]
-    for _ in range(n - 2):
-        values.append(math.exp(rng.unit_float() * math.log(cond)) if cond > 1 else 1.0)
-    return values[:n]
+    """Eigenvalues spanning [1, top]: endpoints pinned, rest log-uniform.  Top is the
+    condition, and under rationals it and every eigenvalue are rounded to integers."""
+    whole = round if backend.exact else float
+    top = max(1, whole(float(spec.condition)))
+    values = [1, top] + [whole(math.exp(rng.unit_float() * math.log(top))) if top > 1 else 1
+                         for _ in range(spec.n - 2)]
+    return [backend.scalar(v) for v in values[: spec.n]]
 
 
 def _rand_spd_matrix(spec: ProblemSpec, backend: Backend) -> np.ndarray:

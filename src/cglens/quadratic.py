@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -103,8 +102,7 @@ def _check_point(P: QuadraticProblem, x: np.ndarray) -> None:
 def evaluate(P: QuadraticProblem, x: np.ndarray):
     """q(x) = 1/2 x^T H x + c^T x."""
     _check_point(P, x)
-    half = Fraction(1, 2) if P.backend.exact else 0.5
-    return half * dot(x, _times_H(P, x)) + dot(P.c, x)
+    return dot(x, _times_H(P, x)) / 2 + dot(P.c, x)
 
 
 def gradient(P: QuadraticProblem, x: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ from .linalg import (
     scalar_token,
 )
 from .quadratic import QuadraticProblem, _times_H_rows
-from .engine import F64_EXTRA_STEPS, CGTrace, DirectionScaling, run_cg
+from .engine import F64_EXTRA_STEPS, CGTrace, DirectionScaling, _step_budget, run_cg
 from .oracle import _check_trace_fits, verify_against_trace
 from .minnorm import _closed_form_ghats, _projected_ghats
 # bench/tracer.py patches these one-shot names on this module.
@@ -140,14 +140,17 @@ class _Tables:
     """A trace's stacks (``linalg._stack``), each formed once, at first use: g_k
     and x_k of every record, and p_k and H p_k (``quadratic._times_H_rows``) of
     every step k < r.  Under rationals also PG, the rows k of the P G^T table
-    over the columns 0..k that conditions (b) and (c) read.  ``basis`` is
-    ``linalg._orthogonalized`` of g_0..g_{r-1} (None if r = 0), for the
-    subspace oracle and the min-norm projection.  ``run_full_suite`` shares one
-    among its checks; a check called alone builds its own."""
+    over the columns 0..k that conditions (b) and (c) read.  The orthogonality
+    checks read the first ``measured`` gradients: all under rationals, and all
+    but the terminal one, noise whose *direction* is meaningless, under float64.
+    ``basis`` is ``linalg._orthogonalized`` of g_0..g_{r-1} (None if r = 0), for
+    the subspace oracle and the min-norm projection.  ``run_full_suite`` shares
+    one among its checks; a check called alone builds its own."""
 
     def __init__(self, P: QuadraticProblem | None, trace: CGTrace):
         self.problem, self.records, self.r = P, trace.records, trace.r
         self.steps, self.backend = trace.records[: trace.r], _backend(trace)
+        self.measured = len(self.records) - (0 if self.backend.exact else 1)
 
     G = cached_property(lambda self: _stack([rec.g_k for rec in self.records], self.backend))
     X = cached_property(lambda self: _stack([rec.x_k for rec in self.records], self.backend))
@@ -160,12 +163,10 @@ class _Tables:
 
 def check_gradient_orthogonality(trace: CGTrace, tolerance=None, *, _tables=None) -> CheckResult:
     """Pairwise orthogonality of the gradients that generated steps."""
-    backend = _backend(trace)
-    G = (_tables or _Tables(None, trace)).G
-    # Under rationals the terminal zero gradient rides along.
-    gs = G if backend.exact else G[:-1]
+    T = _tables or _Tables(None, trace)
+    gs = T.G[: T.measured]
     measured = pairwise_residual(
-        backend, gs, gs, shift=None, diagonal=False, scales=lambda: (_norms(gs),) * 2
+        T.backend, gs, gs, shift=None, diagonal=False, scales=lambda: (_norms(gs),) * 2
     )
     return _result("gradient_orthogonality", trace, tolerance, measured)
 
@@ -180,16 +181,12 @@ def check_derivation_conditions(trace: CGTrace, tolerances=None, *, _tables=None
         g_{i+1} - g_0 with i < k;
     (c) p_k^T g_i takes one common value c_k over i <= k.
     """
-    backend = _backend(trace)
     tolerances = tolerances or {}
     T = _tables or _Tables(None, trace)
-    G, X, ps = T.G, T.X, T.P
+    G, X, ps, backend = T.G, T.X, T.P, T.backend
 
-    # (a) g_{k+1}^T (x_{i+1} - x_0) = 0 for i <= k.  Under float64 the
-    # terminal gradient is numerically zero noise whose *direction* is
-    # meaningless, so only pre-terminal gradients are measured there.
-    last = len(G) - 1 if backend.exact else len(G) - 2
-    gs, xs = G[1 : last + 1], X[: last + 1]
+    # (a) g_{k+1}^T (x_{i+1} - x_0) = 0 for i <= k, over the measured gradients.
+    gs, xs = G[1 : T.measured], X[: T.measured]
     span = pairwise_residual(
         backend, gs, xs, shift=None, diagonal=True, origin=True,
         scales=lambda: (_norms(gs), _norms(xs[1:] - xs[0])),
@@ -322,12 +319,8 @@ def check_termination_bound(
     measured counts the excess over the bound, plus 1 if the run ended
     without the gradient converging at all (max_iter or breakdown).
     """
-    backend = _backend(trace)
-    bound = P.n if backend.exact else P.n + F64_EXTRA_STEPS
-    excess = max(0, trace.r - bound)
-    converged = trace.termination_reason in ("gradient_zero", "tolerance_met")
-    measured = excess + (0 if converged else 1)
-    measured = Fraction(measured) if backend.exact else float(measured)
+    excess = max(0, trace.r - _step_budget(P))
+    measured = _backend(trace).scalar(excess + (0 if trace.converged else 1))
     return _result("termination_bound", trace, tolerance, measured)
 
 

@@ -186,6 +186,13 @@ class TestOracle:
         assert run_main(["oracle", "--problem", str(path), "--backend", "rational"]) == 0
         assert capsys.readouterr().out == "r = 0: the start point already minimizes q\n"
 
+    @pytest.mark.parametrize("backend", ["f64", "rational"])
+    def test_no_step_taken_claims_nothing(self, capsys, backend):
+        # x0 = 0 is not the minimizer (all ones): the run stopped at its budget.
+        argv = ["oracle", "--kind", "diag", "--n", "2", "--max-iter", "0", "--backend", backend]
+        assert run_main(argv) == 0
+        assert capsys.readouterr().out == "r = 0: the run stopped (max_iter) before its first step\n"
+
 
 class TestBadInput:
     def test_missing_file_exits_two(self):
@@ -341,6 +348,22 @@ class TestBadInput:
         assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
         assert not out.exists()
         assert run_main([command, *problem]) == 0
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits")
+                        or sys.get_int_max_str_digits() != 4300, reason="the default int-string limit")
+    @pytest.mark.parametrize("existing", [None, "kept\n"])
+    def test_problem_too_long_to_write_leaves_no_file(self, tmp_path, capsys, existing):
+        # H = 10^4300 loads, but cannot be written: every row is formatted
+        # before P.json is opened, so the refusal names it and leaves it as it was.
+        path, out = tmp_path / "big.json", tmp_path / "P.json"
+        path.write_text(json.dumps({"n": 1, "H": {"dense": [["1e4300"]]}, "c": ["-1"], "x0": ["0"]}))
+        if existing:
+            out.write_text(existing)
+        assert run_main(["generate", "--problem", str(path), "--backend", "rational",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+        assert (out.read_text() if out.exists() else None) == existing
 
     @pytest.mark.parametrize("backend", ["f64", "rational"])
     @pytest.mark.parametrize("text", [

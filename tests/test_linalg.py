@@ -767,6 +767,22 @@ class TestKernelAgainstSympy:
         if B:
             assert _orthogonalized(_columns(B, RATIONAL))[3] == _kept_by_rank(B)
 
+    @given(gram_system())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_basis_rows_are_integers(self, system):
+        # Under rationals each kept row of Q is integer-valued, column j of T
+        # combines the columns into it exactly, d holds its squared norm, and
+        # a dropped column's combination is exactly zero.
+        _, _, B = system
+        assume(B)
+        columns = _columns(B, RATIONAL)
+        Q, T, d, kept = _orthogonalized(columns)
+        assert all(Fraction(x).denominator == 1 for x in Q.ravel())
+        assert list(d) == [sum(x * x for x in row) for row in Q]
+        for j in range(len(columns)):
+            combination = sum((T[i, j] * v for i, v in enumerate(columns)), 0 * columns[0])
+            assert list(combination) == (list(Q[kept.index(j)]) if j in kept else [0] * len(B))
+
     @given(st.integers(min_value=1, max_value=4).flatmap(
         lambda n: st.lists(st.lists(small_rationals, min_size=n, max_size=n),
                            min_size=n, max_size=n)))

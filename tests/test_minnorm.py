@@ -70,6 +70,10 @@ class TestAffineCombination:
         with pytest.raises(LinalgError):
             AffineCombination(vector([0.5, 0.6], F64))
 
+    def test_float_refusal_shows_the_sum_as_a_number(self):
+        with pytest.raises(LinalgError, match=r"^affine weights sum to 1\.1, not 1$"):
+            AffineCombination(np.array([0.5, 0.6]))
+
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatch):
             AffineCombination(np.zeros(0))

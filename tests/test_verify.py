@@ -46,8 +46,10 @@ from cglens.verify import (
     check_gradient_update_identity,
     check_min_norm_relation,
     check_subspace_optimality,
+    check_termination_bound,
     report_to_dict,
 )
+from cglens.engine import F64_EXTRA_STEPS, _step_budget
 from cglens.linalg import _product
 from cglens.minnorm import _closed_form_ghats, _projected_ghats
 from cglens.oracle import trace_oracle
@@ -83,6 +85,28 @@ class TestDefaults:
 
     def test_rational_tolerances_are_exact_zero(self):
         assert all(t == 0 for t in DEFAULT_TOLERANCES["rational"].values())
+
+
+class TestStepBudget:
+    """``run_cg``'s default step count and the termination bound are one rule."""
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_bound_is_the_default_step_count(self, backend):
+        trace = run_cg(generate_problem(ProblemSpec(kind="diag", n=4), backend))
+        for n in range(1, 12):
+            P = generate_problem(ProblemSpec(kind="diag", n=n), backend)
+            assert _step_budget(P) == n + (0 if backend.exact else F64_EXTRA_STEPS)
+            measured = check_termination_bound(P, trace).measured
+            assert measured == max(0, trace.r - _step_budget(P)) and type(measured) is type(backend.one)
+
+    def test_float_run_stops_at_the_bound(self):
+        # tol = 0 is met only by an exactly zero float gradient, which this
+        # run never reaches: it takes the whole default budget, which the
+        # termination check accepts as a step count and fails as unconverged.
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=6, condition=1e4, seed=0), F64)
+        trace = run_cg(P, tol=0.0)
+        assert (trace.r, trace.termination_reason) == (_step_budget(P), "max_iter")
+        assert check_termination_bound(P, trace).measured == 1.0
 
 
 class TestExactSuite:
