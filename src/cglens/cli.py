@@ -124,6 +124,8 @@ def _tolerance_overrides() -> dict:
             raise LinalgError(f"bad CGLENS_TOL_OVERRIDES entry {pair!r}")
         try:
             overrides[name] = (RATIONAL if "/" in value else F64).scalar(value)
+            if overrides[name] < 0:  # no residual is below 0, so no check could pass
+                raise LinalgError("a tolerance must not be negative")
         except LinalgError as err:
             raise LinalgError(f"bad CGLENS_TOL_OVERRIDES entry {pair!r}: {err}") from err
     return overrides

@@ -20,11 +20,12 @@ numerators over a common denominator (``_integerized``; one per row and
 per column of a matrix, ``_integer_rows``).  Integers sum with no gcd, and
 each result entry becomes a ``Fraction`` once (``_rationalized``).  A
 residual that should vanish is tested on its integer numerators, and
-becomes a ``Fraction`` only if it does not.  The residual rules take a
-stack of vectors (``_stack``: an array under float64, integer rows under
-rationals) and run on both backends, raw in exact arithmetic and normalized
-in float64 by ``_worst_ratio``: ``pairwise_residual`` over the triangle of
-an inner-product table, ``_row_dots`` and ``_row_residuals`` row by row.
+becomes a ``Fraction`` only if it does not.  The residual rules take a stack
+of vectors of any number of rows, none included (``_stack``: an array under
+float64, and under rationals ``_Rows``, whose integers only this module reads),
+and run on both backends, raw in exact arithmetic and normalized in float64 by
+``_worst_ratio``: ``pairwise_residual`` over the triangle of an inner-product
+table, ``_row_dots`` and ``_row_residuals`` row by row.
 
 ``_orthogonalized`` (Gram-Schmidt) decides which vectors of a list depend
 on the earlier ones.  A natural-order L D L^T decides how far a symmetric
@@ -40,8 +41,8 @@ step.  Under float64 the factor is LAPACK's Cholesky factor
 factor is written in one layout, unit multipliers below the diagonal and
 pivots on it, and one forward substitution on that layout
 (``_leading_combinations``) serves every leading solve: ``leading_solves``
-and the oracle's points, coordinates and objectives.  ``SpdCheck.solve``,
-which needs the whole system's solution alone, adds a back substitution.
+and the oracle's points, coordinates and objectives.  ``SpdCheck.solve`` needs
+z alone, for the whole system, and runs a forward and a back loop of its own.
 """
 
 from __future__ import annotations
@@ -246,9 +247,9 @@ def _check_symmetric(M: np.ndarray) -> None:
         )
 
 
-def _integer_rows(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """``(N, d)`` with rows[i] == N[i] / d[i]: each row's integer numerators
-    over the LCM of that row's denominators."""
+def _integer_rows(rows: np.ndarray) -> _Rows:
+    """The rows of a 2-D array as a stack (``_Rows``): each row's integer
+    numerators over the LCM of that row's denominators, rows[i] == N[i] / d[i]."""
     N, d = [], []
     for row in rows:
         ratios = [x.as_integer_ratio() for x in row]
@@ -259,20 +260,20 @@ def _integer_rows(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
         else:
             scale = {q: d[-1] // q for q in dens}
             N += [p * scale[q] for p, q in ratios]
-    return np.array(N, dtype=object).reshape(rows.shape), d
+    return _Rows(np.array(N, dtype=object).reshape(rows.shape), d)
 
 
 def _integerized(arr: np.ndarray) -> tuple[np.ndarray, int]:
     """``(N, d)`` with arr == N / d: integer numerators over the LCM d of the denominators."""
-    N, (d,) = _integer_rows(arr.reshape(1, -1))
-    return N.reshape(arr.shape), d
+    rows = _integer_rows(arr.reshape(1, -1))
+    return rows.N.reshape(arr.shape), rows.d[0]
 
 
 # Fraction(p, q) entry by entry, one gcd each; a Fraction for scalar input.
 _rationalized = np.frompyfunc(Fraction, 2, 1)
 
 
-def _product(a: np.ndarray, b: np.ndarray, a_rows=None):
+def _product(a, b: np.ndarray):
     """``np.dot(a, b)``, on integer numerators under the rational backend.
 
     Under float64 this is one ``np.dot`` call.  Exact operands become
@@ -282,19 +283,21 @@ def _product(a: np.ndarray, b: np.ndarray, a_rows=None):
     of ``b`` has its own (a vector counts as one row or one column): a
     matrix is usually a stack of vectors, such as a CG history, whose
     denominators are unrelated and have a needlessly large common multiple.
-    ``a_rows`` is ``_integer_rows(a)`` for a matrix ``a`` whose numerators
-    the caller keeps (a problem's H).
+    ``a`` may be a stack already on integers (``_Rows``: a problem's H), tested
+    first, since a numpy call on a ``_Rows`` would iterate it.
     """
-    if a.dtype != object:
+    if isinstance(a, _Rows):
+        shape = (len(a),)
+    elif a.dtype != object:
         return np.dot(a, b)
-    if a.ndim == b.ndim == 1:
+    elif a.ndim == b.ndim == 1:
         Na, da = _integerized(a)
         Nb, db = (Na, da) if b is a else _integerized(b)
         return _rationalized(np.dot(Na, Nb), da * db)
-    Na, da = a_rows or _integer_rows(a if a.ndim == 2 else a[None, :])
-    Nb, db = _integer_rows(b.T if b.ndim == 2 else b[None, :])
-    dens = np.multiply.outer(np.array(da, dtype=object), np.array(db, dtype=object))
-    return _rationalized(np.dot(Na, Nb.T), dens).reshape(a.shape[:-1] + b.shape[1:])
+    else:
+        a, shape = _integer_rows(a if a.ndim == 2 else a[None, :]), a.shape[:-1]
+    B = _integer_rows(b.T if b.ndim == 2 else b[None, :])
+    return _rationalized(np.dot(a.N, B.N.T), np.multiply.outer(a.d, B.d)).reshape(shape + b.shape[1:])
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> Scalar:
@@ -367,8 +370,8 @@ def _worst_ratio(backend: Backend, raw: np.ndarray, scale) -> Scalar:
 
 
 class _Rows:
-    """Stacked rational rows on integers, row i = N[i] / d[i]: ``_Rows(*_integer_rows(
-    rows))``, sliced as the stack is."""
+    """The one form of an exact stack of vectors, of any number of rows, none included:
+    row i = N[i] / d[i] on integers (``_integer_rows``), sliced as the stack is."""
 
     def __init__(self, N: np.ndarray, d):
         self.N, self.d = N, np.array(d, dtype=object)
@@ -383,13 +386,18 @@ class _Rows:
         """Row k of the integer table of a_k^T b_j over its columns j < k + extra."""
         return [np.dot(other.N[: k + extra], row) for k, row in enumerate(self.N)]
 
+    def times(self, M: "_Rows") -> "_Rows":
+        """M a_k for each row a_k, as a stack: row k over D d[k], D the LCM of M's d."""
+        D = math.lcm(*M.d)
+        return _Rows(np.dot(self.N, (M.N * (D // M.d)[:, None]).T), D * self.d)
+
 
 def _stack(vectors, backend: Backend):
     """The vectors as the rows of one stack, the operand of the row rules: an
     array under float64, and under rationals ``_Rows``, integer numerators over
-    one denominator per row."""
+    one denominator per row.  ``vectors`` is a 2-D array, or converts to one."""
     rows = np.asarray(vectors)
-    return _Rows(*_integer_rows(rows)) if backend.exact else rows
+    return _integer_rows(rows) if backend.exact else rows
 
 
 def _row_dots(A, B) -> np.ndarray:
@@ -638,7 +646,7 @@ def _leading_combinations(factor: tuple[np.ndarray, list, int], b: np.ndarray,
     the factor are the factors of the leading blocks of A, so one forward
     substitution of [b | V] serves every k: with z = D^-1 L^-1 b,
     V[:k]^T x_k = sum_{j<k} z_j w_j, a running sum over k, where w_j is row
-    j of L^-1 V.  This is the package's one solve.
+    j of L^-1 V.  This is the forward substitution of every leading solve.
     """
     W, _, m = factor
     Z = np.concatenate((b[:m, None], V[:m]), axis=1)

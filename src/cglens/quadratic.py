@@ -8,7 +8,6 @@ spans, subspace minimizers) is anchored at x0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +21,6 @@ from .linalg import (
     _check_symmetric,
     _integer_rows,
     _product,
-    _Rows,
     backend_of,
     cholesky_spd_check,
     dot,
@@ -69,27 +67,22 @@ class QuadraticProblem:
         return backend_of(self.H)
 
     @cached_property
-    def _H_rows(self) -> tuple[np.ndarray, list[int]]:
-        """``linalg._integer_rows(H)``, formed at the first exact product with H
-        and kept with the problem."""
+    def _H_rows(self):
+        """H as a stack (``linalg._integer_rows``), the integer numerators of H, one denominator
+        per row: formed at the first exact product with H and kept with the problem."""
         return _integer_rows(self.H)
 
 
 def _times_H(P: QuadraticProblem, B: np.ndarray) -> np.ndarray:
     """H B for a vector B, or for a matrix B of columns: one ``np.dot`` under
     float64, and on the numerators of H that P keeps under rationals."""
-    return _product(P.H, B, P._H_rows if P.backend.exact else None)
+    return _product(P._H_rows if P.backend.exact else P.H, B)
 
 
 def _times_H_rows(P: QuadraticProblem, S):
     """H s_k for each row s_k of a stack (``linalg._stack``), as a stack, from one
-    product: under rationals on the numerators of H that P keeps, put over their LCM."""
-    if not P.backend.exact:
-        return _times_H(P, S.T).T
-    NH, dH = P._H_rows
-    D = math.lcm(*dH)
-    NH = NH * np.array([[D // d] for d in dH], dtype=object)
-    return _Rows(np.dot(S.N, NH.T), D * S.d)
+    product: under rationals ``_Rows.times`` on the numerators of H that P keeps."""
+    return S.times(P._H_rows) if P.backend.exact else _times_H(P, S.T).T
 
 
 def _check_point(P: QuadraticProblem, x: np.ndarray) -> None:

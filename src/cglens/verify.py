@@ -152,9 +152,12 @@ class _Tables:
         self.steps, self.backend = trace.records[: trace.r], _backend(trace)
         self.measured = len(self.records) - (0 if self.backend.exact else 1)
 
-    G = cached_property(lambda self: _stack([rec.g_k for rec in self.records], self.backend))
-    X = cached_property(lambda self: _stack([rec.x_k for rec in self.records], self.backend))
-    P = cached_property(lambda self: _stack([rec.p_k for rec in self.steps], self.backend))
+    def _rows(self, vectors):  # a (k, n) stack for any k, as P's none at r = 0
+        return _stack(np.reshape(vectors, (-1, len(self.records[0].x_k))), self.backend)
+
+    G = cached_property(lambda self: self._rows([rec.g_k for rec in self.records]))
+    X = cached_property(lambda self: self._rows([rec.x_k for rec in self.records]))
+    P = cached_property(lambda self: self._rows([rec.p_k for rec in self.steps]))
     HP = cached_property(lambda self: _times_H_rows(self.problem, self.P))
     PG = cached_property(lambda self: self.P.triangle(self.G, 1) if self.backend.exact else None)
     basis = cached_property(lambda self: _orthogonalized(
@@ -216,12 +219,9 @@ def check_exact_linesearch(trace: CGTrace, tolerance=None, *, _tables=None) -> C
     Normalizing by ||g_k|| rather than ||g_{k+1}|| keeps the final
     (numerically zero) gradient from trivializing the check.
     """
-    backend = _backend(trace)
     T, r = _tables or _Tables(None, trace), trace.r
-    measured = backend.zero
-    if r:
-        measured = _worst_ratio(backend, np.abs(_row_dots(T.P, T.G[1 : r + 1])),
-                                lambda: _norms(T.P) * _norms(T.G[:r]))
+    measured = _worst_ratio(T.backend, np.abs(_row_dots(T.P, T.G[1 : r + 1])),
+                            lambda: _norms(T.P) * _norms(T.G[:r]))
     return _result("exact_linesearch", trace, tolerance, measured)
 
 
@@ -233,13 +233,10 @@ def check_gradient_update_identity(
     The engine recomputes gradients from scratch, so this identity is a
     genuine consistency statement between consecutive records.
     """
-    backend = _backend(trace)
     T, r = _tables or _Tables(P, trace), trace.r
-    measured = backend.zero
-    if r:
-        thetas = [rec.theta_k for rec in T.steps]
-        residuals = _row_residuals(T.G[1 : r + 1], (1, T.G[:r]), (thetas, T.HP))
-        measured = _worst_ratio(backend, residuals, lambda: _norms(T.G[:r]))
+    thetas = [rec.theta_k for rec in T.steps]
+    residuals = _row_residuals(T.G[1 : r + 1], (1, T.G[:r]), (thetas, T.HP))
+    measured = _worst_ratio(T.backend, residuals, lambda: _norms(T.G[:r]))
     return _result("gradient_update_identity", trace, tolerance, measured)
 
 
@@ -247,14 +244,10 @@ def check_subspace_optimality(
     P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _tables=None
 ) -> CheckResult:
     """Each iterate equals the independent minimizer over its gradient span."""
-    backend = _backend(trace)
-    deviations = verify_against_trace(P, trace, _basis=(_tables or _Tables(P, trace)).basis)
-    measured = backend.zero
-    if deviations:
-        measured = _worst_ratio(
-            backend, np.array(deviations),
-            lambda: np.maximum(1.0, _norms([rec.x_k for rec in trace.records[1:]])),
-        )
+    T = _tables or _Tables(P, trace)
+    deviations = verify_against_trace(P, trace, _basis=T.basis)
+    measured = _worst_ratio(T.backend, np.array(deviations),
+                            lambda: np.maximum(1.0, _norms(T.X[1:])))
     return _result("subspace_optimality", trace, tolerance, measured)
 
 
@@ -273,8 +266,9 @@ def check_min_norm_relation(
     non-orthogonal history has one) leaves c_k / ghat^T ghat unbounded and
     is measured as an infinite residual.
     """
-    backend = _backend(trace)
     T = _tables or _Tables(P, trace)
+    backend = T.backend
+    # The closed form refuses an empty history (``min_norm_closed_form``).
     if not T.r:
         return _result("min_norm_relation", trace, tolerance, backend.zero)
     history = [rec.g_k for rec in T.steps]
@@ -299,13 +293,10 @@ def check_min_norm_relation(
 def check_conjugacy(P: QuadraticProblem, trace: CGTrace, tolerance=None, *, _tables=None
                     ) -> CheckResult:
     """p_i^T H p_j = 0 for i != j — a consequence here, not an assumption."""
-    backend = _backend(trace)
-    if not trace.r:
-        return _result("conjugacy", trace, tolerance, backend.zero)
     T = _tables or _Tables(P, trace)
     ps, hps = T.P, T.HP
     measured = pairwise_residual(
-        backend, hps, ps, shift=None, diagonal=False,
+        T.backend, hps, ps, shift=None, diagonal=False,
         scales=lambda: (np.sqrt(_row_dots(ps, hps)),) * 2,
     )
     return _result("conjugacy", trace, tolerance, measured)

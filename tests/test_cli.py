@@ -160,6 +160,22 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("backend", ["f64", "rational"])
+    @pytest.mark.parametrize("value", ["-1e-6", "-1/2"])
+    def test_negative_override_exits_two(self, monkeypatch, capsys, backend, value):
+        # No residual is below 0: a negative tolerance would fail every run.
+        monkeypatch.setenv("CGLENS_TOL_OVERRIDES", f"conjugacy={value}")
+        assert run_main(["verify", "--kind", "diag", "--n", "4", "--backend", backend]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad CGLENS_TOL_OVERRIDES entry 'conjugacy={value}': " \
+                      "a tolerance must not be negative\n"
+
+    @pytest.mark.parametrize("value", ["-0", "-0.0", "-0/1"])
+    def test_negative_zero_override_is_zero(self, monkeypatch, value):
+        monkeypatch.setenv("CGLENS_TOL_OVERRIDES", f"conjugacy={value}")
+        assert cli._tolerance_overrides()["conjugacy"] == 0
+        assert run_main(["verify", "--kind", "diag", "--n", "4", "--backend", "rational"]) == 0
+
     @pytest.mark.parametrize("value, expected", [("1e-7", 1e-7), ("1/2", Fraction(1, 2))])
     def test_override_values_parse_as_tokens(self, monkeypatch, value, expected):
         monkeypatch.setenv("CGLENS_TOL_OVERRIDES", f"conjugacy={value}")
@@ -217,6 +233,25 @@ class TestBadInput:
         assert run_main(["verify", "--problem", str(path), "--backend", backend]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: H must be ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("backend", ["f64", "rational"])
+    def test_empty_linear_term_exits_two(self, tmp_path, capsys, backend):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 1, "H": {"dense": [[2]]}, "c": [], "x0": [0]}))
+        assert run_main(["verify", "--problem", str(path), "--backend", backend]) == 2
+        assert capsys.readouterr().err == f"error: {path}: vectors must have dimension >= 1\n"
+
+    @pytest.mark.parametrize("backend", ["f64", "rational"])
+    def test_matrix_market_size_line_that_is_not_integers_exits_two(self, tmp_path, capsys,
+                                                                     backend):
+        (tmp_path / "m.mtx").write_text(
+            "%%MatrixMarket matrix array real general\n2 x\n1\n0\n0\n1\n")
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 2, "H": {"matrix_market": "m.mtx"}, "c": [1, 1],
+                                    "x0": [0, 0]}))
+        assert run_main(["verify", "--problem", str(path), "--backend", backend]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("m.mtx: line 2: size line needs 2 integers\n") and err.count("\n") == 1
 
     def test_problem_and_kind_together_rejected(self, diag2):
         assert run_main([

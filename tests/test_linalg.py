@@ -56,6 +56,38 @@ from cglens.oracle import SpanBasis, minimize_on_affine_span
 from cglens.quadratic import QuadraticProblem
 
 
+class TestShapeRefusals:
+    """Malformed operands are refused, each by its own arm."""
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_empty_vector(self, backend):
+        with pytest.raises(DimensionMismatch, match="vectors must have dimension >= 1"):
+            vector([], backend)
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_spd_check_of_a_non_square_matrix(self, backend):
+        with pytest.raises(DimensionMismatch, match="SpdCheck requires a square matrix"):
+            SpdCheck(backend.empty((2, 3)))
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("shapes", [((2, 3), 2), ((2, 2), 3)])
+    def test_leading_solves_of_mismatched_shapes(self, backend, shapes):
+        (rows, cols), length = shapes
+        A, b = backend.empty((rows, cols)), backend.empty(length)
+        with pytest.raises(DimensionMismatch, match="leading solves of shapes"):
+            leading_solves(A, b)
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_mat_vec_of_mismatched_shapes(self, backend):
+        with pytest.raises(DimensionMismatch, match=r"mat_vec of shapes \(2, 2\) and \(3,\)"):
+            mat_vec(sym_matrix([[1, 0], [0, 1]], backend), vector([1, 2, 3], backend))
+
+    @pytest.mark.parametrize("M_backend, v_backend", [(F64, RATIONAL), (RATIONAL, F64)])
+    def test_mat_vec_across_backends(self, M_backend, v_backend):
+        with pytest.raises(LinalgError, match="mat_vec of arrays on different scalar backends"):
+            mat_vec(sym_matrix([[1, 0], [0, 1]], M_backend), vector([1, 2], v_backend))
+
+
 class TestBackends:
     def test_registry(self):
         assert BACKENDS["f64"] is F64
@@ -961,8 +993,8 @@ class TestNonzeroOnlyLeadingSolves:
                 continue
             records = list(trace.records)
             records[k] = dataclasses.replace(records[k], **{field: nudged(getattr(records[k], field))})
-            Q, _ = cglens.linalg._integer_rows(
-                _orthogonalized([rec.g_k for rec in records[: trace.r]])[0])
+            Q = cglens.linalg._integer_rows(
+                _orthogonalized([rec.g_k for rec in records[: trace.r]])[0]).N
             A = _product(Q, _product(P.H, Q.T))
             if np.triu(A != 0, 2).any():
                 dense.append((field, k))

@@ -1,15 +1,15 @@
 """The paper's equivalence, executed on whole methods.
 
 Every method here takes x_{k+1} = x_k + theta_k p_k with p_k = -g_k + beta_k
-p_{k-1}, an exact line search, and the scale c_k = p_k^T g_k, and records its
-run as a trace, so the ten checks read it as they read a CG trace.  Under
-rationals the choices of beta that coincide with CG on a quadratic
-(Fletcher-Reeves, Polak-Ribiere, Hestenes-Stiefel) pass every check.  Any
-other beta loses the orthogonal gradients, and with them every identity but
-the line search and the gradient update, which hold for any beta; a step
-that is not the line search's loses that identity too.  Those histories are
-not orthogonal, so the subspace oracle and the min-norm projection run the
-exact Gram-Schmidt through its nonzero projections.
+p_{k-1} and the scale c_k = p_k^T g_k, with an exact line search unless it
+says otherwise, and records its run as a trace, so the ten checks read it as
+they read a CG trace.  Under rationals the choices of beta that coincide with
+CG on a quadratic (Fletcher-Reeves, Polak-Ribiere, Hestenes-Stiefel) pass
+every check.  Any other beta loses the orthogonal gradients, and with them
+every identity but the line search and the gradient update, which hold for
+any beta; a step that is not the line search's loses that identity too.
+Those histories are not orthogonal, so the subspace oracle and the min-norm
+projection run the exact Gram-Schmidt through its nonzero projections.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from cglens import RATIONAL, ProblemSpec, generate_problem, gradient, run_full_suite
 from cglens.engine import CGTrace, IterateRecord, step_length
-from cglens.linalg import dot, norm_sq, scalar_token
+from cglens.linalg import dot, mat_vec, norm_sq, scalar_token
 from cglens.verify import check_gradient_orthogonality, check_subspace_optimality
 
 
@@ -39,10 +39,10 @@ def _hestenes_stiefel(k, g, g_prev, p_prev):
     return dot(g, g - g_prev) / dot(p_prev, g - g_prev)
 
 
-def method_trace(P, beta, step_scale=1) -> CGTrace:
+def method_trace(P, beta, step_scale=1, step=step_length) -> CGTrace:
     """The run of p_k = -g_k + beta(k, g_k, g_{k-1}, p_{k-1}) p_{k-1} from P.x0,
-    each step ``step_scale`` times the exact line search's, until the gradient
-    vanishes or n steps are taken."""
+    each step ``step_scale`` times ``step(P, g_k, p_k)``, the exact line
+    search's by default, until the gradient vanishes or n steps are taken."""
     x, g_prev, p = P.x0, None, None
     records = []
     for k in range(P.n + 1):
@@ -53,7 +53,7 @@ def method_trace(P, beta, step_scale=1) -> CGTrace:
             break
         b = None if k == 0 else beta(k, g, g_prev, p)
         p = -g if k == 0 else -g + b * p
-        theta = step_length(P, g, p) * step_scale
+        theta = step(P, g, p) * step_scale
         records.append(IterateRecord(k, x, g, gns, p_k=p, theta_k=theta, beta_k=b, c_k=dot(p, g)))
         x, g_prev = x + theta * p, g
     return CGTrace(problem_id=P.label, scalar_backend="rational", records=tuple(records),
@@ -108,6 +108,24 @@ def test_method_fails_exactly_the_identities_it_breaks(problem, name):
     assert {c.name for c in report.checks if not c.passed} == failed
     assert report.overall == (not failed)
     assert _digest(report) == digest
+
+
+def test_conjugate_residuals_fail_all_but_the_update_and_the_termination(problem):
+    # The conjugate-residual method stays in the same Krylov space but
+    # minimizes ||H x + c|| over it: beta_k = g_k^T H g_k / g_{k-1}^T H g_{k-1}
+    # and theta_k = g_k^T H g_k / ||H p_k||^2.  Its gradients are H-orthogonal,
+    # not orthogonal, and its steps are no line search's; it still stops at
+    # g_r = 0 within n steps, and every step is a step along p_k.
+    def energy(g):
+        return dot(g, mat_vec(problem.H, g))
+
+    trace = method_trace(problem, lambda k, g, g_prev, p_prev: energy(g) / energy(g_prev),
+                         step=lambda P, g, p: energy(g) / norm_sq(mat_vec(P.H, p)))
+    report = run_full_suite(problem, trace=trace)
+    assert report.r == 4
+    assert {c.name for c in report.checks if not c.passed} == (
+        _SKEWED - {"termination_bound"} | {"exact_linesearch"})
+    assert _digest(report) == "64c5f97d10af3c5510741f13d645a3c9c712a16a739be8b4524848b17626ad55"
 
 
 # beta_k as a multiple of Fletcher-Reeves': 1 keeps CG, any other multiple leaves it.

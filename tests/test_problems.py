@@ -16,6 +16,8 @@ from cglens import (
     exact_minimizer,
     generate_problem,
 )
+import cglens.problems
+from cglens.linalg import scalar_token
 from cglens.problems import SplitMix64
 
 
@@ -76,6 +78,26 @@ class TestProblemSpec:
 
 
 class TestGeneratedProblems:
+    @pytest.mark.parametrize("backend, expected", [
+        (F64, [["9.2944", "-2.4192"], ["-2.4192", "1.7056000000000002"]]),
+        (RATIONAL, [["5809/625", "-1512/625"], ["-1512/625", "1066/625"]]),
+    ])
+    def test_an_all_zero_reflection_vector_gets_a_unit_entry(self, monkeypatch, backend,
+                                                             expected):
+        # Seed 4 draws v = 0 for the first reflection of an n = 2 matrix; a
+        # drawn entry of v (here the second) is set to 1 before it reflects.
+        reflections = []
+        original = cglens.problems._reflect
+
+        def recorded(M, v):
+            reflections.append(list(v))
+            return original(M, v)
+
+        monkeypatch.setattr(cglens.problems, "_reflect", recorded)
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=2, condition=10, seed=4), backend)
+        assert reflections == [[0, 1], [-4, 3], [0, 2]]
+        assert [[scalar_token(x) for x in row] for row in P.H] == expected
+
     def test_diag_matches_worked_problem(self):
         P = generate_problem(ProblemSpec(kind="diag", n=2), RATIONAL)
         assert [list(row) for row in P.H] == [[1, 0], [0, 2]]

@@ -60,10 +60,16 @@ class TestKeptNumerators:
         assert run_full_suite(P).r == 14
         assert calls == [] and "_H_rows" not in vars(P)
 
+    def test_numerators_are_a_stack(self):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=6), RATIONAL)
+        assert isinstance(P._H_rows, cglens.linalg._Rows)
+        assert [list(row) for row in P._H_rows.N] == [list(row) for row in P.H]
+        assert list(P._H_rows.d) == [1] * 6
+
     def test_numerators_die_with_their_problem(self):
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=6), RATIONAL)
         gradient(P, P.x0)
-        numerators = weakref.ref(P._H_rows[0])
+        numerators = weakref.ref(P._H_rows.N)
         del P
         gc.collect()
         assert numerators() is None
@@ -85,6 +91,12 @@ class TestConstruction:
                 c=vector([0, 0, 0], F64),
                 x0=vector([0, 0], F64),
             )
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    def test_non_square_H_rejected(self, backend):
+        with pytest.raises(DimensionMismatch, match="H must be square"):
+            QuadraticProblem(H=backend.empty((2, 3)), c=vector([0, 0], backend),
+                             x0=vector([0, 0], backend))
 
     @pytest.mark.parametrize("backend", [F64, RATIONAL])
     def test_asymmetric_H_rejected(self, backend):

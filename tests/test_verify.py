@@ -137,6 +137,32 @@ class TestExactSuite:
         assert report.r == 0
 
 
+class TestNoStepTaken:
+    """At r = 0 every identity holds over an empty set: each check measures its
+    rows by the same rules as at any r, finds none, and reports backend.zero."""
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL])
+    @pytest.mark.parametrize("mode", ["recursive", "gradient_sum", "shortest_residuals"])
+    @pytest.mark.parametrize("scaling", ["cg_standard", "unit"])
+    @pytest.mark.parametrize("start", ["minimizer", "max_iter_0"])
+    def test_every_check_measures_zero(self, backend, mode, scaling, start):
+        P = generate_problem(ProblemSpec(kind="diag", n=3), backend)
+        if start == "minimizer":
+            P = QuadraticProblem(H=P.H, c=P.c, x0=vector([1, 1, 1], backend))
+        trace = run_cg(P, max_iter=0 if start == "max_iter_0" else None,
+                       direction_mode=mode, scaling=DirectionScaling(scaling))
+        assert trace.r == 0
+        report = run_full_suite(P, trace=trace)
+        # The run that stopped at max_iter 0 did not converge: that alone fails.
+        unconverged = start == "max_iter_0"
+        for check in report.checks:
+            expected = backend.one if unconverged and check.name == "termination_bound" \
+                else backend.zero
+            assert check.measured == expected and type(check.measured) is type(expected)
+        assert [c.name for c in report.checks if not c.passed] == (
+            ["termination_bound"] if unconverged else [])
+
+
 def with_record(trace, k, **changes):
     """The trace with fields of record k replaced."""
     records = list(trace.records)
@@ -701,7 +727,7 @@ class TestSharedTables:
         P = generate_problem(ProblemSpec(kind="rand_spd", n=8, condition=10, seed=1), RATIONAL)
         trace = run_cg(P)
         doctored = with_record(trace, 2, g_k=trace.records[2].g_k + trace.records[0].g_k / 3)
-        for t in (trace, doctored):
+        for t in (run_cg(P, max_iter=0), trace, doctored):
             suite = {c.name: c.measured for c in run_full_suite(P, trace=t).checks[:-1]}
             assert measured_alone(P, t) == suite
         assert any(v != 0 for v in suite.values())
