@@ -123,6 +123,8 @@ def _tolerance_overrides() -> dict:
         if not eq or name not in DEFAULT_TOLERANCES["f64"]:
             raise LinalgError(f"bad CGLENS_TOL_OVERRIDES entry {pair!r}")
         try:
+            if name in overrides:  # a second value would overrule the first silently
+                raise LinalgError(f"{name} is already set")
             overrides[name] = (RATIONAL if "/" in value else F64).scalar(value)
             if overrides[name] < 0:  # no residual is below 0, so no check could pass
                 raise LinalgError("a tolerance must not be negative")

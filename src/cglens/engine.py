@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import Backend, LinalgError, Scalar, dot, norm_sq
+from .linalg import Backend, LinalgError, Scalar, _freeze, dot, norm_sq
 from .quadratic import QuadraticProblem, _check_point, _times_H, gradient
 
 DIRECTION_MODES = ("recursive", "gradient_sum", "shortest_residuals")
@@ -149,6 +150,14 @@ class CGTrace:
 
     def gradients(self) -> list[np.ndarray]:
         return [rec.g_k for rec in self.records]
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, G, P): x_k and g_k of every record and p_k of every step: frozen (k, n)
+        arrays of the trace's dtype for any k, none included, cached as ``QuadraticProblem._H_rows``."""
+        x0, steps = self.records[0].x_k, self.records[: self.r]
+        vectors = [rec.x_k for rec in self.records], self.gradients(), [rec.p_k for rec in steps]
+        return tuple(_freeze(np.array(v, dtype=x0.dtype).reshape(-1, len(x0))) for v in vectors)
 
 
 def _step_budget(P: QuadraticProblem) -> int:

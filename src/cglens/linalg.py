@@ -499,10 +499,11 @@ def _orthogonalized(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[i
     float64 T = R^-1 for the unit upper triangular R of V = Q R, and
     orthogonal input gives Q = V and T = I.  Under rationals row j is q_j's
     integer numerators (``_integerized``), made once, and column j of T carries
-    their denominator, so orthogonal input gives a diagonal T.
+    their denominator, so orthogonal input gives a diagonal T.  ``vectors`` is
+    a (r, n) array, or converts to one, for any r, none included.
     """
-    backend = backend_of(vectors[0])
-    r, n = len(vectors), vectors[0].shape[0]
+    vectors = np.asarray(vectors)
+    backend, (r, n) = backend_of(vectors), vectors.shape
     Q, d, T = backend.empty((r, n)), backend.empty(r), backend.empty((r, r))
     passes, kept = 1 if backend.exact else 2, []
     for j, v in enumerate(vectors):

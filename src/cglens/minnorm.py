@@ -27,7 +27,6 @@ last rows of these sweeps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -112,40 +111,42 @@ def min_norm_closed_form(
 ) -> MinNormResult:
     """ghat by the harmonic-weight formula, valid for orthogonal histories.
 
-    The formula silently produces a non-minimal point if the inputs are
-    not orthogonal, so a history is rejected unless it is exactly orthogonal
-    under the rational backend, or within ``orthogonality_tol`` (relative)
-    under float64, by the one gate rule (``linalg._gate``), which refuses a NaN
-    defect.  ``orthogonality_tol=math.inf`` skips the gate on both backends,
-    for callers that measure the consequences themselves.
-    Past the gate, the result is the last row of ``_closed_form_ghats``.
+    An empty history, or one with a zero gradient, is refused.  The formula
+    silently produces a non-minimal point if the inputs are not orthogonal, so
+    a history is rejected unless it is exactly orthogonal under the rational
+    backend, or within ``orthogonality_tol`` (relative) under float64, by the
+    one gate rule (``linalg._gate``), which refuses a NaN defect.  Past the
+    gate, the result is the last row of ``_closed_form_ghats``.
     """
+    if len(gradients) == 0:
+        raise LinalgError("gradient history is empty")
     ghats, inv = _closed_form_ghats(gradients)
-    if orthogonality_tol != math.inf:
-        _gate(backend_of(gradients[0]), orthogonality_defect(gradients), lambda: orthogonality_tol,
-              "gradient history is not orthogonal; the closed form does not apply — use "
-              "projection_oracle")
+    if len(inv) < len(gradients):
+        raise LinalgError(f"gradient {len(inv)} in the history is zero")
+    _gate(backend_of(gradients[0]), orthogonality_defect(gradients), lambda: orthogonality_tol,
+          "gradient history is not orthogonal; the closed form does not apply — use "
+          "projection_oracle")
     return _result(ghats[-1], inv)
 
 
 def _closed_form_ghats(gradients: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The ungated closed-form ghat of every prefix, row k-1 for ``gradients[:k]``,
-    and the harmonic weights 1 / (g_i^T g_i) behind them, after rejecting an
-    empty history or a zero gradient.
+    and the harmonic weights 1 / (g_i^T g_i) behind them, for a (r, n) array of
+    gradients, or what converts to one, for any r.
 
     Each gradient's norm is read once, and the sums over i < k of
-    g_i / (g_i^T g_i) and of 1 / (g_i^T g_i) run along the history.
+    g_i / (g_i^T g_i) and of 1 / (g_i^T g_i) run along the history.  From the
+    first zero gradient on, which has no weight, every row is 0, as in
+    ``_projected_ghats`` past the hull.
     """
-    if len(gradients) == 0:
-        raise LinalgError("gradient history is empty")
     G = np.asarray(gradients)
     S = _stack(G, backend_of(G))
     sq = _row_dots(S, S)
     zero = np.flatnonzero(sq == 0)
-    if len(zero):
-        raise LinalgError(f"gradient {zero[0]} in the history is zero")
-    inv = 1 / sq
-    ghats = np.cumsum(inv[:, None] * G, axis=0) / np.cumsum(inv)[:, None]
+    stop = int(zero[0]) if len(zero) else len(G)
+    inv = 1 / sq[:stop]
+    ghats = backend_of(G).empty(G.shape)
+    ghats[:stop] = np.cumsum(inv[:, None] * G[:stop], axis=0) / np.cumsum(inv)[:, None]
     return _freeze(ghats), inv
 
 
@@ -170,7 +171,8 @@ def _projected_ghats(gradients: Sequence[np.ndarray], basis=None) -> tuple[np.nd
     """The projected ghat of every prefix, row k-1 for ``gradients[:k]``, and the
     first column outside the affine hull of the earlier ones (``len(gradients)``
     if none), past which every row is 0.  ``basis`` is ``_orthogonalized(gradients)``
-    if the caller already has it.
+    if the caller already has it, and the backend and the counts are read off it,
+    so a history of any length, none included, has its rows.
 
     With G = Q R, Q^T Q = D diagonal and R upper triangular (its diagonal 1
     but on a kept column under rationals, ``_orthogonalized``), the hull
@@ -189,15 +191,14 @@ def _projected_ghats(gradients: Sequence[np.ndarray], basis=None) -> tuple[np.nd
     a float64 column that repeats an earlier one only up to rounding can
     end the sweep at 0 too.
     """
-    backend = backend_of(gradients[0])
     Q, T, d, kept = _orthogonalized(gradients) if basis is None else basis
-    w = T.sum(axis=0)
+    r, w = len(T), T.sum(axis=0)
     u = w[kept] / d
     hull = np.cumsum(u[:, None] * Q, axis=0) / np.cumsum(w[kept] * u)[:, None]
-    is_kept = np.isin(np.arange(len(gradients)), kept)
+    is_kept = np.isin(np.arange(r), kept)
     outside = np.flatnonzero(~is_kept & (w != 0))
-    stop = int(outside[0]) if len(outside) else len(gradients)
-    ghats = backend.empty((len(gradients), Q.shape[1]))
+    stop = int(outside[0]) if len(outside) else r
+    ghats = backend_of(Q).empty((r, Q.shape[1]))
     ghats[:stop] = hull[np.cumsum(is_kept)[:stop] - 1]
     return _freeze(ghats), stop
 

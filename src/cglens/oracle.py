@@ -99,11 +99,8 @@ class SubspaceSolution:
 def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors, basis=None, points_only=False):
     """The minimizers over x0 + span{s_1..s_k} for k = 0..len(vectors), or with
     ``points_only`` (and a vector) just their points, as rows; ``basis`` is
-    ``_orthogonalized(vectors)`` if the caller already has it."""
-    backend = P.backend
-    if len(vectors) == 0:
-        return [SubspaceSolution(coordinates=backend.empty(0), point=x0,
-                                 objective_value=evaluate(P, x0))]
+    ``_orthogonalized(vectors)`` if the caller already has it.  ``vectors`` is a
+    (k, n) array, or converts to one, for any k; with none, the one point is x0 + 0."""
     Q, T, _, kept = _orthogonalized(vectors) if basis is None else basis
     T = T[:, kept]
     A, rhs = _product(Q, _times_H(P, Q.T)), -_product(Q, gradient(P, x0))
@@ -113,10 +110,10 @@ def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors, basis=None, points_only
     # (float64 only) is NaN.
     V = Q if points_only else np.hstack((Q, T.T, rhs[:, None]))
     solved = _leading_rows(A, rhs, V)
-    Y = backend.empty((len(A) + 1, V.shape[1]))
+    Y = P.backend.empty((len(A) + 1, V.shape[1]))
     Y[1 : len(solved) + 1], Y[len(solved) + 1 :] = solved, np.nan
     points = _freeze(x0 + Y[:, : P.n])
-    rows = np.cumsum([0] + [j in kept for j in range(len(vectors))])
+    rows = np.cumsum([0] + [j in kept for j in range(len(T))])
     if points_only:
         return points[rows]
     coordinates = _freeze(Y[:, P.n : -1])
@@ -136,7 +133,7 @@ def minimize_on_affine_span(P: QuadraticProblem, B: SpanBasis) -> SubspaceSoluti
     vector — exactly so under the rational backend.
     """
     _check_point(P, B.x0)
-    return _sweep(P, B.x0, B.spanning_vectors)[-1]
+    return _sweep(P, B.x0, np.array(B.spanning_vectors, dtype=B.x0.dtype).reshape(-1, P.n))[-1]
 
 
 def _check_trace_fits(P: QuadraticProblem, trace: CGTrace) -> None:
@@ -173,21 +170,17 @@ def trace_oracle(
         _gate(P.backend, residual_magnitude(g - rec.g_k),
               lambda: 1e-12 * max(1.0, float(residual_magnitude(g))),
               "trace gradients do not come from this problem")
-    gradients = [rec.g_k for rec in records[: trace.r]]
-    return _sweep(P, records[0].x_k, gradients, _basis, _points_only)[1:]
+    _, G, _ = trace._arrays
+    return _sweep(P, records[0].x_k, G[: trace.r], _basis, _points_only)[1:]
 
 
 def verify_against_trace(P: QuadraticProblem, trace: CGTrace, *, _basis=None) -> list:
-    """Deviations ||x_k - oracle_k|| for k = 1..r, oracle over span{g_0..g_{k-1}}.
-
-    Under the rational backend every deviation is exactly zero, proved on
-    integer rows (``linalg._row_residuals``).  Only the oracle's points are
-    formed, not its coordinates or objective values.
-    ``_basis`` is ``linalg._orthogonalized`` of g_0..g_{r-1}, if the caller
-    already has it.
+    """Deviations ||x_k - oracle_k|| for k = 1..r (none at r = 0), oracle over
+    span{g_0..g_{k-1}}.  Under the rational backend every deviation is exactly
+    zero, proved on integer rows (``linalg._row_residuals``).  Only the oracle's
+    points are formed, not its coordinates or objective values.  ``_basis`` is
+    ``linalg._orthogonalized`` of g_0..g_{r-1}, if the caller already has it.
     """
     points = trace_oracle(P, trace, _basis=_basis, _points_only=True)
-    if not trace.r:
-        return []
-    X = _stack([rec.x_k for rec in trace.records[1:]], P.backend)
-    return list(_row_residuals(X, (1, _stack(points, P.backend))))
+    X, _, _ = trace._arrays
+    return list(_row_residuals(_stack(X[1:], P.backend), (1, _stack(points, P.backend))))

@@ -42,7 +42,6 @@ import numpy as np
 
 from .linalg import (
     BACKENDS,
-    Backend,
     Scalar,
     _orthogonalized,
     _row_dots,
@@ -115,10 +114,6 @@ def report_to_dict(report: VerificationReport) -> dict:
     return {**vars(report), "checks": checks}
 
 
-def _backend(trace: CGTrace) -> Backend:
-    return BACKENDS[trace.scalar_backend]
-
-
 def _result(name: str, trace: CGTrace, tolerance, measured: Scalar) -> CheckResult:
     """``measured`` against ``tolerance``, or the check's default when that is None."""
     if tolerance is None:
@@ -137,31 +132,29 @@ def _norms(vectors) -> np.ndarray:
 
 
 class _Tables:
-    """A trace's stacks (``linalg._stack``), each formed once, at first use: g_k
-    and x_k of every record, and p_k and H p_k (``quadratic._times_H_rows``) of
-    every step k < r.  Under rationals also PG, the rows k of the P G^T table
-    over the columns 0..k that conditions (b) and (c) read.  The orthogonality
-    checks read the first ``measured`` gradients: all under rationals, and all
-    but the terminal one, noise whose *direction* is meaningless, under float64.
-    ``basis`` is ``linalg._orthogonalized`` of g_0..g_{r-1} (None if r = 0), for
-    the subspace oracle and the min-norm projection.  ``run_full_suite`` shares
-    one among its checks; a check called alone builds its own."""
+    """The stacks (``linalg._stack``) of a trace's arrays (``CGTrace._arrays``), each
+    formed once, at first use: g_k and x_k of every record, and p_k and H p_k
+    (``quadratic._times_H_rows``) of every step k < r, none at r = 0.  Under
+    rationals also PG, the rows k of the P G^T table over the columns 0..k that
+    conditions (b) and (c) read.  The orthogonality checks read the first
+    ``measured`` gradients: all under rationals, and all but the terminal one,
+    noise whose *direction* is meaningless, under float64.  ``basis`` is
+    ``linalg._orthogonalized`` of the ``history`` g_0..g_{r-1}, for the subspace
+    oracle and the min-norm projection.  ``run_full_suite`` shares one among its
+    checks; a check called alone builds its own."""
 
     def __init__(self, P: QuadraticProblem | None, trace: CGTrace):
-        self.problem, self.records, self.r = P, trace.records, trace.r
-        self.steps, self.backend = trace.records[: trace.r], _backend(trace)
-        self.measured = len(self.records) - (0 if self.backend.exact else 1)
+        self.problem, self.backend = P, BACKENDS[trace.scalar_backend]
+        self.xs, self.gs, self.ps = trace._arrays
+        self.steps, self.history = trace.records[: trace.r], self.gs[: trace.r]
+        self.measured = len(self.gs) - (0 if self.backend.exact else 1)
 
-    def _rows(self, vectors):  # a (k, n) stack for any k, as P's none at r = 0
-        return _stack(np.reshape(vectors, (-1, len(self.records[0].x_k))), self.backend)
-
-    G = cached_property(lambda self: self._rows([rec.g_k for rec in self.records]))
-    X = cached_property(lambda self: self._rows([rec.x_k for rec in self.records]))
-    P = cached_property(lambda self: self._rows([rec.p_k for rec in self.steps]))
+    G = cached_property(lambda self: _stack(self.gs, self.backend))
+    X = cached_property(lambda self: _stack(self.xs, self.backend))
+    P = cached_property(lambda self: _stack(self.ps, self.backend))
     HP = cached_property(lambda self: _times_H_rows(self.problem, self.P))
     PG = cached_property(lambda self: self.P.triangle(self.G, 1) if self.backend.exact else None)
-    basis = cached_property(lambda self: _orthogonalized(
-        [rec.g_k for rec in self.steps]) if self.r else None)
+    basis = cached_property(lambda self: _orthogonalized(self.history))
 
 
 def check_gradient_orthogonality(trace: CGTrace, tolerance=None, *, _tables=None) -> CheckResult:
@@ -256,24 +249,19 @@ def check_min_norm_relation(
 ) -> CheckResult:
     """p_k against the min-norm point of its gradient history, both methods.
 
-    For every k < r: ghat_k is computed by the closed form (with its
-    orthogonality gate disabled — a degraded history should *fail* here,
-    not error out) and by the projection oracle; the check measures their
-    mutual deviation and the deviation of p_k from
-    (c_k / ghat^T ghat) ghat with the recorded scale c_k, which is
-    -(g_k^T g_k / ghat^T ghat) ghat under the standard scaling.  Float64
-    residuals are normalized by ||ghat|| and ||p_k||.  A zero ghat (only a
-    non-orthogonal history has one) leaves c_k / ghat^T ghat unbounded and
-    is measured as an infinite residual.
+    For every k < r, none at r = 0: ghat_k is computed by the closed form
+    (ungated, since a degraded history should *fail* here, not error out) and
+    by the projection oracle; the check measures their mutual deviation and
+    the deviation of p_k from (c_k / ghat^T ghat) ghat with the recorded scale
+    c_k, which is -(g_k^T g_k / ghat^T ghat) ghat under the standard scaling.
+    Float64 residuals are normalized by ||ghat|| and ||p_k||.  A zero ghat
+    leaves c_k / ghat^T ghat unbounded and is measured as an infinite
+    residual: a non-orthogonal history may have one, and a zero gradient g_j
+    gives one to every k >= j, by both methods.
     """
     T = _tables or _Tables(P, trace)
     backend = T.backend
-    # The closed form refuses an empty history (``min_norm_closed_form``).
-    if not T.r:
-        return _result("min_norm_relation", trace, tolerance, backend.zero)
-    history = [rec.g_k for rec in T.steps]
-    closed, _ = _closed_form_ghats(history)
-    projected, _ = _projected_ghats(history, T.basis)
+    (closed, _), (projected, _) = _closed_form_ghats(T.history), _projected_ghats(T.history, T.basis)
     ghats = _stack(closed, backend)
     sq = _row_dots(ghats, ghats)
     live = sq != 0
@@ -311,7 +299,7 @@ def check_termination_bound(
     without the gradient converging at all (max_iter or breakdown).
     """
     excess = max(0, trace.r - _step_budget(P))
-    measured = _backend(trace).scalar(excess + (0 if trace.converged else 1))
+    measured = BACKENDS[trace.scalar_backend].scalar(excess + (0 if trace.converged else 1))
     return _result("termination_bound", trace, tolerance, measured)
 
 

@@ -170,6 +170,16 @@ class TestVerify:
         assert err == f"error: bad CGLENS_TOL_OVERRIDES entry 'conjugacy={value}': " \
                       "a tolerance must not be negative\n"
 
+    @pytest.mark.parametrize("backend", ["f64", "rational"])
+    def test_repeated_override_exits_two(self, monkeypatch, capsys, backend):
+        # The later entry would loosen the check without a word.
+        monkeypatch.setenv("CGLENS_TOL_OVERRIDES", "conjugacy=1e-8,conjugacy=1")
+        assert run_main(["verify", "--kind", "diag", "--n", "3", "--backend", backend]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad CGLENS_TOL_OVERRIDES entry 'conjugacy=1': " \
+                               "conjugacy is already set\n"
+
     @pytest.mark.parametrize("value", ["-0", "-0.0", "-0/1"])
     def test_negative_zero_override_is_zero(self, monkeypatch, value):
         monkeypatch.setenv("CGLENS_TOL_OVERRIDES", f"conjugacy={value}")

@@ -325,6 +325,20 @@ class TestTraceContainer:
             with pytest.raises(LinalgError, match=f"record {k} needs p_k, theta_k and c_k"):
                 self._with(trace, k, **{field: None})
 
+    @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
+    @pytest.mark.parametrize("max_iter", [0, None])
+    def test_arrays_stack_every_record_vector(self, backend, max_iter):
+        P = generate_problem(ProblemSpec(kind="laplacian1d", n=8), backend)
+        trace = run_cg(P, max_iter=max_iter)
+        assert (trace.r == 0) == (max_iter == 0)
+        steps = trace.records[: trace.r]
+        expected = ([rec.x_k for rec in trace.records], trace.gradients(), [rec.p_k for rec in steps])
+        for array, vectors in zip(trace._arrays, expected):
+            assert array.shape == (len(vectors), 8) and array.dtype == P.x0.dtype
+            assert not array.flags.writeable
+            assert [list(row) for row in array] == [list(v) for v in vectors]
+        assert trace._arrays is trace._arrays  # formed once
+
     def test_final_record_has_no_step_length(self):
         _, trace = self._lap8()
         first = trace.records[0]

@@ -912,6 +912,13 @@ class TestAppend:
         assert _orthogonalized([g, h, g + 1e-9 * e])[3] == [0, 1]
         assert _orthogonalized([g, h, g + 1e-7 * e])[3] == [0, 1, 2]
 
+    @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
+    def test_no_vectors_give_an_empty_basis(self, backend):
+        # A (0, n) array is orthogonalized by the same loop as any other, which runs no column.
+        Q, T, d, kept = _orthogonalized(backend.empty((0, 3)))
+        assert (Q.shape, T.shape, d.shape, kept) == ((0, 3), (0, 0), (0,), [])
+        assert Q.dtype == T.dtype == d.dtype == backend.empty(0).dtype
+
 
 
 def _bareiss_leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:

@@ -358,6 +358,25 @@ class TestSweeps:
             assert list(projected[k - 1]) == list(want.ghat) == list(combined(want, history[:k]))
 
     def test_empty_history_is_refused(self):
-        for one_shot in (min_norm_closed_form, projection_oracle, _closed_form_ghats):
+        # Only the one-shots refuse: the sweeps give an empty history no rows.
+        for one_shot in (min_norm_closed_form, projection_oracle):
             with pytest.raises(LinalgError, match="empty"):
                 one_shot([])
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
+    def test_empty_history_has_no_rows(self, backend):
+        history = backend.empty((0, 4))
+        (closed, inv), (projected, stop) = _closed_form_ghats(history), _projected_ghats(history)
+        assert closed.shape == projected.shape == (0, 4) and len(inv) == stop == 0
+        assert closed.dtype == projected.dtype == history.dtype
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
+    def test_zero_gradient_zeroes_the_closed_form_from_there_on(self, backend):
+        # As the projection does past the hull; only the one-shot refuses it.
+        history = [vector([1, 2], backend), vector([0, 0], backend), vector([2, -1], backend)]
+        (closed, inv), (projected, stop) = _closed_form_ghats(history), _projected_ghats(history)
+        assert len(inv) == stop == 1
+        assert list(closed[0]) == list(projected[0]) == list(history[0])
+        assert (closed[1:] == 0).all() and (projected[1:] == 0).all()
+        with pytest.raises(LinalgError, match="^gradient 1 in the history is zero$"):
+            min_norm_closed_form(history)

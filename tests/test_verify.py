@@ -51,7 +51,7 @@ from cglens.verify import (
 )
 from cglens.engine import F64_EXTRA_STEPS, _step_budget
 from cglens.linalg import _product
-from cglens.minnorm import _closed_form_ghats, _projected_ghats
+from cglens.minnorm import _closed_form_ghats, _projected_ghats, min_norm_closed_form
 from cglens.oracle import trace_oracle
 from cglens.quadratic import _times_H
 
@@ -168,6 +168,34 @@ def with_record(trace, k, **changes):
     records = list(trace.records)
     records[k] = replace(records[k], **changes)
     return replace(trace, records=tuple(records))
+
+
+class TestZeroGradientInHistory:
+    """A zero gradient inside the history fails its checks and raises nothing.
+
+    No trace file can carry one: ``load_trace``'s beta check refuses the
+    record after a zero gradient, so the trace here is changed in memory."""
+
+    FAILS = {"direction_gradient_difference", "gradient_update_identity",
+             "subspace_optimality", "min_norm_relation"}
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
+    def test_report_comes_back_with_min_norm_relation_unbounded(self, backend, tmp_path):
+        P = generate_problem(ProblemSpec(kind="diag", n=3), backend)
+        trace = run_cg(P)
+        zero = backend.empty(3)
+        zero.flags.writeable = False
+        zeroed = with_record(trace, 1, g_k=zero, grad_norm_sq=backend.zero)
+        report = run_full_suite(P, trace=zeroed)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == self.FAILS | ({"direction_gradient_constancy"} if backend.exact else set())
+        assert {c.name: c.measured for c in report.checks}["min_norm_relation"] == math.inf
+        with pytest.raises(LinalgError, match="^gradient 1 in the history is zero$"):
+            min_norm_closed_form(zeroed.gradients()[: zeroed.r])
+        path = tmp_path / "T.json"
+        save_trace(with_record(zeroed, 1, beta_k=backend.zero), path)
+        with pytest.raises(LinalgError, match="beta of record 2 is not its grad_norm_sq ratio"):
+            load_trace(path)
 
 
 class TestMinNormRelation:
