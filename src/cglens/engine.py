@@ -19,6 +19,12 @@ code with the min-norm module, whose array sweeps recompute ghat from the
 recorded gradients as an independent check.  All three forms generate
 identical iterate sequences (exactly so under the rational backend);
 the verification suite checks precisely that.
+
+One loop serves both backends.  Under rationals x, g, p and the running sum
+are ``linalg._Primitive`` values (``linalg._working``), a ``Fraction`` times a
+primitive integer row, so each vector operation pays one gcd, not one per
+entry; a record holds each vector as the canonical ``Fraction`` array, formed
+once (``linalg._recorded``).
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import Backend, LinalgError, Scalar, _freeze, dot, norm_sq
-from .quadratic import QuadraticProblem, _check_point, _times_H, gradient
+from .linalg import (Backend, DimensionMismatch, LinalgError, Scalar, _freeze, _recorded, _working,
+                     dot, norm_sq)
+from .quadratic import QuadraticProblem, _check_point, _times_H
 
 DIRECTION_MODES = ("recursive", "gradient_sum", "shortest_residuals")
 SCALING_MODES = ("cg_standard", "unit", "custom")
@@ -108,7 +115,8 @@ class CGTrace:
     the terminal state.  When the gradient reached zero, r never exceeds
     the dimension n.  Only the shapes ``run_cg`` writes are accepted: every
     record has x_k and g_k, each record k < r has p_k, theta_k and c_k, and
-    the final record has no theta_k, so the steps are exactly records[:r].
+    the final record has no theta_k, so the steps are exactly records[:r], and
+    every vector has the shape of x_0.
     """
 
     problem_id: str
@@ -134,6 +142,9 @@ class CGTrace:
         for rec in self.records:
             if rec.x_k is None or rec.g_k is None:
                 raise LinalgError(f"record {rec.k} needs x_k and g_k")
+            vectors = (self.records[0].x_k, rec.x_k, rec.g_k, rec.p_k)
+            if len({np.shape(v) for v in vectors if v is not None}) > 1:
+                raise DimensionMismatch(f"record {rec.k} has a vector whose length is not x_0's")
             if rec.k < self.r and any(v is None for v in (rec.p_k, rec.theta_k, rec.c_k)):
                 raise LinalgError(f"record {rec.k} needs p_k, theta_k and c_k")
             if rec.k == self.r and rec.theta_k is not None:
@@ -216,8 +227,8 @@ def run_cg(
         raise LinalgError(f"tol must be finite and nonnegative, got {tol}")
 
     records: list[IterateRecord] = []
-    x = P.x0
-    g = gradient(P, x)
+    x, c = _working(P.x0), _working(P.c)
+    g = _times_H(P, x) + c
     gns = norm_sq(g)
     # Read under float64 only: an exact ||g_0||^2 may lie outside the float range.
     g0_norm = None if backend.exact else math.sqrt(float(gns))
@@ -226,7 +237,7 @@ def run_cg(
     gns_prev: Scalar | None = None
     # The history forms' running sums over i <= k of g_i / (g_i^T g_i)
     # and of 1 / (g_i^T g_i).
-    total, weight = backend.empty(P.n), backend.zero
+    total, weight = _working(backend.empty(P.n)), backend.zero
     k = 0
 
     while True:
@@ -240,7 +251,7 @@ def run_cg(
         else:
             reason = None
         if reason is not None:
-            records.append(IterateRecord(k, x, g, gns, beta_k=beta))
+            records.append(IterateRecord(k, _recorded(x), _recorded(g), gns, beta_k=beta))
             break
 
         c_k = scaling.value_for(k, gns, backend)
@@ -263,23 +274,21 @@ def run_cg(
                 # stop the run.  p^T g_i = -ghat^T ghat for every i, so the
                 # direction's common inner-product value is -(p^T p).
                 weight = weight + 1 / gns
-                p = -total / weight
+                p = total / -weight
                 c_k = -norm_sq(p)
-        p.flags.writeable = False
 
         try:
             theta = step_length(P, g, p)
         except BreakdownError:
-            records.append(IterateRecord(k, x, g, gns, p_k=p, beta_k=beta, c_k=c_k))
+            records.append(IterateRecord(k, _recorded(x), _recorded(g), gns, p_k=_recorded(p),
+                                         beta_k=beta, c_k=c_k))
             reason = "breakdown"
             break
 
-        records.append(
-            IterateRecord(k, x, g, gns, p_k=p, theta_k=theta, beta_k=beta, c_k=c_k)
-        )
+        records.append(IterateRecord(k, _recorded(x), _recorded(g), gns, p_k=_recorded(p),
+                                     theta_k=theta, beta_k=beta, c_k=c_k))
         x = x + theta * p
-        x.flags.writeable = False
-        g = gradient(P, x)
+        g = _times_H(P, x) + c
         gns_prev, gns = gns, norm_sq(g)
         p_prev, c_prev = p, c_k
         k += 1

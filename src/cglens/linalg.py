@@ -18,7 +18,9 @@ per operation.  The products (``_product``), the elimination
 (``_eliminate``) and the generator's reflections work instead on integer
 numerators over a common denominator (``_integerized``; one per row and
 per column of a matrix, ``_integer_rows``).  Integers sum with no gcd, and
-each result entry becomes a ``Fraction`` once (``_rationalized``).  A
+each result entry becomes a ``Fraction`` once (``_rationalized``).  ``run_cg``
+holds its vectors as one ``Fraction`` times a primitive integer row
+(``_Primitive``), whose sums and products with H pay one gcd per vector.  A
 residual that should vanish is tested on its integer numerators, and
 becomes a ``Fraction`` only if it does not.  The residual rules take a stack
 of vectors of any number of rows, none included (``_stack``: an array under
@@ -47,6 +49,7 @@ z alone, for the whole system, and runs a forward and a back loop of its own.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections.abc import Mapping
@@ -219,20 +222,42 @@ def sym_matrix(rows, backend: Backend = F64) -> np.ndarray:
     ``rows`` is a sequence of rows or a square array.  Raises
     ``AsymmetricMatrixError`` as ``_check_symmetric`` does.  A float64 NaN or
     infinity is rejected, and so is a string or a mapping (a JSON object) in
-    place of the rows or of a row.
+    place of the rows or of a row.  Under float64, rows of ints and floats
+    convert in one numpy call; any other entry goes through ``_array_from``.
     """
     try:
         if isinstance(rows, (str, Mapping)) or any(isinstance(row, (str, Mapping)) for row in rows):
             raise TypeError("a string or a mapping is not a sequence of entries")
-        flat = rows.ravel() if isinstance(rows, np.ndarray) else [e for row in rows for e in row]
+        n = len(rows)
+        square = n > 0 and all(len(row) == n for row in rows)
     except TypeError as err:
         raise DimensionMismatch("matrix rows must be sequences of entries") from err
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
+    if not square:
         raise DimensionMismatch("symmetric matrices must be square with n >= 1")
-    out = _finite(_array_from(flat, backend).reshape(n, n), backend)
+    out = None if backend.exact else _float_rows(rows, n)
+    if out is None:
+        flat = rows.ravel() if isinstance(rows, np.ndarray) else [e for row in rows for e in row]
+        out = _array_from(flat, backend).reshape(n, n)
+    out = _finite(out, backend)
     _check_symmetric(out)
     return out
+
+
+def _float_rows(rows, n: int) -> np.ndarray | None:
+    """Rows of ints and floats as one (n, n) float64 array from one numpy call, else
+    None: a token, a ``Fraction``, an int past int64, a nested sequence, or a
+    boolean, which numpy would read as 0 or 1."""
+    try:
+        arr = np.asarray(rows)
+    except ValueError:  # a nested sequence of another shape
+        return None
+    if arr.shape != (n, n) or arr.dtype.kind not in "fi":
+        return None
+    # A list's booleans would read as 0 or 1, so its types are read where one of those is.
+    if not isinstance(rows, np.ndarray) and ((arr == 0) | (arr == 1)).any() and (
+            {bool, np.bool_} & set(map(type, itertools.chain(*rows)))):
+        return None
+    return arr.astype(np.float64, copy=isinstance(rows, np.ndarray))  # never the caller's array
 
 
 def _check_symmetric(M: np.ndarray) -> None:
@@ -249,7 +274,10 @@ def _check_symmetric(M: np.ndarray) -> None:
 
 def _integer_rows(rows: np.ndarray) -> _Rows:
     """The rows of a 2-D array as a stack (``_Rows``): each row's integer
-    numerators over the LCM of that row's denominators, rows[i] == N[i] / d[i]."""
+    numerators over the LCM of that row's denominators, rows[i] == N[i] / d[i].
+    Rows of ints (``_orthogonalized``'s exact Q) are their own numerators, over 1."""
+    if all(type(x) is int for x in rows.flat):
+        return _Rows(rows, [1] * len(rows))
     N, d = [], []
     for row in rows:
         ratios = [x.as_integer_ratio() for x in row]
@@ -284,20 +312,23 @@ def _product(a, b: np.ndarray):
     matrix is usually a stack of vectors, such as a CG history, whose
     denominators are unrelated and have a needlessly large common multiple.
     ``a`` may be a stack already on integers (``_Rows``: a problem's H), tested
-    first, since a numpy call on a ``_Rows`` would iterate it.
+    first, since a numpy call on a ``_Rows`` would iterate it.  Two ``_Primitive``
+    take one integer dot, and H b for a ``_Primitive`` b is one (over D, the LCM
+    of H's row denominators).  The product of two vectors is its one entry.
     """
+    if isinstance(b, _Primitive):
+        if not isinstance(a, _Rows):
+            return a.s * b.s * np.dot(a.A, b.A)
+        D = math.lcm(*a.d)
+        return _Primitive.of(np.dot(a.N, b.A) * (D // a.d), b.s.denominator * D, b.s.numerator)
     if isinstance(a, _Rows):
         shape = (len(a),)
     elif a.dtype != object:
         return np.dot(a, b)
-    elif a.ndim == b.ndim == 1:
-        Na, da = _integerized(a)
-        Nb, db = (Na, da) if b is a else _integerized(b)
-        return _rationalized(np.dot(Na, Nb), da * db)
     else:
         a, shape = _integer_rows(a if a.ndim == 2 else a[None, :]), a.shape[:-1]
     B = _integer_rows(b.T if b.ndim == 2 else b[None, :])
-    return _rationalized(np.dot(a.N, B.N.T), np.multiply.outer(a.d, B.d)).reshape(shape + b.shape[1:])
+    return _rationalized(np.dot(a.N, B.N.T), np.multiply.outer(a.d, B.d)).reshape(shape + b.shape[1:])[()]
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> Scalar:
@@ -390,6 +421,52 @@ class _Rows:
         """M a_k for each row a_k, as a stack: row k over D d[k], D the LCM of M's d."""
         D = math.lcm(*M.d)
         return _Rows(np.dot(self.N, (M.N * (D // M.d)[:, None]).T), D * self.d)
+
+
+class _Primitive:
+    """An exact vector s A: a ``Fraction`` s times a primitive integer row A, whose
+    entries have gcd 1 or are all zero (content and primitive part: Knuth, TAOCP
+    vol. 2, 4.6.1), the form of x, g and p in ``run_cg`` under rationals
+    (``_working``).  t v and v / t change s alone; a + b and H v (``_product``)
+    take one gcd and one exact division per vector, where ``Fraction`` arrays take
+    one gcd per entry.  ``shape`` and ``dtype`` are the array's, for the point checks."""
+
+    dtype = np.dtype(object)
+
+    def __init__(self, A: np.ndarray, s: Fraction):
+        self.A, self.s, self.shape = A, s, A.shape
+
+    @classmethod
+    def of(cls, row: np.ndarray, den: int, num: int = 1) -> "_Primitive":
+        """row num / den, the content of row moved into the scale by one gcd."""
+        content = math.gcd(*row)
+        return cls(row // content if content > 1 else row, Fraction(num * content, den))
+
+    def __mul__(self, t) -> "_Primitive":
+        return _Primitive(self.A, self.s * t)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, t) -> "_Primitive":
+        return _Primitive(self.A, self.s / t)
+
+    def __add__(self, other: "_Primitive") -> "_Primitive":
+        L = math.lcm(self.s.denominator, other.s.denominator)
+        alpha, beta = (v.s.numerator * (L // v.s.denominator) for v in (self, other))
+        return _Primitive.of(alpha * self.A + beta * other.A, L)
+
+
+def _working(v: np.ndarray):
+    """v as ``run_cg`` computes with it: a ``_Primitive`` under rationals, else v."""
+    return _Primitive.of(*_integerized(v)) if v.dtype == object else v
+
+
+def _recorded(v) -> np.ndarray:
+    """The frozen array that a trace record holds of a ``_working`` vector: under
+    rationals the canonical ``Fraction`` array s A, formed entry by entry once."""
+    if isinstance(v, _Primitive):
+        v = _rationalized(v.A * v.s.numerator, v.s.denominator)
+    return _freeze(v)
 
 
 def _stack(vectors, backend: Backend):

@@ -7,6 +7,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cglens import (
@@ -22,7 +23,7 @@ from cglens import (
     run_full_suite,
     vector,
 )
-from cglens.linalg import norm_sq, sym_matrix
+from cglens.linalg import DimensionMismatch, norm_sq, sym_matrix
 from cglens.mmio import save_trace
 from cglens.quadratic import QuadraticProblem, evaluate
 from cglens.engine import (
@@ -244,6 +245,85 @@ class TestRunCG:
         )
 
 
+def _reference_cg(P, direction_mode, scaling, max_iter=None):
+    """run_cg's recurrences on elementwise ``Fraction`` arrays, as (x, g, p, theta,
+    beta, c, g^T g) per record: the engine's exact arithmetic, written out plainly."""
+    H, c, x = P.H, P.c, P.x0
+    g = H.dot(x) + c
+    gns, records = g.dot(g), []
+    total, weight, p_prev, c_prev, gns_prev = 0 * x, Fraction(0), None, None, None
+    for k in range(P.n + 1):
+        beta = None if k == 0 else gns / gns_prev
+        p = theta = c_k = None
+        if gns != 0 and k != (P.n if max_iter is None else max_iter):
+            c_k = scaling.value_for(k, gns, RATIONAL)
+            if direction_mode == "recursive":
+                p = (c_k / gns) * g + (0 if p_prev is None else (c_k / c_prev) * p_prev)
+            else:
+                total, weight = total + g / gns, weight + 1 / gns
+                p = c_k * total if direction_mode == "gradient_sum" else -total / weight
+                c_k = -p.dot(p) if direction_mode == "shortest_residuals" else c_k
+            curvature = p.dot(H.dot(p))
+            theta = -g.dot(p) / curvature if curvature > 0 else None
+        records.append((list(x), list(g), p if p is None else list(p), theta, beta, c_k, gns))
+        if theta is None:
+            return records
+        x = x + theta * p
+        g = H.dot(x) + c
+        gns_prev, gns, p_prev, c_prev = gns, g.dot(g), p, c_k
+
+
+class _ZeroFromStepOne(DirectionScaling):
+    """c_k = 0 from k = 1 on: the recursive and gradient-sum directions vanish there."""
+
+    def value_for(self, k, grad_norm_sq, backend):
+        return backend.zero if k else super().value_for(k, grad_norm_sq, backend)
+
+
+class TestReferenceRecurrences:
+    """Rational run_cg against the elementwise-Fraction recurrences, record by record."""
+
+    PROBLEMS = {
+        "rand_spd n 7": ProblemSpec(kind="rand_spd", n=7, condition=9, seed=4),
+        "laplacian1d n 6": ProblemSpec(kind="laplacian1d", n=6),
+    }
+    SCALINGS = {
+        "cg_standard": DirectionScaling(),
+        "unit": DirectionScaling("unit"),
+        "custom callable": DirectionScaling("custom", custom_value=lambda k: Fraction(2 * k - 3, 5)),
+    }
+
+    @staticmethod
+    def _assert_same(trace, expected):
+        got = [(list(rec.x_k), list(rec.g_k), None if rec.p_k is None else list(rec.p_k),
+                rec.theta_k, rec.beta_k, rec.c_k, rec.grad_norm_sq) for rec in trace.records]
+        assert got == expected
+        for rec in trace.records:
+            vectors = [v for v in (rec.x_k, rec.g_k, rec.p_k) if v is not None]
+            assert all(not v.flags.writeable and v.dtype == object for v in vectors)
+            scalars = [v for v in (rec.theta_k, rec.beta_k, rec.c_k, rec.grad_norm_sq) if v is not None]
+            assert all(type(e) is Fraction for v in vectors for e in v) and all(
+                type(v) is Fraction for v in scalars)
+
+    @pytest.mark.parametrize("problem", list(PROBLEMS))
+    @pytest.mark.parametrize("scaling", list(SCALINGS))
+    @pytest.mark.parametrize("direction", ["recursive", "gradient_sum", "shortest_residuals"])
+    @pytest.mark.parametrize("max_iter", [None, 2])
+    def test_records_equal_the_reference(self, problem, scaling, direction, max_iter):
+        P = generate_problem(self.PROBLEMS[problem], RATIONAL)
+        trace = run_cg(P, direction_mode=direction, scaling=self.SCALINGS[scaling], max_iter=max_iter)
+        assert trace.termination_reason == ("gradient_zero" if max_iter is None else "max_iter")
+        self._assert_same(trace, _reference_cg(P, direction, self.SCALINGS[scaling], max_iter))
+
+    @pytest.mark.parametrize("direction", ["recursive", "gradient_sum"])
+    def test_zero_direction_breaks_down_as_the_reference(self, direction):
+        P = generate_problem(self.PROBLEMS["rand_spd n 7"], RATIONAL)
+        trace = run_cg(P, direction_mode=direction, scaling=_ZeroFromStepOne())
+        assert (trace.r, trace.termination_reason) == (1, "breakdown")
+        assert list(trace.records[1].p_k) == [0] * 7 and trace.records[1].theta_k is None
+        self._assert_same(trace, _reference_cg(P, direction, _ZeroFromStepOne()))
+
+
 class TestTraceContainer:
     def test_records_must_be_consecutive(self):
         g = vector([1, 1], F64)
@@ -324,6 +404,29 @@ class TestTraceContainer:
         for k in (0, 1, trace.r - 1):
             with pytest.raises(LinalgError, match=f"record {k} needs p_k, theta_k and c_k"):
                 self._with(trace, k, **{field: None})
+
+    @pytest.mark.parametrize("field", ["x_k", "g_k", "p_k"])
+    def test_vectors_of_another_length_are_refused(self, field):
+        # Refused where the trace is built: a check that takes no problem,
+        # such as gradient orthogonality, would otherwise meet ragged stacks.
+        P = generate_problem(ProblemSpec(kind="diag", n=3), RATIONAL)
+        trace = run_cg(P)
+        short = getattr(trace.records[1], field)[:2]
+        with pytest.raises(DimensionMismatch, match="^record 1 has a vector whose length is not x_0's$"):
+            self._with(trace, 1, **{field: short})
+        with pytest.raises(DimensionMismatch, match="^record 0 has a vector"):
+            self._with(trace, 0, g_k=np.append(trace.records[0].g_k, Fraction(0)))
+
+    def test_loaded_vector_of_another_length_is_refused_with_its_path(self, tmp_path):
+        P = generate_problem(ProblemSpec(kind="diag", n=3), RATIONAL)
+        path = tmp_path / "T.json"
+        save_trace(run_cg(P), path)
+        doc = json.loads(path.read_text())
+        doc["records"][1]["x"] = doc["records"][1]["x"][:2]
+        path.write_text(json.dumps(doc))
+        refusal = f"^{re.escape(str(path))}: record 1 has a vector whose length is not x_0's$"
+        with pytest.raises(DimensionMismatch, match=refusal):
+            load_trace(path)
 
     @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
     @pytest.mark.parametrize("max_iter", [0, None])

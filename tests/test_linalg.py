@@ -40,11 +40,15 @@ from cglens.linalg import (
     _gate,
     _leading_combinations,
     _leading_rows,
+    _Primitive,
+    _integer_rows,
     _orthogonalized,
     _product,
+    _recorded,
     _row_dots,
     _row_residuals,
     _stack,
+    _working,
     backend_of,
     cholesky_spd_check,
     leading_solves,
@@ -168,6 +172,16 @@ class TestConstructors:
     def test_integer_entry_outside_float_range_rejected(self):
         with pytest.raises(LinalgError, match="float64 range"):
             vector([2**1100, 0.5], F64)
+        with pytest.raises(LinalgError, match="float64 range"):
+            sym_matrix([[1, 2**1100], [2**1100, 1]], F64)
+
+    @pytest.mark.parametrize("entry", [True, np.True_, False, [1.0], "nan"])
+    def test_float_rows_refuse_what_one_numpy_call_would_take(self, entry):
+        # numpy reads a boolean as 0 or 1, "nan" as NaN and [1.0] as a third
+        # axis; each goes entry by entry and is refused, as a token is parsed.
+        with pytest.raises(LinalgError, match="cannot convert"):
+            sym_matrix([[1.0, entry], [entry, 1.0]], F64)
+        assert sym_matrix([[1.0, "1/2"], ["0.5", 1]], F64).tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
     @pytest.mark.parametrize("backend", [F64, RATIONAL])
     def test_non_sequences_rejected(self, backend):
@@ -324,6 +338,80 @@ class TestFractionFreeProduct:
             np.dot(v, v)  # the patch is in force
         assert list(mat_vec(M, v)) == expected_Mv
         assert dot(v, v) == norm_sq(v) == expected_dot
+
+
+@st.composite
+def exact_vectors(draw, n: int):
+    """A rational vector of n entries: zero, of integers with content 1, or wide."""
+    kind = draw(st.sampled_from(["zero", "content one", "wide"]))
+    if kind == "zero":
+        entries = [Fraction(0)] * n
+    elif kind == "content one":
+        entries = [Fraction(1), *map(Fraction, draw(st.lists(st.integers(-10**30, 10**30),
+                                                            min_size=n - 1, max_size=n - 1)))]
+    else:
+        entries = draw(st.lists(wide_rationals, min_size=n, max_size=n))
+    return _fraction_array(entries, (n,))
+
+
+@st.composite
+def primitive_operands(draw):
+    """(a, b, t, M): two vectors, a scale t (negative ones included) and an n-by-n M;
+    a is sometimes -t b, so that a + t b cancels to the zero row."""
+    n = draw(st.integers(1, 4))
+    a, b = draw(exact_vectors(n)), draw(exact_vectors(n))
+    t = draw(wide_rationals)
+    if draw(st.booleans()):
+        a = -t * b
+    return a, b, t, _fraction_array(draw(st.lists(wide_rationals, min_size=n * n, max_size=n * n)), (n, n))
+
+
+def _assert_stands_for(v, expected):
+    """v is a ``_Primitive``, its row primitive (gcd 1, or all zeros), and its
+    frozen canonical array equals the ``Fraction`` vector ``expected``."""
+    assert isinstance(v, _Primitive)
+    assert all(type(e) is int for e in v.A)
+    assert math.gcd(*v.A) == 1 or not v.A.any()
+    got = _recorded(v)
+    assert not got.flags.writeable and v.shape == got.shape == expected.shape
+    assert all(type(x) is Fraction for x in got) and list(got) == list(expected)
+
+
+class TestPrimitiveRows:
+    """``_Primitive``, the form of run_cg's exact vectors: scale, combination, dot and
+    H-product are their ``Fraction`` formulas, and each leaves a primitive row."""
+
+    @given(primitive_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_operations_are_the_fraction_formulas(self, operands):
+        a, b, t, M = operands
+        va, vb = _working(a), _working(b)
+        _assert_stands_for(va, a)
+        _assert_stands_for(t * vb, t * b)
+        _assert_stands_for(vb * t, b * t)
+        if t:
+            _assert_stands_for(vb / t, b / t)
+        _assert_stands_for(va + t * vb, a + t * b)
+        for x, y in ((va, vb), (va, va)):
+            got = _product(x, y)
+            assert type(got) is Fraction and got == np.dot(_recorded(x), _recorded(y))
+        _assert_stands_for(_product(_integer_rows(M), vb), np.dot(M, b))
+
+    def test_named_cases(self):
+        content_one, zero = vector([3, -2, 5], RATIONAL), vector([0, 0, 0], RATIONAL)
+        wide = vector(["6/7", "-4/21", "10/3"], RATIONAL)  # (18, -4, 70) / 21, content 2
+        _assert_stands_for(_working(content_one), content_one)
+        assert list(_working(content_one).A) == [3, -2, 5] and _working(content_one).s == 1
+        assert list(_working(wide).A) == [9, -2, 35] and _working(wide).s == Fraction(2, 21)
+        _assert_stands_for(_working(zero), zero)
+        _assert_stands_for(Fraction(-3, 4) * _working(wide), Fraction(-3, 4) * wide)
+        cancelled = _working(wide) + Fraction(-2, 7) * _working(wide * Fraction(7, 2))
+        _assert_stands_for(cancelled, zero)
+        assert not cancelled.A.any() and _product(cancelled, _working(wide)) == 0
+
+    def test_float64_vectors_are_their_own_working_form(self):
+        v = vector([0.5, -1.25], F64)
+        assert _working(v) is v
 
 
 def _coefficient(t, j):
@@ -814,6 +902,15 @@ class TestKernelAgainstSympy:
         for j in range(len(columns)):
             combination = sum((T[i, j] * v for i, v in enumerate(columns)), 0 * columns[0])
             assert list(combination) == (list(Q[kept.index(j)]) if j in kept else [0] * len(B))
+
+    def test_integer_rows_are_read_as_they_are(self):
+        # The exact Q above is re-read at every column: rows of ints are their
+        # own numerators over 1, and a row holding a Fraction takes the LCM path.
+        ints = np.array([[3, -(4**40)], [0, 7]], dtype=object)
+        stack = _integer_rows(ints)
+        assert stack.N is ints and list(stack.d) == [1, 1]
+        mixed = _integer_rows(np.array([[3, Fraction(1, 2)], [0, 7]], dtype=object))
+        assert mixed.N.tolist() == [[6, 1], [0, 7]] and list(mixed.d) == [2, 1]
 
     @given(st.integers(min_value=1, max_value=4).flatmap(
         lambda n: st.lists(st.lists(small_rationals, min_size=n, max_size=n),
