@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -55,7 +56,9 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scaling", default="cg", choices=["cg", "unit"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: ``parse_args`` leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="cglens",
         description="Conjugate gradients under the microscope: solve, "

@@ -21,10 +21,10 @@ identical iterate sequences (exactly so under the rational backend);
 the verification suite checks precisely that.
 
 One loop serves both backends.  Under rationals x, g, p and the running sum
-are ``linalg._Primitive`` values (``linalg._working``), a ``Fraction`` times a
+are ``linalg._Rows`` vectors (``linalg._stack``), a ``Fraction`` times a
 primitive integer row, so each vector operation pays one gcd, not one per
-entry; a record holds each vector as the canonical ``Fraction`` array, formed
-once (``linalg._recorded``).
+entry.  A record holds each vector as its canonical ``Fraction`` array, formed
+once, and the array keeps the rows for the checks (``linalg._recorded``).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import (Backend, DimensionMismatch, LinalgError, Scalar, _freeze, _recorded, _working,
-                     dot, norm_sq)
+from .linalg import (RATIONAL, Backend, DimensionMismatch, LinalgError, Scalar, _freeze, _recorded,
+                     _stack, dot, norm_sq)
 from .quadratic import QuadraticProblem, _check_point, _times_H
 
 DIRECTION_MODES = ("recursive", "gradient_sum", "shortest_residuals")
@@ -163,12 +163,18 @@ class CGTrace:
         return [rec.g_k for rec in self.records]
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, G, P): x_k and g_k of every record and p_k of every step: frozen (k, n)
-        arrays of the trace's dtype for any k, none included, cached as ``QuadraticProblem._H_rows``."""
-        x0, steps = self.records[0].x_k, self.records[: self.r]
-        vectors = [rec.x_k for rec in self.records], self.gradients(), [rec.p_k for rec in steps]
-        return tuple(_freeze(np.array(v, dtype=x0.dtype).reshape(-1, len(x0))) for v in vectors)
+    def _stacks(self) -> tuple:
+        """(X, G, P): x_k and g_k of every record and p_k of every step, for any k,
+        as stacks (``linalg._stack``): frozen (k, n) arrays under float64, and under
+        rationals the rows kept with each vector (``linalg._recorded``)."""
+        m, x0 = len(self.records), self.records[0].x_k
+        vectors = ([rec.x_k for rec in self.records] + self.gradients()
+                   + [rec.p_k for rec in self.records[: self.r]])
+        if x0.dtype == object:
+            S = _stack(vectors, RATIONAL)
+            return S[:m], S[m : 2 * m], S[2 * m :]
+        return tuple(_freeze(np.array(v, dtype=x0.dtype).reshape(-1, len(x0)))
+                     for v in (vectors[:m], vectors[m : 2 * m], vectors[2 * m :]))
 
 
 def _step_budget(P: QuadraticProblem) -> int:
@@ -227,7 +233,7 @@ def run_cg(
         raise LinalgError(f"tol must be finite and nonnegative, got {tol}")
 
     records: list[IterateRecord] = []
-    x, c = _working(P.x0), _working(P.c)
+    x, c = _stack(P.x0, backend), _stack(P.c, backend)
     g = _times_H(P, x) + c
     gns = norm_sq(g)
     # Read under float64 only: an exact ||g_0||^2 may lie outside the float range.
@@ -237,7 +243,7 @@ def run_cg(
     gns_prev: Scalar | None = None
     # The history forms' running sums over i <= k of g_i / (g_i^T g_i)
     # and of 1 / (g_i^T g_i).
-    total, weight = _working(backend.empty(P.n)), backend.zero
+    total, weight = _stack(backend.empty(P.n), backend), backend.zero
     k = 0
 
     while True:

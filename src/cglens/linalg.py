@@ -1,59 +1,46 @@
 """Dense vectors and symmetric matrices over two scalar backends.
 
-The same code paths run under IEEE double precision (``F64``) and under
-exact arbitrary-precision rationals (``RATIONAL``, built on
-``fractions.Fraction``).  Exactness is the whole point of the rational
-backend: every ring operation satisfies ``a + b - b == a`` identically,
-so a residual that a theorem says must vanish either is exactly zero or
-exposes a bug.
+The same code paths run under IEEE double precision (``F64``) and under exact
+arbitrary-precision rationals (``RATIONAL``, built on ``fractions.Fraction``).
+Exactness is the whole point of the rational backend: a residual that a theorem
+says must vanish either is exactly zero or exposes a bug.  Vectors and matrices
+are plain numpy arrays (``float64``, or ``object`` holding ``Fraction``) marked
+read-only at construction; nothing here mutates its inputs.
 
-Vectors and matrices are plain numpy arrays (``float64`` dtype for the
-float backend, ``object`` dtype holding ``Fraction`` for the rational
-one) marked read-only at construction.  All operations are pure
-functions; nothing here mutates its inputs.
+``Fraction`` arrays are the rational backend at every boundary, but not inside
+it, since a sum of ``Fraction`` products pays a gcd per operation.  Inside, an
+exact vector or stack of vectors has one form, ``_Rows``: a ``Fraction`` scale
+per row times a primitive integer row, frozen as the arrays are.  ``run_cg``
+computes with it, each record's array keeps the rows it was made or read from
+(``_with_rows``), and the suite's tables, the oracle's sweep and both ghat
+sweeps read them (``_stack``).  Their products (``_product``, ``_Rows.table``,
+``_Rows.times``), sums (``_combination``, ``_running_sums``) and row rules run
+on integers, and a ``Fraction`` is formed only for a nonzero residual, a report
+or a public value.  The row rules take stacks of any number of rows, on both
+backends, raw in exact arithmetic and normalized in float64 by ``_worst_ratio``:
+``pairwise_residual`` over the triangle of an inner-product table, ``_row_dots``
+and ``_row_residuals`` row by row.
 
-``Fraction`` arrays are the rational backend at every boundary, but not
-inside its hot kernels, because a sum of ``Fraction`` products pays a gcd
-per operation.  The products (``_product``), the elimination
-(``_eliminate``) and the generator's reflections work instead on integer
-numerators over a common denominator (``_integerized``; one per row and
-per column of a matrix, ``_integer_rows``).  Integers sum with no gcd, and
-each result entry becomes a ``Fraction`` once (``_rationalized``).  ``run_cg``
-holds its vectors as one ``Fraction`` times a primitive integer row
-(``_Primitive``), whose sums and products with H pay one gcd per vector.  A
-residual that should vanish is tested on its integer numerators, and
-becomes a ``Fraction`` only if it does not.  The residual rules take a stack
-of vectors of any number of rows, none included (``_stack``: an array under
-float64, and under rationals ``_Rows``, whose integers only this module reads),
-and run on both backends, raw in exact arithmetic and normalized in float64 by
-``_worst_ratio``: ``pairwise_residual`` over the triangle of an inner-product
-table, ``_row_dots`` and ``_row_residuals`` row by row.
-
-``_orthogonalized`` (Gram-Schmidt) decides which vectors of a list depend
-on the earlier ones.  A natural-order L D L^T decides how far a symmetric
-matrix is positive definite, by the same rule everywhere (stop at the first
-pivot not above the floor).  Under rationals the factor comes from one of two
-loops, chosen by the matrix each serves.  ``_eliminate`` (Bareiss) serves
-``SpdCheck``: on the dense, small-entry H of the SPD test it is about 3x
-faster than a Fraction elimination.  ``_sparse_ldl`` serves the exact leading
-solves: it touches only nonzero entries, and the oracle's reduced matrix is
-tridiagonal for an exact CG history, where Bareiss's integers grow at every
-step.  Under float64 the factor is LAPACK's Cholesky factor
-(``_cholesky_pivots``), or ``_eliminate``'s where LAPACK refuses.  Every
-factor is written in one layout, unit multipliers below the diagonal and
-pivots on it, and one forward substitution on that layout
-(``_leading_combinations``) serves every leading solve: ``leading_solves``
-and the oracle's points, coordinates and objectives.  ``SpdCheck.solve`` needs
-z alone, for the whole system, and runs a forward and a back loop of its own.
+``_orthogonalized`` (Gram-Schmidt) decides which vectors of a list depend on the
+earlier ones.  A natural-order L D L^T decides how far a symmetric matrix is
+positive definite, by one rule everywhere: stop at the first pivot not above the
+floor.  Under rationals ``_eliminate`` (Bareiss) factors the dense H of
+``SpdCheck``, and ``_sparse_ldl``, on nonzero entries only, the oracle's reduced
+matrix, tridiagonal for an exact CG history; under float64 the factor is LAPACK's
+(``_cholesky_pivots``), or ``_eliminate``'s where LAPACK refuses.  Every factor has
+one layout, unit multipliers below the diagonal and pivots on it, and one forward
+substitution on it (``_leading_combinations``) serves every leading solve.
+``SpdCheck.solve`` needs z alone, for the whole system, and has its own loops.
 """
-
 from __future__ import annotations
 
 import itertools
 import math
 import re
+import weakref
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -273,62 +260,77 @@ def _check_symmetric(M: np.ndarray) -> None:
 
 
 def _integer_rows(rows: np.ndarray) -> _Rows:
-    """The rows of a 2-D array as a stack (``_Rows``): each row's integer
-    numerators over the LCM of that row's denominators, rows[i] == N[i] / d[i].
-    Rows of ints (``_orthogonalized``'s exact Q) are their own numerators, over 1."""
-    if all(type(x) is int for x in rows.flat):
-        return _Rows(rows, [1] * len(rows))
-    N, d = [], []
-    for row in rows:
+    """A 1-D or 2-D array of Fractions or ints as a vector or a stack (``_Rows``): each
+    row's numerators over the LCM of its denominators, made primitive."""
+    vectors = []
+    for row in np.atleast_2d(rows):
         ratios = [x.as_integer_ratio() for x in row]
         dens = {q for _, q in ratios}
-        d.append(math.lcm(*dens))
-        if len(dens) == 1:
-            N += [p for p, _ in ratios]
-        else:
-            scale = {q: d[-1] // q for q in dens}
-            N += [p * scale[q] for p, q in ratios]
-    return _Rows(np.array(N, dtype=object).reshape(rows.shape), d)
+        L = math.lcm(*dens)
+        N = [p for p, _ in ratios] if len(dens) == 1 else [p * (L // q) for p, q in ratios]
+        vectors.append(_Rows.of(np.array(N, dtype=object), L))
+    return vectors[0] if rows.ndim == 1 else _Rows.stacked(vectors, rows.shape[1])
 
 
 def _integerized(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(N, d)`` with arr == N / d: integer numerators over the LCM d of the denominators."""
-    rows = _integer_rows(arr.reshape(1, -1))
-    return rows.N.reshape(arr.shape), rows.d[0]
+    """``(N, d)`` with arr == N / d: integer numerators over one denominator d."""
+    v = _integer_rows(arr.ravel())
+    return (v.A * v.s.numerator).reshape(arr.shape), v.s.denominator
 
 
 # Fraction(p, q) entry by entry, one gcd each; a Fraction for scalar input.
 _rationalized = np.frompyfunc(Fraction, 2, 1)
 
 
-def _product(a, b: np.ndarray):
-    """``np.dot(a, b)``, on integer numerators under the rational backend.
+def _fractions(v):
+    """A stack's canonical ``Fraction`` array, one gcd per entry; an array as it is."""
+    if not isinstance(v, _Rows):
+        return v
+    if v.ndim == 1:
+        return _rationalized(v.A * v.s.numerator, v.s.denominator)
+    num, den = v.ratios()
+    return _rationalized(v.A * num[:, None], den[:, None])
 
-    Under float64 this is one ``np.dot`` call.  Exact operands become
-    integer numerators, the sums of products run on Python ints with no
-    gcd, and each result entry is made a ``Fraction`` once.  Two vectors
-    have one denominator each.  Otherwise each row of ``a`` and each column
-    of ``b`` has its own (a vector counts as one row or one column): a
-    matrix is usually a stack of vectors, such as a CG history, whose
-    denominators are unrelated and have a needlessly large common multiple.
-    ``a`` may be a stack already on integers (``_Rows``: a problem's H), tested
-    first, since a numpy call on a ``_Rows`` would iterate it.  Two ``_Primitive``
-    take one integer dot, and H b for a ``_Primitive`` b is one (over D, the LCM
-    of H's row denominators).  The product of two vectors is its one entry.
+
+# id(array) -> (a weak reference to it, the rows it was made or read from), while it
+# lives: keyed to the array, not to a record, so an array put in a record's place is read anew.
+_KEPT: dict = {}
+
+
+def _with_rows(arr: np.ndarray, rows=None) -> np.ndarray:
+    """The frozen ``arr``, with ``rows`` (its integer rows by default) kept for it
+    under rationals; a float64 array as it is."""
+    if arr.dtype == object:
+        key = id(arr)
+        _KEPT[key] = (weakref.ref(arr, lambda _, kept=_KEPT: kept.pop(key, None)),
+                      _integer_rows(arr) if rows is None else rows)
+    return arr
+
+
+def _rows(arr: np.ndarray) -> _Rows:
+    """The stack of an exact array: the rows kept for it, else its integer rows."""
+    kept = _KEPT.get(id(arr))
+    return kept[1] if kept is not None and kept[0]() is arr else _integer_rows(arr)
+
+
+def _product(a, b):
+    """``np.dot(a, b)``, on integer rows under the rational backend.
+
+    Under float64 this is one ``np.dot`` call.  Exact operands are read as
+    stacks (``_stack``), the rows of ``a`` and the columns of ``b``, each with
+    its own scale, since a matrix is usually a stack of unrelated vectors, such
+    as a CG history or H (``QuadraticProblem._H_rows``); a vector ``a`` is read
+    once when it is ``b``.  Each entry is one integer dot, made a ``Fraction`` once
+    (``_Rows.table``), and the product of two vectors is its one entry.
     """
-    if isinstance(b, _Primitive):
-        if not isinstance(a, _Rows):
-            return a.s * b.s * np.dot(a.A, b.A)
-        D = math.lcm(*a.d)
-        return _Primitive.of(np.dot(a.N, b.A) * (D // a.d), b.s.denominator * D, b.s.numerator)
-    if isinstance(a, _Rows):
-        shape = (len(a),)
-    elif a.dtype != object:
+    if not isinstance(a, _Rows) and a.dtype != object:
         return np.dot(a, b)
-    else:
-        a, shape = _integer_rows(a if a.ndim == 2 else a[None, :]), a.shape[:-1]
-    B = _integer_rows(b.T if b.ndim == 2 else b[None, :])
-    return _rationalized(np.dot(a.N, B.N.T), np.multiply.outer(a.d, B.d)).reshape(shape + b.shape[1:])[()]
+    rows = _stack(a, RATIONAL)
+    cols = rows if b is a and a.ndim == 1 else _stack(b if b.ndim == 1 else b.T, RATIONAL)
+    if rows.ndim == cols.ndim == 1:
+        s, t = rows.s, cols.s
+        return Fraction(s.numerator * t.numerator * np.dot(rows.A, cols.A), s.denominator * t.denominator)
+    return rows.table(cols).reshape(a.shape[:-1] + b.shape[1:])
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> Scalar:
@@ -401,80 +403,159 @@ def _worst_ratio(backend: Backend, raw: np.ndarray, scale) -> Scalar:
 
 
 class _Rows:
-    """The one form of an exact stack of vectors, of any number of rows, none included:
-    row i = N[i] / d[i] on integers (``_integer_rows``), sliced as the stack is."""
+    """The one exact form of a vector and of a stack of vectors.
 
-    def __init__(self, N: np.ndarray, d):
-        self.N, self.d = N, np.array(d, dtype=object)
-
-    def __len__(self) -> int:
-        return len(self.N)
-
-    def __getitem__(self, rows) -> "_Rows":
-        return _Rows(self.N[rows], self.d[rows])
-
-    def triangle(self, other: "_Rows", extra: int) -> list:
-        """Row k of the integer table of a_k^T b_j over its columns j < k + extra."""
-        return [np.dot(other.N[: k + extra], row) for k, row in enumerate(self.N)]
-
-    def times(self, M: "_Rows") -> "_Rows":
-        """M a_k for each row a_k, as a stack: row k over D d[k], D the LCM of M's d."""
-        D = math.lcm(*M.d)
-        return _Rows(np.dot(self.N, (M.N * (D // M.d)[:, None]).T), D * self.d)
-
-
-class _Primitive:
-    """An exact vector s A: a ``Fraction`` s times a primitive integer row A, whose
+    Row i is s[i] A[i]: a ``Fraction`` scale times a primitive integer row, whose
     entries have gcd 1 or are all zero (content and primitive part: Knuth, TAOCP
-    vol. 2, 4.6.1), the form of x, g and p in ``run_cg`` under rationals
-    (``_working``).  t v and v / t change s alone; a + b and H v (``_product``)
-    take one gcd and one exact division per vector, where ``Fraction`` arrays take
-    one gcd per entry.  ``shape`` and ``dtype`` are the array's, for the point checks."""
+    vol. 2, 4.6.1); a zero scale stands for the zero row.  A vector is ``A`` 1-D
+    with ``s`` one ``Fraction``.  Scaling and slicing touch the scales alone, and a
+    sum of rows (``_combination``) or a product with H (``times``) takes one lcm,
+    one integer sum and one gcd per row, where a ``Fraction`` array takes one gcd
+    per entry.  ``shape``, ``ndim`` and ``dtype`` are the array's.  ``A`` and an
+    array ``s`` are frozen: a trace's vectors keep their rows (``_with_rows``),
+    which must stay the rows of those vectors.
+    """
 
     dtype = np.dtype(object)
 
-    def __init__(self, A: np.ndarray, s: Fraction):
-        self.A, self.s, self.shape = A, s, A.shape
+    def __init__(self, A: np.ndarray, s):
+        self.A, self.s = _freeze(A), _freeze(s) if isinstance(s, np.ndarray) else s
 
     @classmethod
-    def of(cls, row: np.ndarray, den: int, num: int = 1) -> "_Primitive":
-        """row num / den, the content of row moved into the scale by one gcd."""
+    def of(cls, row: np.ndarray, den: int, num: int = 1) -> "_Rows":
+        """The vector row num / den, the content of row moved into the scale by one gcd."""
         content = math.gcd(*row)
         return cls(row // content if content > 1 else row, Fraction(num * content, den))
 
-    def __mul__(self, t) -> "_Primitive":
-        return _Primitive(self.A, self.s * t)
+    @staticmethod
+    def stacked(vectors, n: int) -> "_Rows":
+        """The vectors as the rows of one stack of width n."""
+        A, s = np.empty((len(vectors), n), dtype=object), np.empty(len(vectors), dtype=object)
+        for i, v in enumerate(vectors):
+            A[i], s[i] = v.A, v.s
+        return _Rows(A, s)
+
+    shape = property(lambda self: self.A.shape)
+    ndim = property(lambda self: self.A.ndim)
+
+    def __len__(self) -> int:
+        return len(self.A)
+
+    def __getitem__(self, rows) -> "_Rows":
+        return _Rows(self.A[rows], self.s[rows])
+
+    def __mul__(self, t) -> "_Rows":
+        return _Rows(self.A, self.s * t)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, t) -> "_Primitive":
-        return _Primitive(self.A, self.s / t)
+    def __truediv__(self, t) -> "_Rows":
+        return _Rows(self.A, self.s / t)
 
-    def __add__(self, other: "_Primitive") -> "_Primitive":
-        L = math.lcm(self.s.denominator, other.s.denominator)
-        alpha, beta = (v.s.numerator * (L // v.s.denominator) for v in (self, other))
-        return _Primitive.of(alpha * self.A + beta * other.A, L)
+    def __add__(self, other: "_Rows") -> "_Rows":
+        return _combination([(1, self), (1, other)])
+
+    def ratios(self) -> tuple[np.ndarray, np.ndarray]:
+        """The scales' numerators and denominators, as arrays (of one entry for a vector)."""
+        s = [self.s] if self.ndim == 1 else self.s
+        return (np.array([x.numerator for x in s], dtype=object),
+                np.array([x.denominator for x in s], dtype=object))
+
+    def table(self, other: "_Rows") -> np.ndarray:
+        """The ``Fraction`` table of a_i^T b_j over the rows of two stacks."""
+        (pa, qa), (pb, qb) = self.ratios(), other.ratios()
+        T = np.dot(np.atleast_2d(self.A), np.atleast_2d(other.A).T)
+        return _rationalized(T * np.multiply.outer(pa, pb), np.multiply.outer(qa, qb))
+
+    def triangle(self, other: "_Rows", extra: int) -> list:
+        """Row k of the integer table of A_k^T B_j over its columns j < k + extra."""
+        return [np.dot(other.A[: k + extra], row) for k, row in enumerate(self.A)]
+
+    @cached_property
+    def _over_one_denominator(self) -> tuple[np.ndarray, int]:
+        """``(N, L)`` with the stack N / L, L the LCM of the scales' denominators."""
+        L = math.lcm(*(t.denominator for t in self.s))
+        return self.A * np.array([[t.numerator * (L // t.denominator)] for t in self.s], dtype=object), L
+
+    def times(self, M: "_Rows") -> "_Rows":
+        """M v for each row v, or for the vector, as primitive rows, on M's integer
+        rows over one denominator, formed once per M."""
+        N, L = M._over_one_denominator
+        R = np.dot(self.A, N.T)
+        if R.ndim == 1:
+            return _Rows.of(R, self.s.denominator * L, self.s.numerator)
+        return _Rows.stacked([_Rows.of(row, t.denominator * L, t.numerator)
+                              for row, t in zip(R, self.s)], len(M))
 
 
-def _working(v: np.ndarray):
-    """v as ``run_cg`` computes with it: a ``_Primitive`` under rationals, else v."""
-    return _Primitive.of(*_integerized(v)) if v.dtype == object else v
+def _integer_combination(terms) -> tuple[np.ndarray, int]:
+    """``(N, L)`` with sum t v = N / L over the terms (t, v) of vectors, on integers
+    alone: each scale t s as (t.numerator s.numerator) / (t.denominator s.denominator)."""
+    dens = [t.denominator * v.s.denominator for t, v in terms]
+    L = math.lcm(*dens)
+    return sum(t.numerator * v.s.numerator * (L // d) * v.A for (t, v), d in zip(terms, dens)), L
 
 
-def _recorded(v) -> np.ndarray:
-    """The frozen array that a trace record holds of a ``_working`` vector: under
-    rationals the canonical ``Fraction`` array s A, formed entry by entry once."""
-    if isinstance(v, _Primitive):
-        v = _rationalized(v.A * v.s.numerator, v.s.denominator)
-    return _freeze(v)
+def _combination(terms) -> _Rows:
+    """sum t v over the terms (t, v) of vectors, as a vector."""
+    return _Rows.of(*_integer_combination(terms))
+
+
+def _running_sums(coeffs, S, divisors=None):
+    """Row k is sum_{i <= k} coeffs[i] S[i] / divisors[k] (none without ``divisors``):
+    one ``np.cumsum`` under float64, one ``_combination`` per row of a stack S."""
+    if not isinstance(S, _Rows):
+        sums = np.cumsum(coeffs[:, None] * S, axis=0)
+        return sums if divisors is None else sums / divisors[:, None]
+    sums = []
+    for t, row in zip(coeffs, S):
+        sums.append(_combination([(t, row), *([(1, sums[-1])] if sums else [])]))
+    sums = _Rows.stacked(sums, S.shape[1])
+    return sums if divisors is None else sums / divisors
+
+
+def _padded(R, rows, total: int, like):
+    """R[rows], then zero rows up to ``total`` rows: a stack if R and ``like`` are
+    stacks, else a frozen array (``_fractions``)."""
+    if isinstance(R, _Rows):
+        zeros = total - len(rows)
+        R = _Rows(np.concatenate((R.A[rows], np.zeros((zeros, R.shape[1]), dtype=object))),
+                  np.concatenate((R.s[rows], np.full(zeros, Fraction(0), dtype=object))))
+        return R if isinstance(like, _Rows) else _freeze(_fractions(R))
+    out = backend_of(R).empty((total, R.shape[1]))
+    out[: len(rows)] = R[rows]
+    return _freeze(out)
 
 
 def _stack(vectors, backend: Backend):
     """The vectors as the rows of one stack, the operand of the row rules: an
-    array under float64, and under rationals ``_Rows``, integer numerators over
-    one denominator per row.  ``vectors`` is a 2-D array, or converts to one."""
-    rows = np.asarray(vectors)
-    return _integer_rows(rows) if backend.exact else rows
+    array under float64, and ``_Rows`` under rationals, of an array (a vector
+    gives a vector) or of a nonempty sequence of vectors, each read by ``_rows``."""
+    if not backend.exact:
+        return np.asarray(vectors)
+    if isinstance(vectors, (_Rows, np.ndarray)):
+        return vectors if isinstance(vectors, _Rows) else _rows(vectors)
+    return _Rows.stacked([_rows(v) for v in vectors], len(vectors[0]))
+
+
+def _symmetric_table(S, R) -> np.ndarray:
+    """S R^T for stacks whose product is symmetric, such as Q and H Q: one ``np.dot``
+    under float64, and under rationals its lower triangle (``_Rows.triangle``), mirrored."""
+    if not isinstance(S, _Rows):
+        return np.dot(S, R.T)
+    (pa, qa), (pb, qb) = S.ratios(), R.ratios()
+    F = np.empty((len(S), len(R)), dtype=object)
+    for k, row in enumerate(S.triangle(R, 1)):
+        F[k, : k + 1] = _rationalized(row * pa[k] * pb[: k + 1], qa[k] * qb[: k + 1])
+    upper = np.triu_indices(len(S), 1)
+    F[upper] = F.T[upper]
+    return F
+
+
+def _recorded(v) -> np.ndarray:
+    """The frozen array that a trace record holds of a vector of ``run_cg``: under
+    rationals its canonical ``Fraction`` array, with its rows kept (``_with_rows``)."""
+    return _with_rows(_freeze(_fractions(v)), v)
 
 
 def _row_dots(A, B) -> np.ndarray:
@@ -482,8 +563,9 @@ def _row_dots(A, B) -> np.ndarray:
     one integer dot and one ``Fraction`` per row, each equal to ``dot``."""
     if not isinstance(A, _Rows):
         return np.einsum("ij,ij->i", A, B)
-    return _rationalized(np.array([np.dot(a, b) for a, b in zip(A.N, B.N)], dtype=object),
-                         A.d * B.d)
+    (pa, qa), (pb, qb) = A.ratios(), B.ratios()
+    return _rationalized(np.array([np.dot(a, b) for a, b in zip(A.A, B.A)], dtype=object) * pa * pb,
+                         qa * qb)
 
 
 def _row_residuals(A, *terms) -> np.ndarray:
@@ -491,10 +573,9 @@ def _row_residuals(A, *terms) -> np.ndarray:
     (``_stack``), with t one scalar or one per row.
 
     Under float64 the Euclidean norm of the combination taken left to right.
-    Under rationals the max-abs entry: an exactly representable rational that
-    vanishes precisely when the norm does, which is all an exact check, whose
-    tolerance is zero, relies on.  Row j is formed on integers over the LCM of
-    its terms' denominators, and only a nonzero row becomes a ``Fraction``.
+    Under rationals the max-abs entry, which vanishes precisely when the norm
+    does, all that an exact check relies on: row j is formed on integers
+    (``_integer_combination``), and only a nonzero row becomes a ``Fraction``.
     """
     if not isinstance(A, _Rows):
         for t, B in terms:
@@ -503,12 +584,9 @@ def _row_residuals(A, *terms) -> np.ndarray:
     out = np.full(len(A), Fraction(0), dtype=object)
     terms = [(t if np.ndim(t) else [t] * len(A), B) for t, B in terms]
     for j in range(len(A)):
-        D = math.lcm(A.d[j], *(t[j].denominator * B.d[j] for t, B in terms))
-        row = A.N[j] * (D // A.d[j])
-        for t, B in terms:
-            row = row - B.N[j] * (t[j].numerator * D // (t[j].denominator * B.d[j]))
+        row, L = _integer_combination([(1, A[j]), *((-t[j], B[j]) for t, B in terms)])
         if row.any():
-            out[j] = Fraction(np.abs(row).max(), D)
+            out[j] = Fraction(np.abs(row).max(), L)
     return out
 
 
@@ -522,10 +600,10 @@ def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales,
     take the whole table as one product and divide entry (k, j) by row[k] *
     col[j], where ``(row, col) = scales()`` is called only under float64; an
     entry whose scale is zero contributes nothing, and a NaN makes the result
-    NaN.  Exact vectors, or the ``_Rows`` that a caller shares with ``rows``
-    their ``_Rows.triangle``, report the raw worst value off the triangle's
-    integer rows alone, an origin as T[k, j+1] - T[k, 0]: each entry is tested
-    for zero on its numerator, and only a nonzero one becomes a ``Fraction``.
+    NaN.  Exact vectors, or stacks whose ``_Rows.triangle`` a caller passes as
+    ``rows``, report the raw worst value off the triangle's integer rows and
+    the scales, an origin as T[k, j+1] - T[k, 0], and only an entry with a
+    nonzero numerator becomes a ``Fraction``.
     """
     if len(a) == 0 or len(b) == 0:
         return backend.zero
@@ -537,14 +615,16 @@ def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales,
         triangle = np.tri(*table.shape, int(diagonal) - 1, dtype=bool)
         return _worst_ratio(backend, np.abs(table)[triangle],
                             lambda: np.multiply.outer(*map(np.asarray, scales()))[triangle])
-    a, b = (v if isinstance(v, _Rows) else _stack(v, backend) for v in (a, b))
+    a, b = _stack(a, backend), _stack(b, backend)
+    (pa, qa), (pb, qb) = a.ratios(), b.ratios()
     worst, lo = backend.zero, int(origin)
     for k, row in enumerate(a.triangle(b, int(diagonal) + lo) if rows is None else rows):
         cols = slice(lo, k + diagonal + lo)
-        num, den = row[cols], a.d[k] * b.d[cols]
+        num, den = row[cols] * pb[cols], qb[cols]
         if origin:
-            num, den = num * b.d[0] - row[0] * b.d[cols], den * b.d[0]
-        elif shift is not None:
+            num, den = num * qb[0] - row[0] * pb[0] * den, den * qb[0]
+        num, den = num * pa[k], den * qa[k]
+        if shift is not None:
             num, den = num * shift[k].denominator - shift[k].numerator * den, den * shift[k].denominator
         for j in np.flatnonzero(num):
             worst = max(worst, abs(Fraction(num[j], den[j])))
@@ -561,7 +641,7 @@ def pairwise_residual(backend: Backend, a, b, *, shift, diagonal: bool, scales,
 _DROP_MARGIN = np.finfo(np.float64).eps
 
 
-def _orthogonalized(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+def _orthogonalized(vectors) -> tuple:
     """Gram-Schmidt of v_0..v_{r-1}, column by column: ``(Q, T, d, kept)``.
 
     v_j becomes q_j = v_j - sum_i c_ij q_i, c_ij = q_i^T v_j / d_i, over the
@@ -573,33 +653,33 @@ def _orthogonalized(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[i
     The rows of Q are the kept q_j, unnormalized, ``d`` their squared norms
     and ``kept`` their indices: sum_i T[i, j] v_i is row j of Q, or for a
     dropped j the negligible (under rationals, zero) part left over.  Under
-    float64 T = R^-1 for the unit upper triangular R of V = Q R, and
-    orthogonal input gives Q = V and T = I.  Under rationals row j is q_j's
-    integer numerators (``_integerized``), made once, and column j of T carries
-    their denominator, so orthogonal input gives a diagonal T.  ``vectors`` is
-    a (r, n) array, or converts to one, for any r, none included.
+    float64 T = R^-1 for the unit upper triangular R of V = Q R.  Under
+    rationals Q is a stack (``_Rows``) of each q_j's primitive integer row over 1,
+    and column j of T carries q_j's scale.  ``vectors`` is a (r, n) array or a
+    stack, or converts to an array, for any r, none included.
     """
-    vectors = np.asarray(vectors)
-    backend, (r, n) = backend_of(vectors), vectors.shape
+    V = vectors if isinstance(vectors, _Rows) else np.asarray(vectors)
+    backend, (r, n), exact = backend_of(V), V.shape, backend_of(V).exact
     Q, d, T = backend.empty((r, n)), backend.empty(r), backend.empty((r, r))
-    passes, kept = 1 if backend.exact else 2, []
-    for j, v in enumerate(vectors):
+    ones = np.full(r, Fraction(1), dtype=object)
+    head = (lambda m: _Rows(Q[:m], ones[:m])) if exact else (lambda m: Q[:m])  # the kept rows
+    passes, kept = 1 if exact else 2, []
+    for j, v in enumerate(_stack(V, backend)):
         T[j, j] = backend.one
         q, m = v, len(kept)
         for _ in range(passes if kept else 0):
-            c = _product(Q[:m], q) / d[:m]
+            c = _product(head(m), q) / d[:m]
             if c.any():
-                q = q - _product(c, Q[:m])
+                q = _combination([(1, q), *zip(-c, head(m))]) if exact else q - _product(c, Q[:m])
                 T[:j, j] -= _product(T[:j, kept], c)
         q_sq = norm_sq(q)
-        if not q_sq <= (0 if backend.exact else _DROP_MARGIN * norm_sq(v)):
-            if backend.exact:
-                q, den = _integerized(q)
-                T[: j + 1, j] *= den
-                q_sq *= den * den
+        if not q_sq <= (0 if exact else _DROP_MARGIN * norm_sq(v)):
+            if exact:
+                T[: j + 1, j] /= q.s
+                q, q_sq = q.A, q_sq / q.s ** 2
             Q[m], d[m] = q, q_sq
             kept.append(j)
-    return Q[: len(kept)], T, d[: len(kept)], kept
+    return head(len(kept)), T, d[: len(kept)], kept
 
 
 def _spd_floor(M: np.ndarray) -> Scalar:
@@ -714,25 +794,31 @@ def _cholesky_pivots(M: np.ndarray, floor: float) -> tuple[np.ndarray, list, int
     return W, d[: m + 1].tolist(), m
 
 
-def _leading_combinations(factor: tuple[np.ndarray, list, int], b: np.ndarray,
-                          V: np.ndarray) -> np.ndarray:
+def _leading_combinations(factor: tuple[np.ndarray, list, int], b: np.ndarray, V):
     """Row k-1 holds V[:k]^T x_k, where A[:k, :k] x_k = b[:k], for k = 1..m.
 
     ``factor`` is a natural-order L D L^T of A in ``_eliminate``'s ``(W,
     pivots, m)`` layout: the unit lower L below the diagonal of W, of which
-    only the nonzero entries are read, and D on it.  The leading blocks of
-    the factor are the factors of the leading blocks of A, so one forward
-    substitution of [b | V] serves every k: with z = D^-1 L^-1 b,
-    V[:k]^T x_k = sum_{j<k} z_j w_j, a running sum over k, where w_j is row
-    j of L^-1 V.  This is the forward substitution of every leading solve.
+    only the nonzero entries are read, and D on it.  Its leading blocks factor
+    the leading blocks of A, so one forward substitution of [b | V] serves
+    every k: with z = D^-1 L^-1 b, V[:k]^T x_k = sum_{j<k} z_j w_j, a running
+    sum (``_running_sums``) of the rows w_j of L^-1 V.  A stack V (``_Rows``)
+    gives a stack, each w_j a combination of rows, with no ``Fraction`` formed.
     """
     W, _, m = factor
+    if isinstance(V, _Rows):
+        z, w = np.array(b[:m]), []
+        for t in range(m):
+            live = np.flatnonzero(W[t, :t])
+            z[t] -= W[t, live] @ z[live]
+            w.append(_combination([(1, V[t]), *((-W[t, j], w[j]) for j in live)]))
+        return _running_sums(z / W.diagonal()[:m], _Rows.stacked(w, V.shape[1]))
     Z = np.concatenate((b[:m, None], V[:m]), axis=1)
     for t in range(1, m):
         live = np.flatnonzero(W[t, :t])  # all of them in a dense factor: then no gather
         Z[t] -= W[t, :t] @ Z[:t] if len(live) == t else W[t, live] @ Z[live]
     z = Z[:, 0] / W.diagonal()[:m]
-    return np.cumsum(z[:, None] * Z[:, 1:], axis=0)
+    return _running_sums(z, Z[:, 1:])
 
 
 def _leading_rows(A: np.ndarray, b: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -740,12 +826,11 @@ def _leading_rows(A: np.ndarray, b: np.ndarray, V: np.ndarray) -> np.ndarray:
     first pivot that the SPD test's floor fails (a NaN pivot too), so m is the
     order of the largest leading block that is (numerically) positive definite.
 
-    Under rationals the factor is ``_sparse_ldl``'s, which touches only the
-    nonzero entries of A.  Under float64 A is first scaled to unit diagonal
-    (Jacobi scaling), which keeps systems whose columns differ by many orders
-    of magnitude solvable; the factor is the SPD test's (``_cholesky_pivots``)
-    of the scaled matrix, with its floor r * eps * max|A_ij|.  The solves
-    come off it with V = diag(scale), and V is applied in one product.
+    Under rationals the factor is ``_sparse_ldl``'s, and a stack V gives a
+    stack.  Under float64 A is first scaled to unit diagonal (Jacobi scaling),
+    which keeps systems whose columns differ by many orders of magnitude
+    solvable; the factor is the SPD test's (``_cholesky_pivots``) of the scaled
+    matrix, and V is applied to the solves with V = diag(scale) in one product.
     """
     if backend_of(A).exact:
         return _leading_combinations(_sparse_ldl(A), b, V)

@@ -13,16 +13,16 @@ multiple of -ghat_k) and to the iterates (affine combinations of
 gradients correspond to gradients at affine combinations of iterates).
 
 Checking a whole trace needs ghat_k for every prefix g_0..g_k of one
-history, and one array sweep per method serves all prefixes at once, row
-k-1 for ``gradients[:k]``.  ``_closed_form_ghats`` reads each gradient's
-norm once and keeps running sums.  ``_projected_ghats`` orthogonalizes the
-history once, column by column (``linalg._orthogonalized``, G = Q R), and
-reads every prefix's ghat off Q and R^-1 with running sums: O(r^2 n) for
-the sweep.  For the orthogonal gradients of a CG trace Q = G and R = I,
-and the projection reduces to the closed form's harmonic weights; under
-rationals each row of Q is a positive multiple of its g_i, which moves no ghat.
-The one-shots ``min_norm_closed_form`` and ``projection_oracle`` are the
-last rows of these sweeps.
+history, and one sweep per method serves all prefixes at once, row k-1 for
+``gradients[:k]``: ``_closed_form_ghats`` reads each gradient's norm once, and
+``_projected_ghats`` orthogonalizes the history once (``linalg._orthogonalized``,
+G = Q R) and reads every prefix's ghat off Q and R^-1, O(r^2 n).  Both are
+running sums (``linalg._running_sums``): under rationals of a stack's primitive
+integer rows (``linalg._Rows``), a stack in and a stack out, with no ``Fraction``
+formed.  For the orthogonal gradients of a CG trace Q = G and R = I up to a
+positive scale per row, which moves no ghat, and the projection reduces to the
+closed form's harmonic weights.  The one-shots ``min_norm_closed_form`` and
+``projection_oracle`` are the last rows of these sweeps.
 """
 
 from __future__ import annotations
@@ -37,11 +37,14 @@ from .linalg import (
     DimensionMismatch,
     LinalgError,
     Scalar,
+    _Rows,
     _freeze,
     _gate,
     _orthogonalized,
+    _padded,
     _product,
     _row_dots,
+    _running_sums,
     _stack,
     backend_of,
     dot,
@@ -129,25 +132,21 @@ def min_norm_closed_form(
     return _result(ghats[-1], inv)
 
 
-def _closed_form_ghats(gradients: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _closed_form_ghats(gradients) -> tuple:
     """The ungated closed-form ghat of every prefix, row k-1 for ``gradients[:k]``,
-    and the harmonic weights 1 / (g_i^T g_i) behind them, for a (r, n) array of
-    gradients, or what converts to one, for any r.
-
-    Each gradient's norm is read once, and the sums over i < k of
-    g_i / (g_i^T g_i) and of 1 / (g_i^T g_i) run along the history.  From the
-    first zero gradient on, which has no weight, every row is 0, as in
-    ``_projected_ghats`` past the hull.
+    and the harmonic weights 1 / (g_i^T g_i) behind them, for a stack, a (r, n)
+    array, or what converts to one, for any r.  Each gradient's norm is read
+    once, and the sums of g_i / (g_i^T g_i) and of 1 / (g_i^T g_i) run along the
+    history.  From the first zero gradient on, which has no weight, every row is
+    0, as in ``_projected_ghats`` past the hull.
     """
-    G = np.asarray(gradients)
+    G = gradients if isinstance(gradients, _Rows) else np.asarray(gradients)
     S = _stack(G, backend_of(G))
     sq = _row_dots(S, S)
     zero = np.flatnonzero(sq == 0)
     stop = int(zero[0]) if len(zero) else len(G)
     inv = 1 / sq[:stop]
-    ghats = backend_of(G).empty(G.shape)
-    ghats[:stop] = np.cumsum(inv[:, None] * G[:stop], axis=0) / np.cumsum(inv)[:, None]
-    return _freeze(ghats), inv
+    return _padded(_running_sums(inv, S[:stop], np.cumsum(inv)), np.arange(stop), len(G), G), inv
 
 
 def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
@@ -168,39 +167,33 @@ def projection_oracle(gradients: Sequence[np.ndarray]) -> MinNormResult:
 
 
 def _projected_ghats(gradients: Sequence[np.ndarray], basis=None) -> tuple[np.ndarray, int]:
-    """The projected ghat of every prefix, row k-1 for ``gradients[:k]``, and the
-    first column outside the affine hull of the earlier ones (``len(gradients)``
-    if none), past which every row is 0.  ``basis`` is ``_orthogonalized(gradients)``
-    if the caller already has it, and the backend and the counts are read off it,
-    so a history of any length, none included, has its rows.
+    """The projected ghat of every prefix, row k-1 for ``gradients[:k]``, as
+    ``_closed_form_ghats`` gives its rows, and the first column outside the affine
+    hull of the earlier ones (``len(gradients)`` if none), past which every row is
+    0.  ``basis`` is ``_orthogonalized(gradients)`` if the caller already has it.
 
-    With G = Q R, Q^T Q = D diagonal and R upper triangular (its diagonal 1
-    but on a kept column under rationals, ``_orthogonalized``), the hull
-    points G alpha with 1^T alpha = 1 are the points Q beta with
-    w^T beta = 1, where beta = R alpha and R^T w = 1.  The shortest is
-    beta = D^-1 w / (w^T D^-1 w).  The orthogonalization returns T = R^-1,
-    so w = T^T 1, and alpha = T beta.  Every prefix's beta is a prefix of
-    one vector, so ghat_k and alpha_k are running sums over the kept
-    columns.
+    With G = Q R, Q^T Q = D diagonal and R upper triangular, the hull points
+    G alpha with 1^T alpha = 1 are the points Q beta with w^T beta = 1, where
+    beta = R alpha and R^T w = 1.  The shortest is beta = D^-1 w / (w^T D^-1 w).
+    The orthogonalization returns T = R^-1, so w = T^T 1, and alpha = T beta.
+    Every prefix's beta is a prefix of one vector, so ghat_k and alpha_k are
+    running sums over the kept columns.
 
-    A dropped column j lies in the span of the earlier ones, and its
-    entry w_j = 1 - w_{<j}^T R[:j, j] is the affine residual: where it is
-    not zero, g_j lies outside their affine hull, so from k = j + 1 on the
-    hull is the whole span and ghat is 0, with alpha the kernel vector
-    T[:, j] / w_j.  The test is against literal zero on both backends, so
-    a float64 column that repeats an earlier one only up to rounding can
-    end the sweep at 0 too.
+    A dropped column j lies in the span of the earlier ones, and its entry
+    w_j = 1 - w_{<j}^T R[:j, j] is the affine residual: where it is not zero,
+    g_j lies outside their affine hull, so from k = j + 1 on the hull is the
+    whole span and ghat is 0, with alpha the kernel vector T[:, j] / w_j.  The
+    test is against literal zero on both backends, so a float64 column that
+    repeats an earlier one only up to rounding can end the sweep at 0 too.
     """
     Q, T, d, kept = _orthogonalized(gradients) if basis is None else basis
     r, w = len(T), T.sum(axis=0)
     u = w[kept] / d
-    hull = np.cumsum(u[:, None] * Q, axis=0) / np.cumsum(w[kept] * u)[:, None]
+    hull = _running_sums(u, Q, np.cumsum(w[kept] * u))
     is_kept = np.isin(np.arange(r), kept)
     outside = np.flatnonzero(~is_kept & (w != 0))
     stop = int(outside[0]) if len(outside) else r
-    ghats = backend_of(Q).empty((r, Q.shape[1]))
-    ghats[:stop] = hull[np.cumsum(is_kept)[:stop] - 1]
-    return _freeze(ghats), stop
+    return _padded(hull, np.cumsum(is_kept)[:stop] - 1, r, gradients), stop
 
 
 def characterization_residuals(

@@ -35,6 +35,7 @@ from .linalg import (
     F64,
     LinalgError,
     _gate,
+    _with_rows,
     norm_sq,
     scalar_token,
     sym_matrix,
@@ -341,7 +342,7 @@ def load_trace(path) -> CGTrace:
         if backend.exact and _holds_float(raw_records):
             data = _read_json(path, backend)
             raw_records = data["records"]
-        read = {"index": lambda k: _typed(k, int, "k"), "vector": lambda v: vector(v, backend),
+        read = {"index": lambda k: _typed(k, int, "k"), "vector": lambda v: _with_rows(vector(v, backend)),
                 "scalar": backend.scalar}
         records = tuple(
             IterateRecord(**{field: None if (value := rec.get(key)) is None else read[kind](value)

@@ -1,29 +1,23 @@
 """Brute-force minimization of q over an affine span.
 
-Given a base point x0 and spanning vectors s_1..s_k, the unique
-minimizer of q over {x0 + sum_j v_j s_j} is found directly, by a reduced
-solve.  Nothing here iterates: the oracle is the independent yardstick
-the conjugate gradient engine is measured against, so it must not share
-machinery with it.
+Given a base point x0 and spanning vectors s_1..s_k, the unique minimizer of q
+over {x0 + sum_j v_j s_j} is found directly, by a reduced solve.  Nothing here
+iterates: the oracle is the independent yardstick the conjugate gradient engine
+is measured against, so it must not share machinery with it.
 
-The spans x0 + span{s_1..s_k} are nested, so one sweep serves every k.
-It orthogonalizes the spanning vectors once, column by column
-(``linalg._orthogonalized``), which drops a vector that depends on the
-earlier ones (exactly, or to float64 working accuracy), and solves
-(Q^T H Q) y = -Q^T g(x0) on the kept columns Q.  These systems are the
-leading blocks of one matrix and one right-hand side, so one
-natural-order factor serves them all, on both backends, and one call
-(``linalg._leading_rows``) gives the points, coordinates and objectives:
-O(r^2 n + r^3) per trace.  Under rationals they are running sums off the
-factor, with no product of the solutions and Q, whose rows are integers (the
-orthogonalization stores them so): the reduced matrix has the denominator of
-H alone, which keeps the Fractions of its elimination small.  The vectors may
-be dependent, and there may be more of them than the dimension: a k whose
-vector was dropped spans what k - 1 spanned and repeats its point, which
-is unique even where the coordinates are not.  Q^T H Q is as well
-conditioned as H, so the elimination stops only where a pivot fails the
-SPD test's floor; a k it cannot serve gets a NaN point, and a NaN can
-never pass a check.
+The spans are nested, so one sweep serves every k.  It orthogonalizes the
+spanning vectors once (``linalg._orthogonalized``), which drops a vector that
+depends on the earlier ones (exactly, or to float64 working accuracy), and
+solves (Q^T H Q) y = -Q^T g(x0) on the kept columns Q.  These systems are the
+leading blocks of one matrix, so one natural-order factor serves them all, and
+one call (``linalg._leading_rows``) gives the points, coordinates and
+objectives: O(r^2 n + r^3) per trace.  Under rationals Q is a stack of
+primitive integer rows (``linalg._Rows``), so the reduced matrix has the
+denominators of H alone, and a trace's points are running sums of Q's rows
+compared with x_k on integers, with no ``Fraction`` formed.  A k whose vector
+was dropped repeats the point of k - 1, which is unique even where the
+coordinates are not.  The elimination stops only where a pivot fails the SPD
+test's floor; a k it cannot serve gets a NaN point, which never passes a check.
 """
 
 from __future__ import annotations
@@ -36,6 +30,8 @@ from .linalg import (
     DimensionMismatch,
     LinalgError,
     Scalar,
+    _Rows,
+    _fractions,
     _freeze,
     _gate,
     _leading_rows,
@@ -43,11 +39,12 @@ from .linalg import (
     _product,
     _row_residuals,
     _stack,
+    _symmetric_table,
     backend_of,
     leading_solves,
     residual_magnitude,
 )
-from .quadratic import QuadraticProblem, _check_point, _times_H, evaluate, gradient
+from .quadratic import QuadraticProblem, _check_point, _times_H_rows, evaluate, gradient
 from .engine import CGTrace
 
 # Patched by bench/tracer.py, which still names the deleted pivoted kernel;
@@ -98,22 +95,25 @@ class SubspaceSolution:
 
 def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors, basis=None, points_only=False):
     """The minimizers over x0 + span{s_1..s_k} for k = 0..len(vectors), or with
-    ``points_only`` (and a vector) just their points, as rows; ``basis`` is
-    ``_orthogonalized(vectors)`` if the caller already has it.  ``vectors`` is a
-    (k, n) array, or converts to one, for any k; with none, the one point is x0 + 0."""
+    ``points_only`` just their points, as rows: under rationals a stack, x0 plus
+    running sums of Q's integer rows.  ``basis`` is ``_orthogonalized(vectors)``
+    if the caller already has it.  ``vectors`` is a (k, n) array or a stack, or
+    converts to an array, for any k; with none, the one point is x0 + 0."""
     Q, T, _, kept = _orthogonalized(vectors) if basis is None else basis
     T = T[:, kept]
-    A, rhs = _product(Q, _times_H(P, Q.T)), -_product(Q, gradient(P, x0))
-    # Row t of Y is [Q^T y | T y | rhs^T y] for y = y_t, the solution on the
-    # first t kept columns, summed off the factor: the moves, the coordinates
-    # and what the objectives need.  A row the elimination did not reach
-    # (float64 only) is NaN.
-    V = Q if points_only else np.hstack((Q, T.T, rhs[:, None]))
+    A, rhs = _symmetric_table(Q, _times_H_rows(P, Q)), -_product(Q, gradient(P, x0))
+    rows = np.cumsum([0] + [j in kept for j in range(len(T))])
+    if points_only and P.backend.exact:  # every leading block of an exact A is solved
+        x0 = _stack(x0, P.backend)
+        return _Rows.stacked([x0] + [x0 + y for y in _leading_rows(A, rhs, Q)], P.n)[rows]
+    # Row t of Y is [Q^T y | T y | rhs^T y] for y = y_t, the solution on the first
+    # t kept columns: the moves, the coordinates and what the objectives need.  A
+    # row the elimination did not reach (float64 only) is NaN.
+    V = Q if points_only else np.hstack((_fractions(Q), T.T, rhs[:, None]))
     solved = _leading_rows(A, rhs, V)
     Y = P.backend.empty((len(A) + 1, V.shape[1]))
     Y[1 : len(solved) + 1], Y[len(solved) + 1 :] = solved, np.nan
     points = _freeze(x0 + Y[:, : P.n])
-    rows = np.cumsum([0] + [j in kept for j in range(len(T))])
     if points_only:
         return points[rows]
     coordinates = _freeze(Y[:, P.n : -1])
@@ -149,38 +149,36 @@ def _check_trace_fits(P: QuadraticProblem, trace: CGTrace) -> None:
             raise DimensionMismatch("trace dimension does not match problem")
 
 
-def trace_oracle(
-    P: QuadraticProblem, trace: CGTrace, *, _basis=None, _points_only=False
-) -> list[SubspaceSolution]:
-    """The minimizers over x_0 + span{g_0..g_{k-1}} for k = 1..r of a trace.
-
-    Each trace iterate is recomputed independently from its gradient
-    history, by the one sweep of the module docstring.  The trace must
-    come from P: its backend must match, and its first and last recorded
-    gradients must match H x + c.  ``_basis`` and ``_points_only`` are
-    ``_sweep``'s, for ``verify_against_trace``.
-    """
+def _history(P: QuadraticProblem, trace: CGTrace) -> tuple:
+    """x_0 and the stack (``CGTrace._stacks``) of g_0..g_{r-1} of a trace that must
+    come from P: its backend must match, and its first and last recorded gradients
+    must match H x + c (the first alone is blind to a wrong H where x_0 = 0)."""
     _check_trace_fits(P, trace)
     records = trace.records
-    # Recompute the first and last recorded gradients from the problem
-    # data; both must match (the first alone is blind to a wrong H
-    # whenever x0 = 0, where the gradient is just c).
     for rec in {records[0].k: records[0], records[-1].k: records[-1]}.values():
         g = gradient(P, rec.x_k)
         _gate(P.backend, residual_magnitude(g - rec.g_k),
               lambda: 1e-12 * max(1.0, float(residual_magnitude(g))),
               "trace gradients do not come from this problem")
-    _, G, _ = trace._arrays
-    return _sweep(P, records[0].x_k, G[: trace.r], _basis, _points_only)[1:]
+    return records[0].x_k, trace._stacks[1][: trace.r]
+
+
+def trace_oracle(P: QuadraticProblem, trace: CGTrace, *, _basis=None,
+                 _points_only=False) -> list[SubspaceSolution]:
+    """The minimizers over x_0 + span{g_0..g_{k-1}} for k = 1..r of a trace that
+    comes from P (``_history``), recomputed by the one sweep of the module
+    docstring.  ``_basis`` and ``_points_only`` are ``_sweep``'s; the points alone
+    come as one array."""
+    solutions = _sweep(P, *_history(P, trace), _basis, _points_only)[1:]
+    return _freeze(_fractions(solutions)) if _points_only else solutions
 
 
 def verify_against_trace(P: QuadraticProblem, trace: CGTrace, *, _basis=None) -> list:
     """Deviations ||x_k - oracle_k|| for k = 1..r (none at r = 0), oracle over
-    span{g_0..g_{k-1}}.  Under the rational backend every deviation is exactly
-    zero, proved on integer rows (``linalg._row_residuals``).  Only the oracle's
-    points are formed, not its coordinates or objective values.  ``_basis`` is
-    ``linalg._orthogonalized`` of g_0..g_{r-1}, if the caller already has it.
+    span{g_0..g_{k-1}}, from the oracle's points alone.  Under the rational backend
+    every deviation is exactly zero, proved on the integer rows of x_k and of the
+    points (``linalg._row_residuals``).  ``_basis`` is ``linalg._orthogonalized`` of
+    g_0..g_{r-1}, if the caller already has it.
     """
-    points = trace_oracle(P, trace, _basis=_basis, _points_only=True)
-    X, _, _ = trace._arrays
-    return list(_row_residuals(_stack(X[1:], P.backend), (1, _stack(points, P.backend))))
+    points = _sweep(P, *_history(P, trace), _basis, points_only=True)[1:]
+    return list(_row_residuals(trace._stacks[0][1:], (1, points)))

@@ -18,6 +18,7 @@ from .linalg import (
     DimensionMismatch,
     LinalgError,
     SpdCheck,
+    _Rows,
     _check_symmetric,
     _integer_rows,
     _product,
@@ -68,20 +69,23 @@ class QuadraticProblem:
 
     @cached_property
     def _H_rows(self):
-        """H as a stack (``linalg._integer_rows``), the integer numerators of H, one denominator
-        per row: formed at the first exact product with H and kept with the problem."""
+        """H as a stack (``linalg._integer_rows``), its primitive integer rows and their
+        scales: formed at the first exact product with H and kept with the problem."""
         return _integer_rows(self.H)
 
 
-def _times_H(P: QuadraticProblem, B: np.ndarray) -> np.ndarray:
+def _times_H(P: QuadraticProblem, B) -> np.ndarray:
     """H B for a vector B, or for a matrix B of columns: one ``np.dot`` under
-    float64, and on the numerators of H that P keeps under rationals."""
+    float64, and on the rows of H that P keeps under rationals, where a stack B
+    (``linalg._Rows``, a vector included) gives a stack (``_times_H_rows``)."""
+    if isinstance(B, _Rows):
+        return B.times(P._H_rows)
     return _product(P._H_rows if P.backend.exact else P.H, B)
 
 
 def _times_H_rows(P: QuadraticProblem, S):
     """H s_k for each row s_k of a stack (``linalg._stack``), as a stack, from one
-    product: under rationals ``_Rows.times`` on the numerators of H that P keeps."""
+    product: under rationals ``_Rows.times`` on the rows of H that P keeps."""
     return S.times(P._H_rows) if P.backend.exact else _times_H(P, S.T).T
 
 

@@ -19,16 +19,15 @@ divided by the two vectors' norms under float64 (energy norms
 sqrt(p^T H p) for conjugacy), skipping a pair whose scale is zero.
 
 The identities over single rows take one formula on both backends as well,
-from the row rules of ``linalg`` on stacks (``linalg._stack``, formed once
-per suite by ``_Tables``, the ``_tables`` of the checks): the linesearch is
-``_row_dots`` of P and G, and the update identity and p_k = (c_k / ghat^T
-ghat) ghat_k are ``_row_residuals``, as are the agreements of x_k with the
-subspace oracle and of the two ghat.  Under rationals every residual of a
-passing trace is literally zero, and a zero is proved on integers: a stack
-is integer rows, a pairwise check forms its triangle's rows alone, (b) and
-(c) off one P G^T as p_k^T (g_{i+1} - g_0) = T[k, i+1] - T[k, 0] exactly,
-and only a nonzero residual becomes a ``Fraction``.  Float64 keeps its
-pairwise formulas: (b) as a difference of table entries would cancel badly.
+from the row rules of ``linalg`` on the trace's stacks (``_Tables``, shared by
+the checks as ``_tables``): the linesearch is ``_row_dots`` of P and G, and the
+update identity, p_k = (c_k / ghat^T ghat) ghat_k and the agreements of x_k with
+the subspace oracle and of the two ghat are ``_row_residuals``.  Under rationals
+every residual of a passing trace is literally zero, and a zero is proved on the
+integer rows that the trace's vectors were recorded with: a pairwise check forms
+its triangle's rows alone, (b) and (c) off one P G^T as p_k^T (g_{i+1} - g_0) =
+T[k, i+1] - T[k, 0], and only a nonzero residual becomes a ``Fraction``.  Float64
+keeps its pairwise formulas: (b) as a difference of table entries would cancel.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .linalg import (
     _orthogonalized,
     _row_dots,
     _row_residuals,
-    _stack,
     _worst_ratio,
     pairwise_residual,
     scalar_token,
@@ -132,26 +130,22 @@ def _norms(vectors) -> np.ndarray:
 
 
 class _Tables:
-    """The stacks (``linalg._stack``) of a trace's arrays (``CGTrace._arrays``), each
-    formed once, at first use: g_k and x_k of every record, and p_k and H p_k
-    (``quadratic._times_H_rows``) of every step k < r, none at r = 0.  Under
-    rationals also PG, the rows k of the P G^T table over the columns 0..k that
-    conditions (b) and (c) read.  The orthogonality checks read the first
-    ``measured`` gradients: all under rationals, and all but the terminal one,
-    noise whose *direction* is meaningless, under float64.  ``basis`` is
-    ``linalg._orthogonalized`` of the ``history`` g_0..g_{r-1}, for the subspace
-    oracle and the min-norm projection.  ``run_full_suite`` shares one among its
-    checks; a check called alone builds its own."""
+    """A trace's stacks (``CGTrace._stacks``): g_k and x_k of every record and p_k
+    of every step, none at r = 0, under rationals on the rows that each vector was
+    recorded or read with; and, each formed at first use, H p_k
+    (``quadratic._times_H_rows``), under rationals PG, the rows k of the P G^T table
+    over the columns 0..k that conditions (b) and (c) read, and ``basis``,
+    ``linalg._orthogonalized`` of the ``history`` g_0..g_{r-1}.  The orthogonality
+    checks read the first ``measured`` gradients: all under rationals, and under
+    float64 all but the terminal one, noise whose *direction* is meaningless.
+    ``run_full_suite`` shares one among its checks; a check alone builds its own."""
 
     def __init__(self, P: QuadraticProblem | None, trace: CGTrace):
         self.problem, self.backend = P, BACKENDS[trace.scalar_backend]
-        self.xs, self.gs, self.ps = trace._arrays
-        self.steps, self.history = trace.records[: trace.r], self.gs[: trace.r]
-        self.measured = len(self.gs) - (0 if self.backend.exact else 1)
+        self.X, self.G, self.P = trace._stacks
+        self.steps, self.history = trace.records[: trace.r], self.G[: trace.r]
+        self.measured = len(self.G) - (0 if self.backend.exact else 1)
 
-    G = cached_property(lambda self: _stack(self.gs, self.backend))
-    X = cached_property(lambda self: _stack(self.xs, self.backend))
-    P = cached_property(lambda self: _stack(self.ps, self.backend))
     HP = cached_property(lambda self: _times_H_rows(self.problem, self.P))
     PG = cached_property(lambda self: self.P.triangle(self.G, 1) if self.backend.exact else None)
     basis = cached_property(lambda self: _orthogonalized(self.history))
@@ -261,13 +255,12 @@ def check_min_norm_relation(
     """
     T = _tables or _Tables(P, trace)
     backend = T.backend
-    (closed, _), (projected, _) = _closed_form_ghats(T.history), _projected_ghats(T.history, T.basis)
-    ghats = _stack(closed, backend)
+    (ghats, _), (projected, _) = _closed_form_ghats(T.history), _projected_ghats(T.history, T.basis)
     sq = _row_dots(ghats, ghats)
     live = sq != 0
     ratios = np.array([rec.c_k / s if ok else backend.zero
-                       for rec, s, ok in zip(T.steps, sq, live)], dtype=closed.dtype)
-    agreement = _row_residuals(ghats, (1, _stack(projected, backend)))
+                       for rec, s, ok in zip(T.steps, sq, live)], dtype=ghats.dtype)
+    agreement = _row_residuals(ghats, (1, projected))
     deviation = _row_residuals(T.P, (ratios, ghats))
     # At a zero ghat, c_k / ghat^T ghat is unbounded: no multiple of ghat is p_k.
     agreement[~live], deviation[~live] = backend.zero, math.inf

@@ -114,6 +114,25 @@ class TestVerify:
         payload = json.loads(report_path.read_text())
         assert payload["overall"] is True
 
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, capsys, monkeypatch):
+        # The parser is built once per process; a later call takes none of the
+        # earlier call's flags: it writes no file, and prints what it prints alone.
+        monkeypatch.chdir(tmp_path)
+        plain = ["verify", "--kind", "rand_spd", "--n", "6", "--cond", "9", "--seed", "2",
+                 "--backend", "rational"]
+        cli.build_parser.cache_clear()
+        assert run_main(plain) == 0
+        alone = capsys.readouterr()
+        assert run_main(plain + ["--report", "R.json", "--trace", "T.json"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["R.json", "T.json"]
+        capsys.readouterr()
+        for path in tmp_path.iterdir():
+            path.unlink()
+        assert run_main(plain) == 0
+        assert capsys.readouterr() == alone
+        assert list(tmp_path.iterdir()) == []
+        assert cli.build_parser() is cli.build_parser()
+
     def test_failed_verification_exits_one(self):
         # deep float64 run: orthogonality of late gradients is noise
         assert run_main([

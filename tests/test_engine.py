@@ -23,7 +23,7 @@ from cglens import (
     run_full_suite,
     vector,
 )
-from cglens.linalg import DimensionMismatch, norm_sq, sym_matrix
+from cglens.linalg import DimensionMismatch, _fractions, _rows, _Rows, norm_sq, sym_matrix
 from cglens.mmio import save_trace
 from cglens.quadratic import QuadraticProblem, evaluate
 from cglens.engine import (
@@ -436,11 +436,16 @@ class TestTraceContainer:
         assert (trace.r == 0) == (max_iter == 0)
         steps = trace.records[: trace.r]
         expected = ([rec.x_k for rec in trace.records], trace.gradients(), [rec.p_k for rec in steps])
-        for array, vectors in zip(trace._arrays, expected):
+        for stack, vectors in zip(trace._stacks, expected):
+            # A float64 stack is a frozen array, and an exact one frozen integer rows
+            # (_Rows), as are the rows each recorded vector keeps.
+            assert isinstance(stack, _Rows) == backend.exact
+            array = _fractions(stack)
             assert array.shape == (len(vectors), 8) and array.dtype == P.x0.dtype
-            assert not array.flags.writeable
+            frozen = [stack.A, stack.s, *(_rows(v).A for v in vectors)] if backend.exact else [stack]
+            assert not any(a.flags.writeable for a in frozen)
             assert [list(row) for row in array] == [list(v) for v in vectors]
-        assert trace._arrays is trace._arrays  # formed once
+        assert trace._stacks is trace._stacks  # formed once
 
     def test_final_record_has_no_step_length(self):
         _, trace = self._lap8()

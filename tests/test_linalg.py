@@ -40,15 +40,17 @@ from cglens.linalg import (
     _gate,
     _leading_combinations,
     _leading_rows,
-    _Primitive,
+    _Rows,
+    _combination,
+    _fractions,
     _integer_rows,
     _orthogonalized,
     _product,
     _recorded,
     _row_dots,
     _row_residuals,
+    _running_sums,
     _stack,
-    _working,
     backend_of,
     cholesky_spd_check,
     leading_solves,
@@ -320,6 +322,20 @@ class TestFractionFreeProduct:
         for x, y in zip(np.ravel(got), np.ravel(expected)):
             assert type(x) is Fraction and x == y
 
+    def test_norm_sq_reads_its_operand_once(self, monkeypatch):
+        calls = []
+        original = cglens.linalg._integer_rows
+        monkeypatch.setattr(cglens.linalg, "_integer_rows", lambda rows: calls.append(rows) or original(rows))
+        v = vector(["2/3", "-5/11", "7"], RATIONAL)
+        assert norm_sq(v) == sum(x * x for x in v) and len(calls) == 1
+        assert dot(v, v.copy()) == norm_sq(v) and len(calls) == 4
+
+    def test_exact_square_of_a_nonsymmetric_matrix_is_m_times_m(self):
+        # a 2-D operand passed as both factors is read as rows and as columns
+        M = _fraction_array([Fraction(1, 2), Fraction(-3, 7), Fraction(5), Fraction(2, 9)], (2, 2))
+        for got in (_product(M, M), dot(M, M), mat_vec(M, M)):
+            assert got.tolist() == np.dot(M, M).tolist() != np.dot(M, M.T).tolist()
+
     def test_float_product_is_np_dot(self):
         M = np.arange(6.0).reshape(2, 3) / 7
         v = np.array([0.1, 0.2, 0.3])
@@ -366,20 +382,26 @@ def primitive_operands(draw):
     return a, b, t, _fraction_array(draw(st.lists(wide_rationals, min_size=n * n, max_size=n * n)), (n, n))
 
 
+def _working(v):
+    """v as run_cg computes with it: a vector ``_Rows`` under rationals, else v."""
+    return _stack(v, backend_of(v))
+
+
 def _assert_stands_for(v, expected):
-    """v is a ``_Primitive``, its row primitive (gcd 1, or all zeros), and its
-    frozen canonical array equals the ``Fraction`` vector ``expected``."""
-    assert isinstance(v, _Primitive)
-    assert all(type(e) is int for e in v.A)
-    assert math.gcd(*v.A) == 1 or not v.A.any()
-    got = _recorded(v)
-    assert not got.flags.writeable and v.shape == got.shape == expected.shape
-    assert all(type(x) is Fraction for x in got) and list(got) == list(expected)
+    """v is a ``_Rows`` of expected's shape, each row primitive (gcd 1, or all zeros),
+    and its canonical array (``_fractions``) equals the ``Fraction`` array ``expected``."""
+    assert isinstance(v, _Rows) and v.shape == expected.shape
+    for row in np.atleast_2d(v.A):
+        assert all(type(e) is int for e in row)
+        assert math.gcd(*row) == 1 or not row.any()
+    got = _fractions(v)
+    assert got.shape == expected.shape
+    assert all(type(x) is Fraction for x in got.flat) and got.tolist() == expected.tolist()
 
 
 class TestPrimitiveRows:
-    """``_Primitive``, the form of run_cg's exact vectors: scale, combination, dot and
-    H-product are their ``Fraction`` formulas, and each leaves a primitive row."""
+    """Vectors as ``_Rows``, the form of run_cg's exact vectors: scale, combination,
+    dot and H-product are their ``Fraction`` formulas, and each leaves a primitive row."""
 
     @given(primitive_operands())
     @settings(max_examples=100, deadline=None)
@@ -395,7 +417,8 @@ class TestPrimitiveRows:
         for x, y in ((va, vb), (va, va)):
             got = _product(x, y)
             assert type(got) is Fraction and got == np.dot(_recorded(x), _recorded(y))
-        _assert_stands_for(_product(_integer_rows(M), vb), np.dot(M, b))
+        _assert_stands_for(vb.times(_integer_rows(M)), np.dot(M, b))
+        assert _product(_integer_rows(M), vb).tolist() == np.dot(M, b).tolist()
 
     def test_named_cases(self):
         content_one, zero = vector([3, -2, 5], RATIONAL), vector([0, 0, 0], RATIONAL)
@@ -412,6 +435,67 @@ class TestPrimitiveRows:
     def test_float64_vectors_are_their_own_working_form(self):
         v = vector([0.5, -1.25], F64)
         assert _working(v) is v
+
+    def test_a_recorded_vector_keeps_its_rows(self):
+        v = _working(vector(["6/7", "-4/21", "10/3"], RATIONAL))
+        recorded = _recorded(v)
+        assert not recorded.flags.writeable and _stack(recorded, RATIONAL) is v
+        copy = recorded.copy()  # another array with the same entries is read off them
+        assert _stack(copy, RATIONAL) is not v
+        _assert_stands_for(_stack(copy, RATIONAL), recorded)
+
+
+@st.composite
+def stack_operands(draw):
+    """(A, B, t, M): two k-by-n ``Fraction`` stacks whose rows are zero, of integers
+    with content 1, or wide; a scale t, negative ones included; and an n-by-n M.
+    Some rows of A are -t times B's, so that A + t B cancels there to the zero row."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    A, B = (np.array([draw(exact_vectors(n)) for _ in range(k)], dtype=object).reshape(k, n)
+            for _ in range(2))
+    t = draw(wide_rationals)
+    for j in draw(st.sets(st.integers(0, k - 1))):
+        A[j] = -t * B[j]
+    M = _fraction_array(draw(st.lists(wide_rationals, min_size=n * n, max_size=n * n)), (n, n))
+    return A, B, t, M
+
+
+class TestStackRows:
+    """Stacks as ``_Rows``, the one exact form from run_cg to the verdict: slicing,
+    scaling, tables, H-products, combinations and running sums are their
+    ``Fraction`` formulas, row by row, and each leaves primitive rows."""
+
+    @given(stack_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_operations_are_the_fraction_formulas(self, operands):
+        A, B, t, M = operands
+        SA, SB = _stack(A, RATIONAL), _stack(B, RATIONAL)
+        _assert_stands_for(SA, A)
+        _assert_stands_for(SA[1:], A[1:])
+        _assert_stands_for(SA[[0, -1]], A[[0, -1]])
+        _assert_stands_for(SA[-1], A[-1])
+        _assert_stands_for(t * SB, t * B)
+        if t:
+            _assert_stands_for(SB / t, B / t)
+        for x, y, X, Y in ((SA, SB, A, B), (SA, SA, A, A)):
+            table = x.table(y)
+            assert all(type(e) is Fraction for e in table.flat)
+            assert table.tolist() == np.dot(X, Y.T).tolist()
+        _assert_stands_for(SB.times(_integer_rows(M)), np.dot(B, M.T))
+        cancelling = [_combination([(1, SA[j]), (t, SB[j])]) for j in range(len(A))]
+        _assert_stands_for(_Rows.stacked(cancelling, A.shape[1]), A + t * B)
+        coeffs = np.array([t] + [Fraction(-j, 3) for j in range(1, len(A))], dtype=object)
+        _assert_stands_for(_running_sums(coeffs, SA), np.cumsum(coeffs[:, None] * A, axis=0))
+
+    def test_zero_rows_and_a_cancelled_row(self):
+        A = _fraction_array([Fraction(0)] * 3 + [Fraction(-6, 7), Fraction(4, 21), Fraction(-10, 3)],
+                            (2, 3))
+        S = _stack(A, RATIONAL)
+        assert S.A[0].tolist() == [0, 0, 0] and S.s[0] == 0
+        assert S.A[1].tolist() == [-9, 2, -35] and S.s[1] == Fraction(2, 21)
+        cancelled = _combination([(1, S[1]), (Fraction(-1, 2), 2 * S[1])])
+        assert not cancelled.A.any() and cancelled.s == 0
+        assert _row_dots(S, S).tolist() == [0, dot(A[1], A[1])]
 
 
 def _coefficient(t, j):
@@ -890,27 +974,29 @@ class TestKernelAgainstSympy:
     @given(gram_system())
     @settings(max_examples=60, deadline=None)
     def test_exact_basis_rows_are_integers(self, system):
-        # Under rationals each kept row of Q is integer-valued, column j of T
-        # combines the columns into it exactly, d holds its squared norm, and
-        # a dropped column's combination is exactly zero.
+        # Under rationals each kept row of Q is a primitive integer row over 1,
+        # column j of T combines the columns into it exactly, d holds its
+        # squared norm, and a dropped column's combination is exactly zero.
         _, _, B = system
         assume(B)
         columns = _columns(B, RATIONAL)
-        Q, T, d, kept = _orthogonalized(columns)
-        assert all(Fraction(x).denominator == 1 for x in Q.ravel())
+        basis, T, d, kept = _orthogonalized(columns)
+        Q = _fractions(basis)
+        assert all(type(x) is int for x in basis.A.flat) and all(s == 1 for s in basis.s)
+        assert all(math.gcd(*row) == 1 for row in basis.A)
         assert list(d) == [sum(x * x for x in row) for row in Q]
         for j in range(len(columns)):
             combination = sum((T[i, j] * v for i, v in enumerate(columns)), 0 * columns[0])
             assert list(combination) == (list(Q[kept.index(j)]) if j in kept else [0] * len(B))
 
-    def test_integer_rows_are_read_as_they_are(self):
-        # The exact Q above is re-read at every column: rows of ints are their
-        # own numerators over 1, and a row holding a Fraction takes the LCM path.
+    def test_integer_rows_are_primitive_rows_and_scales(self):
+        # A row of ints keeps its content in its scale, and a row holding a
+        # Fraction is read over the LCM of its denominators.
         ints = np.array([[3, -(4**40)], [0, 7]], dtype=object)
         stack = _integer_rows(ints)
-        assert stack.N is ints and list(stack.d) == [1, 1]
-        mixed = _integer_rows(np.array([[3, Fraction(1, 2)], [0, 7]], dtype=object))
-        assert mixed.N.tolist() == [[6, 1], [0, 7]] and list(mixed.d) == [2, 1]
+        assert stack.A.tolist() == [[3, -(4**40)], [0, 1]] and list(stack.s) == [1, 7]
+        mixed = _integer_rows(np.array([[3, Fraction(1, 2)], [0, 14]], dtype=object))
+        assert mixed.A.tolist() == [[6, 1], [0, 1]] and list(mixed.s) == [Fraction(1, 2), 14]
 
     @given(st.integers(min_value=1, max_value=4).flatmap(
         lambda n: st.lists(st.lists(small_rationals, min_size=n, max_size=n),
@@ -1097,8 +1183,7 @@ class TestNonzeroOnlyLeadingSolves:
                 continue
             records = list(trace.records)
             records[k] = dataclasses.replace(records[k], **{field: nudged(getattr(records[k], field))})
-            Q = cglens.linalg._integer_rows(
-                _orthogonalized([rec.g_k for rec in records[: trace.r]])[0]).N
+            Q = _orthogonalized([rec.g_k for rec in records[: trace.r]])[0].A
             A = _product(Q, _product(P.H, Q.T))
             if np.triu(A != 0, 2).any():
                 dense.append((field, k))

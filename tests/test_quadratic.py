@@ -63,13 +63,13 @@ class TestKeptNumerators:
     def test_numerators_are_a_stack(self):
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=6), RATIONAL)
         assert isinstance(P._H_rows, cglens.linalg._Rows)
-        assert [list(row) for row in P._H_rows.N] == [list(row) for row in P.H]
-        assert list(P._H_rows.d) == [1] * 6
+        assert [list(row) for row in P._H_rows.A] == [list(row) for row in P.H]
+        assert list(P._H_rows.s) == [1] * 6
 
     def test_numerators_die_with_their_problem(self):
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=6), RATIONAL)
         gradient(P, P.x0)
-        numerators = weakref.ref(P._H_rows.N)
+        numerators = weakref.ref(P._H_rows.A)
         del P
         gc.collect()
         assert numerators() is None

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cglens.linalg
 import cglens.minnorm
 import cglens.oracle
+import cglens.quadratic
 import cglens.verify
 
 from cglens import (
@@ -725,31 +727,74 @@ class TestExactResidualsMatchWholeTables:
         assert cases == 64 and nonzero > 100
 
 
-class TestSharedTables:
-    """One exact suite integerizes each stacked history once, and each check
-    called alone builds what it needs."""
+def _count_integerizations(monkeypatch) -> list:
+    """Record the argument of each ``_integer_rows`` call, the one way an exact
+    array becomes integer rows."""
+    calls = []
+    original = cglens.linalg._integer_rows
 
-    def test_suite_integerizes_each_stack_once(self, monkeypatch):
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    for module in (cglens.linalg, cglens.quadratic):
+        monkeypatch.setattr(module, "_integer_rows", counted, raising=False)
+    return calls
+
+
+def _integerizations_of(calls, trace) -> dict:
+    """For each of G, X and P: how many calls read one of its vectors (the array
+    itself) or the whole stack of them (by value)."""
+    stacks = {"G": trace.gradients(), "X": [rec.x_k for rec in trace.records],
+              "P": [rec.p_k for rec in trace.records[:-1]]}
+    counts = {}
+    for name, vectors in stacks.items():
+        whole = np.asarray(vectors)
+        counts[name] = sum(any(c is v for v in vectors)
+                           or (c.shape == whole.shape and (c == whole).all()) for c in calls)
+    return counts
+
+
+class TestSharedTables:
+    """An exact suite reads the rows that a trace's vectors were recorded or
+    loaded with, and each check called alone builds what it needs."""
+
+    def test_suite_integerizes_no_recorded_vector(self, monkeypatch):
         P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=20, seed=3), RATIONAL)
         trace = run_cg(P)
-        calls = []
-        original = cglens.linalg._integer_rows
-
-        def counted(rows):
-            calls.append(np.array(rows))
-            return original(rows)
-
-        for module in (cglens.linalg, cglens.verify, cglens.oracle, cglens.quadratic):
-            monkeypatch.setattr(module, "_integer_rows", counted, raising=False)
+        calls = _count_integerizations(monkeypatch)
         assert run_full_suite(P, trace=trace).overall
-        stacks = {
-            "G": np.asarray([rec.g_k for rec in trace.records]),
-            "X": np.asarray([rec.x_k for rec in trace.records]),
-            "P": np.asarray([rec.p_k for rec in trace.records[:-1]]),
-        }
-        for name, stack in stacks.items():
-            same = [c for c in calls if c.shape == stack.shape and (c == stack).all()]
-            assert len(same) == 1, name
+        assert _integerizations_of(calls, trace) == {"G": 0, "X": 0, "P": 0}
+
+    def test_a_loaded_vector_is_integerized_once(self, monkeypatch, tmp_path):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=20, seed=3), RATIONAL)
+        save_trace(run_cg(P), tmp_path / "T.json")
+        calls = _count_integerizations(monkeypatch)
+        trace = load_trace(tmp_path / "T.json")
+        vectors = [v for rec in trace.records for v in (rec.x_k, rec.g_k, rec.p_k) if v is not None]
+        assert [sum(c is v for c in calls) for v in vectors] == [1] * len(vectors)
+        calls.clear()
+        assert run_full_suite(P, trace=trace).overall
+        assert _integerizations_of(calls, trace) == {"G": 0, "X": 0, "P": 0}
+
+    @pytest.mark.parametrize("field", ["x_k", "g_k", "p_k"])
+    def test_a_replaced_vector_is_measured_as_itself(self, field, tmp_path):
+        # The rows that run_cg kept for the replaced vector must not stand in for
+        # the new one: the suite in memory measures what the file round trip does.
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=8, condition=10, seed=1), RATIONAL)
+        trace = run_cg(P)
+        old = getattr(trace.records[2], field)
+        new = vector([*old[:-1], old[-1] + Fraction(1, 3)], RATIONAL)
+        bad = with_record(trace, 2, **{field: new})
+        if field == "g_k":  # the norms and their ratios that load_trace checks
+            gns = norm_sq(new)
+            bad = with_record(bad, 2, grad_norm_sq=gns, beta_k=gns / trace.records[1].grad_norm_sq)
+            bad = with_record(bad, 3, beta_k=trace.records[3].grad_norm_sq / gns)
+        save_trace(bad, tmp_path / "T.json")
+        in_memory = {c.name: c.measured for c in run_full_suite(P, trace=bad).checks}
+        round_trip = {c.name: c.measured for c in run_full_suite(P, trace=load_trace(tmp_path / "T.json")).checks}
+        assert in_memory == round_trip
+        assert any(v != 0 for v in in_memory.values())
 
     def test_checks_alone_match_the_suite(self):
         P = generate_problem(ProblemSpec(kind="rand_spd", n=8, condition=10, seed=1), RATIONAL)
