@@ -25,6 +25,7 @@ are ``linalg._Rows`` vectors (``linalg._stack``), a ``Fraction`` times a
 primitive integer row, so each vector operation pays one gcd, not one per
 entry.  A record holds each vector as its canonical ``Fraction`` array, formed
 once, and the array keeps the rows for the checks (``linalg._recorded``).
+``CGTrace`` alone judges what a trace must be, however it was made.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import (RATIONAL, Backend, DimensionMismatch, LinalgError, Scalar, _freeze, _recorded,
-                     _stack, dot, norm_sq)
+from .linalg import (BACKENDS, RATIONAL, Backend, DimensionMismatch, LinalgError, Scalar, _freeze,
+                     _gate, _recorded, _row_dots, _stack, backend_of, dot, norm_sq)
 from .quadratic import QuadraticProblem, _check_point, _times_H
 
 DIRECTION_MODES = ("recursive", "gradient_sum", "shortest_residuals")
@@ -111,12 +112,14 @@ class IterateRecord:
 class CGTrace:
     """A complete run: consecutive records from k = 0 through k = r.
 
-    ``termination_index`` r counts completed steps; the final record is
-    the terminal state.  When the gradient reached zero, r never exceeds
-    the dimension n.  Only the shapes ``run_cg`` writes are accepted: every
-    record has x_k and g_k, each record k < r has p_k, theta_k and c_k, and
-    the final record has no theta_k, so the steps are exactly records[:r], and
-    every vector has the shape of x_0.
+    ``termination_index`` r counts completed steps; the final record is the
+    terminal state.  When the gradient reached zero, r never exceeds the
+    dimension n.  Only what ``run_cg`` writes is accepted: every record has x_k
+    and g_k, each record k < r has p_k, theta_k and c_k, and the final record
+    has no theta_k, so the steps are exactly records[:r]; every vector has the
+    shape of x_0 and is on ``scalar_backend``; and ``grad_norm_sq`` is g_k^T g_k
+    (exactly, or to a float64 dot's rounding, n eps g_k^T g_k), which no check
+    reads, and ``beta_k`` its exact ratio to the last, absent at k = 0.
     """
 
     problem_id: str
@@ -128,7 +131,8 @@ class CGTrace:
     scaling_mode: str = "cg_standard"
 
     def __post_init__(self):
-        for value, known, what in ((self.termination_reason, TERMINATION_REASONS, "termination reason"),
+        for value, known, what in ((self.scalar_backend, tuple(BACKENDS), "scalar backend"),
+                                   (self.termination_reason, TERMINATION_REASONS, "termination reason"),
                                    (self.direction_mode, DIRECTION_MODES, "direction mode"),
                                    (self.scaling_mode, SCALING_MODES, "scaling mode")):
             if value not in known:
@@ -139,16 +143,26 @@ class CGTrace:
             raise LinalgError("trace records must be consecutive from k = 0")
         if self.termination_index != len(self.records) - 1:
             raise LinalgError("termination index must match the final record")
+        backend = BACKENDS[self.scalar_backend]
         for rec in self.records:
             if rec.x_k is None or rec.g_k is None:
                 raise LinalgError(f"record {rec.k} needs x_k and g_k")
-            vectors = (self.records[0].x_k, rec.x_k, rec.g_k, rec.p_k)
-            if len({np.shape(v) for v in vectors if v is not None}) > 1:
+            vectors = [v for v in (self.records[0].x_k, rec.x_k, rec.g_k, rec.p_k) if v is not None]
+            if len({np.shape(v) for v in vectors}) > 1:
                 raise DimensionMismatch(f"record {rec.k} has a vector whose length is not x_0's")
+            if any(backend_of(v) is not backend for v in vectors):
+                raise LinalgError(f"record {rec.k} has a vector off the {backend.name} backend")
             if rec.k < self.r and any(v is None for v in (rec.p_k, rec.theta_k, rec.c_k)):
                 raise LinalgError(f"record {rec.k} needs p_k, theta_k and c_k")
             if rec.k == self.r and rec.theta_k is not None:
                 raise LinalgError(f"the final record {rec.k} has a step length theta_k")
+        G = self._stacks[1]
+        for prev, rec, gns in zip((None, *self.records), self.records, _row_dots(G, G)):
+            _gate(backend, rec.grad_norm_sq - gns, lambda: np.finfo(np.float64).eps * G.shape[1] * gns,
+                  f"grad_norm_sq of record {rec.k} is not g^T g")
+            ratio = prev and (rec.grad_norm_sq / prev.grad_norm_sq if prev.grad_norm_sq != 0 else math.nan)
+            if rec.beta_k != ratio:  # NaN, after a zero or NaN norm, is no ratio
+                raise LinalgError(f"beta of record {rec.k} is not its grad_norm_sq ratio")
 
     @property
     def r(self) -> int:
@@ -235,7 +249,10 @@ def run_cg(
     records: list[IterateRecord] = []
     x, c = _stack(P.x0, backend), _stack(P.c, backend)
     g = _times_H(P, x) + c
-    gns = norm_sq(g)
+    with np.errstate(over="ignore"):  # refused below, not warned of
+        gns = norm_sq(g)
+    if not (backend.exact or math.isfinite(gns)):
+        raise LinalgError(f"g_0^T g_0 = {gns} lies outside the float64 range")
     # Read under float64 only: an exact ||g_0||^2 may lie outside the float range.
     g0_norm = None if backend.exact else math.sqrt(float(gns))
     p_prev: np.ndarray | None = None

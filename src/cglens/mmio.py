@@ -15,8 +15,8 @@ Matrix Market reading covers the coordinate and array formats with real or
 integer fields and general or symmetric symmetry, read by one entry loop.  Parse
 errors carry 1-based line numbers.  Every refusal of a loader, or of a writer
 whose number has no token, starts with its path.  Fields are read by JSON type
-(``_typed``): n, k and r integers, names strings.  A trace's grad_norm_sq
-passes ``linalg._gate``, the gate rule of every judgement on input.
+(``_typed``): n, k and r integers, names strings.  ``engine.CGTrace`` judges a
+trace read, grad_norm_sq and beta included, as it judges one made in memory.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .linalg import (
     Backend,
     F64,
     LinalgError,
-    _gate,
     _with_rows,
-    norm_sq,
     scalar_token,
     sym_matrix,
     vector,
@@ -349,19 +347,7 @@ def load_trace(path) -> CGTrace:
                              for key, field, kind in _RECORD_FIELDS})
             for rec in raw_records
         )
-        # run_cg records g_k^T g_k, equal here up to a float64 dot product's
-        # rounding on another BLAS build, and beta_k, its exact ratio to the last.
-        for prev, rec in zip((None, *records), records):
-            gns = norm_sq(rec.g_k)
-            _gate(backend, rec.grad_norm_sq - gns, lambda: np.finfo(np.float64).eps * rec.g_k.size * gns,
-                  f"grad_norm_sq of record {rec.k} is not g^T g")
-            if prev is None:
-                beta_ok = rec.beta_k is None
-            else:
-                beta_ok = prev.grad_norm_sq != 0 and rec.beta_k == rec.grad_norm_sq / prev.grad_norm_sq
-            if not beta_ok:
-                raise LinalgError(f"beta of record {rec.k} is not its grad_norm_sq ratio")
-        # CGTrace refuses records out of order, or of a shape run_cg never writes.
+        # CGTrace judges the records: their order, shapes, norms and betas.
         return CGTrace(
             problem_id=_typed(data.get("problem_id", "unlabeled"), str, "problem_id"),
             scalar_backend=backend.name,

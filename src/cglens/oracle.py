@@ -137,16 +137,15 @@ def minimize_on_affine_span(P: QuadraticProblem, B: SpanBasis) -> SubspaceSoluti
 
 
 def _check_trace_fits(P: QuadraticProblem, trace: CGTrace) -> None:
-    """Raise ``LinalgError`` unless the trace is on P's backend, and
-    ``DimensionMismatch`` unless each of its vectors has P's dimension."""
+    """Raise ``LinalgError`` unless the trace is on P's backend, and ``DimensionMismatch``
+    unless its x_0, whose shape ``CGTrace`` gives every vector, has P's dimension."""
     if trace.scalar_backend != P.backend.name:
         raise LinalgError(
             f"trace backend {trace.scalar_backend!r} does not match problem "
             f"backend {P.backend.name!r}"
         )
-    for rec in trace.records:
-        if any(v is not None and v.shape != (P.n,) for v in (rec.x_k, rec.g_k, rec.p_k)):
-            raise DimensionMismatch("trace dimension does not match problem")
+    if trace.records[0].x_k.shape != (P.n,):
+        raise DimensionMismatch("trace dimension does not match problem")
 
 
 def _history(P: QuadraticProblem, trace: CGTrace) -> tuple:
@@ -163,14 +162,11 @@ def _history(P: QuadraticProblem, trace: CGTrace) -> tuple:
     return records[0].x_k, trace._stacks[1][: trace.r]
 
 
-def trace_oracle(P: QuadraticProblem, trace: CGTrace, *, _basis=None,
-                 _points_only=False) -> list[SubspaceSolution]:
+def trace_oracle(P: QuadraticProblem, trace: CGTrace, *, _basis=None) -> list[SubspaceSolution]:
     """The minimizers over x_0 + span{g_0..g_{k-1}} for k = 1..r of a trace that
     comes from P (``_history``), recomputed by the one sweep of the module
-    docstring.  ``_basis`` and ``_points_only`` are ``_sweep``'s; the points alone
-    come as one array."""
-    solutions = _sweep(P, *_history(P, trace), _basis, _points_only)[1:]
-    return _freeze(_fractions(solutions)) if _points_only else solutions
+    docstring.  ``_basis`` is ``_sweep``'s."""
+    return _sweep(P, *_history(P, trace), _basis)[1:]
 
 
 def verify_against_trace(P: QuadraticProblem, trace: CGTrace, *, _basis=None) -> list:

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import strategies as st
 
-from cglens import RATIONAL, ProblemSpec, generate_problem, run_cg, vector
+from cglens import RATIONAL, ProblemSpec, generate_problem, norm_sq, run_cg, vector
 from cglens.linalg import sym_matrix
 from cglens.quadratic import QuadraticProblem
 from cglens.engine import CGTrace
@@ -102,3 +102,20 @@ def dependent_rational_vectors(draw, n: int = 3):
         v.flags.writeable = False
         vectors.append(v)
     return vectors
+
+
+def with_record(trace, k, **changes):
+    """The trace with fields of record k replaced, in one ``dataclasses.replace``
+    of the trace, which ``CGTrace`` judges.  A new g_k comes with the grad_norm_sq
+    and the beta_k of record k and the beta_k of record k + 1 that ``run_cg`` would
+    write, unless ``changes`` gives grad_norm_sq; after a zero norm, which no beta
+    follows, beta_{k+1} stays as it was."""
+    records = list(trace.records)
+    if changes.get("g_k") is not None and "grad_norm_sq" not in changes:
+        gns = changes["grad_norm_sq"] = norm_sq(changes["g_k"])
+        if k > 0:
+            changes.setdefault("beta_k", gns / records[k - 1].grad_norm_sq)
+        if k < trace.r and gns != 0:
+            records[k + 1] = replace(records[k + 1], beta_k=records[k + 1].grad_norm_sq / gns)
+    records[k] = replace(records[k], **changes)
+    return replace(trace, records=tuple(records))

@@ -441,6 +441,25 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("backend", ["f64", "rational"])
+    def test_gradient_norm_past_the_float_range(self, tmp_path, capsys, backend):
+        # g_0^T g_0 = 2e400: float64 refuses it with one line, no warning and no
+        # trace file, where its run stopped at r = 0 and passed all ten checks.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 2, "H": {"dense": [[1, 0], [0, 1]]},
+                                    "c": [-1e200, -1e200], "x0": [0, 0]}))
+        trace = tmp_path / "T.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_main(["verify", "--problem", str(path), "--trace", str(trace),
+                             "--backend", backend])
+        err = capsys.readouterr().err
+        if backend == "rational":
+            assert (code, err, load_trace(trace).r) == (0, "", 1)
+        else:
+            assert (code, err) == (2, "error: g_0^T g_0 = inf lies outside the float64 range\n")
+            assert not trace.exists()
+
     def test_exponent_past_the_cap_is_refused_before_building_it(self, tmp_path, capsys):
         path = tmp_path / "hostile.json"
         path.write_text('{"n": 1, "H": {"dense": [[2]]}, "c": [1e999999999], "x0": [0]}')

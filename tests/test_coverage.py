@@ -3,9 +3,11 @@
 The trace is exact (rand_spd n = 8, cond 8, seed 3, r = 4).  Each
 corruption changes one field of one record: a scalar, or the first entry
 of a vector, is scaled by 1 + 2^-30, or set to 2^-30 where it is 0.  The
-recorded norm and beta are checked by ``load_trace``, the way an outside
-trace reaches the suite, so their corruptions go through a file; the
-others are handed to ``run_full_suite`` directly.
+recorded norm and beta are judged by ``CGTrace`` itself, so a trace with
+either corrupted is never built, in memory or from a file (``test_io``
+checks the loader's refusal, which names the file); a corrupted g_k comes
+with the norm and the betas that go with it (``conftest.with_record``).
+The others are handed to ``run_full_suite``.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from fractions import Fraction
 
 import pytest
 
-from cglens import RATIONAL, LinalgError, ProblemSpec, generate_problem, load_trace, run_cg
-from cglens.mmio import save_trace
+from cglens import RATIONAL, LinalgError, ProblemSpec, generate_problem, run_cg
 from cglens.verify import CHECK_NAMES, run_full_suite
 
+from conftest import with_record
+
 RAISES = "LinalgError from run_full_suite"
-REJECTED = "LinalgError from load_trace"
+REJECTED = "LinalgError from CGTrace"
 
 SPAN = ("iterate_span_orthogonality", "subspace_optimality")
 G_INTERIOR = (
@@ -68,28 +71,22 @@ def problem():
 
 
 @pytest.fixture(scope="module")
-def outcomes(problem, tmp_path_factory):
+def outcomes(problem):
     trace = run_cg(problem)
     assert (trace.r, trace.termination_reason) == (4, "gradient_zero")
     assert run_full_suite(problem, trace=trace).overall
-    path = tmp_path_factory.mktemp("coverage") / "trace.json"
     found = {}
     for field, k in EXPECTED:
-        if k is None:
-            bad = dataclasses.replace(trace, **{field: "max_iter"})
-        else:
-            records = list(trace.records)
-            old = getattr(records[k], field)
-            assert old is not None
-            records[k] = dataclasses.replace(records[k], **{field: nudged(old)})
-            bad = dataclasses.replace(trace, records=tuple(records))
-        if field in ("beta_k", "grad_norm_sq"):
-            save_trace(bad, path)
-            try:
-                bad = load_trace(path)
-            except LinalgError:
-                found[field, k] = REJECTED
-                continue
+        try:
+            if k is None:
+                bad = dataclasses.replace(trace, **{field: "max_iter"})
+            else:
+                old = getattr(trace.records[k], field)
+                assert old is not None
+                bad = with_record(trace, k, **{field: nudged(old)})
+        except LinalgError:
+            found[field, k] = REJECTED
+            continue
         try:
             report = run_full_suite(problem, trace=bad)
         except LinalgError:

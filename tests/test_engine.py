@@ -34,6 +34,8 @@ from cglens.engine import (
     step_length,
 )
 
+from conftest import with_record
+
 
 def make_p1():
     return QuadraticProblem(
@@ -385,25 +387,29 @@ class TestTraceContainer:
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=8), backend)
         return P, run_cg(P, tol=1e-12)
 
-    @staticmethod
-    def _with(trace, k, **fields):
-        records = list(trace.records)
-        records[k] = dataclasses.replace(records[k], **fields)
-        return dataclasses.replace(trace, records=tuple(records))
+    @pytest.mark.parametrize("declared", ["f64", "rational", "float64"])
+    def test_a_trace_is_on_a_backend_it_knows(self, declared):
+        # A rational trace declared f64, a float64 trace declared rational, and an
+        # unknown name are refused where the trace is built, not by a check.
+        _, trace = self._lap8(F64 if declared == "rational" else RATIONAL)
+        refusal = ("unknown scalar backend 'float64'" if declared == "float64"
+                   else f"record 0 has a vector off the {declared} backend")
+        with pytest.raises(LinalgError, match=f"^{refusal}$"):
+            dataclasses.replace(trace, scalar_backend=declared)
 
     @pytest.mark.parametrize("field", ["x_k", "g_k"])
     def test_every_record_needs_x_and_g(self, field):
         _, trace = self._lap8()
         for k in (0, 1, trace.r):
             with pytest.raises(LinalgError, match=f"record {k} needs x_k and g_k"):
-                self._with(trace, k, **{field: None})
+                with_record(trace, k, **{field: None})
 
     @pytest.mark.parametrize("field", ["p_k", "theta_k", "c_k"])
     def test_every_step_needs_p_theta_and_c(self, field):
         _, trace = self._lap8()
         for k in (0, 1, trace.r - 1):
             with pytest.raises(LinalgError, match=f"record {k} needs p_k, theta_k and c_k"):
-                self._with(trace, k, **{field: None})
+                with_record(trace, k, **{field: None})
 
     @pytest.mark.parametrize("field", ["x_k", "g_k", "p_k"])
     def test_vectors_of_another_length_are_refused(self, field):
@@ -413,9 +419,9 @@ class TestTraceContainer:
         trace = run_cg(P)
         short = getattr(trace.records[1], field)[:2]
         with pytest.raises(DimensionMismatch, match="^record 1 has a vector whose length is not x_0's$"):
-            self._with(trace, 1, **{field: short})
+            with_record(trace, 1, **{field: short})
         with pytest.raises(DimensionMismatch, match="^record 0 has a vector"):
-            self._with(trace, 0, g_k=np.append(trace.records[0].g_k, Fraction(0)))
+            with_record(trace, 0, g_k=np.append(trace.records[0].g_k, Fraction(0)))
 
     def test_loaded_vector_of_another_length_is_refused_with_its_path(self, tmp_path):
         P = generate_problem(ProblemSpec(kind="diag", n=3), RATIONAL)
@@ -451,7 +457,7 @@ class TestTraceContainer:
         _, trace = self._lap8()
         first = trace.records[0]
         with pytest.raises(LinalgError, match=f"final record {trace.r} has a step length"):
-            self._with(trace, trace.r, p_k=first.p_k, theta_k=first.theta_k, c_k=first.c_k)
+            with_record(trace, trace.r, p_k=first.p_k, theta_k=first.theta_k, c_k=first.c_k)
 
     SHAPES = {
         "last record steps": lambda doc: doc["records"][-1].update(

@@ -35,6 +35,8 @@ from cglens.mmio import (
 )
 from cglens.verify import report_to_dict
 
+from conftest import with_record
+
 
 class TestExactDecimal:
     # Decimal tokens parse exactly through the one grammar of Backend.scalar.
@@ -556,6 +558,26 @@ class TestTraceJson:
         path.write_text(json.dumps(data))
         with pytest.raises(LinalgError, match=f"beta of record {k} "):
             load_trace(path)
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
+    @pytest.mark.parametrize("k, field, key", [(0, "grad_norm_sq", "grad_norm_sq"), (1, "beta_k", "beta")])
+    def test_a_scaled_norm_or_beta_is_refused_in_memory_and_from_its_file(
+            self, backend, k, field, key, tmp_path):
+        # One rule, CGTrace's, judges a trace made in memory and one read from a
+        # file; the loader puts the path in front of its message.
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=8, condition=20, seed=3), backend)
+        trace = run_cg(P)
+        scaled = getattr(trace.records[k], field) * backend.scalar("1001/1000")
+        with pytest.raises(LinalgError) as in_memory:
+            with_record(trace, k, **{field: scaled})
+        assert str(in_memory.value) == ("grad_norm_sq of record 0 is not g^T g" if k == 0
+                                        else "beta of record 1 is not its grad_norm_sq ratio")
+        data = trace_json(trace, tmp_path)
+        data["records"][k][key] = scalar_token(scaled) if backend.exact else float(scaled)
+        path = _write(tmp_path / "T.json", data)
+        with pytest.raises(LinalgError) as from_file:
+            load_trace(path)
+        assert str(from_file.value) == f"{path}: {in_memory.value}"
 
     def test_record_after_a_zero_gradient_rejected(self, tmp_path):
         P = generate_problem(ProblemSpec(kind="diag", n=2), RATIONAL)

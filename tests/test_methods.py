@@ -42,20 +42,22 @@ def _hestenes_stiefel(k, g, g_prev, p_prev):
 def method_trace(P, beta, step_scale=1, step=step_length) -> CGTrace:
     """The run of p_k = -g_k + beta(k, g_k, g_{k-1}, p_{k-1}) p_{k-1} from P.x0,
     each step ``step_scale`` times ``step(P, g_k, p_k)``, the exact line
-    search's by default, until the gradient vanishes or n steps are taken."""
-    x, g_prev, p = P.x0, None, None
+    search's by default, until the gradient vanishes or n steps are taken.  The
+    record's ``beta_k`` is the ratio of consecutive g^T g, as a trace holds it,
+    whatever beta the method took."""
+    x, g_prev, p, gns_prev = P.x0, None, None, None
     records = []
     for k in range(P.n + 1):
         g = gradient(P, x)
         gns = norm_sq(g)
+        ratio = None if k == 0 else gns / gns_prev
         if gns == 0 or k == P.n:
-            records.append(IterateRecord(k, x, g, gns))
+            records.append(IterateRecord(k, x, g, gns, beta_k=ratio))
             break
-        b = None if k == 0 else beta(k, g, g_prev, p)
-        p = -g if k == 0 else -g + b * p
+        p = -g if k == 0 else -g + beta(k, g, g_prev, p) * p
         theta = step(P, g, p) * step_scale
-        records.append(IterateRecord(k, x, g, gns, p_k=p, theta_k=theta, beta_k=b, c_k=dot(p, g)))
-        x, g_prev = x + theta * p, g
+        records.append(IterateRecord(k, x, g, gns, p_k=p, theta_k=theta, beta_k=ratio, c_k=dot(p, g)))
+        x, g_prev, gns_prev = x + theta * p, g, gns
     return CGTrace(problem_id=P.label, scalar_backend="rational", records=tuple(records),
                    termination_index=len(records) - 1,
                    termination_reason="gradient_zero" if gns == 0 else "max_iter")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +25,7 @@ from cglens.linalg import DimensionMismatch, sym_matrix
 from cglens.quadratic import QuadraticProblem, evaluate
 from cglens.oracle import SpanBasis, minimize_on_affine_span, trace_oracle
 
-from conftest import dependent_rational_vectors
+from conftest import dependent_rational_vectors, with_record
 
 
 def make_p1():
@@ -175,12 +174,6 @@ def one_shot(P, trace):
     ]
 
 
-def with_gradient(trace, k, g):
-    records = list(trace.records)
-    records[k] = replace(records[k], g_k=g)
-    return replace(trace, records=tuple(records))
-
-
 def relative_gap(a, b):
     return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
 
@@ -216,7 +209,7 @@ class TestTraceOracleSweep:
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=16))
         trace = run_cg(P, tol=1e-8)
         g1, g2 = trace.records[1].g_k, trace.records[2].g_k
-        doctored = with_gradient(trace, 3, g2 + offset * g1)
+        doctored = with_record(trace, 3, g_k=g2 + offset * g1)
         sweep, reference = trace_oracle(P, doctored), one_shot(P, doctored)
         # g_3 first enters the span at k = 4; from there on the answers
         # are the one-shot ones, to the bit.
@@ -231,7 +224,7 @@ class TestTraceOracleSweep:
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=8), RATIONAL)
         trace = run_cg(P)
         g1, g2 = trace.records[1].g_k, trace.records[2].g_k
-        doctored = with_gradient(trace, 3, g1 + g2)
+        doctored = with_record(trace, 3, g_k=g1 + g2)
         sweep, reference = trace_oracle(P, doctored), one_shot(P, doctored)
         for sol, ref in zip(sweep, reference):
             assert list(sol.coordinates) == list(ref.coordinates)

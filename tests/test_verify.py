@@ -6,7 +6,6 @@ import importlib
 import importlib.util
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,6 +55,8 @@ from cglens.linalg import _product
 from cglens.minnorm import _closed_form_ghats, _projected_ghats, min_norm_closed_form
 from cglens.oracle import trace_oracle
 from cglens.quadratic import _times_H
+
+from conftest import with_record
 
 EXPECTED_CHECKS = [
     "gradient_orthogonality",
@@ -165,39 +166,21 @@ class TestNoStepTaken:
             ["termination_bound"] if unconverged else [])
 
 
-def with_record(trace, k, **changes):
-    """The trace with fields of record k replaced."""
-    records = list(trace.records)
-    records[k] = replace(records[k], **changes)
-    return replace(trace, records=tuple(records))
-
-
 class TestZeroGradientInHistory:
-    """A zero gradient inside the history fails its checks and raises nothing.
-
-    No trace file can carry one: ``load_trace``'s beta check refuses the
-    record after a zero gradient, so the trace here is changed in memory."""
-
-    FAILS = {"direction_gradient_difference", "gradient_update_identity",
-             "subspace_optimality", "min_norm_relation"}
+    """No trace carries a zero gradient inside its history: no beta follows a zero
+    norm, so ``CGTrace`` refuses the record after it, in memory as from a file.
+    The closed form refuses such a history given as a list."""
 
     @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
-    def test_report_comes_back_with_min_norm_relation_unbounded(self, backend, tmp_path):
+    def test_the_record_after_a_zero_gradient_is_refused(self, backend):
         P = generate_problem(ProblemSpec(kind="diag", n=3), backend)
         trace = run_cg(P)
         zero = backend.empty(3)
         zero.flags.writeable = False
-        zeroed = with_record(trace, 1, g_k=zero, grad_norm_sq=backend.zero)
-        report = run_full_suite(P, trace=zeroed)
-        failed = {c.name for c in report.checks if not c.passed}
-        assert failed == self.FAILS | ({"direction_gradient_constancy"} if backend.exact else set())
-        assert {c.name: c.measured for c in report.checks}["min_norm_relation"] == math.inf
+        with pytest.raises(LinalgError, match="^beta of record 2 is not its grad_norm_sq ratio$"):
+            with_record(trace, 1, g_k=zero)
         with pytest.raises(LinalgError, match="^gradient 1 in the history is zero$"):
-            min_norm_closed_form(zeroed.gradients()[: zeroed.r])
-        path = tmp_path / "T.json"
-        save_trace(with_record(zeroed, 1, beta_k=backend.zero), path)
-        with pytest.raises(LinalgError, match="beta of record 2 is not its grad_norm_sq ratio"):
-            load_trace(path)
+            min_norm_closed_form([trace.records[0].g_k, zero, trace.records[2].g_k])
 
 
 class TestMinNormRelation:
@@ -435,13 +418,15 @@ class TestPairwiseRuleMatchesPerPairLoops:
             assert measured == reference_pairwise(P, trace)
             assert measured == dict.fromkeys(measured, backend.zero)
 
-    def test_zero_gradient_scale_is_skipped(self):
+    def test_zero_gradient_difference_scale_is_skipped(self):
+        # g_2 = g_0 makes the scale ||g_2 - g_0|| of conditions (b) zero.  A zero
+        # gradient would do so too, but no trace can carry one in its history.
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=12))
         trace = run_cg(P, tol=1e-10)
-        doctored = with_record(trace, 2, g_k=0 * trace.records[2].g_k)
+        doctored = with_record(trace, 2, g_k=trace.records[0].g_k)
         assert_close_to_reference(P, doctored)
         measured = pairwise_measured(P, doctored)
-        assert measured["direction_gradient_difference"] > 1e-3  # the doctoring shows
+        assert measured["gradient_orthogonality"] > 1e-3  # the doctoring shows
         assert all(math.isfinite(v) for v in measured.values())
 
 
@@ -509,32 +494,19 @@ class TestPairwiseTable:
 
 
 class TestNaNNeverPasses:
-    def test_nan_gradient_entry_fails_the_checks_it_enters(self):
-        P = generate_problem(ProblemSpec(kind="laplacian1d", n=12))
-        trace = run_cg(P, tol=1e-10)
-        g2 = trace.records[2].g_k.copy()
-        g2[5] = math.nan
-        doctored = with_record(trace, 2, g_k=g2)
-        checks = [
-            check_gradient_orthogonality(doctored),
-            *check_derivation_conditions(doctored),
-            check_exact_linesearch(doctored),
-        ]
-        assert len(checks) == 5
-        for check in checks:
-            assert math.isnan(check.measured) and not check.passed, check.name
+    """A NaN entry of g_k makes g_k^T g_k NaN, which no recorded grad_norm_sq
+    matches: ``CGTrace`` refuses the trace before any check reads it."""
 
-    def test_nan_gradient_entry_fails_the_oracle_checks_in_the_full_suite(self):
+    @pytest.mark.parametrize("stale", [True, False], ids=["recorded-norm", "nan-norm"])
+    def test_nan_gradient_entry_is_refused_at_construction(self, stale):
         P = generate_problem(ProblemSpec(kind="laplacian1d", n=12))
         trace = run_cg(P, tol=1e-10)
         g2 = trace.records[2].g_k.copy()
         g2[5] = math.nan
-        report = run_full_suite(P, trace=with_record(trace, 2, g_k=g2))
-        checks = {check.name: check for check in report.checks}
-        for name in ("subspace_optimality", "min_norm_relation"):
-            measured = checks[name].measured
-            assert (math.isnan(measured) or math.isinf(measured)) and not checks[name].passed
-        assert not report.overall
+        # The norm run_cg recorded, or the NaN norm with the betas it gives.
+        changes = {"grad_norm_sq": trace.records[2].grad_norm_sq} if stale else {}
+        with pytest.raises(LinalgError, match=r"^grad_norm_sq of record 2 is not g\^T g$"):
+            with_record(trace, 2, g_k=g2, **changes)
 
 
 class TestRankLosingHistory:
@@ -653,7 +625,7 @@ def whole_table_reference(P, trace):
     }
     try:
         reference["subspace_optimality"] = _ref_rows(
-            X[1:] - trace_oracle(P, trace, _points_only=True))
+            X[1:] - np.array([sol.point for sol in trace_oracle(P, trace)]))
     except LinalgError:
         reference["subspace_optimality"] = LinalgError
     return reference
@@ -785,11 +757,7 @@ class TestSharedTables:
         trace = run_cg(P)
         old = getattr(trace.records[2], field)
         new = vector([*old[:-1], old[-1] + Fraction(1, 3)], RATIONAL)
-        bad = with_record(trace, 2, **{field: new})
-        if field == "g_k":  # the norms and their ratios that load_trace checks
-            gns = norm_sq(new)
-            bad = with_record(bad, 2, grad_norm_sq=gns, beta_k=gns / trace.records[1].grad_norm_sq)
-            bad = with_record(bad, 3, beta_k=trace.records[3].grad_norm_sq / gns)
+        bad = with_record(trace, 2, **{field: new})  # a new g_k with its norm and betas
         save_trace(bad, tmp_path / "T.json")
         in_memory = {c.name: c.measured for c in run_full_suite(P, trace=bad).checks}
         round_trip = {c.name: c.measured for c in run_full_suite(P, trace=load_trace(tmp_path / "T.json")).checks}
