@@ -9,7 +9,8 @@ double), and everything written is written losslessly: rationals as
 ``save_json`` writes problems, traces and reports in the ``indent=1`` layout
 of ``json.dump``, except that each vector (a matrix row, c, x0, or a trace's x,
 g or p) is one line.  The rows of the symmetric H reuse each entry's token for
-its mirror above the diagonal.  ``_RECORD_FIELDS`` is the one trace record schema.
+its mirror above the diagonal; a float64 trace's vectors format each distinct bit
+pattern of a block once.  ``_RECORD_FIELDS`` is the one trace record schema.
 
 Matrix Market reading covers the coordinate and array formats with real or
 integer fields and general or symmetric symmetry, read by one entry loop.  Parse
@@ -174,29 +175,42 @@ def vector_tokens(v, backend: Backend) -> list:
     return np.asarray(v, dtype=np.float64).tolist()
 
 
-def _write_json(fh, node, depth: int) -> None:
-    """Write ``node`` as ``json.dump(node, fh, indent=1)`` lays it out, except
-    that a list of scalars (a vector) is one line from ``json.dumps``, and an
-    iterator stands for a list of vectors and yields each one's line.
+class _Line(str):
+    """One vector's line, already JSON, that ``_write_json`` writes as is."""
 
-    Only one line's text is in memory at a time, beside what an iterator holds.
-    """
-    keyed, lines = isinstance(node, dict), isinstance(node, Iterator)
-    if not (node and (keyed or lines or isinstance(node, list) and isinstance(node[0], (list, dict)))):
-        fh.write(json.dumps(node))
+
+_BLOCK_ENTRIES = 8192  # about the entries of one table; a whole trace's would raise peak memory
+
+
+def _float_lines(vectors: list) -> list[_Line]:
+    """The ``json.dumps`` line of each float64 vector, all of one length, with each
+    distinct bit pattern (0.0 and -0.0 apart) of a block of vectors formatted once."""
+    lines, step = [], max(1, _BLOCK_ENTRIES // len(vectors[0]))
+    for start in range(0, len(vectors), step):
+        block = np.array(vectors[start : start + step], dtype=np.float64)
+        bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+        tokens = np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+        lines += (_Line("[" + ", ".join(row) + "]") for row in tokens[inverse.reshape(block.shape)].tolist())
+    return lines
+
+
+def _write_json(fh, node, depth: int) -> None:
+    """Write ``node`` as ``json.dump(node, fh, indent=1)`` lays it out, except that
+    a vector is one line: a ``_Line`` as its caller formed it, or a list of scalars
+    through ``json.dumps``, the writer forming one line's text at a time."""
+    keyed = isinstance(node, dict)
+    if not (node and (keyed or isinstance(node, list) and isinstance(node[0], (list, dict, _Line)))):
+        fh.write(node if isinstance(node, _Line) else json.dumps(node))
         return
     pad = "\n" + " " * (depth + 1)
     fh.write("{" if keyed else "[")
     for index, (key, value) in enumerate(node.items() if keyed else enumerate(node)):
         fh.write(("," if index else "") + pad + (json.dumps(key) + ": " if keyed else ""))
-        if lines:
-            fh.write(value)
-        else:
-            _write_json(fh, value, depth + 1)
+        _write_json(fh, value, depth + 1)
     fh.write("\n" + " " * depth + ("}" if keyed else "]"))
 
 
-def _matrix_lines(H: np.ndarray, backend: Backend) -> Iterator[str]:
+def _matrix_lines(H: np.ndarray, backend: Backend) -> Iterator[_Line]:
     """Each row of a symmetric H as the line ``json.dumps`` gives for it.
 
     Row i formats its entries from the diagonal rightward and stacks the rest
@@ -217,7 +231,7 @@ def _matrix_lines(H: np.ndarray, backend: Backend) -> Iterator[str]:
         stacks.append(upper[:0:-1])
         for j in np.flatnonzero(bits[i, :i] != bits[:i, i]) if odd[i] else ():
             lower[j] = token(row.item(j))
-        yield "[" + ", ".join(lower + upper) + "]"
+        yield _Line("[" + ", ".join(lower + upper) + "]")
 
 
 def _read_json(path, backend: Backend):
@@ -277,11 +291,11 @@ def load_problem(path, backend: Backend = F64) -> QuadraticProblem:
 
 @_names_its_file
 def save_problem(P: QuadraticProblem, path) -> None:
-    """Write a problem as JSON with a dense H, losslessly; formatted before the file is opened."""
+    """Write a problem as JSON with a dense H, losslessly; its rows and rational tokens made first."""
     backend = P.backend
     save_json({
         "n": P.n,
-        "H": {"dense": iter(list(_matrix_lines(P.H, backend)))},
+        "H": {"dense": list(_matrix_lines(P.H, backend))},
         "c": vector_tokens(P.c, backend),
         "x0": vector_tokens(P.x0, backend),
         "label": P.label,
@@ -297,10 +311,15 @@ _RECORD_FIELDS = (("k", "k", "index"), ("x", "x_k", "vector"), ("g", "g_k", "vec
 
 @_names_its_file
 def save_trace(trace: CGTrace, path) -> None:
-    """Write a trace as JSON; all numerics lossless, and formatted before the file is opened."""
+    """Write a trace as JSON, all numerics lossless.  Its float64 vector lines and
+    rational tokens are made before the file is opened: a refused trace leaves no file."""
     backend = BACKENDS[trace.scalar_backend]
     write = {"index": int, "vector": lambda v: vector_tokens(v, backend),
              "scalar": scalar_token if backend.exact else float}
+    if not backend.exact:
+        vectors = [v for rec in trace.records for v in (rec.x_k, rec.g_k, rec.p_k) if v is not None]
+        lines = dict(zip(map(id, vectors), _float_lines(vectors)))
+        write["vector"] = lambda v: lines[id(v)]
     save_json({
         "problem_id": trace.problem_id,
         "backend": trace.scalar_backend,

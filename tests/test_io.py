@@ -6,6 +6,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from cglens import (
     run_cg,
     run_full_suite,
 )
-from cglens import engine
+from cglens import engine, mmio
 from cglens.engine import DIRECTION_MODES, BreakdownError
-from cglens.linalg import AsymmetricMatrixError, DimensionMismatch, scalar_token, sym_matrix, vector
+from cglens.linalg import (AsymmetricMatrixError, DimensionMismatch, _row_dots, _stack, scalar_token,
+                           sym_matrix, vector)
 from cglens.quadratic import QuadraticProblem
 from cglens.mmio import (
     MMParseError,
@@ -238,6 +240,30 @@ def _reference_problem_text(P: QuadraticProblem) -> str:
             f' "c": {line(P.c)},\n "x0": {line(P.x0)},\n "label": {json.dumps(P.label)}\n}}\n')
 
 
+# A trace record's keys in file order, with each one's IterateRecord field.
+TRACE_KEYS = (("k", "k"), ("x", "x_k"), ("g", "g_k"), ("grad_norm_sq", "grad_norm_sq"),
+              ("p", "p_k"), ("theta", "theta_k"), ("beta", "beta_k"), ("c", "c_k"))
+
+
+def _reference_trace_text(trace) -> str:
+    """The trace file as a ``json.dumps`` of each vector and scalar lays it out."""
+    token = scalar_token if trace.scalar_backend == "rational" else float
+
+    def field(key, value):
+        if key == "k" or value is None:
+            return json.dumps(value)
+        return json.dumps([token(x) for x in value] if np.ndim(value) else token(value))
+
+    records = ",\n  ".join(
+        "{\n" + ",\n".join(f'   "{key}": {field(key, getattr(rec, name))}' for key, name in TRACE_KEYS)
+        + "\n  }" for rec in trace.records)
+    head = {"problem_id": trace.problem_id, "backend": trace.scalar_backend,
+            "direction_mode": trace.direction_mode, "scaling_mode": trace.scaling_mode,
+            "termination_reason": trace.termination_reason, "r": trace.r}
+    return ("{\n" + "".join(f" {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items())
+            + f' "records": [\n  {records}\n ]\n}}\n')
+
+
 # Off-diagonal entries: zeros of either sign, subnormals and ordinary floats,
 # or rationals; a dominant diagonal keeps H positive definite.
 F64_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310]) \
@@ -260,6 +286,33 @@ def symmetric_problems(draw):
     c, x0 = ([draw(entries) for _ in range(n)] for _ in range(2))
     return QuadraticProblem(H=sym_matrix(H, backend), c=vector(c, backend),
                             x0=vector(x0, backend), label=draw(st.text(max_size=6)))
+
+
+@st.composite
+def consistent_traces(draw):
+    """A trace that CGTrace accepts, on either backend, of n 1 to 4 and r 0 to 6,
+    whose entries often repeat within and across records: zeros of both signs,
+    subnormals, a few drawn values and fresh ones."""
+    backend = draw(st.sampled_from([F64, RATIONAL]))
+    entries = RATIONAL_ENTRIES if backend.exact else F64_ENTRIES
+    fixed = [Fraction(0), Fraction(1, 3), Fraction(-1)] if backend.exact else [0.0, -0.0, 5e-324, 1.0]
+    value = st.sampled_from(fixed + draw(st.lists(entries, min_size=1, max_size=3))) | entries
+    n, r = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    reason = draw(st.sampled_from(engine.TERMINATION_REASONS))
+    rows = [[[draw(value) for _ in range(n)] for _ in range(3)] for _ in range(r + 1)]
+    for _, g, _ in rows[:r]:
+        if sum(x * x for x in g) < 1e-100:  # the next beta divides by this norm
+            g[0] = 1
+    x, g, p = ([vector(row[i], backend) for row in rows] for i in range(3))
+    gns = _row_dots(_stack(g, backend), _stack(g, backend))
+    records = tuple(
+        engine.IterateRecord(k, x[k], g[k], gns[k], p_k=p[k] if k < r or reason == "breakdown" else None,
+                             theta_k=draw(value) if k < r else None, c_k=draw(value) if k < r else None,
+                             beta_k=gns[k] / gns[k - 1] if k else None)
+        for k in range(r + 1))
+    return engine.CGTrace(problem_id=draw(st.text(max_size=4)), scalar_backend=backend.name,
+                          records=records, termination_index=r, termination_reason=reason,
+                          direction_mode=draw(st.sampled_from(engine.DIRECTION_MODES)))
 
 
 class TestProblemJson:
@@ -457,6 +510,47 @@ class TestTraceJson:
         assert (trace.termination_reason, trace.r) == ("breakdown", 2)
         assert last.p_k is not None and last.c_k is not None and last.theta_k is None
         self._assert_suite_report_survives_save(P, trace, tmp_path)
+
+    @given(trace=consistent_traces(), block=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_one_dumps_per_vector(self, tmp_path_factory, trace, block):
+        # A small block makes most histories span several tables.
+        path = tmp_path_factory.getbasetemp() / "t-property.json"
+        with mock.patch.object(mmio, "_BLOCK_ENTRIES", block):
+            save_trace(trace, path)
+        assert path.read_text() == _reference_trace_text(trace)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, mmio._BLOCK_ENTRIES])
+    def test_repeated_zeros_of_both_signs_and_subnormals_keep_their_bits(self, tmp_path, block):
+        # n = 1 at r = 0, and n = 3 over three records that repeat each other:
+        # -0.0 beside 0.0 in one vector, and a subnormal in each of x, g and p.
+        for rows in ([[-0.0], [5e-324], [-0.0]],
+                     [[0.0, -0.0, 5e-324], [1.0, -0.0, 5e-324], [-5e-324, 0.0, 1.0]] * 3):
+            x, g, p = (list(map(vector, rows[i::3])) for i in range(3))
+            gns, r = [float(v @ v) for v in g], len(x) - 1
+            records = tuple(engine.IterateRecord(k, x[k], g[k], gns[k], p_k=p[k],
+                                                 theta_k=0.5 if k < r else None, c_k=-1.0,
+                                                 beta_k=gns[k] / gns[k - 1] if k else None)
+                            for k in range(r + 1))
+            trace = engine.CGTrace("edge", "f64", records, r, "breakdown")
+            with mock.patch.object(mmio, "_BLOCK_ENTRIES", block):
+                save_trace(trace, tmp_path / "t.json")
+            assert (tmp_path / "t.json").read_text() == _reference_trace_text(trace)
+
+    @pytest.mark.parametrize("n", range(175, 186))
+    def test_long_laplacian_traces_match_the_reference_and_reload_bit_for_bit(self, tmp_path, n):
+        # The verify-f64-long shapes: histories of about n/2 records that span
+        # several tables, whose vectors repeat entries (exactly mirror-symmetric
+        # at n = 0 mod 4) and keep them from record to record.
+        trace = run_cg(generate_problem(ProblemSpec(kind="laplacian1d", n=n)), tol=1e-7)
+        assert 3 * (trace.r + 1) * n > 2 * mmio._BLOCK_ENTRIES
+        path = tmp_path / "t.json"
+        save_trace(trace, path)
+        assert path.read_text() == _reference_trace_text(trace)
+        for rec, back in zip(trace.records, load_trace(path).records, strict=True):
+            for field in ("x_k", "g_k", "p_k"):
+                a, b = getattr(rec, field), getattr(back, field)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
     def test_rational_trace_keeps_decimal_semantics(self, tmp_path):
         P = generate_problem(ProblemSpec(kind="diag", n=2), RATIONAL)
