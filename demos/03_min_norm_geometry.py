@@ -25,7 +25,6 @@ Run:  python3 demos/03_min_norm_geometry.py
 from cglens import (
     RATIONAL,
     ProblemSpec,
-    affine_point_of_gradient_combination,
     characterization_residuals,
     generate_problem,
     gradient,
@@ -88,11 +87,11 @@ def main():
     # ghat is itself a gradient: of the affine combination of the iterates
     # taken with the same weights
     iterates = [trace.records[0].x_k, trace.records[1].x_k]
-    pt = affine_point_of_gradient_combination(P, iterates, w)
+    x_hat = sum(a * x for a, x in zip(w.weights, iterates))
     print("ghat realized as an actual gradient of the objective:")
-    print(f"  x_hat = same affine mix of iterates = {fmt_vec(pt.x)}")
-    print(f"  grad q(x_hat) = {fmt_vec(pt.g)}")
-    assert (gradient(P, pt.x) == closed.ghat).all()
+    print(f"  x_hat = same affine mix of iterates = {fmt_vec(x_hat)}")
+    print(f"  grad q(x_hat) = {fmt_vec(gradient(P, x_hat))}")
+    assert (gradient(P, x_hat) == closed.ghat).all()
     print("  equals ghat (asserted exactly)")
     print()
 

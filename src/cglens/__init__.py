@@ -14,7 +14,6 @@ from .quadratic import exact_minimizer, gradient
 from .engine import DirectionScaling, run_cg
 from .oracle import verify_against_trace
 from .minnorm import (
-    affine_point_of_gradient_combination,
     characterization_residuals,
     min_norm_closed_form,
     projection_oracle,
@@ -33,7 +32,6 @@ __all__ = [
     "LinalgError",
     "ProblemSpec",
     "RATIONAL",
-    "affine_point_of_gradient_combination",
     "characterization_residuals",
     "check_gradient_orthogonality",
     "dot",

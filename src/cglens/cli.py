@@ -9,7 +9,6 @@ check, e.g. ``CGLENS_TOL_OVERRIDES="gradient_orthogonality=1e-6,conjugacy=1e-7"`
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(verify)
     verify.add_argument("--trace", help="write the full trace JSON here")
     verify.add_argument("--report", help="write the verification report JSON here")
-    verify.add_argument("--csv", help="append a one-line summary to this CSV file")
 
     oracle = subs.add_parser(
         "oracle", help="solve and print the independent subspace minimizers"
@@ -166,20 +164,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _append_csv(path, report) -> None:
-    names = [c.name for c in report.checks]
-    exists = os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if not exists:
-            writer.writerow(["problem_id", "n", "backend", "r", "overall", *names])
-        row = report_to_dict(report)
-        writer.writerow(
-            [report.problem_id, report.n, report.backend, report.r, report.overall]
-            + [c["measured"] for c in row["checks"]]
-        )
-
-
 def cmd_verify(args) -> int:
     problem = _problem_from_args(args)
     opts = _run_options(args)
@@ -195,8 +179,6 @@ def cmd_verify(args) -> int:
           f"[{report.problem_id}, r = {report.r}]")
     if args.report:
         save_json(report_to_dict(report), args.report)
-    if args.csv:
-        _append_csv(args.csv, report)
     if trace.termination_reason == "breakdown":
         return EXIT_BREAKDOWN
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED

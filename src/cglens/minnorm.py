@@ -8,9 +8,8 @@ point of their affine hull has the closed form
 an affine combination with strictly positive harmonic weights.  This
 module computes ghat two independent ways — the closed form above, and
 a projection that makes no orthogonality assumption — and exposes
-the identities connecting ghat to the CG direction (p_k is a positive
-multiple of -ghat_k) and to the iterates (affine combinations of
-gradients correspond to gradients at affine combinations of iterates).
+the identity connecting ghat to the CG direction (p_k is a positive
+multiple of -ghat_k).
 
 Checking a whole trace needs ghat_k for every prefix g_0..g_k of one
 history, and one sweep per method serves all prefixes at once, row k-1 for
@@ -42,7 +41,6 @@ from .linalg import (
     _gate,
     _orthogonalized,
     _padded,
-    _product,
     _row_dots,
     _running_sums,
     _stack,
@@ -55,7 +53,6 @@ from .linalg import (
     residual_magnitude,
     scalar_token,
 )
-from .quadratic import QuadraticProblem, gradient
 
 # Patched by bench/tracer.py, which still names the deleted pivoted kernel;
 # nothing calls it.
@@ -217,37 +214,6 @@ def scaling_relation(p_cg: np.ndarray, g_k: np.ndarray, result: MinNormResult) -
         raise LinalgError("ghat is zero; inputs are not from a live CG iteration")
     ratio = norm_sq(g_k) / result.norm_sq
     return residual_magnitude(p_cg + ratio * result.ghat)
-
-
-@dataclass(frozen=True, eq=False)
-class AffinePoint:
-    """A point x = sum alpha_i x_i and the gradient of q there."""
-
-    x: np.ndarray
-    g: np.ndarray
-
-
-def affine_point_of_gradient_combination(
-    P: QuadraticProblem, iterates: Sequence[np.ndarray], weights: AffineCombination
-) -> AffinePoint:
-    """Map affine weights on iterates to (x, g) with g = sum alpha_i g_i.
-
-    Because the gradient map is affine, the gradient at x = sum alpha_i x_i
-    is the same combination of the individual gradients whenever the
-    weights sum to 1; that identity is checked here before returning, by the
-    one gate rule (``linalg._gate``): exactly under rationals, to 1e-8 relative
-    to max(1, ||g||) under float64, where a NaN drift is refused.
-    """
-    if len(iterates) != len(weights):
-        raise DimensionMismatch(
-            f"{len(weights)} weights against {len(iterates)} iterates"
-        )
-    x = _freeze(_product(weights.weights, np.asarray(iterates)))
-    g = gradient(P, x)
-    combo = _product(weights.weights, np.asarray([gradient(P, xi) for xi in iterates]))
-    _gate(P.backend, residual_magnitude(g - combo), lambda: 1e-8 * max(1.0, float(residual_magnitude(g))),
-          "gradient correspondence violated; inputs are inconsistent")
-    return AffinePoint(x=x, g=g)
 
 
 def shortest_residuals_direction(gradients: Sequence[np.ndarray]) -> np.ndarray:

@@ -93,15 +93,17 @@ class SubspaceSolution:
     objective_value: Scalar
 
 
-def _sweep(P: QuadraticProblem, x0: np.ndarray, vectors, basis=None, points_only=False):
+def _sweep(P: QuadraticProblem, x0: np.ndarray, g0: np.ndarray, vectors, basis=None,
+           points_only=False):
     """The minimizers over x0 + span{s_1..s_k} for k = 0..len(vectors), or with
     ``points_only`` just their points, as rows: under rationals a stack, x0 plus
-    running sums of Q's integer rows.  ``basis`` is ``_orthogonalized(vectors)``
-    if the caller already has it.  ``vectors`` is a (k, n) array or a stack, or
-    converts to an array, for any k; with none, the one point is x0 + 0."""
+    running sums of Q's integer rows.  ``g0`` is ``gradient(P, x0)``, and ``basis``
+    is ``_orthogonalized(vectors)`` if the caller already has it.  ``vectors`` is a
+    (k, n) array or a stack, or converts to an array, for any k; with none, the one
+    point is x0 + 0."""
     Q, T, _, kept = _orthogonalized(vectors) if basis is None else basis
     T = T[:, kept]
-    A, rhs = _symmetric_table(Q, _times_H_rows(P, Q)), -_product(Q, gradient(P, x0))
+    A, rhs = _symmetric_table(Q, _times_H_rows(P, Q)), -_product(Q, g0)
     rows = np.cumsum([0] + [j in kept for j in range(len(T))])
     if points_only and P.backend.exact:  # every leading block of an exact A is solved
         x0 = _stack(x0, P.backend)
@@ -133,7 +135,8 @@ def minimize_on_affine_span(P: QuadraticProblem, B: SpanBasis) -> SubspaceSoluti
     vector — exactly so under the rational backend.
     """
     _check_point(P, B.x0)
-    return _sweep(P, B.x0, np.array(B.spanning_vectors, dtype=B.x0.dtype).reshape(-1, P.n))[-1]
+    vectors = np.array(B.spanning_vectors, dtype=B.x0.dtype).reshape(-1, P.n)
+    return _sweep(P, B.x0, gradient(P, B.x0), vectors)[-1]
 
 
 def _check_trace_fits(P: QuadraticProblem, trace: CGTrace) -> None:
@@ -149,24 +152,23 @@ def _check_trace_fits(P: QuadraticProblem, trace: CGTrace) -> None:
 
 
 def _history(P: QuadraticProblem, trace: CGTrace) -> tuple:
-    """x_0 and the stack (``CGTrace._stacks``) of g_0..g_{r-1} of a trace that must
-    come from P: its backend must match, and its first and last recorded gradients
-    must match H x + c (the first alone is blind to a wrong H where x_0 = 0)."""
+    """x_0, H x_0 + c and the stack (``CGTrace._stacks``) of g_0..g_{r-1} of a trace
+    that must come from P: its backend must match, and its first and last recorded
+    gradients must match H x + c (the first alone is blind to a wrong H where x_0 = 0)."""
     _check_trace_fits(P, trace)
-    records = trace.records
+    records, gates = trace.records, {}
     for rec in {records[0].k: records[0], records[-1].k: records[-1]}.values():
-        g = gradient(P, rec.x_k)
+        g = gates[rec.k] = gradient(P, rec.x_k)
         _gate(P.backend, residual_magnitude(g - rec.g_k),
               lambda: 1e-12 * max(1.0, float(residual_magnitude(g))),
               "trace gradients do not come from this problem")
-    return records[0].x_k, trace._stacks[1][: trace.r]
+    return records[0].x_k, gates[records[0].k], trace._stacks[1][: trace.r]
 
 
-def trace_oracle(P: QuadraticProblem, trace: CGTrace, *, _basis=None) -> list[SubspaceSolution]:
+def trace_oracle(P: QuadraticProblem, trace: CGTrace) -> list[SubspaceSolution]:
     """The minimizers over x_0 + span{g_0..g_{k-1}} for k = 1..r of a trace that
-    comes from P (``_history``), recomputed by the one sweep of the module
-    docstring.  ``_basis`` is ``_sweep``'s."""
-    return _sweep(P, *_history(P, trace), _basis)[1:]
+    comes from P (``_history``), recomputed by the one sweep of the module docstring."""
+    return _sweep(P, *_history(P, trace))[1:]
 
 
 def verify_against_trace(P: QuadraticProblem, trace: CGTrace, *, _basis=None) -> list:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -148,19 +147,6 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "overall: FAIL" in captured.out
-
-    def test_csv_rows_append_and_repeat_identically(self, diag2, tmp_path):
-        csv_path = tmp_path / "runs.csv"
-        for _ in range(2):
-            assert run_main([
-                "verify", "--problem", str(diag2), "--backend", "rational",
-                "--csv", str(csv_path),
-            ]) == 0
-        with open(csv_path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][:5] == ["problem_id", "n", "backend", "r", "overall"]
-        assert len(rows) == 3
-        assert rows[1] == rows[2]
 
     def test_tolerance_override_env(self, diag2, monkeypatch):
         monkeypatch.setenv("CGLENS_TOL_OVERRIDES", "gradient_orthogonality=0")

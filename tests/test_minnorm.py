@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cglens import (
     F64,
@@ -15,10 +16,10 @@ from cglens import (
     DirectionScaling,
     LinalgError,
     ProblemSpec,
-    affine_point_of_gradient_combination,
     characterization_residuals,
     dot,
     generate_problem,
+    gradient,
     min_norm_closed_form,
     norm_sq,
     projection_oracle,
@@ -220,52 +221,35 @@ class TestCharacterization:
             scaling_relation(vector([1, 0], RATIONAL), vector([1, 0], RATIONAL), result)
 
 
-class TestAffinePoint:
-    def test_midpoint_correspondence(self):
-        P = make_p1()
-        trace = run_cg(P)
-        weights = AffineCombination(vector(["1/2", "1/2"], RATIONAL))
-        point = affine_point_of_gradient_combination(
-            P, [rec.x_k for rec in trace.records[:2]], weights
-        )
-        assert list(point.x) == [Fraction(5, 18), Fraction(5, 9)]
-        assert list(point.g) == [Fraction(-13, 18), Fraction(-8, 9)]
-        # the gradient is the same affine combination of the endpoint gradients
-        expected = [
-            Fraction(1, 2) * a + Fraction(1, 2) * b
-            for a, b in zip(trace.gradients()[0], trace.gradients()[1])
-        ]
-        assert list(point.g) == expected
+DIRECTIONS = ["recursive", "gradient_sum", "shortest_residuals"]
 
-    def test_length_mismatch_rejected(self):
-        P = make_p1()
-        weights = AffineCombination(vector([1], RATIONAL))
-        with pytest.raises(DimensionMismatch):
-            affine_point_of_gradient_combination(P, [P.x0, P.x0], weights)
 
-    def test_float64_midpoint_correspondence(self):
-        P = generate_problem(ProblemSpec(kind="diag", n=2))
-        trace = run_cg(P)
-        iterates = [rec.x_k for rec in trace.records[:2]]
-        point = affine_point_of_gradient_combination(P, iterates, AffineCombination(vector([0.5, 0.5])))
-        expected = 0.5 * trace.records[0].g_k + 0.5 * trace.records[1].g_k
-        assert np.allclose(point.g, expected, rtol=0, atol=1e-15)
+class TestGradientCorrespondence:
+    """The gradient map is affine, so an affine mix of the iterates has the same
+    mix of their gradients as its gradient; with the closed form's weights that
+    gradient is ghat.  Both hold exactly under rationals."""
 
-    def test_float64_nan_drift_rejected(self):
-        # x_1 = (inf, 0) makes g = (inf, nan): a NaN drift, which no bound passes.
-        P = generate_problem(ProblemSpec(kind="diag", n=2))
-        weights = AffineCombination(vector([0.5, 0.5]))
-        with np.errstate(invalid="ignore"), pytest.raises(LinalgError, match="correspondence"):
-            affine_point_of_gradient_combination(P, [P.x0, np.array([math.inf, 0.0])], weights)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+           direction=st.sampled_from(DIRECTIONS), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_affine_mix_of_iterates_has_the_mix_of_gradients(self, n, seed, direction, data):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=n, condition=20, seed=seed), RATIONAL)
+        records = run_cg(P, direction_mode=direction).records
+        alphas = data.draw(st.lists(st.integers(-5, 5), min_size=len(records) - 1,
+                                    max_size=len(records) - 1))
+        alphas.append(1 - sum(alphas))
+        x = sum(a * rec.x_k for a, rec in zip(alphas, records))
+        assert list(gradient(P, x)) == list(sum(a * rec.g_k for a, rec in zip(alphas, records)))
 
-    def test_exact_drift_rejected(self):
-        # Weights that do not sum to 1, past the constructor's check: under
-        # rationals any drift at all is refused.
-        P = make_p1()
-        weights = AffineCombination(vector(["1/2", "1/2"], RATIONAL))
-        object.__setattr__(weights, "weights", vector(["1/2", "1/3"], RATIONAL))
-        with pytest.raises(LinalgError, match="correspondence"):
-            affine_point_of_gradient_combination(P, [P.x0, vector([1, 1], RATIONAL)], weights)
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_closed_form_weights_on_the_iterates_give_ghat(self, direction):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=20, seed=3), RATIONAL)
+        trace = run_cg(P, direction_mode=direction)
+        assert trace.r > 3
+        for k in range(1, trace.r + 1):
+            closed = min_norm_closed_form([rec.g_k for rec in trace.records[:k]])
+            x = sum(w * rec.x_k for w, rec in zip(closed.weights.weights, trace.records))
+            assert list(gradient(P, x)) == list(closed.ghat)
 
 
 class TestShortestResiduals:
@@ -302,7 +286,7 @@ class TestSweeps:
     """Row k-1 of each array sweep, which ``check_min_norm_relation`` reads, is
     the one-shot on ``gradients[:k]``: every prefix of one history, one pass."""
 
-    @pytest.mark.parametrize("direction", ["recursive", "gradient_sum", "shortest_residuals"])
+    @pytest.mark.parametrize("direction", DIRECTIONS)
     @pytest.mark.parametrize("scaling", ["cg_standard", "unit"])
     def test_exact_sweeps_equal_one_shot(self, direction, scaling):
         P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=20, seed=3), RATIONAL)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -64,3 +65,14 @@ def test_cli_quickstart_prints_what_it_shows(tmp_path, monkeypatch, capsys):
         assert cli.main(shlex.split(command)) == 0, command
         printed = capsys.readouterr().out.splitlines()
         assert shown_matches(shown, printed), (command, printed)
+
+
+def test_readme_names_exactly_the_cli_flags():
+    text = README.read_text(encoding="utf-8")
+    named = {flag for line in text.splitlines() if not line.lstrip().startswith("pip install")
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)}
+    subparsers = next(action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {opt for sub in subparsers.values() for action in sub._actions
+               for opt in action.option_strings}
+    assert named == {opt for opt in options if opt.startswith("--")} - {"--help"}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import collections
 import importlib
 import importlib.util
 import json
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cglens
 import cglens.linalg
 import cglens.minnorm
 import cglens.oracle
@@ -548,17 +551,74 @@ class TestRankLosingHistory:
         assert lines[-1].startswith("overall: FAIL")
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def tracer_patches() -> tuple:
+    """``bench/tracer.py``'s PATCHES: the module globals the benchmark's tracer
+    replaces while it runs."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.PATCHES
+
+
 class TestTracerNames:
     def test_every_patched_name_resolves(self):
-        # The benchmark's tracer replaces these module globals while it runs.
-        path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("bench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
-        assert len(tracer.PATCHES) > 20
-        missing = [(module, attr) for module, attr, _ in tracer.PATCHES
+        patches = tracer_patches()
+        assert len(patches) > 20
+        missing = [(module, attr) for module, attr, _ in patches
                    if not hasattr(importlib.import_module(module), attr)]
         assert missing == []
+
+
+class TestNoDeadNames:
+    """Every name imported into a ``cglens`` module is used there, exported by the
+    package, or replaced there by the tracer; every module-level private name is
+    referenced outside its own definition."""
+
+    MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "cglens").glob("*.py"))}
+
+    @staticmethod
+    def reads(node) -> list:
+        """The names a subtree reads."""
+        return [n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)]
+
+    def test_every_imported_name_is_used(self):
+        patched = {(module, attr) for module, attr, _ in tracer_patches()}
+        dead = []
+        for module, tree in self.MODULES.items():
+            used = set(self.reads(tree))
+            if module == "__init__":
+                used |= set(cglens.__all__)
+            bound = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     and getattr(node, "module", None) != "__future__" for alias in node.names]
+            dead += [f"{module}.{name}" for name in bound
+                     if name not in used and (f"cglens.{module}", name) not in patched]
+        assert dead == []
+
+    @staticmethod
+    def defines(stmt) -> list:
+        """The names a module's top-level statement defines."""
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            return [stmt.name]
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        return [n.id for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+    def test_every_private_name_is_referenced(self):
+        imported = {(node.module, alias.name) for tree in self.MODULES.values()
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                    for alias in node.names}
+        dead = []
+        for module, tree in self.MODULES.items():
+            reads = collections.Counter(self.reads(tree))
+            dead += [f"{module}.{name}" for stmt in tree.body for name in self.defines(stmt)
+                     if name.startswith("_") and not name.startswith("__")
+                     and (module, name) not in imported and reads[name] == self.reads(stmt).count(name)]
+        assert dead == []
 
 
 class TestTraceMustFitTheProblem:
