@@ -24,21 +24,21 @@ One loop serves both backends.  Under rationals x, g, p and the running sum
 are ``linalg._Rows`` vectors (``linalg._stack``), a ``Fraction`` times a
 primitive integer row, so each vector operation pays one gcd, not one per
 entry.  A record holds each vector as its canonical ``Fraction`` array, formed
-once, and the array keeps the rows for the checks (``linalg._recorded``).
+once, and ``run_cg`` hands the rows to the trace it returns as its stacks.
 ``CGTrace`` alone judges what a trace must be, however it was made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import (BACKENDS, RATIONAL, Backend, DimensionMismatch, LinalgError, Scalar, _freeze,
-                     _gate, _recorded, _row_dots, _stack, backend_of, dot, norm_sq)
+from .linalg import (BACKENDS, RATIONAL, Backend, DimensionMismatch, LinalgError, Scalar, _Rows,
+                     _fractions, _freeze, _gate, _row_dots, _stack, backend_of, dot, norm_sq)
 from .quadratic import QuadraticProblem, _check_point, _times_H
 
 DIRECTION_MODES = ("recursive", "gradient_sum", "shortest_residuals")
@@ -129,8 +129,10 @@ class CGTrace:
     termination_reason: str
     direction_mode: str = "recursive"
     scaling_mode: str = "cg_standard"
+    # The exact (X, G, P) stacks that run_cg computed; None reads them off the records.
+    _run_stacks: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _run_stacks):
         for value, known, what in ((self.scalar_backend, tuple(BACKENDS), "scalar backend"),
                                    (self.termination_reason, TERMINATION_REASONS, "termination reason"),
                                    (self.direction_mode, DIRECTION_MODES, "direction mode"),
@@ -156,6 +158,8 @@ class CGTrace:
                 raise LinalgError(f"record {rec.k} needs p_k, theta_k and c_k")
             if rec.k == self.r and rec.theta_k is not None:
                 raise LinalgError(f"the final record {rec.k} has a step length theta_k")
+        if _run_stacks is not None:
+            self.__dict__["_stacks"] = _run_stacks
         G = self._stacks[1]
         for prev, rec, gns in zip((None, *self.records), self.records, _row_dots(G, G)):
             _gate(backend, rec.grad_norm_sq - gns, lambda: np.finfo(np.float64).eps * G.shape[1] * gns,
@@ -170,8 +174,11 @@ class CGTrace:
 
     @property
     def converged(self) -> bool:
-        """Whether the run stopped because its gradient vanished (to ``tol`` in float64)."""
-        return self.termination_reason in ("gradient_zero", "tolerance_met")
+        """Whether the trace shows the convergence it claims: ``gradient_zero`` with a final
+        grad_norm_sq of exactly 0, or ``tolerance_met`` under float64 (tol is not recorded)."""
+        if self.termination_reason == "gradient_zero":
+            return self.records[-1].grad_norm_sq == 0
+        return self.termination_reason == "tolerance_met" and self.scalar_backend == "f64"
 
     def gradients(self) -> list[np.ndarray]:
         return [rec.g_k for rec in self.records]
@@ -180,7 +187,7 @@ class CGTrace:
     def _stacks(self) -> tuple:
         """(X, G, P): x_k and g_k of every record and p_k of every step, for any k,
         as stacks (``linalg._stack``): frozen (k, n) arrays under float64, and under
-        rationals the rows kept with each vector (``linalg._recorded``)."""
+        rationals the rows that ``run_cg`` handed over, or all the vectors read at once."""
         m, x0 = len(self.records), self.records[0].x_k
         vectors = ([rec.x_k for rec in self.records] + self.gradients()
                    + [rec.p_k for rec in self.records[: self.r]])
@@ -247,6 +254,8 @@ def run_cg(
         raise LinalgError(f"tol must be finite and nonnegative, got {tol}")
 
     records: list[IterateRecord] = []
+    xs, gs, ps = [], [], []  # x_k and g_k of every record, p_k of every step: the exact stacks
+    held = lambda v: _freeze(_fractions(v))  # a record's frozen array, its Fractions formed once
     x, c = _stack(P.x0, backend), _stack(P.c, backend)
     g = _times_H(P, x) + c
     with np.errstate(over="ignore"):  # refused below, not warned of
@@ -264,6 +273,8 @@ def run_cg(
     k = 0
 
     while True:
+        xs.append(x)
+        gs.append(g)
         beta = None if k == 0 else gns / gns_prev
         if gns == 0:
             reason = "gradient_zero"
@@ -274,7 +285,7 @@ def run_cg(
         else:
             reason = None
         if reason is not None:
-            records.append(IterateRecord(k, _recorded(x), _recorded(g), gns, beta_k=beta))
+            records.append(IterateRecord(k, held(x), held(g), gns, beta_k=beta))
             break
 
         c_k = scaling.value_for(k, gns, backend)
@@ -303,12 +314,13 @@ def run_cg(
         try:
             theta = step_length(P, g, p)
         except BreakdownError:
-            records.append(IterateRecord(k, _recorded(x), _recorded(g), gns, p_k=_recorded(p),
+            records.append(IterateRecord(k, held(x), held(g), gns, p_k=held(p),
                                          beta_k=beta, c_k=c_k))
             reason = "breakdown"
             break
 
-        records.append(IterateRecord(k, _recorded(x), _recorded(g), gns, p_k=_recorded(p),
+        ps.append(p)
+        records.append(IterateRecord(k, held(x), held(g), gns, p_k=held(p),
                                      theta_k=theta, beta_k=beta, c_k=c_k))
         x = x + theta * p
         g = _times_H(P, x) + c
@@ -324,5 +336,6 @@ def run_cg(
         termination_reason=reason,
         direction_mode=direction_mode,
         scaling_mode=scaling.mode,
+        _run_stacks=tuple(_Rows.stacked(S, P.n) for S in (xs, gs, ps)) if backend.exact else None,
     )
 

@@ -11,15 +11,15 @@ read-only at construction; nothing here mutates its inputs.
 it, since a sum of ``Fraction`` products pays a gcd per operation.  Inside, an
 exact vector or stack of vectors has one form, ``_Rows``: a ``Fraction`` scale
 per row times a primitive integer row, frozen as the arrays are.  ``run_cg``
-computes with it, each record's array keeps the rows it was made or read from
-(``_with_rows``), and the suite's tables, the oracle's sweep and both ghat
-sweeps read them (``_stack``).  Their products (``_product``, ``_Rows.table``,
-``_Rows.times``), sums (``_combination``, ``_running_sums``) and row rules run
-on integers, and a ``Fraction`` is formed only for a nonzero residual, a report
-or a public value.  The row rules take stacks of any number of rows, on both
-backends, raw in exact arithmetic and normalized in float64 by ``_worst_ratio``:
-``pairwise_residual`` over the triangle of an inner-product table, ``_row_dots``
-and ``_row_residuals`` row by row.
+computes with it and hands its stacks to the trace it returns, any other trace
+reads its own arrays once (``_stack``), and the suite's tables, the oracle's
+sweep and both ghat sweeps read those stacks.  Their products (``_product``,
+``_Rows.table``, ``_Rows.times``), sums (``_combination``, ``_running_sums``)
+and row rules run on integers, and a ``Fraction`` is formed only for a nonzero
+residual, a report or a public value.  The row rules take stacks of any number
+of rows, on both backends, raw in exact arithmetic and normalized in float64 by
+``_worst_ratio``: ``pairwise_residual`` over the triangle of an inner-product
+table, ``_row_dots`` and ``_row_residuals`` row by row.
 
 ``_orthogonalized`` (Gram-Schmidt) decides which vectors of a list depend on the
 earlier ones.  A natural-order L D L^T decides how far a symmetric matrix is
@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import weakref
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
@@ -272,12 +271,6 @@ def _integer_rows(rows: np.ndarray) -> _Rows:
     return vectors[0] if rows.ndim == 1 else _Rows.stacked(vectors, rows.shape[1])
 
 
-def _integerized(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(N, d)`` with arr == N / d: integer numerators over one denominator d."""
-    v = _integer_rows(arr.ravel())
-    return (v.A * v.s.numerator).reshape(arr.shape), v.s.denominator
-
-
 # Fraction(p, q) entry by entry, one gcd each; a Fraction for scalar input.
 _rationalized = np.frompyfunc(Fraction, 2, 1)
 
@@ -290,27 +283,6 @@ def _fractions(v):
         return _rationalized(v.A * v.s.numerator, v.s.denominator)
     num, den = v.ratios()
     return _rationalized(v.A * num[:, None], den[:, None])
-
-
-# id(array) -> (a weak reference to it, the rows it was made or read from), while it
-# lives: keyed to the array, not to a record, so an array put in a record's place is read anew.
-_KEPT: dict = {}
-
-
-def _with_rows(arr: np.ndarray, rows=None) -> np.ndarray:
-    """The frozen ``arr``, with ``rows`` (its integer rows by default) kept for it
-    under rationals; a float64 array as it is."""
-    if arr.dtype == object:
-        key = id(arr)
-        _KEPT[key] = (weakref.ref(arr, lambda _, kept=_KEPT: kept.pop(key, None)),
-                      _integer_rows(arr) if rows is None else rows)
-    return arr
-
-
-def _rows(arr: np.ndarray) -> _Rows:
-    """The stack of an exact array: the rows kept for it, else its integer rows."""
-    kept = _KEPT.get(id(arr))
-    return kept[1] if kept is not None and kept[0]() is arr else _integer_rows(arr)
 
 
 def _product(a, b):
@@ -412,8 +384,8 @@ class _Rows:
     sum of rows (``_combination``) or a product with H (``times``) takes one lcm,
     one integer sum and one gcd per row, where a ``Fraction`` array takes one gcd
     per entry.  ``shape``, ``ndim`` and ``dtype`` are the array's.  ``A`` and an
-    array ``s`` are frozen: a trace's vectors keep their rows (``_with_rows``),
-    which must stay the rows of those vectors.
+    array ``s`` are frozen: a trace keeps its stacks (``CGTrace._stacks``), which
+    must stay the rows of its vectors.
     """
 
     dtype = np.dtype(object)
@@ -429,10 +401,11 @@ class _Rows:
 
     @staticmethod
     def stacked(vectors, n: int) -> "_Rows":
-        """The vectors as the rows of one stack of width n."""
+        """The vectors as the rows of one stack of width n, each row's sign in its
+        integer row, as ``_integer_rows`` reads the row's entries."""
         A, s = np.empty((len(vectors), n), dtype=object), np.empty(len(vectors), dtype=object)
         for i, v in enumerate(vectors):
-            A[i], s[i] = v.A, v.s
+            A[i], s[i] = (v.A, v.s) if v.s.numerator >= 0 else (-v.A, -v.s)
         return _Rows(A, s)
 
     shape = property(lambda self: self.A.shape)
@@ -529,13 +502,12 @@ def _padded(R, rows, total: int, like):
 
 def _stack(vectors, backend: Backend):
     """The vectors as the rows of one stack, the operand of the row rules: an
-    array under float64, and ``_Rows`` under rationals, of an array (a vector
-    gives a vector) or of a nonempty sequence of vectors, each read by ``_rows``."""
+    array under float64, and under rationals a stack as it is, else the integer
+    rows of an array (a vector gives a vector) or of a nonempty sequence of
+    vectors, read in one ``_integer_rows`` call."""
     if not backend.exact:
         return np.asarray(vectors)
-    if isinstance(vectors, (_Rows, np.ndarray)):
-        return vectors if isinstance(vectors, _Rows) else _rows(vectors)
-    return _Rows.stacked([_rows(v) for v in vectors], len(vectors[0]))
+    return vectors if isinstance(vectors, _Rows) else _integer_rows(np.asarray(vectors))
 
 
 def _symmetric_table(S, R) -> np.ndarray:
@@ -550,12 +522,6 @@ def _symmetric_table(S, R) -> np.ndarray:
     upper = np.triu_indices(len(S), 1)
     F[upper] = F.T[upper]
     return F
-
-
-def _recorded(v) -> np.ndarray:
-    """The frozen array that a trace record holds of a vector of ``run_cg``: under
-    rationals its canonical ``Fraction`` array, with its rows kept (``_with_rows``)."""
-    return _with_rows(_freeze(_fractions(v)), v)
 
 
 def _row_dots(A, B) -> np.ndarray:
@@ -711,7 +677,8 @@ def _eliminate(M: np.ndarray, floor: Scalar) -> tuple[np.ndarray, list, int]:
     if exact:
         # From step t on the trailing block of W is prev * den times the Schur
         # complement, prev being the integer pivot of step t - 1 (1 at t = 0).
-        W, den = _integerized(M)
+        v = _integer_rows(M.ravel())  # one row, so one denominator for all of M
+        W, den = (v.A * v.s.numerator).reshape(M.shape), v.s.denominator
     else:
         W = np.array(M, dtype=np.float64)
     prev, pivots = 1, []

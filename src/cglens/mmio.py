@@ -35,7 +35,6 @@ from .linalg import (
     Backend,
     F64,
     LinalgError,
-    _with_rows,
     scalar_token,
     sym_matrix,
     vector,
@@ -359,7 +358,7 @@ def load_trace(path) -> CGTrace:
         if backend.exact and _holds_float(raw_records):
             data = _read_json(path, backend)
             raw_records = data["records"]
-        read = {"index": lambda k: _typed(k, int, "k"), "vector": lambda v: _with_rows(vector(v, backend)),
+        read = {"index": lambda k: _typed(k, int, "k"), "vector": lambda v: vector(v, backend),
                 "scalar": backend.scalar}
         records = tuple(
             IterateRecord(**{field: None if (value := rec.get(key)) is None else read[kind](value)

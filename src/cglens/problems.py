@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import F64, Backend, LinalgError, _integerized, _rationalized, sym_matrix, vector
+from .linalg import F64, Backend, LinalgError, _integer_rows, _rationalized, sym_matrix, vector
 from .quadratic import QuadraticProblem
 
 _MASK = (1 << 64) - 1
@@ -90,8 +90,9 @@ def _reflect(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     and likewise on the right, with one Fraction per entry at the end.
     """
     if M.dtype == object:
-        N, den = _integerized(M)
-        v = _integerized(v)[0]
+        m = _integer_rows(M.ravel())  # one row, so one denominator for all of M
+        N, den = (m.A * m.s.numerator).reshape(M.shape), m.s.denominator
+        v = _integer_rows(v).A
         vv = np.dot(v, v)
         N = vv * N - 2 * np.outer(v, np.dot(v, N))
         N = vv * N - 2 * np.outer(np.dot(N, v), v)

@@ -288,8 +288,8 @@ def check_termination_bound(
 ) -> CheckResult:
     """Finite termination: a zero gradient within n steps (n + F64_EXTRA_STEPS in float64).
 
-    measured counts the excess over the bound, plus 1 if the run ended
-    without the gradient converging at all (max_iter or breakdown).
+    measured counts the excess over the bound, plus 1 unless the trace shows the
+    convergence that its label claims (``CGTrace.converged``).
     """
     excess = max(0, trace.r - _step_budget(P))
     measured = BACKENDS[trace.scalar_backend].scalar(excess + (0 if trace.converged else 1))

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cglens import (
     F64,
@@ -23,10 +25,11 @@ from cglens import (
     run_full_suite,
     vector,
 )
-from cglens.linalg import DimensionMismatch, _fractions, _rows, _Rows, norm_sq, sym_matrix
+from cglens.linalg import DimensionMismatch, _fractions, _Rows, norm_sq, sym_matrix
 from cglens.mmio import save_trace
 from cglens.quadratic import QuadraticProblem, evaluate
 from cglens.engine import (
+    DIRECTION_MODES,
     BreakdownError,
     CGTrace,
     SCALING_MODES,
@@ -326,6 +329,37 @@ class TestReferenceRecurrences:
         self._assert_same(trace, _reference_cg(P, direction, _ZeroFromStepOne()))
 
 
+def _same_stacks(handed, read):
+    """Each exact stack of one trace has the integer rows A and scales s of the other's."""
+    for a, b in zip(handed, read, strict=True):
+        assert a is not b and a.shape == b.shape
+        assert a.A.tolist() == b.A.tolist() and a.s.tolist() == b.s.tolist()
+
+
+class TestHandedStacks:
+    """``run_cg`` hands its exact rows to the trace it returns; any other trace, such as
+    a ``dataclasses.replace`` of it, reads them off its own vectors, to the same stacks."""
+
+    @given(n=st.integers(2, 7), seed=st.integers(0, 99), direction=st.sampled_from(DIRECTION_MODES),
+           scaling=st.sampled_from(["cg_standard", "unit"]), max_iter=st.sampled_from([None, 0, 1, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_handed_rows_are_the_rows_read_back(self, n, seed, direction, scaling, max_iter):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=n, condition=12, seed=seed), RATIONAL)
+        trace = run_cg(P, max_iter=max_iter, direction_mode=direction, scaling=DirectionScaling(scaling))
+        read = dataclasses.replace(trace)
+        _same_stacks(trace._stacks, read._stacks)
+        measured = [[c.measured for c in run_full_suite(P, trace=t).checks] for t in (trace, read)]
+        assert measured[0] == measured[1]
+
+    @pytest.mark.parametrize("direction", ["recursive", "gradient_sum"])
+    def test_a_breakdown_trace_hands_a_direction_per_step(self, direction):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=7, condition=9, seed=4), RATIONAL)
+        trace = run_cg(P, direction_mode=direction, scaling=_ZeroFromStepOne())
+        assert (trace.r, trace.termination_reason) == (1, "breakdown")
+        assert [len(stack) for stack in trace._stacks] == [2, 2, 1]
+        _same_stacks(trace._stacks, dataclasses.replace(trace)._stacks)
+
+
 class TestTraceContainer:
     def test_records_must_be_consecutive(self):
         g = vector([1, 1], F64)
@@ -443,12 +477,11 @@ class TestTraceContainer:
         steps = trace.records[: trace.r]
         expected = ([rec.x_k for rec in trace.records], trace.gradients(), [rec.p_k for rec in steps])
         for stack, vectors in zip(trace._stacks, expected):
-            # A float64 stack is a frozen array, and an exact one frozen integer rows
-            # (_Rows), as are the rows each recorded vector keeps.
+            # A float64 stack is a frozen array, and an exact one frozen integer rows (_Rows).
             assert isinstance(stack, _Rows) == backend.exact
             array = _fractions(stack)
             assert array.shape == (len(vectors), 8) and array.dtype == P.x0.dtype
-            frozen = [stack.A, stack.s, *(_rows(v).A for v in vectors)] if backend.exact else [stack]
+            frozen = [stack.A, stack.s] if backend.exact else [stack]
             assert not any(a.flags.writeable for a in frozen)
             assert [list(row) for row in array] == [list(v) for v in vectors]
         assert trace._stacks is trace._stacks  # formed once

@@ -46,7 +46,6 @@ from cglens.linalg import (
     _integer_rows,
     _orthogonalized,
     _product,
-    _recorded,
     _row_dots,
     _row_residuals,
     _running_sums,
@@ -416,7 +415,7 @@ class TestPrimitiveRows:
         _assert_stands_for(va + t * vb, a + t * b)
         for x, y in ((va, vb), (va, va)):
             got = _product(x, y)
-            assert type(got) is Fraction and got == np.dot(_recorded(x), _recorded(y))
+            assert type(got) is Fraction and got == np.dot(_fractions(x), _fractions(y))
         _assert_stands_for(vb.times(_integer_rows(M)), np.dot(M, b))
         assert _product(_integer_rows(M), vb).tolist() == np.dot(M, b).tolist()
 
@@ -435,14 +434,6 @@ class TestPrimitiveRows:
     def test_float64_vectors_are_their_own_working_form(self):
         v = vector([0.5, -1.25], F64)
         assert _working(v) is v
-
-    def test_a_recorded_vector_keeps_its_rows(self):
-        v = _working(vector(["6/7", "-4/21", "10/3"], RATIONAL))
-        recorded = _recorded(v)
-        assert not recorded.flags.writeable and _stack(recorded, RATIONAL) is v
-        copy = recorded.copy()  # another array with the same entries is read off them
-        assert _stack(copy, RATIONAL) is not v
-        _assert_stands_for(_stack(copy, RATIONAL), recorded)
 
 
 @st.composite
@@ -1108,7 +1099,7 @@ def _bareiss_leading_solves(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
     """The exact leading solves as the fraction-free elimination gave them
     before the nonzero-only factor: Bareiss on A's integer numerators, one
     forward substitution and the m back substitutions at once."""
-    W, den = cglens.linalg._integerized(A)
+    W, den = _integer_rows(A)._over_one_denominator
     prev, m = 1, len(A)
     for t in range(len(A)):
         piv = Fraction(W[t, t], prev * den)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import collections
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -113,6 +114,31 @@ class TestStepBudget:
         trace = run_cg(P, tol=0.0)
         assert (trace.r, trace.termination_reason) == (_step_budget(P), "max_iter")
         assert check_termination_bound(P, trace).measured == 1.0
+
+
+class TestClaimedConvergence:
+    """``termination_bound`` counts a convergence only where the trace shows it:
+    ``gradient_zero`` with a final grad_norm_sq of exactly 0, and ``tolerance_met``
+    under float64 alone, whose tol is not recorded."""
+
+    @pytest.mark.parametrize("backend", [F64, RATIONAL], ids=["f64", "rational"])
+    @pytest.mark.parametrize("reason", ["gradient_zero", "tolerance_met"])
+    def test_a_truncated_trace_shows_no_convergence(self, backend, reason, tmp_path):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=8, condition=20, seed=3), backend)
+        trace = run_cg(P)
+        assert trace.r == (6 if backend.exact else 8) and trace.records[3].grad_norm_sq > 1
+        # Records 0..3, the last made terminal, under a label that claims convergence.
+        last = dataclasses.replace(trace.records[3], p_k=None, theta_k=None, c_k=None)
+        cut = dataclasses.replace(trace, records=(*trace.records[:3], last), termination_index=3,
+                                  termination_reason=reason)
+        save_trace(cut, tmp_path / "T.json")
+        stands = reason == "tolerance_met" and not backend.exact
+        for claimed in (cut, load_trace(tmp_path / "T.json")):
+            assert claimed.converged == stands
+            report = run_full_suite(P, trace=claimed)
+            assert [c.name for c in report.checks if not c.passed] == (
+                [] if stands else ["termination_bound"])
+            assert report.checks[-1].measured == (backend.zero if stands else backend.one)
 
 
 class TestExactSuite:
@@ -775,39 +801,48 @@ def _count_integerizations(monkeypatch) -> list:
 
 
 def _integerizations_of(calls, trace) -> dict:
-    """For each of G, X and P: how many calls read one of its vectors (the array
-    itself) or the whole stack of them (by value)."""
-    stacks = {"G": trace.gradients(), "X": [rec.x_k for rec in trace.records],
-              "P": [rec.p_k for rec in trace.records[:-1]]}
+    """For each of G and P: how many calls read one of its vectors (the array itself)
+    or the whole stack of them (by value); for X, how many read the whole stack, and
+    ``x_k`` the calls that read each x_k."""
+    xs = [rec.x_k for rec in trace.records]
+    stacks = {"G": trace.gradients(), "X": xs, "P": [rec.p_k for rec in trace.records[:-1]]}
     counts = {}
     for name, vectors in stacks.items():
         whole = np.asarray(vectors)
-        counts[name] = sum(any(c is v for v in vectors)
+        counts[name] = sum((name != "X" and any(c is v for v in vectors))
                            or (c.shape == whole.shape and (c == whole).all()) for c in calls)
+    counts["x_k"] = [sum(c is x for c in calls) for x in xs]
     return counts
 
 
+def _suite_reads(r: int) -> dict:
+    """What an exact suite reads anew of a trace with r >= 1 steps: x_0 twice, in the
+    oracle's provenance gate and in its sweep, and x_r once, in the gate."""
+    return {"G": 0, "X": 0, "P": 0, "x_k": [2] + [0] * (r - 1) + [1]}
+
+
 class TestSharedTables:
-    """An exact suite reads the rows that a trace's vectors were recorded or
-    loaded with, and each check called alone builds what it needs."""
+    """An exact suite reads the stacks that run_cg handed to its trace, or that a
+    trace read off its own vectors, and each check called alone builds what it needs."""
 
     def test_suite_integerizes_no_recorded_vector(self, monkeypatch):
         P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=20, seed=3), RATIONAL)
         trace = run_cg(P)
         calls = _count_integerizations(monkeypatch)
         assert run_full_suite(P, trace=trace).overall
-        assert _integerizations_of(calls, trace) == {"G": 0, "X": 0, "P": 0}
+        assert _integerizations_of(calls, trace) == _suite_reads(trace.r)
 
     def test_a_loaded_vector_is_integerized_once(self, monkeypatch, tmp_path):
         P = generate_problem(ProblemSpec(kind="rand_spd", n=10, condition=20, seed=3), RATIONAL)
         save_trace(run_cg(P), tmp_path / "T.json")
         calls = _count_integerizations(monkeypatch)
         trace = load_trace(tmp_path / "T.json")
-        vectors = [v for rec in trace.records for v in (rec.x_k, rec.g_k, rec.p_k) if v is not None]
-        assert [sum(c is v for c in calls) for v in vectors] == [1] * len(vectors)
+        steps = trace.records[: trace.r]
+        vectors = [rec.x_k for rec in trace.records] + trace.gradients() + [rec.p_k for rec in steps]
+        assert len(calls) == 1 and calls[0].tolist() == np.asarray(vectors).tolist()
         calls.clear()
         assert run_full_suite(P, trace=trace).overall
-        assert _integerizations_of(calls, trace) == {"G": 0, "X": 0, "P": 0}
+        assert _integerizations_of(calls, trace) == _suite_reads(trace.r)
 
     @pytest.mark.parametrize("field", ["x_k", "g_k", "p_k"])
     def test_a_replaced_vector_is_measured_as_itself(self, field, tmp_path):
