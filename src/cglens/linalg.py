@@ -63,9 +63,10 @@ class AsymmetricMatrixError(LinalgError):
 # optional sign, then p/q or digits with an optional fraction and exponent,
 # with whitespace around.  |exponent| <= 4300, Python's int-string digit limit,
 # is checked before any integer is built: Fraction("1e999999999") builds 10**999999999.
-# So is every run of digits, so that a token's fate does not hang on the
-# interpreter's limit (PYTHONINTMAXSTRDIGITS=0 lifts it).
-_TOKEN = re.compile(r"\s*[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?0*(\d+))?)\s*", re.ASCII)
+# So is every run of digits, so that a token's fate does not hang on the interpreter's
+# limit (PYTHONINTMAXSTRDIGITS=0 lifts it).  No digit run matches two ways: refusal is linear.
+_TOKEN = re.compile(r"\s*[+-]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?0*([1-9]\d*|0))?)\s*",
+                    re.ASCII)
 EXPONENT_CAP = 4300
 _LONG_DIGIT_RUN = re.compile(r"\d{%d}" % (EXPONENT_CAP + 1), re.ASCII)
 
@@ -100,11 +101,12 @@ class Backend:
             if isinstance(value, str):
                 match = _TOKEN.fullmatch(value)
                 exponent = match and match[1]
-                if (not match or _LONG_DIGIT_RUN.search(value)
+                if (not match or len(value) > EXPONENT_CAP and _LONG_DIGIT_RUN.search(value)
                         or exponent and (len(exponent) > 4 or int(exponent) > EXPONENT_CAP)):
                     raise ValueError("not a numeric token")
-                if self.exact:
-                    return Fraction(value)
+                if self.exact:  # p/q as two ints: the grammar has checked both runs
+                    p, slash, q = value.partition("/")
+                    return Fraction(int(p), int(q)) if slash else Fraction(value)
                 # float() rounds as float(Fraction()) does, except for the sign of
                 # a zero ("-0" is +0.0) and overflow ("1e400" is an error).
                 x = 0.0 if "/" in value else float(value)
@@ -246,29 +248,44 @@ def _float_rows(rows, n: int) -> np.ndarray | None:
     return arr.astype(np.float64, copy=isinstance(rows, np.ndarray))  # never the caller's array
 
 
-def _check_symmetric(M: np.ndarray) -> None:
-    """Raise ``AsymmetricMatrixError`` naming the first entry of the square M,
-    in row-major order over the lower triangle, that differs from its
-    transpose partner (exact comparison in both backends)."""
-    bad = np.argwhere(np.tril(M != M.T, -1))
+def _check_symmetric(M: np.ndarray, shown: np.ndarray | None = None) -> None:
+    """Raise ``AsymmetricMatrixError`` naming the first entry of the square M, in
+    row-major order over the strict lower triangle, that differs from its transpose
+    partner (exact comparison), with the values ``shown`` (by default M) holds there."""
+    if M.dtype == object:  # a Python call per comparison: the strict lower triangle alone
+        i, j = np.tril_indices(len(M), -1)
+        bad = np.column_stack((i, j))[M[i, j] != M[j, i]]
+    else:
+        bad = np.argwhere(np.tril(M != M.T, -1))
     if len(bad):
-        i, j = bad[0]
+        (i, j), shown = bad[0], M if shown is None else shown
         raise AsymmetricMatrixError(
-            f"entry ({i}, {j}) = {M[i, j]} does not match ({j}, {i}) = {M[j, i]}"
+            f"entry ({i}, {j}) = {shown[i, j]} does not match ({j}, {i}) = {shown[j, i]}"
         )
+
+
+def _integer_matrix(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(N, den)``, M = N / den, den the LCM of the denominators of M's Fractions or ints."""
+    ratios = [x.as_integer_ratio() for x in M.flat]
+    dens = {q for _, q in ratios}
+    den = math.lcm(*dens)
+    N = [p for p, _ in ratios] if len(dens) == 1 else [p * (den // q) for p, q in ratios]
+    return np.array(N, dtype=object).reshape(M.shape), den
 
 
 def _integer_rows(rows: np.ndarray) -> _Rows:
     """A 1-D or 2-D array of Fractions or ints as a vector or a stack (``_Rows``): each
     row's numerators over the LCM of its denominators, made primitive."""
-    vectors = []
-    for row in np.atleast_2d(rows):
-        ratios = [x.as_integer_ratio() for x in row]
-        dens = {q for _, q in ratios}
-        L = math.lcm(*dens)
-        N = [p for p, _ in ratios] if len(dens) == 1 else [p * (L // q) for p, q in ratios]
-        vectors.append(_Rows.of(np.array(N, dtype=object), L))
+    vectors = [_Rows.of(*_integer_matrix(row)) for row in np.atleast_2d(rows)]
     return vectors[0] if rows.ndim == 1 else _Rows.stacked(vectors, rows.shape[1])
+
+
+def _matrix_rows(M: np.ndarray) -> _Rows:
+    """``_integer_rows(M)`` from one ``_integer_matrix(M)``, kept as ``_over_one_denominator``."""
+    N, den = _integer_matrix(M)
+    rows = _Rows.stacked([_Rows.of(row, den) for row in N], len(M))
+    rows.__dict__["_over_one_denominator"] = N, den
+    return rows
 
 
 # Fraction(p, q) entry by entry, one gcd each; a Fraction for scalar input.
@@ -667,36 +684,40 @@ def _eliminate(M: np.ndarray, floor: Scalar) -> tuple[np.ndarray, list, int]:
     of W, the multipliers below the diagonal and the pivots on it.  The
     factor's leading k-by-k block is the factor of M[:k, :k].
 
-    Under rationals the elimination is fraction-free (Bareiss, 1968): it
-    runs on the integer numerators of M over one denominator, and divides
-    each update exactly by the previous integer pivot, so no gcd is taken
+    Under rationals the elimination is fraction-free (Bareiss, 1968): it runs
+    on the integer numerators of M over one denominator (a stack M's own), and
+    divides each update exactly by the previous integer pivot, so no gcd is taken
     inside the loop.  Each pivot and multiplier becomes a ``Fraction``
     once, equal to the one the Schur complements would give.
     """
     exact = backend_of(M).exact
     if exact:
-        # From step t on the trailing block of W is prev * den times the Schur
-        # complement, prev being the integer pivot of step t - 1 (1 at t = 0).
-        v = _integer_rows(M.ravel())  # one row, so one denominator for all of M
-        W, den = (v.A * v.s.numerator).reshape(M.shape), v.s.denominator
+        # The lower triangle alone, as rows R: from step t on row i > t is prev * den times
+        # the Schur complement's, prev being the integer pivot of step t - 1 (1 at t = 0).
+        N, den = M._over_one_denominator if isinstance(M, _Rows) else _integer_matrix(M)
+        W, R = np.array(N), [list(row[: i + 1]) for i, row in enumerate(N)]
     else:
         W = np.array(M, dtype=np.float64)
-    prev, pivots = 1, []
+    prev, pivots, m = 1, [], len(M)
     for t in range(len(M)):
-        piv = Fraction(W[t, t], prev * den) if exact else W[t, t]
+        piv = Fraction(R[t][t], prev * den) if exact else W[t, t]
         pivots.append(piv)
         if not piv > floor:
-            return W, pivots, t
-        col = W[t + 1 :, t]
+            m = t
+            break
         if exact:
-            W[t + 1 :, t + 1 :] = (W[t, t] * W[t + 1 :, t + 1 :] - np.outer(col, col)) // prev
-            prev = W[t, t]
-            W[t + 1 :, t] = [Fraction(x, prev) for x in col]
-            W[t, t] = piv
+            p, col = R[t][t], [row[t] for row in R[t + 1 :]]
+            for row in R[t + 1 :]:
+                a, row[t] = row[t], Fraction(row[t], p)
+                row[t + 1 :] = [(p * x - a * c) // prev for x, c in zip(row[t + 1 :], col)]
+            prev, R[t][t] = p, piv
         else:
+            col = W[t + 1 :, t]
             W[t + 1 :, t + 1 :] -= np.outer(col / piv, col)
             W[t + 1 :, t] = col / piv
-    return W, pivots, len(M)
+    for i, row in enumerate(R if exact else ()):
+        W[i, : i + 1] = row
+    return W, pivots, m
 
 
 def _sparse_ldl(A: np.ndarray) -> tuple[np.ndarray, list, int]:
@@ -835,8 +856,8 @@ class SpdCheck:
     result, not an error: ``pivots`` run up to and including the first
     failing one.
 
-    Under rationals the factor is ``_eliminate``'s exact elimination; under
-    float64 it is one LAPACK Cholesky factor (``_cholesky_pivots``).  Both
+    Under rationals the factor is ``_eliminate``'s exact elimination (M may be
+    ``_matrix_rows(M)``); under float64 it is one LAPACK Cholesky factor.  Both
     keep multipliers below the diagonal and pivots on it, the layout of
     ``_leading_combinations``.
     """

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import F64, Backend, LinalgError, _integer_rows, _rationalized, sym_matrix, vector
+from .linalg import F64, Backend, LinalgError, _freeze, _rationalized, sym_matrix, vector
 from .quadratic import QuadraticProblem
 
 _MASK = (1 << 64) - 1
@@ -80,33 +80,25 @@ class ProblemSpec:
             raise LinalgError(f"{self.kind} takes no condition number or seed (rand_spd only)")
 
 
-def _reflect(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _reflect(M, v: np.ndarray):
     """Apply the reflection R = I - 2 v v^T / (v^T v) on both sides of a matrix.
 
     v^T M and M v accumulate rows and columns left to right, so float64
     rounds the same way on every machine, as no BLAS product promises.
-    Rationals run on the integer numerators N of M = N / den and of v (R
-    does not change when v is scaled): R M = (vv N - 2 v (v^T N)) / (vv den),
-    and likewise on the right, with one Fraction per entry at the end.
+    Rationals run on integers alone: M is ``(N, den)``, its numerators over
+    one denominator, and v holds ints, so R M = (vv N - 2 v (v^T N)) / (vv den),
+    and likewise on the right.
     """
-    if M.dtype == object:
-        m = _integer_rows(M.ravel())  # one row, so one denominator for all of M
-        N, den = (m.A * m.s.numerator).reshape(M.shape), m.s.denominator
-        v = _integer_rows(v).A
+    if isinstance(M, tuple):
+        N, den = M
         vv = np.dot(v, v)
         N = vv * N - 2 * np.outer(v, np.dot(v, N))
         N = vv * N - 2 * np.outer(np.dot(N, v), v)
-        return _rationalized(N, vv * vv * den)
+        return N, vv * vv * den
     vv = sum(x * x for x in v)
     # R M = M - (2/v^T v) v (v^T M); then (R M) R = R M - (2/v^T v) (R M v) v^T.
-    vM = 0
-    for i in range(len(v)):
-        vM = vM + v[i] * M[i]
-    M = M - np.outer(2 * v, vM) / vv
-    Mv = 0
-    for j in range(len(v)):
-        Mv = Mv + M[:, j] * v[j]
-    return M - np.outer(2 * Mv, v) / vv
+    M = M - np.outer(2 * v, sum(v[i] * M[i] for i in range(len(v)))) / vv
+    return M - np.outer(2 * sum(M[:, j] * v[j] for j in range(len(v))), v) / vv
 
 
 def _spectrum(spec: ProblemSpec, rng: SplitMix64, backend: Backend) -> list:
@@ -116,19 +108,27 @@ def _spectrum(spec: ProblemSpec, rng: SplitMix64, backend: Backend) -> list:
     top = max(1, whole(float(spec.condition)))
     values = [1, top] + [whole(math.exp(rng.unit_float() * math.log(top))) if top > 1 else 1
                          for _ in range(spec.n - 2)]
-    return [backend.scalar(v) for v in values[: spec.n]]
+    return values[: spec.n]
 
 
-def _rand_spd_matrix(spec: ProblemSpec, backend: Backend) -> np.ndarray:
+def _banded(n: int, backend: Backend, diagonal, off_diagonal=0):
+    """n-by-n, ``diagonal`` on the diagonal and ``off_diagonal`` beside it; rational: ``(N, 1)``."""
+    N = np.zeros((n, n), dtype=object if backend.exact else np.float64)
+    np.fill_diagonal(N, diagonal)
+    N[range(n - 1), range(1, n)] = N[range(1, n), range(n - 1)] = off_diagonal
+    return (N, 1) if backend.exact else N
+
+
+def _rand_spd_matrix(spec: ProblemSpec, backend: Backend):
+    """Q diag(lambda) Q^T: a float64 array, or under rationals ``(N, den)``."""
     rng = SplitMix64(spec.seed)
     n = spec.n
-    M = backend.empty((n, n))
-    np.fill_diagonal(M, _spectrum(spec, rng, backend))
+    M = _banded(n, backend, _spectrum(spec, rng, backend))
     for _ in range(3):
-        v = [backend.scalar(rng.int_between(-4, 4)) for _ in range(n)]
-        if all(x == 0 for x in v):
-            v[rng.int_between(0, n - 1)] = backend.one
-        M = _reflect(M, vector(v, backend))
+        v = [rng.int_between(-4, 4) for _ in range(n)]
+        if not any(v):
+            v[rng.int_between(0, n - 1)] = 1
+        M = _reflect(M, np.array(v, dtype=object) if backend.exact else vector(v))
     if not backend.exact:
         # Symmetrize bitwise; rounding makes the two triangles drift.
         M = (M + M.T) / 2.0
@@ -149,19 +149,15 @@ def generate_problem(spec: ProblemSpec, backend: Backend = F64) -> QuadraticProb
             H = _rand_spd_matrix(spec, backend)
             label = f"rand_spd-n{n}-cond{spec.condition:g}-seed{spec.seed}"
         else:
-            H = backend.empty((n, n))
-            label = f"{spec.kind}-n{n}"
-            if spec.kind == "diag":
-                np.fill_diagonal(H, [backend.scalar(i + 1) for i in range(n)])
-            else:
-                i = np.arange(n - 1)
-                np.fill_diagonal(H, backend.scalar(2))
-                H[i, i + 1] = H[i + 1, i] = backend.scalar(-1)
-        # c = -H 1, each row summed left to right (np.sum would sum pairwise).
-        total = 0
-        for j in range(n):
-            total = total + H[:, j]
-    if not backend.exact and not (np.isfinite(H).all() and np.isfinite(total).all()):
-        raise LinalgError(f"{label} overflows the float64 range")
-    return QuadraticProblem(H=sym_matrix(H, backend), c=vector(-total, backend),
-                            x0=vector([0] * n, backend), label=f"{label}-{backend.name}")
+            diagonal, beside = (range(1, n + 1), 0) if spec.kind == "diag" else (2, -1)
+            H, label = _banded(n, backend, diagonal, beside), f"{spec.kind}-n{n}"
+        if backend.exact:
+            # H's Fractions are made once, and c = -H 1 is summed on the integers.
+            N, den = H
+            H, c = _freeze(_rationalized(N, den)), _freeze(_rationalized(-N.sum(axis=1), den))
+        else:
+            total = sum(H.T)  # c = -H 1, each row summed left to right (np.sum is pairwise)
+            if not (np.isfinite(H).all() and np.isfinite(total).all()):
+                raise LinalgError(f"{label} overflows the float64 range")
+            H, c = sym_matrix(H), vector(-total)
+    return QuadraticProblem(H=H, c=c, x0=vector([0] * n, backend), label=f"{label}-{backend.name}")

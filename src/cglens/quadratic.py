@@ -9,7 +9,6 @@ spans, subspace minimizers) is anchored at x0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .linalg import (
     SpdCheck,
     _Rows,
     _check_symmetric,
-    _integer_rows,
+    _matrix_rows,
     _product,
     backend_of,
     cholesky_spd_check,
@@ -31,13 +30,15 @@ from .linalg import (
 @dataclass(frozen=True, eq=False)
 class QuadraticProblem:
     """Immutable problem data (H, c, x0) with H validated symmetric and SPD on
-    construction: an asymmetric H raises ``AsymmetricMatrixError``."""
+    construction: an asymmetric H raises ``AsymmetricMatrixError``.  A rational H is
+    read as integers once (``_H_rows``), for both tests and every exact product."""
 
     H: np.ndarray
     c: np.ndarray
     x0: np.ndarray
     label: str | None = None
     spd: SpdCheck = field(init=False, repr=False)
+    _H_rows: _Rows = field(init=False, repr=False)  # set under rationals alone
 
     def __post_init__(self):
         n = self.H.shape[0]
@@ -50,8 +51,11 @@ class QuadraticProblem:
         backend = backend_of(self.H)
         if backend_of(self.c) is not backend or backend_of(self.x0) is not backend:
             raise LinalgError("H, c, and x0 must live on the same backend")
-        _check_symmetric(self.H)  # the SPD test below reads one triangle
-        check = cholesky_spd_check(self.H)
+        H = _matrix_rows(self.H) if backend.exact else self.H
+        if backend.exact:
+            object.__setattr__(self, "_H_rows", H)
+        _check_symmetric(H._over_one_denominator[0] if backend.exact else H, shown=self.H)
+        check = cholesky_spd_check(H)
         if not check.is_spd:
             raise LinalgError(
                 f"H is not positive definite: pivot {check.failed_pivot + 1} "
@@ -66,12 +70,6 @@ class QuadraticProblem:
     @property
     def backend(self) -> Backend:
         return backend_of(self.H)
-
-    @cached_property
-    def _H_rows(self):
-        """H as a stack (``linalg._integer_rows``), its primitive integer rows and their
-        scales: formed at the first exact product with H and kept with the problem."""
-        return _integer_rows(self.H)
 
 
 def _times_H(P: QuadraticProblem, B) -> np.ndarray:

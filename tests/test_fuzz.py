@@ -6,17 +6,21 @@ from __future__ import annotations
 
 import copy
 import json
+import re
+import time
 import warnings
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cglens import (
     F64, RATIONAL, LinalgError, ProblemSpec, generate_problem, load_trace, run_cg, run_full_suite,
 )
 from cglens import cli
+from cglens.linalg import _TOKEN, EXPONENT_CAP
 from cglens.mmio import read_matrix_market, save_trace
 
 FUZZ = settings(
@@ -181,3 +185,92 @@ def test_rational_trace_nested_deep_in_a_record_raises_linalg_error(tmp_path):
     path.write_text(json.dumps(doc).replace('"theta": null', '"theta": ' + "[" * depth + "]" * depth))
     with pytest.raises(LinalgError):
         load_trace(path)
+
+
+# The token grammar as it was written before no digit run could be split two
+# ways, and its "p/q" branch alone, which a token with a "/" must match.
+_GRAMMAR = re.compile(r"\s*[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?0*(\d+))?)\s*", re.ASCII)
+_RATIO = re.compile(r"\s*[+-]?\d+/\d+\s*", re.ASCII)
+_OVER_CAP = re.compile(r"\d{%d}" % (EXPONENT_CAP + 1), re.ASCII)
+
+
+def _fraction_of(token: str) -> Fraction | None:
+    """What a token with a "/" meant before the rational backend read p and q as
+    ints: Fraction(token) after the grammar and the digit-run cap; None if refused."""
+    if not _RATIO.fullmatch(token) or _OVER_CAP.search(token):
+        return None
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _joined(*parts):
+    return st.builds(lambda *texts: "".join(texts), *parts)
+
+
+# Tokens the grammar accepts (a zero denominator included), then any mix of
+# those parts with a non-ASCII space, sign, digit or slash, a second sign or
+# slash, an empty run, or a run one digit over the cap.
+_cap_runs = st.sampled_from(["7" * EXPONENT_CAP, "0" * (EXPONENT_CAP - 1) + "3"])
+_runs = (st.text(alphabet="0123456789", min_size=1, max_size=14)
+         | st.integers(0, 10**20).map(lambda k: "000" + str(k)) | _cap_runs)
+_ascii_spaces = st.sampled_from(["", " ", "\t", "\n ", "\x0b\x0c\r"])
+_accepted = _joined(_ascii_spaces, st.sampled_from(["", "+", "-"]), _runs, st.just("/"), _runs,
+                    _ascii_spaces)
+_spaces = _ascii_spaces | st.sampled_from(["\u00a0", "\u2003"])
+_signs = st.sampled_from(["", "+", "-", "--", "+-", "\u2212"])
+_any_runs = (_runs | _cap_runs.map(lambda run: run + "1")
+             | st.sampled_from(["", "1_0", "\u0663", "\uff15", "1\u0663", "\u00b2", " 3"]))
+ratio_tokens = _accepted | _joined(_spaces, _signs, _any_runs,
+                                   st.sampled_from(["/", "//", "\uff0f", " /"]), _signs, _any_runs,
+                                   _spaces)
+
+
+@given(token=ratio_tokens)
+@example(token="7" * EXPONENT_CAP + "/" + "3" * EXPONENT_CAP)
+@example(token="7" * (EXPONENT_CAP + 1) + "/3")
+@example(token="1/" + "0" * EXPONENT_CAP)
+@example(token=" -007/010\n")
+@example(token="+0/0005")
+@example(token="\u0663/4")
+@FUZZ
+def test_a_ratio_token_reads_as_the_fraction_it_names(token):
+    expected = _fraction_of(token)
+    if expected is None:
+        for backend in (RATIONAL, F64):
+            with pytest.raises(LinalgError):
+                backend.scalar(token)
+        return
+    value = RATIONAL.scalar(token)
+    assert type(value) is Fraction and (value.numerator, value.denominator) == (
+        expected.numerator, expected.denominator)
+    try:
+        rounded = float(expected)
+    except OverflowError:
+        with pytest.raises(LinalgError):
+            F64.scalar(token)
+    else:
+        assert F64.scalar(token).hex() == rounded.hex()
+
+
+@given(text=st.text(alphabet="0123456789./eE+- \t x", max_size=12)
+       | st.builds(lambda run, tail: run + tail,
+                   st.sampled_from(["7" * 300, "0" * 299 + "1", "1e" + "0" * 300, "2.e-0" + "5" * 300]),
+                   st.sampled_from(["", "x", "//3", "/", ".5e", "e00", "0", "/2 ", ".1e+007"])))
+@FUZZ
+def test_the_token_grammar_accepts_what_it_always_accepted(text):
+    match, before = _TOKEN.fullmatch(text), _GRAMMAR.fullmatch(text)
+    assert (match is None) == (before is None)
+    assert match is None or match[1] == before[1]
+
+
+def test_a_long_refused_digit_run_costs_linear_time():
+    # A refused run of EXPONENT_CAP digits once took 0.3-0.6 s a token.
+    start = time.perf_counter()
+    for head in ("7" * EXPONENT_CAP, "1e" + "0" * EXPONENT_CAP, "1e0" + "5" * (EXPONENT_CAP - 1)):
+        for tail in ("x", "//3", "/-3", "..1"):
+            for backend in (RATIONAL, F64):
+                with pytest.raises(LinalgError):
+                    backend.scalar(head + tail)
+    assert time.perf_counter() - start < 0.5

@@ -98,6 +98,35 @@ class TestGeneratedProblems:
         assert reflections == [[0, 1], [-4, 3], [0, 2]]
         assert [[scalar_token(x) for x in row] for row in P.H] == expected
 
+    @pytest.mark.parametrize("n, condition, seed", [(2, 10, 4), (5, 1e3, 11), (9, 12.5, 3),
+                                                    (16, 1e4, 1)])
+    def test_rational_rand_spd_is_q_diag_q_transposed(self, monkeypatch, n, condition, seed):
+        # H = Q diag(lambda) Q^T with Q = R_3 R_2 R_1, formed again in sympy from the
+        # spectrum and reflection vectors the generator drew (n = 2, seed 4 draws v = 0).
+        sympy = pytest.importorskip("sympy")
+        drawn = []
+        original = cglens.problems._reflect
+
+        def recorded(M, v):
+            drawn.append((M, list(v)))
+            return original(M, v)
+
+        monkeypatch.setattr(cglens.problems, "_reflect", recorded)
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=n, condition=condition, seed=seed),
+                             RATIONAL)
+        (N, den), _ = drawn[0]
+        spectrum = list(N.diagonal())
+        assert den == 1 and (N == np.diag(spectrum)).all() and len(drawn) == 3
+        assert spectrum[:2] == [1, round(condition)][:n]
+        Q = sympy.eye(n)
+        for _, v in drawn:
+            v = sympy.Matrix(v)
+            Q = (sympy.eye(n) - 2 * v * v.T / v.dot(v)) * Q
+        expected = Q * sympy.diag(*spectrum) * Q.T
+        assert sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator)
+                                   for x in P.H.flat]) == expected
+        assert list(P.c) == [-sum(row) for row in P.H]
+
     def test_diag_matches_worked_problem(self):
         P = generate_problem(ProblemSpec(kind="diag", n=2), RATIONAL)
         assert [list(row) for row in P.H] == [[1, 0], [0, 2]]

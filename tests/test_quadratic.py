@@ -15,7 +15,8 @@ from cglens import (
     F64, RATIONAL, LinalgError, ProblemSpec, exact_minimizer, generate_problem, gradient,
     run_cg, vector,
 )
-from cglens.linalg import AsymmetricMatrixError, DimensionMismatch, sym_matrix
+from cglens.linalg import AsymmetricMatrixError, DimensionMismatch, cholesky_spd_check, sym_matrix
+from cglens.mmio import load_problem, save_problem
 from cglens.quadratic import QuadraticProblem, evaluate
 from cglens.verify import run_full_suite
 
@@ -28,31 +29,81 @@ def make_p1():
     )
 
 
-def _count_integerizations_of_H(monkeypatch, P) -> list:
-    """Record each ``_integer_rows`` call on H or on a view of it."""
+def _count_integerizations_of_H(monkeypatch, H) -> list:
+    """Record each ``_integer_matrix`` or ``_integer_rows`` call on H or on a view of it."""
     calls = []
-    original = cglens.linalg._integer_rows
+    for name in ("_integer_matrix", "_integer_rows"):
+        original = getattr(cglens.linalg, name)
 
-    def counted(rows):
-        if np.shares_memory(rows, P.H):
-            calls.append(rows.shape)
-        return original(rows)
+        def counted(rows, original=original, name=name):
+            if np.shares_memory(rows, H):
+                calls.append((name, rows.shape))
+            return original(rows)
 
-    monkeypatch.setattr(cglens.linalg, "_integer_rows", counted)
-    monkeypatch.setattr(cglens.quadratic, "_integer_rows", counted, raising=False)
+        monkeypatch.setattr(cglens.linalg, name, counted)
+        monkeypatch.setattr(cglens.quadratic, name, counted, raising=False)
+    return calls
+
+
+def _count_integer_ratios(monkeypatch) -> list:
+    """Count ``Fraction.as_integer_ratio`` calls, the one way a Fraction is read as integers."""
+    calls = [0]
+    original = Fraction.as_integer_ratio
+
+    def counted(x):
+        calls[0] += 1
+        return original(x)
+
+    monkeypatch.setattr(Fraction, "as_integer_ratio", counted)
     return calls
 
 
 class TestKeptNumerators:
-    """A rational problem integerizes H once, at its first exact product."""
+    """A rational problem integerizes H once, at construction."""
 
     @pytest.mark.parametrize("mode", ["recursive", "gradient_sum", "shortest_residuals"])
-    def test_solve_and_suite_integerize_H_at_most_once(self, monkeypatch, mode):
-        P = generate_problem(ProblemSpec(kind="rand_spd", n=14, condition=11, seed=7), RATIONAL)
-        calls = _count_integerizations_of_H(monkeypatch, P)
+    def test_construction_integerizes_H_once_and_the_solve_and_suite_never(self, monkeypatch,
+                                                                           mode):
+        G = generate_problem(ProblemSpec(kind="rand_spd", n=14, condition=11, seed=7), RATIONAL)
+        calls = _count_integerizations_of_H(monkeypatch, G.H)
+        P = QuadraticProblem(H=G.H, c=G.c, x0=G.x0)
+        assert calls == [("_integer_matrix", (14, 14))]
         report = run_full_suite(P, trace=run_cg(P, direction_mode=mode))
         assert report.overall and report.r >= 5
-        assert calls == [(14, 14)]
+        assert calls == [("_integer_matrix", (14, 14))]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 14])
+    def test_generation_reads_each_entry_of_H_once(self, monkeypatch, n):
+        calls = _count_integer_ratios(monkeypatch)
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=n, condition=11, seed=7), RATIONAL)
+        assert 0 < calls[0] <= n * n + 3 * n
+        assert list(exact_minimizer(P)) == [1] * n
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 14])
+    def test_a_loaded_problem_reads_each_entry_of_H_once_through_its_solve(self, monkeypatch,
+                                                                          tmp_path, n):
+        save_problem(generate_problem(ProblemSpec(kind="rand_spd", n=n, condition=11, seed=7),
+                                      RATIONAL), tmp_path / "P.json")
+        calls = _count_integer_ratios(monkeypatch)
+        trace = run_cg(load_problem(tmp_path / "P.json", RATIONAL))
+        assert 0 < calls[0] <= n * n + 3 * n
+        assert list(trace.records[-1].x_k) == [1] * n
+
+    @pytest.mark.parametrize("H", [
+        [["1/2", "-1/3", "1/5"], ["-1/3", "7/4", "2/9"], ["1/5", "2/9", "3"]],
+        [["5/2", "-1/3", "-1/4"], ["-1/3", "7/3", "-1/6"], ["-1/4", "-1/6", "2"]],
+        [["6", "-4"], ["-4", "10"]],  # a content of 2 in each row
+        [["1/4"]],
+    ])
+    def test_kept_rows_are_the_rows_of_H(self, H):
+        n = len(H)
+        P = QuadraticProblem(H=sym_matrix(H, RATIONAL), c=vector([0] * n, RATIONAL),
+                             x0=vector([0] * n, RATIONAL))
+        reference = cglens.linalg._integer_rows(P.H)
+        assert P._H_rows.A.tolist() == reference.A.tolist()
+        assert P._H_rows.s.tolist() == reference.s.tolist()
+        (N, den), (N_ref, den_ref) = P._H_rows._over_one_denominator, reference._over_one_denominator
+        assert N.tolist() == N_ref.tolist() and den == den_ref
 
     def test_float64_forms_no_numerators(self, monkeypatch):
         P = generate_problem(ProblemSpec(kind="rand_spd", n=14, condition=11, seed=7), F64)
@@ -104,6 +155,54 @@ class TestConstruction:
         H = np.array([vector([2, 1], backend), vector([0, 2], backend)])
         with pytest.raises(AsymmetricMatrixError, match=r"entry \(1, 0\) = 0"):
             QuadraticProblem(H=H, c=vector([0, 0], backend), x0=vector([0, 0], backend))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([["2", "1/3", "0"], ["1/3", "2", "1/5"], ["0", "1/4", "2"]],
+         "entry (2, 1) = 1/4 does not match (1, 2) = 1/5"),  # in the last row alone
+        ([["2", "1/3"], ["1/6", "2"]],
+         "entry (1, 0) = 1/6 does not match (0, 1) = 1/3"),  # in a denominator alone
+        ([["2", "5/3", "1"], ["-5/3", "2", "9"], ["2", "8", "2"]],
+         "entry (1, 0) = -5/3 does not match (0, 1) = 5/3"),  # the first of three
+    ])
+    def test_rational_asymmetry_names_the_first_differing_entry(self, rows, message):
+        n = len(rows)
+        H = np.array([vector(row, RATIONAL) for row in rows])
+        with pytest.raises(AsymmetricMatrixError) as err:
+            QuadraticProblem(H=H, c=vector([0] * n, RATIONAL), x0=vector([0] * n, RATIONAL))
+        assert str(err.value) == message
+        with pytest.raises(AsymmetricMatrixError) as err:
+            sym_matrix(rows, RATIONAL)
+        assert str(err.value) == message
+
+    # Pivots, rank, failing pivot and a solve on exact H, fixed before H was read
+    # as integers once per problem.
+    @pytest.mark.parametrize("rows, pivots, rank", [
+        ([["1/2", "-1/3", "1/5"], ["-1/3", "7/4", "2/9"], ["1/5", "2/9", "3"]],
+         ["1/2", "55/36", "35111/12375"], 3),
+        ([["5/4", "5/6", "25/12"], ["5/6", "10/9", "35/18"], ["25/12", "35/18", "145/36"]],
+         ["5/4", "5/9", "0"], 2),  # singular: B B^T for a B of rank 2
+        ([["1/2", "1/3", "1/4"], ["1/3", "2/9", "1/6"], ["1/4", "1/6", "5"]], ["1/2", "0"], 1),
+        ([["3/2", "1/2", "1"], ["1/2", "5/4", "-2/3"], ["1", "-2/3", "1/9"]],
+         ["3/2", "13/12", "-173/117"], 2),  # indefinite
+        ([["2/3", "1", "0"], ["1", "1/2", "-1/7"], ["0", "-1/7", "4"]], ["2/3", "-1"], 1),
+    ])
+    def test_the_rational_spd_test_keeps_its_pivots(self, rows, pivots, rank):
+        n = len(rows)
+        H, zero = sym_matrix(rows, RATIONAL), vector([0] * n, RATIONAL)
+        for check in (cholesky_spd_check(H),
+                      cholesky_spd_check(cglens.linalg._matrix_rows(H))):
+            assert list(check.pivots) == [Fraction(p) for p in pivots]
+            assert check.rank == rank and check.failed_pivot == (None if rank == n else rank)
+        if rank < n:
+            with pytest.raises(LinalgError) as err:
+                QuadraticProblem(H=H, c=zero, x0=zero)
+            assert str(err.value) == f"H is not positive definite: pivot {rank + 1} is {pivots[-1]}"
+            return
+        P = QuadraticProblem(H=H, c=zero, x0=zero)
+        assert list(P.spd.pivots) == [Fraction(p) for p in pivots] and P.spd.rank == rank
+        assert P.spd.failed_pivot is None
+        x = P.spd.solve(vector(["1", "-2/3", "5/7"], RATIONAL))
+        assert list(x) == [Fraction(476440, 245777), Fraction(-6336, 245777), Fraction(27225, 245777)]
 
     def test_backend_mixing_rejected(self):
         with pytest.raises(LinalgError):
