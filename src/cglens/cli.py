@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -104,14 +103,16 @@ def _problem_from_args(args) -> QuadraticProblem:
     return generate_problem(spec, backend)
 
 
-def _run_options(args) -> dict:
-    scaling = DirectionScaling("cg_standard" if args.scaling == "cg" else "unit")
-    return {
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "direction_mode": args.direction.replace("-", "_"),
-        "scaling": scaling,
-    }
+def _solved(args) -> tuple:
+    """The problem that the flags name and its ``run_cg`` trace under the run flags,
+    written to ``--trace`` where the command takes one."""
+    problem = _problem_from_args(args)
+    trace = run_cg(problem, tol=args.tol, max_iter=args.max_iter,
+                   direction_mode=args.direction.replace("-", "_"),
+                   scaling=DirectionScaling("cg_standard" if args.scaling == "cg" else "unit"))
+    if getattr(args, "trace", None):
+        save_trace(trace, args.trace)
+    return problem, trace
 
 
 def _tolerance_overrides() -> dict:
@@ -150,10 +151,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    problem = _problem_from_args(args)
-    trace = run_cg(problem, **_run_options(args))
-    if args.trace:
-        save_trace(trace, args.trace)
+    problem, trace = _solved(args)
     final = trace.records[-1]
     print(f"problem   {trace.problem_id}")
     print(f"r         {trace.r} ({trace.termination_reason})")
@@ -165,11 +163,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _problem_from_args(args)
-    opts = _run_options(args)
-    trace = run_cg(problem, **opts)
-    if args.trace:
-        save_trace(trace, args.trace)
+    problem, trace = _solved(args)
     report = run_full_suite(problem, trace=trace, tolerances=_tolerance_overrides())
     for check in report.checks:
         flag = "pass" if check.passed else "FAIL"
@@ -185,8 +179,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    problem = _problem_from_args(args)
-    trace = run_cg(problem, **_run_options(args))
+    problem, trace = _solved(args)
     solutions = []
     for k, sol in enumerate(trace_oracle(problem, trace), start=1):
         deviation = math.sqrt(_shown(norm_sq(trace.records[k].x_k - sol.point)))
@@ -205,17 +198,15 @@ def cmd_oracle(args) -> int:
 
 @_names_its_file
 def _save_oracle_report(path, trace, backend, solutions) -> None:
-    """Write the oracle's solutions as JSON, each number formatted before the file is opened."""
-    payload = {"problem_id": trace.problem_id, "backend": backend.name, "solutions": [{
+    """Write the oracle's solutions in the layout of P/T/R.json (``mmio.save_json``),
+    each number formatted before the file is opened."""
+    save_json({"problem_id": trace.problem_id, "backend": backend.name, "solutions": [{
         "k": k,
         "coordinates": vector_tokens(sol.coordinates, backend),
         "point": vector_tokens(sol.point, backend),
         "objective": vector_tokens([sol.objective_value], backend)[0],
         "deviation_from_trace": repr(deviation),
-    } for k, sol, deviation in solutions]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    } for k, sol, deviation in solutions]}, path)
 
 
 def main(argv=None) -> int:

@@ -50,10 +50,6 @@ F64_EXTRA_STEPS = 5  # a float64 run's steps past n: run_cg's default, the termi
 class BreakdownError(RuntimeError):
     """The curvature p^T H p was not positive; the iteration cannot continue."""
 
-    def __init__(self, message: str, curvature=None):
-        super().__init__(message)
-        self.curvature = curvature
-
 
 @dataclass(frozen=True)
 class DirectionScaling:
@@ -215,10 +211,7 @@ def step_length(P: QuadraticProblem, g_k: np.ndarray, p_k: np.ndarray) -> Scalar
     _check_point(P, p_k)
     curvature = dot(p_k, _times_H(P, p_k))
     if not curvature > 0:
-        raise BreakdownError(
-            f"direction curvature p^T H p = {curvature} is not positive",
-            curvature=curvature,
-        )
+        raise BreakdownError(f"direction curvature p^T H p = {curvature} is not positive")
     return -dot(g_k, p_k) / curvature
 
 
@@ -314,14 +307,13 @@ def run_cg(
         try:
             theta = step_length(P, g, p)
         except BreakdownError:
-            records.append(IterateRecord(k, held(x), held(g), gns, p_k=held(p),
-                                         beta_k=beta, c_k=c_k))
-            reason = "breakdown"
+            theta, reason = None, "breakdown"
+        records.append(IterateRecord(k, held(x), held(g), gns, p_k=held(p),
+                                     theta_k=theta, beta_k=beta, c_k=c_k))
+        if reason is not None:
             break
 
         ps.append(p)
-        records.append(IterateRecord(k, held(x), held(g), gns, p_k=held(p),
-                                     theta_k=theta, beta_k=beta, c_k=c_k))
         x = x + theta * p
         g = _times_H(P, x) + c
         gns_prev, gns = gns, norm_sq(g)

@@ -47,7 +47,6 @@ from .linalg import (
     backend_of,
     dot,
     leading_solves,
-    norm,
     norm_sq,
     pairwise_residual,
     residual_magnitude,
@@ -94,7 +93,8 @@ def _result(ghat: np.ndarray, weights: np.ndarray) -> MinNormResult:
 
 
 def orthogonality_defect(gradients: Sequence[np.ndarray]) -> Scalar:
-    """max_{i<j} |g_i^T g_j| over the history (0 if single).
+    """max_{i<j} |g_i^T g_j| over the history (0 if single), for a sequence or a
+    stack (``linalg._stack``) of gradients: ``check_gradient_orthogonality``'s measure.
 
     Divided by ||g_i|| ||g_j|| under float64, raw under the rational
     backend, by the one pairwise rule of ``linalg.pairwise_residual``.
@@ -102,7 +102,7 @@ def orthogonality_defect(gradients: Sequence[np.ndarray]) -> Scalar:
     backend = backend_of(gradients[0]) if len(gradients) else F64
     return pairwise_residual(
         backend, gradients, gradients, shift=None, diagonal=False,
-        scales=lambda: ([norm(g) for g in gradients],) * 2,
+        scales=lambda: (np.linalg.norm(np.asarray(gradients), axis=1),) * 2,
     )
 
 

@@ -44,7 +44,7 @@ from .linalg import (
     leading_solves,
     residual_magnitude,
 )
-from .quadratic import QuadraticProblem, _check_point, _times_H_rows, evaluate, gradient
+from .quadratic import QuadraticProblem, _check_point, _times_H, evaluate, gradient
 from .engine import CGTrace
 
 # Patched by bench/tracer.py, which still names the deleted pivoted kernel;
@@ -103,7 +103,7 @@ def _sweep(P: QuadraticProblem, x0: np.ndarray, g0: np.ndarray, vectors, basis=N
     point is x0 + 0."""
     Q, T, _, kept = _orthogonalized(vectors) if basis is None else basis
     T = T[:, kept]
-    A, rhs = _symmetric_table(Q, _times_H_rows(P, Q)), -_product(Q, g0)
+    A, rhs = _symmetric_table(Q, _times_H(P, Q)), -_product(Q, g0)
     rows = np.cumsum([0] + [j in kept for j in range(len(T))])
     if points_only and P.backend.exact:  # every leading block of an exact A is solved
         x0 = _stack(x0, P.backend)

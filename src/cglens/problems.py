@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import F64, Backend, LinalgError, _freeze, _rationalized, sym_matrix, vector
+from .linalg import F64, Backend, LinalgError, _freeze, _rationalized, vector
 from .quadratic import QuadraticProblem
 
 _MASK = (1 << 64) - 1
@@ -159,5 +159,6 @@ def generate_problem(spec: ProblemSpec, backend: Backend = F64) -> QuadraticProb
             total = sum(H.T)  # c = -H 1, each row summed left to right (np.sum is pairwise)
             if not (np.isfinite(H).all() and np.isfinite(total).all()):
                 raise LinalgError(f"{label} overflows the float64 range")
-            H, c = sym_matrix(H), vector(-total)
+            # Finite and symmetric bit for bit by construction: QuadraticProblem tests it.
+            H, c = _freeze(H), vector(-total)
     return QuadraticProblem(H=H, c=c, x0=vector([0] * n, backend), label=f"{label}-{backend.name}")

@@ -72,19 +72,14 @@ class QuadraticProblem:
         return backend_of(self.H)
 
 
-def _times_H(P: QuadraticProblem, B) -> np.ndarray:
-    """H B for a vector B, or for a matrix B of columns: one ``np.dot`` under
-    float64, and on the rows of H that P keeps under rationals, where a stack B
-    (``linalg._Rows``, a vector included) gives a stack (``_times_H_rows``)."""
+def _times_H(P: QuadraticProblem, B):
+    """H b for a vector B, or H b_k for each row b_k of a stack B (``linalg._stack``),
+    as rows of the same form, from one product: ``np.dot`` under float64, and under
+    rationals on the rows of H that P keeps, ``_Rows.times`` for a stack of rows."""
     if isinstance(B, _Rows):
         return B.times(P._H_rows)
-    return _product(P._H_rows if P.backend.exact else P.H, B)
-
-
-def _times_H_rows(P: QuadraticProblem, S):
-    """H s_k for each row s_k of a stack (``linalg._stack``), as a stack, from one
-    product: under rationals ``_Rows.times`` on the rows of H that P keeps."""
-    return S.times(P._H_rows) if P.backend.exact else _times_H(P, S.T).T
+    H = P._H_rows if P.backend.exact else P.H
+    return _product(H, B) if B.ndim == 1 else _product(H, B.T).T
 
 
 def _check_point(P: QuadraticProblem, x: np.ndarray) -> None:

@@ -49,10 +49,10 @@ from .linalg import (
     pairwise_residual,
     scalar_token,
 )
-from .quadratic import QuadraticProblem, _times_H_rows
+from .quadratic import QuadraticProblem, _times_H
 from .engine import F64_EXTRA_STEPS, CGTrace, DirectionScaling, _step_budget, run_cg
 from .oracle import _check_trace_fits, verify_against_trace
-from .minnorm import _closed_form_ghats, _projected_ghats
+from .minnorm import _closed_form_ghats, _projected_ghats, orthogonality_defect
 # bench/tracer.py patches these one-shot names on this module.
 from .minnorm import min_norm_closed_form, projection_oracle  # noqa: F401
 
@@ -133,7 +133,7 @@ class _Tables:
     """A trace's stacks (``CGTrace._stacks``): g_k and x_k of every record and p_k
     of every step, none at r = 0, under rationals on the rows that each vector was
     recorded or read with; and, each formed at first use, H p_k
-    (``quadratic._times_H_rows``), under rationals PG, the rows k of the P G^T table
+    (``quadratic._times_H``), under rationals PG, the rows k of the P G^T table
     over the columns 0..k that conditions (b) and (c) read, and ``basis``,
     ``linalg._orthogonalized`` of the ``history`` g_0..g_{r-1}.  The orthogonality
     checks read the first ``measured`` gradients: all under rationals, and under
@@ -146,7 +146,7 @@ class _Tables:
         self.steps, self.history = trace.records[: trace.r], self.G[: trace.r]
         self.measured = len(self.G) - (0 if self.backend.exact else 1)
 
-    HP = cached_property(lambda self: _times_H_rows(self.problem, self.P))
+    HP = cached_property(lambda self: _times_H(self.problem, self.P))
     PG = cached_property(lambda self: self.P.triangle(self.G, 1) if self.backend.exact else None)
     basis = cached_property(lambda self: _orthogonalized(self.history))
 
@@ -154,11 +154,7 @@ class _Tables:
 def check_gradient_orthogonality(trace: CGTrace, tolerance=None, *, _tables=None) -> CheckResult:
     """Pairwise orthogonality of the gradients that generated steps."""
     T = _tables or _Tables(None, trace)
-    gs = T.G[: T.measured]
-    measured = pairwise_residual(
-        T.backend, gs, gs, shift=None, diagonal=False, scales=lambda: (_norms(gs),) * 2
-    )
-    return _result("gradient_orthogonality", trace, tolerance, measured)
+    return _result("gradient_orthogonality", trace, tolerance, orthogonality_defect(T.G[: T.measured]))
 
 
 def check_derivation_conditions(trace: CGTrace, tolerances=None, *, _tables=None

@@ -500,7 +500,7 @@ class TestTraceJson:
         def step_length(P, g, p):
             calls.append(1)
             if len(calls) == 3:
-                raise BreakdownError("curvature forced to zero", curvature=0)
+                raise BreakdownError("curvature forced to zero")
             return real_step_length(P, g, p)
 
         monkeypatch.setattr(engine, "step_length", step_length)

@@ -15,9 +15,10 @@ from cglens import (
     F64, RATIONAL, LinalgError, ProblemSpec, exact_minimizer, generate_problem, gradient,
     run_cg, vector,
 )
-from cglens.linalg import AsymmetricMatrixError, DimensionMismatch, cholesky_spd_check, sym_matrix
+from cglens.linalg import (AsymmetricMatrixError, DimensionMismatch, _fractions, _stack,
+                           cholesky_spd_check, sym_matrix)
 from cglens.mmio import load_problem, save_problem
-from cglens.quadratic import QuadraticProblem, evaluate
+from cglens.quadratic import QuadraticProblem, _times_H, evaluate
 from cglens.verify import run_full_suite
 
 
@@ -272,3 +273,36 @@ class TestFiniteDifference:
         x = vector([0.7, -1.3], F64)
         slopes = self.central_differences(P, x, 1e-4)
         assert max(abs(s - g) for s, g in zip(slopes, gradient(P, x))) < 1e-9
+
+
+class TestTimesH:
+    """``_times_H`` on a stack of rows is the row-by-row product: exact under
+    rationals for a stack (``linalg._Rows``) and for a ``Fraction`` array, and
+    under float64 one ``np.dot`` with H, bit for bit, rows of no rows included."""
+
+    @staticmethod
+    def stack(k, n, backend):
+        """k rows of n entries p/q, p in -9..9 and q in 1..6."""
+        rng = np.random.default_rng(k)
+        S = np.array([[Fraction(int(p), int(q)) for p, q in zip(rng.integers(-9, 10, n),
+                                                                rng.integers(1, 7, n))]
+                      for _ in range(k)], dtype=object).reshape(k, n)
+        return S if backend.exact else S.astype(np.float64)
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_rational_stack_is_row_by_row(self, k):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=6, condition=8, seed=2), RATIONAL)
+        S = self.stack(k, P.n, RATIONAL)
+        expected = np.array([_times_H(P, s) for s in S], dtype=object).reshape(k, P.n)
+        assert all(type(x) is Fraction for x in expected.flat)
+        assert (_times_H(P, S) == expected).all()
+        assert (_fractions(_times_H(P, _stack(S, RATIONAL))) == expected).all()
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_float_stack_is_one_product(self, k):
+        P = generate_problem(ProblemSpec(kind="rand_spd", n=6, condition=1e4, seed=2), F64)
+        S = self.stack(k, P.n, F64)
+        HS = _times_H(P, S)
+        assert HS.tobytes() == np.dot(P.H, S.T).T.tobytes()
+        # Row by row, H s is a matrix-vector product, whose sums may round otherwise.
+        assert all(np.allclose(row, _times_H(P, s), rtol=1e-12) for row, s in zip(HS, S))

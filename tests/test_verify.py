@@ -54,9 +54,10 @@ from cglens.verify import (
     check_termination_bound,
     report_to_dict,
 )
-from cglens.engine import F64_EXTRA_STEPS, _step_budget
+from cglens.engine import DIRECTION_MODES, F64_EXTRA_STEPS, _step_budget
 from cglens.linalg import _product
-from cglens.minnorm import _closed_form_ghats, _projected_ghats, min_norm_closed_form
+from cglens.minnorm import (_closed_form_ghats, _projected_ghats, min_norm_closed_form,
+                            orthogonality_defect)
 from cglens.oracle import trace_oracle
 from cglens.quadratic import _times_H
 
@@ -522,6 +523,29 @@ class TestPairwiseTable:
         assert unscaled == 0.0
 
 
+class TestOneOrthogonalityMeasure:
+    """``check_gradient_orthogonality`` measures what ``minnorm.orthogonality_defect``
+    measures on the same gradients: all of them under rationals, and under float64
+    all but the terminal one, r = 0 included."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_check_is_the_defect_of_the_measured_gradients(self, data):
+        backend = data.draw(st.sampled_from([F64, RATIONAL]))
+        kind = data.draw(st.sampled_from(["diag", "laplacian1d", "rand_spd"]))
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        spec = (ProblemSpec(kind, n, condition=data.draw(st.sampled_from([1.0, 8.0, 1e4])),
+                            seed=data.draw(st.integers(0, 50)))
+                if kind == "rand_spd" else ProblemSpec(kind, n))
+        P = generate_problem(spec, backend)
+        trace = run_cg(P, direction_mode=data.draw(st.sampled_from(DIRECTION_MODES)),
+                       max_iter=data.draw(st.none() | st.integers(0, n)))
+        G = trace.gradients()
+        measured = check_gradient_orthogonality(trace).measured
+        expected = orthogonality_defect(G[: len(G) - (0 if backend.exact else 1)])
+        assert type(measured) is type(expected) and measured == expected
+
+
 class TestNaNNeverPasses:
     """A NaN entry of g_k makes g_k^T g_k NaN, which no recorded grad_norm_sq
     matches: ``CGTrace`` refuses the trace before any check reads it."""
@@ -647,6 +671,26 @@ class TestNoDeadNames:
         assert dead == []
 
 
+class TestOneFileWriter:
+    """Every file the package writes goes through ``mmio.save_json`` and every one it
+    reads through ``mmio``'s readers: no other module opens a file or dumps JSON."""
+
+    @staticmethod
+    def called(call) -> str | None:
+        """A call's function as a name or a dotted ``module.name``."""
+        f = call.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+            return f"{f.value.id}.{f.attr}"
+        return f.id if isinstance(f, ast.Name) else None
+
+    def test_only_mmio_opens_files_or_dumps_json(self):
+        found = [f"{module}: {self.called(node)}"
+                 for module, tree in TestNoDeadNames.MODULES.items() if module != "mmio"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and self.called(node) in ("open", "json.dump")]
+        assert found == []
+
+
 class TestTraceMustFitTheProblem:
     """``run_full_suite(P, trace=load_trace(path))`` rejects a trace of
     another dimension or backend before any check runs."""
@@ -689,7 +733,7 @@ def whole_table_reference(P, trace):
     s = len(steps)
     G, X = np.asarray([rec.g_k for rec in records]), np.asarray([rec.x_k for rec in records])
     ps = np.asarray([rec.p_k for rec in steps])
-    hps = _times_H(P, ps.T).T
+    hps = _times_H(P, ps)
     thetas = np.array([rec.theta_k for rec in steps], dtype=object)
     closed, _ = _closed_form_ghats(list(G[:s]))
     projected, _ = _projected_ghats(list(G[:s]))
